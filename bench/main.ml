@@ -168,10 +168,9 @@ let run_par ~scale () =
     rows
 
 (* Insert fast path: the Code 2 adjacent-access stream through the
-   disjoint store with the fast path off, the finger cache alone, and
-   the coalescing batch buffer — asserting identical verdicts and final
-   contents, and reporting the tree-operation reduction (the ISSUE 3
-   ≥2× target). *)
+   disjoint store with the fast path off and with the finger cache —
+   asserting identical verdicts and final contents, and reporting the
+   tree-operation reduction. *)
 let run_fastpath () =
   section "Insert fast path (Code 2 adjacent-access microbench)";
   let open Rma_access in
@@ -190,16 +189,14 @@ let run_fastpath () =
   let feed store =
     Array.iter (fun a -> ignore (Disjoint_store.insert store a)) adjacent;
     let verdict = Disjoint_store.insert store racy in
-    Disjoint_store.batch_flush store;
+    Disjoint_store.flush_finger store;
     (verdict, Disjoint_store.stats store, Disjoint_store.to_list store)
   in
   let verdict_off, stats_off, list_off = feed (Disjoint_store.create ~fast_path:false ()) in
-  let finger = Disjoint_store.create ~batch:false () in
+  let finger = Disjoint_store.create () in
   let verdict_f, stats_f, list_f = feed finger in
-  let batched = Disjoint_store.create ~batch:true () in
-  let verdict_b, stats_b, list_b = feed batched in
-  let same_verdict a b =
-    match (a, b) with
+  let same_verdict =
+    match (verdict_off, verdict_f) with
     | Store_intf.Inserted, Store_intf.Inserted -> true
     | ( Store_intf.Race_detected { existing = e1; incoming = i1 },
         Store_intf.Race_detected { existing = e2; incoming = i2 } ) ->
@@ -207,34 +204,24 @@ let run_fastpath () =
     | _ -> false
   in
   let identical =
-    same_verdict verdict_off verdict_f && same_verdict verdict_off verdict_b
+    same_verdict
     && List.equal Access.equal list_off list_f
-    && List.equal Access.equal list_off list_b
     && stats_off.Store_intf.nodes = stats_f.Store_intf.nodes
-    && stats_off.Store_intf.nodes = stats_b.Store_intf.nodes
   in
-  if not identical then failwith "fastpath bench: batched and unbatched stores disagree";
-  let fp_f = Disjoint_store.fast_path_stats finger in
-  let fp_b = Disjoint_store.fast_path_stats batched in
-  let reduction which ops =
-    let r = float_of_int stats_off.Store_intf.tree_ops /. float_of_int (max 1 ops) in
-    Printf.printf "%-28s %6d tree ops   (%.1fx fewer than fast-path-off)\n" which ops r;
-    r
+  if not identical then failwith "fastpath bench: finger cache and fast-path-off stores disagree";
+  let reduction =
+    float_of_int stats_off.Store_intf.tree_ops /. float_of_int (max 1 stats_f.Store_intf.tree_ops)
   in
   Printf.printf "%-28s %6d tree ops\n" "fast path off" stats_off.Store_intf.tree_ops;
-  let red_f = reduction "finger cache" stats_f.Store_intf.tree_ops in
-  let red_b = reduction "batch buffer" stats_b.Store_intf.tree_ops in
-  Printf.printf "finger: %d hits; batch: %d coalesced, %d flushes\n" fp_f.finger_hits
-    fp_b.batch_coalesced fp_b.batch_flushes;
-  Printf.printf "race verdicts and final node sets: identical across all three\n";
+  Printf.printf "%-28s %6d tree ops   (%.1fx fewer than fast-path-off)\n" "finger cache"
+    stats_f.Store_intf.tree_ops reduction;
+  Printf.printf "finger: %d hits\n" (Disjoint_store.finger_hits finger);
+  Printf.printf "race verdicts and final node sets: identical\n";
   [
     ("fastpath_off_tree_ops", float_of_int stats_off.Store_intf.tree_ops);
     ("fastpath_finger_tree_ops", float_of_int stats_f.Store_intf.tree_ops);
-    ("fastpath_batch_tree_ops", float_of_int stats_b.Store_intf.tree_ops);
-    ("fastpath_finger_reduction", red_f);
-    ("fastpath_batch_reduction", red_b);
-    ("fastpath_finger_hits", float_of_int fp_f.finger_hits);
-    ("fastpath_batch_coalesced", float_of_int fp_b.batch_coalesced);
+    ("fastpath_finger_reduction", reduction);
+    ("fastpath_finger_hits", float_of_int (Disjoint_store.finger_hits finger));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -305,11 +292,6 @@ let micro_tests () =
       (Staged.stage (stream_insert_legacy cfd_stream));
     Test.make ~name:"fig8: code2 get loop, contribution store"
       (Staged.stage (stream_insert_disjoint fig8_stream));
-    Test.make ~name:"fig8: code2 get loop, contribution store (batched)"
-      (Staged.stage (fun () ->
-           let store = Disjoint_store.create ~batch:true () in
-           Array.iter (fun a -> ignore (Disjoint_store.insert store a)) fig8_stream;
-           Disjoint_store.batch_flush store));
     Test.make ~name:"fig8: code2 get loop, contribution store (fast path off)"
       (Staged.stage (fun () ->
            let store = Disjoint_store.create ~fast_path:false () in
@@ -623,9 +605,6 @@ let () =
         parse rest
     | "--compare" :: old_path :: new_path :: rest ->
         compare_paths := Some (old_path, new_path);
-        parse rest
-    | "--batch-inserts" :: rest ->
-        Rma_store.Disjoint_store.set_batch_default true;
         parse rest
     | "--jobs" :: v :: rest ->
         Rma_par.set_default_jobs (int_of_string v);

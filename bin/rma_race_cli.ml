@@ -98,16 +98,6 @@ let diag_term =
             "Write the race reports of the run as SARIF 2.1.0 to $(docv), one result per race \
              with every contributing source location. Enables the flight recorder.")
   in
-  let batch_inserts =
-    Arg.(
-      value & flag
-      & info [ "batch-inserts" ]
-          ~doc:
-            "Open the disjoint store's coalescing write buffer: runs of adjacent same-kind \
-             accesses are pre-merged in O(1) before touching the interval tree (flushed at every \
-             epoch close and race check, so verdicts are unchanged). Same as setting \
-             $(b,RMA_BATCH_INSERTS=1).")
-  in
   let jobs =
     Arg.(
       value
@@ -154,7 +144,7 @@ let diag_term =
              the observed schedule kept them apart. Same as setting $(b,RMA_PREDICTIVE=1).")
   in
   let mk obs_out obs_summary obs_prometheus obs_events obs_level obs_serve obs_sample races_json
-      races_sarif batch_inserts jobs fault_plan budget predictive =
+      races_sarif jobs fault_plan budget predictive =
     {
       Diag.obs_out;
       obs_summary;
@@ -165,7 +155,6 @@ let diag_term =
       obs_sample;
       races_json;
       races_sarif;
-      batch_inserts;
       jobs;
       fault_plan;
       budget;
@@ -174,7 +163,7 @@ let diag_term =
   in
   Term.(
     const mk $ out $ summary $ prometheus $ events $ level $ serve $ sample $ races_json
-    $ races_sarif $ batch_inserts $ jobs $ fault_plan $ budget $ predictive)
+    $ races_sarif $ jobs $ fault_plan $ budget $ predictive)
 
 let generator = "rma_race"
 

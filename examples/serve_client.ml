@@ -13,7 +13,7 @@
      --session NAME              display name (default: trace basename)
      --tool SLUG                 detector slug (default contribution)
      --nprocs N                  rank count (default: inferred from the trace)
-     --jobs N --budget SPEC --fault SPEC --predictive --batch-inserts
+     --jobs N --budget SPEC --fault SPEC --predictive
      --abort-after N             disconnect after N trace lines (churn demo)
 
    Exit status: 0 after a summary line, 3 on error/load_shed, 2 on usage. *)
@@ -32,7 +32,6 @@ let jobs = ref None
 let budget = ref None
 let fault = ref None
 let predictive = ref false
-let batch_inserts = ref false
 let abort_after = ref None
 
 let spec =
@@ -47,7 +46,6 @@ let spec =
     ("--budget", Arg.String (fun v -> budget := Some v), "SPEC  per-session store budget");
     ("--fault", Arg.String (fun v -> fault := Some v), "SPEC  per-session fault plan");
     ("--predictive", Arg.Set predictive, " run the predictive analysis too");
-    ("--batch-inserts", Arg.Set batch_inserts, " coalesce adjacent inserts");
     ("--abort-after", Arg.Int (fun v -> abort_after := Some v), "N  disconnect after N lines");
   ]
 
@@ -73,8 +71,7 @@ let hello_line ~session ~nprocs =
        @ opt "jobs" (fun j -> Json.Int j) !jobs
        @ opt "budget" (fun s -> Json.String s) !budget
        @ opt "fault" (fun s -> Json.String s) !fault
-       @ flag "predictive" !predictive
-       @ flag "batch_inserts" !batch_inserts))
+       @ flag "predictive" !predictive))
 
 let () =
   Arg.parse spec (fun a -> die "serve_client: unexpected argument %S" a) usage;

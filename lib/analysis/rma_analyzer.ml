@@ -24,7 +24,7 @@ type policy = Legacy | Contribution | Fragmentation_only | Order_blind | Strided
 
 (* Predictive mode default: the CLI's [--predictive] flag (via
    [set_default_predictive]) wins over the [RMA_PREDICTIVE] environment
-   variable, mirroring how batch inserts and jobs resolve theirs. *)
+   variable, mirroring how jobs resolve theirs. *)
 let default_predictive_override = ref None
 
 let set_default_predictive b = default_predictive_override := Some b
@@ -86,10 +86,13 @@ let store_note_epoch = function
    store? Races detected afterwards carry downgraded confidence. *)
 let store_degraded store = (store_stats store).Store_intf.degraded_drops > 0
 
-(* Only the disjoint store buffers inserts; the buffer must be drained
-   before anything samples the tree (epoch-close node counts) so the
-   observable state matches an unbatched run byte for byte. *)
-let store_flush_batch = function D s -> Disjoint_store.batch_flush s | L _ | S _ -> ()
+(* Only the disjoint store holds a run outside its tree (the finger).
+   Epoch close moves it into the tree, so the next epoch starts with no
+   finger whether or not the close also clears the window. Verdicts and
+   node counts do not depend on this flush; the store's [tree_ops] and
+   finger-hit counts do (a finger the window clear drops is never
+   inserted). *)
+let store_flush_finger = function D s -> Disjoint_store.flush_finger s | L _ | S _ -> ()
 
 type tree = {
   store : store;
@@ -189,7 +192,6 @@ type state = {
   config : Config.t;
   mode : Tool.mode;
   flush_clears : bool;
-  batch_inserts : bool;
   budget : Rma_fault.Budget.t option;
       (* Explicit per-tool budget; [None] defers to the process default
          at store creation (see Governor.create). *)
@@ -212,12 +214,12 @@ type state = {
   predictive : predictive option;  (** [None] = observed-only, byte for byte. *)
 }
 
-let new_store ~batch ?budget policy =
+let new_store ?budget policy =
   match policy with
   | Legacy -> L (Legacy_store.create ?budget ())
-  | Contribution -> D (Disjoint_store.create ~batch ?budget ())
-  | Fragmentation_only -> D (Disjoint_store.create ~merge:false ~batch ?budget ())
-  | Order_blind -> D (Disjoint_store.create ~order_aware:false ~batch ?budget ())
+  | Contribution -> D (Disjoint_store.create ?budget ())
+  | Fragmentation_only -> D (Disjoint_store.create ~merge:false ?budget ())
+  | Order_blind -> D (Disjoint_store.create ~order_aware:false ?budget ())
   | Strided_extension -> S (Strided_store.create ?budget ())
 
 let tree_for st key =
@@ -225,7 +227,7 @@ let tree_for st key =
   | Some t -> t
   | None ->
       let t =
-        { store = new_store ~batch:st.batch_inserts ?budget:st.budget st.policy;
+        { store = new_store ?budget:st.budget st.policy;
           epoch_open = false; nodes_at_last_close = None; epoch_span = None }
       in
       Hashtbl.replace st.trees key t;
@@ -301,7 +303,7 @@ let weak_tree_for st p key =
   | Some t -> t
   | None ->
       let t =
-        { store = new_store ~batch:st.batch_inserts ?budget:st.budget st.policy;
+        { store = new_store ?budget:st.budget st.policy;
           epoch_open = false; nodes_at_last_close = None; epoch_span = None }
       in
       Hashtbl.replace p.weak_trees key t;
@@ -583,7 +585,7 @@ let predictive_collective st p ~kind ~rank =
 
 let observer st event =
   (* Parallel engines synchronise exactly where the sequential analyzer
-     touches whole trees: epoch boundaries (note_epoch / batch flush /
+     touches whole trees: epoch boundaries (note_epoch / finger flush /
      size sampling / window clears) and the flush-clears ablation. The
      barrier drains every shard queue first, so the main-thread code
      below always sees the same store states a sequential run would. *)
@@ -616,13 +618,13 @@ let observer st event =
       end;
       0.0
   | Event.Epoch_closed { win; rank; sim_time } ->
-      (* Wall time of the whole close handling (batch flush, journal,
+      (* Wall time of the whole close handling (finger flush, journal,
          window clear) feeds the epoch-close latency SLO; timed only
          under Obs so the sequential hot path stays clock-free. *)
       let close_t0 = if Obs.is_enabled () then Rma_util.Timer.now () else 0.0 in
       let tree = tree_for st (rank, win) in
       tree.epoch_open <- false;
-      store_flush_batch tree.store;
+      store_flush_finger tree.store;
       let nodes = store_size tree.store in
       tree.nodes_at_last_close <- Some nodes;
       if Obs.is_enabled () then begin
@@ -719,11 +721,8 @@ let bst_summary st () =
     st.trees Tool.empty_bst_summary
 
 let make_state ~nprocs ?(config = Config.default) ?(mode = Tool.Abort_on_race)
-    ?(flush_clears = false) ?(max_reports = 1000) ?batch_inserts ?jobs ?queue_capacity ?budget
-    ?predictive policy =
-  let batch_inserts =
-    match batch_inserts with Some b -> b | None -> Disjoint_store.batch_default_enabled ()
-  in
+    ?(flush_clears = false) ?(max_reports = 1000) ?jobs ?queue_capacity ?budget ?predictive policy
+    =
   let predictive_on =
     match predictive with Some b -> b | None -> default_predictive ()
   in
@@ -748,7 +747,6 @@ let make_state ~nprocs ?(config = Config.default) ?(mode = Tool.Abort_on_race)
     config;
     mode;
     flush_clears;
-    batch_inserts;
     budget;
     policy;
     name = policy_name policy;
@@ -835,16 +833,16 @@ let tool_of_state st =
             p.predicted_count <- 0);
   }
 
-let create ~nprocs ?config ?mode ?flush_clears ?max_reports ?batch_inserts ?jobs ?queue_capacity
+let create ~nprocs ?config ?mode ?flush_clears ?max_reports ?jobs ?queue_capacity
     ?budget ?predictive policy =
   tool_of_state
-    (make_state ~nprocs ?config ?mode ?flush_clears ?max_reports ?batch_inserts ?jobs
+    (make_state ~nprocs ?config ?mode ?flush_clears ?max_reports ?jobs
        ?queue_capacity ?budget ?predictive policy)
 
-let create_inspectable ~nprocs ?config ?mode ?flush_clears ?max_reports ?batch_inserts ?jobs
+let create_inspectable ~nprocs ?config ?mode ?flush_clears ?max_reports ?jobs
     ?queue_capacity ?budget ?predictive policy =
   let st =
-    make_state ~nprocs ?config ?mode ?flush_clears ?max_reports ?batch_inserts ?jobs
+    make_state ~nprocs ?config ?mode ?flush_clears ?max_reports ?jobs
       ?queue_capacity ?budget ?predictive policy
   in
   let dump () =

@@ -43,7 +43,6 @@ val create :
   ?mode:Tool.mode ->
   ?flush_clears:bool ->
   ?max_reports:int ->
-  ?batch_inserts:bool ->
   ?jobs:int ->
   ?queue_capacity:int ->
   ?budget:Rma_fault.Budget.t ->
@@ -51,10 +50,7 @@ val create :
   policy ->
   Tool.t
 (** Defaults: [config = Mpi_sim.Config.default], [mode = Abort_on_race],
-    [flush_clears = false], [max_reports = 1000], [batch_inserts] from
-    {!Rma_store.Disjoint_store.batch_default_enabled} (the CLI's
-    [--batch-inserts] / the [RMA_BATCH_INSERTS] environment variable),
-    [jobs] from {!Rma_par.default_jobs} (the CLI's [--jobs] / the
+    [flush_clears = false], [max_reports = 1000], [jobs] from {!Rma_par.default_jobs} (the CLI's [--jobs] / the
     [RMA_JOBS] environment variable), [budget] from
     {!Rma_fault.Budget.default} (the CLI's [--budget] / the
     [RMA_BUDGET] environment variable).
@@ -80,11 +76,6 @@ val create :
     [config.analysis_self_timed] is set, the observer returns the
     engine's critical-path cost model (busiest shard per barrier
     interval) as simulated protocol seconds.
-
-    [batch_inserts:true] opens each disjoint store's coalescing write
-    buffer (see {!Rma_store.Disjoint_store.batch_begin}); the analyzer
-    drains it on every [Epoch_closed] before sampling node counts, so
-    verdicts and Table 4 metrics are identical with and without it.
 
     [max_reports] bounds the reports kept for {!Tool.t.races}; counting
     ({!Tool.t.race_count}) is never truncated, and
@@ -117,7 +108,6 @@ val create_inspectable :
   ?mode:Tool.mode ->
   ?flush_clears:bool ->
   ?max_reports:int ->
-  ?batch_inserts:bool ->
   ?jobs:int ->
   ?queue_capacity:int ->
   ?budget:Rma_fault.Budget.t ->

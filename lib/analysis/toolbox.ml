@@ -22,11 +22,9 @@ let slug = function
 
 let of_slug s = List.find_opt (fun k -> String.equal (slug k) s) all
 
-let make kind ~nprocs ?(config = Mpi_sim.Config.default) ?(mode = Tool.Collect) ?batch_inserts
-    ?jobs ?budget ?predictive () =
-  let analyzer =
-    Rma_analyzer.create ~nprocs ~config ~mode ?batch_inserts ?jobs ?budget ?predictive
-  in
+let make kind ~nprocs ?(config = Mpi_sim.Config.default) ?(mode = Tool.Collect)
+    ?batch_inserts:_ ?jobs ?budget ?predictive () =
+  let analyzer = Rma_analyzer.create ~nprocs ~config ~mode ?jobs ?budget ?predictive in
   match kind with
   | Baseline -> Tool.baseline
   | Legacy -> analyzer Rma_analyzer.Legacy

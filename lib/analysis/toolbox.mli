@@ -32,9 +32,10 @@ val make :
   unit ->
   Tool.t
 (** Defaults: [config = Mpi_sim.Config.default], [mode = Collect],
-    [batch_inserts], [jobs], [budget] and [predictive] from the
-    process-wide defaults (see {!Rma_analyzer.create});
-    [batch_inserts] only affects the disjoint-store policies, [jobs] the
-    analyzer family ([Baseline] and [Must] ignore it), [budget] every
+    [jobs], [budget] and [predictive] from the process-wide defaults
+    (see {!Rma_analyzer.create}); [jobs] affects the analyzer family ([Baseline] and [Must] ignore it), [budget] every
     store-backed tool, and [predictive] the analyzer family (the
-    weak-order schedulable-race analysis of DESIGN.md §15). *)
+    weak-order schedulable-race analysis of DESIGN.md §15).
+
+    [batch_inserts] is ignored; the coalescing buffer was removed and
+    never changed a verdict. *)

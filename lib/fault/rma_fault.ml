@@ -238,9 +238,8 @@ module Budget = struct
   let default () = !default_budget
 end
 
-(* Environment opt-ins, matching the RMA_JOBS / RMA_BATCH_INSERTS
-   pattern: a malformed spec warns and is ignored rather than failing
-   module initialisation. *)
+(* Environment opt-ins, matching the RMA_JOBS pattern: a malformed spec
+   warns and is ignored rather than failing module initialisation. *)
 let () =
   (match Sys.getenv_opt "RMA_FAULT" with
   | None -> ()

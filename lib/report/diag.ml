@@ -11,7 +11,6 @@ type opts = {
   obs_sample : int;
   races_json : string option;
   races_sarif : string option;
-  batch_inserts : bool;
   jobs : int option;
   fault_plan : string option;
   budget : string option;
@@ -29,7 +28,6 @@ let default =
     obs_sample = 1;
     races_json = None;
     races_sarif = None;
-    batch_inserts = false;
     jobs = None;
     fault_plan = None;
     budget = None;
@@ -50,8 +48,8 @@ let usage_error ~prog what spec msg =
 
 (* [f] returns the run's race reports; exports happen afterwards, the
    obs ones even if [f] raises. Everything that stores or engines
-   snapshot at tool creation (flight recorder, batching default, shard
-   count, fault plan, budget) must be applied before [f] runs, which is
+   snapshot at tool creation (flight recorder, shard count, fault
+   plan, budget) must be applied before [f] runs, which is
    why all the knobs live here and not in the exporters. *)
 let with_diag ?(prog = "rma_race") ?(generator = "rma_race") ?workload opts f =
   let active = wants_obs opts in
@@ -69,7 +67,6 @@ let with_diag ?(prog = "rma_race") ?(generator = "rma_race") ?workload opts f =
     opts.obs_level;
   Option.iter Events.set_sink opts.obs_events;
   if wants_races opts then Rma_store.Flight_recorder.enable ();
-  if opts.batch_inserts then Rma_store.Disjoint_store.set_batch_default true;
   (* Only an explicit --predictive forces the default on; left false,
      the RMA_PREDICTIVE environment variable still decides. *)
   if opts.predictive then Rma_analysis.Rma_analyzer.set_default_predictive true;

@@ -5,8 +5,8 @@
     ({!with_diag}) that applies them in the right order around a run.
 
     The ordering matters: stores and engines snapshot the flight
-    recorder, batching default, shard count, fault plan and budget when
-    the tool is created, so every knob is applied {e before} the run
+    recorder, shard count, fault plan and budget when the tool is
+    created, so every knob is applied {e before} the run
     thunk, and the exporters (Chrome trace, Prometheus dump, event
     journal, summary, race JSON/SARIF) run after it — the obs ones even
     when the thunk raises. *)
@@ -25,7 +25,6 @@ type opts = {
   obs_sample : int;  (** Keep one span in N (1 = all). *)
   races_json : string option;
   races_sarif : string option;
-  batch_inserts : bool;
   jobs : int option;
   fault_plan : string option;  (** {!Rma_fault.Plan.of_spec} syntax. *)
   budget : string option;  (** {!Rma_fault.Budget.of_spec} syntax. *)

@@ -147,7 +147,7 @@ let rec close_session t (s : Session.t) reason =
     end;
     s.Session.tool <- None;
     s.Session.fault_snap <- None;
-    s.Session.inbox <- [];
+    Queue.clear s.Session.inbox;
     graceful_close s.Session.fd;
     t.sessions <- List.filter (fun x -> x != s) t.sessions;
     if was_streaming then Atomic.decr t.g_active;
@@ -183,8 +183,7 @@ and admit t (s : Session.t) (h : Protocol.hello) =
   Rma_fault.restore saved;
   s.Session.tool <-
     Some
-      (Toolbox.make h.Protocol.tool ~nprocs:h.Protocol.nprocs
-         ?batch_inserts:h.Protocol.batch_inserts ?jobs:h.Protocol.jobs
+      (Toolbox.make h.Protocol.tool ~nprocs:h.Protocol.nprocs ?jobs:h.Protocol.jobs
          ?budget:h.Protocol.budget ?predictive:h.Protocol.predictive ());
   if s.Session.phase = Session.Queued then Atomic.decr t.g_queued;
   s.Session.phase <- Session.Streaming;
@@ -218,7 +217,7 @@ and promote_queued t =
 and on_hello t (s : Session.t) line =
   match Protocol.parse_hello line with
   | Error reason ->
-      if send t s (Protocol.error reason) then close_session t s (Session.Protocol_error reason)
+      reject t s reason
   | Ok h ->
       s.Session.hello <- Some h;
       if Atomic.get t.g_active < t.cfg.max_sessions then admit t s h
@@ -309,30 +308,26 @@ and feed_line t (s : Session.t) line =
           try ignore (tool.Tool.observer e) with
           | Report.Race_abort _ -> ()
           | Rma_fault.Budget.Exhausted msg ->
-              let reason = "budget exhausted: " ^ msg in
-              ignore (send t s (Protocol.error ?session:(Session.session_name s) reason));
-              close_session t s (Session.Protocol_error reason)));
+              reject t s ("budget exhausted: " ^ msg)));
       if Session.is_open s then flush_races t s
   | Ok (Codec.Incremental.Complete n) -> finish_session t s n
-  | Error err ->
-      let reason = Codec.error_to_string err in
-      ignore (send t s (Protocol.error ?session:(Session.session_name s) reason));
-      close_session t s (Session.Protocol_error reason)
+  | Error err -> reject t s (Codec.error_to_string err)
+
+and reject t (s : Session.t) reason =
+  ignore (send t s (Protocol.error ?session:(Session.session_name s) reason));
+  close_session t s (Session.Protocol_error reason)
 
 and drain t (s : Session.t) =
-  match s.Session.inbox with
-  | [] -> ()
-  | line :: rest -> (
-      match s.Session.phase with
-      | Session.Queued | Session.Closed _ -> ()
-      | Session.Handshaking ->
-          s.Session.inbox <- rest;
-          on_hello t s line;
-          drain t s
-      | Session.Streaming ->
-          s.Session.inbox <- rest;
-          with_session_env s (fun () -> feed_line t s line);
-          drain t s)
+  if not (Queue.is_empty s.Session.inbox) then
+    match s.Session.phase with
+    | Session.Queued | Session.Closed _ -> ()
+    | Session.Handshaking ->
+        on_hello t s (Queue.pop s.Session.inbox);
+        drain t s
+    | Session.Streaming ->
+        let line = Queue.pop s.Session.inbox in
+        with_session_env s (fun () -> feed_line t s line);
+        drain t s
 
 let accept_new t =
   match Unix.accept t.lsock with
@@ -362,18 +357,14 @@ let service t (s : Session.t) =
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   | exception Unix.Unix_error _ -> close_session t s Session.Disconnected
   | 0 ->
-      (* EOF. A legacy (format-1) stream is delimited by it; a framed
-         stream ending here lost its footer — the client died
-         mid-stream. *)
-      if s.Session.phase = Session.Streaming then
-        with_session_env s (fun () ->
-            match Codec.Incremental.finish s.Session.decoder with
-            | Ok n -> finish_session t s n
-            | Error _ -> close_session t s Session.Disconnected)
-      else close_session t s Session.Disconnected
+      (* EOF before the footer (which closes the session itself): the
+         client died mid-stream. *)
+      close_session t s Session.Disconnected
   | n ->
-      Session.push_bytes s (Bytes.sub_string buf 0 n);
-      drain t s
+      let fits = Session.push_bytes s (Bytes.sub_string buf 0 n) in
+      (* Lines completed before the over-long one still count. *)
+      drain t s;
+      if (not fits) && Session.is_open s then reject t s "line too long"
 
 (* Round-robin fairness: each select round services ready sessions
    starting from a rotating offset, and each service consumes at most

@@ -8,7 +8,6 @@ type hello = {
   tool : Toolbox.kind;
   nprocs : int;
   jobs : int option;
-  batch_inserts : bool option;
   predictive : bool option;
   budget : Rma_fault.Budget.t option;
   fault : Rma_fault.Plan.t option;
@@ -64,11 +63,10 @@ let parse_hello line =
     | None -> Error "missing \"nprocs\" field"
   in
   let* jobs = opt_field "jobs" Json.to_int j in
-  let* batch_inserts = opt_field "batch_inserts" Json.to_bool j in
   let* predictive = opt_field "predictive" Json.to_bool j in
   let* budget = spec_field "budget" Rma_fault.Budget.of_spec j in
   let* fault = spec_field "fault" Rma_fault.Plan.of_spec j in
-  Ok { session; tool; nprocs; jobs; batch_inserts; predictive; budget; fault }
+  Ok { session; tool; nprocs; jobs; predictive; budget; fault }
 
 (* ------------------------------------------------------------------ *)
 (* Server -> client lines                                              *)

@@ -21,15 +21,16 @@ val version : int
     recorded with (required — detector state is sized before the first
     event arrives). The remaining knobs mirror the offline CLI flags
     and fall back to the daemon process's defaults when omitted:
-    [jobs] (shard count), [batch_inserts], [predictive], [budget]
-    (a {!Rma_fault.Budget.of_spec} string), and [fault] (a
-    {!Rma_fault.Plan.of_spec} string applied to this session only). *)
+    [jobs] (shard count), [predictive], [budget] (a
+    {!Rma_fault.Budget.of_spec} string), and [fault] (a
+    {!Rma_fault.Plan.of_spec} string applied to this session only).
+    Fields the daemon does not know are ignored, so older clients that
+    still send them are admitted unchanged. *)
 type hello = {
   session : string;
   tool : Rma_analysis.Toolbox.kind;
   nprocs : int;
   jobs : int option;
-  batch_inserts : bool option;
   predictive : bool option;
   budget : Rma_fault.Budget.t option;
   fault : Rma_fault.Plan.t option;

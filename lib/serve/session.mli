@@ -39,8 +39,10 @@ type t = {
   id : int;  (** Daemon-local ordinal, minted at accept. *)
   fd : Unix.file_descr;
   mutable phase : phase;
-  mutable pending : string;  (** Received bytes not yet newline-terminated. *)
-  mutable inbox : string list;
+  pending : Buffer.t;
+      (** Received bytes not yet newline-terminated; never more than
+          {!max_line_bytes}. *)
+  inbox : string Queue.t;
       (** Complete lines the state machine has not consumed yet — a
           client that pipelines its handshake and trace in one write
           can land lines while the session is still [Queued]; they wait
@@ -69,10 +71,16 @@ val wants_read : t -> bool
     {e not} read — the kernel socket buffer back-pressures the client
     until a streaming slot frees. *)
 
-val push_bytes : t -> string -> unit
+val max_line_bytes : int
+(** Longest line, without its terminator, a session may send (64 KiB). *)
+
+val push_bytes : t -> string -> bool
 (** Append a received chunk, moving every newly completed line (without
     its terminator; CRLF tolerated) into [inbox]. The unterminated tail
-    is kept for the next chunk. *)
+    is kept for the next chunk. Returns [false], keeping nothing of the
+    offending line past its first {!max_line_bytes} bytes, once a line
+    grows longer than that; the daemon then closes the session with
+    [Protocol_error "line too long"]. *)
 
 val session_name : t -> string option
 (** The handshake's session name, once known. *)

@@ -1,16 +1,16 @@
 open Rma_access
 module Obs = Rma_obs.Obs
 
-(* A pending entry of the insert fast path: one coalesced run of
-   adjacent mergeable accesses held OUT of the AVL tree, exactly the
-   node the unbatched store would hold for the same stream. The entry
+(* The finger of the insert fast path: the most recently seeded or
+   extended run of adjacent mergeable accesses, held OUT of the AVL tree
+   as exactly the node the slow path would hold for the same stream. It
    owns an open "clear zone" (p_zone_lo, p_zone_hi) certified to contain
    no tree byte, so extending the run inside the zone needs no tree
    descent at all. *)
 type pending = {
   mutable p_acc : Access.t;
-  mutable p_zone_lo : int;  (* exclusive lower edge of the clear zone *)
-  mutable p_zone_hi : int;  (* exclusive upper edge of the clear zone *)
+  p_zone_lo : int;  (* exclusive lower edge of the clear zone *)
+  p_zone_hi : int;  (* exclusive upper edge of the clear zone *)
 }
 
 type t = {
@@ -26,16 +26,13 @@ type t = {
   gov : Governor.t option;
       (* Present iff the store was created under a bounded budget;
          ungoverned inserts pay one option match. *)
-  mutable batching : bool;
-  mutable pending : pending list;  (* most recently touched first *)
+  mutable finger : pending option;
   mutable peak_nodes : int;
   mutable inserts : int;
   mutable fragments_created : int;
   mutable merges_performed : int;
   mutable race_checks : int;
   mutable finger_hits : int;
-  mutable batch_coalesced : int;
-  mutable batch_flushes : int;
 }
 
 (* How far beyond the access a clear zone may be claimed. A cap keeps a
@@ -44,42 +41,27 @@ type t = {
    for thousands of bytes per claim. *)
 let zone_headroom = 4096
 
-let batch_default =
-  ref
-    (match Sys.getenv_opt "RMA_BATCH_INSERTS" with
-    | Some ("1" | "true" | "yes" | "on") -> true
-    | _ -> false)
-
-let set_batch_default v = batch_default := v
-
-let batch_default_enabled () = !batch_default
-
 (* Rough resident cost of one tree node: the AVL node (5 words), the
    access record (5 words), its interval (3 words) and a one-word share
    of the debug-info strings — 14 words = 112 bytes on 64-bit. Only
    used to translate a [max_bytes] budget into a node cap. *)
 let approx_node_bytes = 112
 
-let create ?(order_aware = true) ?(merge = true) ?(fast_path = true) ?batch ?budget () =
-  let fast_path = fast_path && merge in
-  let batching = (match batch with Some b -> b | None -> !batch_default) && fast_path in
+let create ?(order_aware = true) ?(merge = true) ?(fast_path = true) ?budget () =
   {
     tree = Avl.create ();
     order_aware;
     merge;
-    fast_path;
+    fast_path = fast_path && merge;
     recorder = Flight_recorder.create ();
     gov = Governor.create ?budget ~bytes_per_node:approx_node_bytes ();
-    batching;
-    pending = [];
+    finger = None;
     peak_nodes = 0;
     inserts = 0;
     fragments_created = 0;
     merges_performed = 0;
     race_checks = 0;
     finger_hits = 0;
-    batch_coalesced = 0;
-    batch_flushes = 0;
   }
 
 let recorder t = t.recorder
@@ -87,68 +69,25 @@ let recorder t = t.recorder
 let record_origin t access =
   match t.recorder with Some r -> Flight_recorder.record r access | None -> ()
 
-(* Effective store contents = tree nodes + pending runs. *)
-let size t = Avl.size t.tree + List.length t.pending
+(* Effective store contents = tree nodes + the finger run. *)
+let size t = Avl.size t.tree + match t.finger with Some _ -> 1 | None -> 0
 
 let bump_peak t =
   let s = size t in
   if s > t.peak_nodes then t.peak_nodes <- s
 
-let capacity t = if t.batching then 8 else 1
-
 let obs_finger_hits =
-  Obs.counter ~help:"Inserts absorbed in O(1) by the finger cache (most recent pending run)"
-    "store.disjoint.finger_hits"
+  Obs.counter ~help:"Inserts absorbed in O(1) by the finger cache" "store.disjoint.finger_hits"
 
-let obs_batch_coalesced =
-  Obs.counter ~help:"Inserts coalesced into the pending buffer without touching the tree"
-    "store.disjoint.batch_coalesced"
-
-let obs_batch_flushes =
-  Obs.counter ~help:"Pending-buffer flushes into the AVL tree" "store.disjoint.batch_flushes"
-
-(* {2 Pending-buffer plumbing} *)
-
-(* The bytes of [iv] are about to become tree bytes: withdraw them from
-   every surviving zone claim. Pending entries never overlap each other,
-   so the flushed bytes sit entirely on one side of each survivor. *)
-let exclude_from_zones t iv =
-  List.iter
-    (fun q ->
-      if Interval.hi iv < Interval.lo q.p_acc.Access.interval then
-        q.p_zone_lo <- max q.p_zone_lo (Interval.hi iv)
-      else if Interval.lo iv > Interval.hi q.p_acc.Access.interval then
-        q.p_zone_hi <- min q.p_zone_hi (Interval.lo iv))
-    t.pending
-
-(* Pending runs are pairwise more than one byte apart and equally far
-   from every tree byte, so a plain multiset insert is exactly what the
-   unbatched store would hold — no fragmentation or merging can apply. *)
-let flush_entries t entries =
-  if entries <> [] then begin
-    t.batch_flushes <- t.batch_flushes + 1;
-    Obs.incr obs_batch_flushes;
-    List.iter
-      (fun p ->
-        Avl.insert t.tree p.p_acc;
-        exclude_from_zones t p.p_acc.Access.interval)
-      entries
-  end
-
-let flush_pending t =
-  let entries = t.pending in
-  t.pending <- [];
-  flush_entries t entries
-
-(* Flush exactly the entries whose clear zone the widened window [wlo,
-   whi] reaches into. Survivors' zones (hence bytes) lie entirely on one
-   side of the window, so the subsequent stab, race check and
-   fragmentation cannot involve them. *)
-let flush_interacting t ~wlo ~whi =
-  let interacts p = whi > p.p_zone_lo && wlo < p.p_zone_hi in
-  let hit, keep = List.partition interacts t.pending in
-  t.pending <- keep;
-  flush_entries t hit
+(* The finger run sits more than one byte away from every tree byte, so
+   a plain multiset insert is exactly what the slow path would have left
+   in the tree — no fragmentation or merging can apply. *)
+let flush_finger t =
+  match t.finger with
+  | None -> ()
+  | Some p ->
+      t.finger <- None;
+      Avl.insert t.tree p.p_acc
 
 (* {2 Slow path — Algorithm 1 verbatim} *)
 
@@ -178,16 +117,16 @@ let detect_race t access candidates =
     candidates
 
 let check_only t access =
-  flush_pending t;
+  flush_finger t;
   match detect_race t access (Avl.stab t.tree access.Access.interval) with
   | Some existing -> Store_intf.Race_detected { existing; incoming = access }
   | None -> Store_intf.Inserted
 
 let note_epoch t =
-  (* The pending buffer never crosses an epoch boundary: epoch-close
-     node sampling and per-epoch recorder stamps must see the same tree
-     the unbatched store would. *)
-  flush_pending t;
+  (* The finger never crosses an epoch boundary: epoch-close node
+     sampling and per-epoch recorder stamps must see the same tree the
+     slow path would have built. *)
+  flush_finger t;
   Governor.note_epoch t.gov;
   match t.recorder with Some r -> Flight_recorder.note_epoch r | None -> ()
 
@@ -216,7 +155,7 @@ let enforce_budget t =
   | Some g ->
       if Governor.over g ~size:(size t) then begin
         (* Victim selection needs every node in the tree. *)
-        flush_pending t;
+        flush_finger t;
         match (Governor.budget g).Rma_fault.Budget.policy with
         | Rma_fault.Budget.Fail_fast -> Governor.exhausted ~store:"disjoint" ~size:(size t) g
         | Rma_fault.Budget.Spill_oldest_epoch -> spill t g
@@ -224,10 +163,6 @@ let enforce_budget t =
             coarsen t g;
             if Governor.over g ~size:(size t) then spill t g
       end
-
-let batch_begin t = if t.fast_path then t.batching <- true
-
-let batch_flush t = flush_pending t
 
 (* fragment_accesses (line 6, §4.1) and merge_accesses (line 7, §4.2)
    live in the shared Fragmenter module. *)
@@ -266,80 +201,61 @@ let slow_insert t access =
 
 (* {2 Fast path} *)
 
-(* O(1) coalesce: extend a pending run with a strictly adjacent
-   mergeable access. Requires the widened window to sit inside the run's
-   clear zone (no tree byte can be involved) and away from every other
-   pending run (no cross-run fragmentation or merging can apply), which
-   makes the result byte-for-byte what the slow path would produce:
-   pass_through + emit + merge, i.e. one fragment and one merge. *)
-let try_coalesce t access =
-  match t.pending with
-  | [] -> None
-  | pending ->
+(* O(1) extension of the finger run by a strictly adjacent mergeable
+   access. The widened window must sit inside the run's clear zone, so
+   no tree byte can be involved and the result is byte-for-byte what
+   the slow path would produce: pass_through + emit + merge, i.e. one
+   fragment and one merge. *)
+let try_extend t access =
+  match t.finger with
+  | None -> false
+  | Some p ->
       let iv = access.Access.interval in
-      let wlo = Interval.lo iv - 1 and whi = Interval.hi iv + 1 in
-      let window = Interval.make ~lo:wlo ~hi:whi in
-      let extends p =
+      if
         Access.mergeable p.p_acc access
         && Interval.adjacent p.p_acc.Access.interval iv
-        && wlo > p.p_zone_lo && whi < p.p_zone_hi
-      in
-      let rec scan before = function
-        | [] -> None
-        | p :: rest ->
-            if extends p then
-              if
-                List.exists
-                  (fun q -> q != p && Interval.overlaps q.p_acc.Access.interval window)
-                  pending
-              then None (* another pending run is within reach: slow path *)
-              else Some (p, List.rev_append before rest, before = [])
-            else scan (p :: before) rest
-      in
-      scan [] pending
+        && Interval.lo iv - 1 > p.p_zone_lo
+        && Interval.hi iv + 1 < p.p_zone_hi
+      then begin
+        record_origin t access;
+        p.p_acc <-
+          Access.with_interval
+            (Access.most_recent p.p_acc access)
+            (Interval.hull p.p_acc.Access.interval iv);
+        t.fragments_created <- t.fragments_created + 1;
+        t.merges_performed <- t.merges_performed + 1;
+        t.finger_hits <- t.finger_hits + 1;
+        Obs.incr obs_finger_hits;
+        true
+      end
+      else false
 
-let apply_coalesce t access (p, others, was_head) =
-  record_origin t access;
-  p.p_acc <-
-    Access.with_interval
-      (Access.most_recent p.p_acc access)
-      (Interval.hull p.p_acc.Access.interval access.Access.interval);
-  t.pending <- p :: others;
-  t.fragments_created <- t.fragments_created + 1;
-  t.merges_performed <- t.merges_performed + 1;
-  t.batch_coalesced <- t.batch_coalesced + 1;
-  Obs.incr obs_batch_coalesced;
-  if was_head then begin
-    t.finger_hits <- t.finger_hits + 1;
-    Obs.incr obs_finger_hits
-  end;
-  Store_intf.Inserted
-
-(* Start a new pending run with one clearance descent instead of the
-   slow path's stab (and, on later extensions, remove + insert).
-   Precondition: no pending byte intersects the widened window — callers
-   run [flush_interacting] first, which guarantees it because every
-   pending byte lives strictly inside its entry's zone. *)
+(* Make [access] the new finger with one clearance descent instead of
+   the slow path's stab (and, on later extensions, remove + insert).
+   Precondition: the finger's zone does not reach the widened window —
+   callers flush it first otherwise — so the old finger lies wholly on
+   one side of the window. *)
 let try_seed t access =
   match Avl.clearance t.tree access.Access.interval with
   | Avl.Blocked -> false
   | Avl.Clear { pred_hi; succ_lo } ->
       let iv = access.Access.interval in
       let lo = Interval.lo iv and hi = Interval.hi iv in
-      (* Claim at most [zone_headroom] bytes each way, and never claim
-         bytes owned by another pending run. *)
+      (* Claim at most [zone_headroom] bytes each way, and never the
+         bytes of the old finger, which are about to become tree bytes. *)
+      let zl = max pred_hi (lo - 1 - zone_headroom)
+      and zh = min succ_lo (hi + 1 + zone_headroom) in
       let zl, zh =
-        List.fold_left
-          (fun (zl, zh) q ->
-            let qiv = q.p_acc.Access.interval in
-            if Interval.hi qiv < lo then (max zl (Interval.hi qiv), zh)
-            else (zl, min zh (Interval.lo qiv)))
-          (max pred_hi (lo - 1 - zone_headroom), min succ_lo (hi + 1 + zone_headroom))
-          t.pending
+        match t.finger with
+        | None -> (zl, zh)
+        | Some p ->
+            let fiv = p.p_acc.Access.interval in
+            if Interval.hi fiv < lo then (max zl (Interval.hi fiv), zh)
+            else (zl, min zh (Interval.lo fiv))
       in
-      if List.length t.pending >= capacity t then flush_pending t;
+      flush_finger t;
       record_origin t access;
-      t.pending <- { p_acc = access; p_zone_lo = zl; p_zone_hi = zh } :: t.pending;
+      t.finger <- Some { p_acc = access; p_zone_lo = zl; p_zone_hi = zh };
       bump_peak t;
       true
 
@@ -348,13 +264,17 @@ let insert_uninstrumented t access =
   Rma_obs.Telemetry.note_event ();
   let outcome =
     if not t.fast_path then slow_insert t access
-    else
-      match try_coalesce t access with
-      | Some hit -> apply_coalesce t access hit
-      | None ->
-          let iv = access.Access.interval in
-          flush_interacting t ~wlo:(Interval.lo iv - 1) ~whi:(Interval.hi iv + 1);
-          if try_seed t access then Store_intf.Inserted else slow_insert t access
+    else if try_extend t access then Store_intf.Inserted
+    else begin
+      (* A finger whose zone the widened window reaches could take part
+         in the stab, race check or fragmentation below: flush it. *)
+      let iv = access.Access.interval in
+      (match t.finger with
+      | Some p when Interval.hi iv + 1 > p.p_zone_lo && Interval.lo iv - 1 < p.p_zone_hi ->
+          flush_finger t
+      | _ -> ());
+      if try_seed t access then Store_intf.Inserted else slow_insert t access
+    end
   in
   (match outcome with
   | Store_intf.Inserted ->
@@ -399,54 +319,33 @@ let stats t =
     degraded_drops = Governor.drops t.gov;
   }
 
-type fast_path_stats = { finger_hits : int; batch_coalesced : int; batch_flushes : int }
-
-let fast_path_stats (t : t) =
-  {
-    finger_hits = t.finger_hits;
-    batch_coalesced = t.batch_coalesced;
-    batch_flushes = t.batch_flushes;
-  }
-
-let batching t = t.batching
+let finger_hits t = t.finger_hits
 
 let to_list t =
-  let by_lo a b = Interval.compare_lo a.Access.interval b.Access.interval in
-  let pend = List.sort by_lo (List.map (fun p -> p.p_acc) t.pending) in
-  List.merge by_lo (Avl.to_list t.tree) pend
+  let tree = Avl.to_list t.tree in
+  match t.finger with
+  | None -> tree
+  | Some p ->
+      let by_lo a b = Interval.compare_lo a.Access.interval b.Access.interval in
+      List.merge by_lo tree [ p.p_acc ]
 
 let clear t =
-  (* End of epoch: pending runs are discarded with the tree, never
-     flushed into it — statistics stay cumulative either way. *)
-  t.pending <- [];
+  (* End of epoch: the finger is discarded with the tree, never flushed
+     into it — statistics stay cumulative either way. *)
+  t.finger <- None;
   Avl.clear t.tree;
   match t.recorder with Some r -> Flight_recorder.clear r | None -> ()
 
 let self_check t =
-  let open_zone_clear p =
-    p.p_zone_lo >= p.p_zone_hi - 1
-    || Avl.stab t.tree (Interval.make ~lo:(p.p_zone_lo + 1) ~hi:(p.p_zone_hi - 1)) = []
-  in
-  let inside_zone p =
+  let finger_ok p =
     let iv = p.p_acc.Access.interval in
-    p.p_zone_lo < Interval.lo iv && Interval.hi iv < p.p_zone_hi
+    p.p_zone_lo < Interval.lo iv
+    && Interval.hi iv < p.p_zone_hi
+    && (p.p_zone_lo >= p.p_zone_hi - 1
+       || Avl.stab t.tree (Interval.make ~lo:(p.p_zone_lo + 1) ~hi:(p.p_zone_hi - 1)) = [])
   in
-  let rec pairwise_apart = function
-    | [] -> true
-    | p :: rest ->
-        List.for_all
-          (fun q ->
-            let a = p.p_acc.Access.interval and b = q.p_acc.Access.interval in
-            (not (Interval.overlaps a b)) && not (Interval.adjacent a b))
-          rest
-        && pairwise_apart rest
-  in
-  List.length t.pending <= capacity t
-  && List.for_all inside_zone t.pending
-  && List.for_all open_zone_clear t.pending
-  && pairwise_apart t.pending
-  && Avl.invariants_ok t.tree
+  Option.fold ~none:true ~some:finger_ok t.finger && Avl.invariants_ok t.tree
 
 let pp fmt t =
   Avl.pp fmt t.tree;
-  List.iter (fun p -> Format.fprintf fmt "pending %a@." Access.pp p.p_acc) t.pending
+  Option.iter (fun p -> Format.fprintf fmt "pending %a@." Access.pp p.p_acc) t.finger

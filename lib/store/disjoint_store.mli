@@ -19,18 +19,14 @@
 type t
 
 val create :
-  ?order_aware:bool -> ?merge:bool -> ?fast_path:bool -> ?batch:bool ->
-  ?budget:Rma_fault.Budget.t -> unit -> t
-(** Defaults: [order_aware = true], [merge = true], [fast_path = true],
-    [batch] from {!batch_default_enabled} — the published contribution
-    plus the finger-cache fast path.
+  ?order_aware:bool -> ?merge:bool -> ?fast_path:bool -> ?budget:Rma_fault.Budget.t -> unit -> t
+(** Defaults: [order_aware = true], [merge = true], [fast_path = true]
+    — the published contribution plus the finger-cache fast path.
 
-    [~fast_path:false] disables the finger cache and pending buffer
-    entirely (every insert runs Algorithm 1 against the tree); it is
-    also forced off by [~merge:false], because the fast path coalesces
-    adjacent accesses — i.e. it {e is} a merge. [~batch:true] starts the
-    store with the deeper coalescing write buffer already open (see
-    {!batch_begin}).
+    [~fast_path:false] disables the finger cache entirely (every insert
+    runs Algorithm 1 against the tree); it is also forced off by
+    [~merge:false], because the fast path coalesces adjacent accesses —
+    i.e. it {e is} a merge.
 
     [?budget] (default {!Rma_fault.Budget.default}, i.e. the process
     default or none) bounds the store: an insert leaving the store over
@@ -44,56 +40,34 @@ include Store_intf.S with type t := t
 
 val check_only : t -> Rma_access.Access.t -> Store_intf.insert_outcome
 (** The race check of [insert] without the insertion; used by tests to
-    probe the conflict rule. Flushes the pending buffer first so the
-    verdict is computed against exactly the accesses an unbatched store
-    would hold. *)
+    probe the conflict rule. Flushes the finger first so the verdict is
+    computed against exactly the accesses the slow path would hold. *)
 
-(** {1 Insert fast path}
+(** {1 Insert fast path: the finger cache}
 
-    Runs of adjacent same-kind/same-debug-info accesses (the Code 2 /
-    Figure 8b loop) are coalesced in O(1) into a small {e pending
-    buffer} held outside the AVL tree; each pending run carries a
-    certified tree-byte-free clear zone, so extending it needs no tree
-    descent. The buffer holds exactly the nodes the unbatched store
-    would hold, never survives an epoch boundary ({!note_epoch}) or a
-    race check ({!check_only}), and any insert landing near a pending
-    run flushes it before the slow path runs — detection semantics are
-    byte-for-byte unchanged. Without {!batch_begin} the buffer keeps a
-    single entry (the classic finger cache); [batch_begin] deepens it so
-    several interleaved runs coalesce concurrently. *)
+    A run of adjacent same-kind/same-debug-info accesses (the Code 2 /
+    Figure 8b loop) is coalesced in O(1) into the {e finger}: a single
+    pending run held outside the AVL tree, exactly the node the slow
+    path would hold. The finger carries a certified tree-byte-free clear
+    zone, so extending it needs no tree descent. It never survives an
+    epoch boundary ({!note_epoch}) or a race check ({!check_only}), and
+    an insert whose one-byte-widened window reaches the zone flushes it
+    before the slow path runs — detection semantics are byte-for-byte
+    unchanged. DESIGN.md §9 has the argument. *)
 
-val batch_begin : t -> unit
-(** Opens the coalescing write buffer (no-op when the fast path is
-    disabled). Idempotent. *)
-
-val batch_flush : t -> unit
-(** Flushes every pending run into the tree. Called automatically at
+val flush_finger : t -> unit
+(** Moves the finger run, if any, into the tree. Called automatically at
     epoch boundaries and before any race check; exposed for callers that
-    need the tree itself up to date (e.g. before [pp]-dumping it). *)
+    need the tree itself up to date (the analyzer's epoch close, tests
+    comparing final states). *)
 
-val batching : t -> bool
-(** Whether the deep buffer is currently open. *)
-
-type fast_path_stats = { finger_hits : int; batch_coalesced : int; batch_flushes : int }
-
-val fast_path_stats : t -> fast_path_stats
-(** [finger_hits] counts O(1) extensions of the most recently touched
-    run, [batch_coalesced] counts every buffered coalesce (finger hits
-    included), [batch_flushes] counts buffer-to-tree flush events. Also
-    exported as the Obs counters [store.disjoint.finger_hits],
-    [store.disjoint.batch_coalesced] and
-    [store.disjoint.batch_flushes]. *)
-
-val set_batch_default : bool -> unit
-(** Process-wide default for [?batch] (the CLI's [--batch-inserts]);
-    initialised from the [RMA_BATCH_INSERTS] environment variable. *)
-
-val batch_default_enabled : unit -> bool
+val finger_hits : t -> int
+(** O(1) extensions of the finger run; also exported as the Obs counter
+    [store.disjoint.finger_hits]. *)
 
 val self_check : t -> bool
-(** Validates the fast-path invariants (pending runs inside their clear
-    zones, zones free of tree bytes, runs pairwise non-adjacent, buffer
-    within capacity) plus the tree invariants; for tests. *)
+(** Validates the fast-path invariants (the finger inside its clear zone,
+    the zone free of tree bytes) plus the tree invariants; for tests. *)
 
 (** {1 Flight recorder}
 

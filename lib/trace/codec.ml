@@ -2,7 +2,6 @@ open Rma_access
 module Event = Mpi_sim.Event
 
 let header = "rma-trace 2"
-let legacy_header = "rma-trace 1"
 let footer_prefix = "rma-trace-end"
 let footer n = Printf.sprintf "%s %d" footer_prefix n
 
@@ -302,21 +301,33 @@ let parse_footer line =
   | [ p; n ] when p = footer_prefix -> int_of_string_opt n
   | _ -> None
 
+(* Only format 2 is read. A header naming another format says so, so an
+   old unframed (format 1) trace reads as "re-record it", not as
+   corruption. *)
+let bad_header line =
+  let reason =
+    match String.split_on_char ' ' line with
+    | [ "rma-trace"; v ] ->
+        Printf.sprintf "bad header %S: trace format %s is unsupported (only format 2 is read)" line
+          v
+    | _ -> Printf.sprintf "bad header %S" line
+  in
+  { at_line = 1; reason }
+
+let is_footer line =
+  String.length line >= String.length footer_prefix
+  && String.sub line 0 (String.length footer_prefix) = footer_prefix
+
 let read_all_raw ic =
   match input_line ic with
   | exception End_of_file -> Error { at_line = 1; reason = "empty trace" }
-  | first when first <> header && first <> legacy_header ->
-      Error { at_line = 1; reason = Printf.sprintf "bad header %S" first }
-  | first ->
-      let framed = first = header in
+  | first when first <> header -> Error (bad_header first)
+  | _ ->
       let rec go lineno acc =
         match input_line ic with
         | exception End_of_file ->
-            if framed then
-              Error { at_line = lineno; reason = "truncated trace: missing rma-trace-end footer" }
-            else Ok (List.rev acc)
-        | line when framed && String.length line >= String.length footer_prefix
-                    && String.sub line 0 (String.length footer_prefix) = footer_prefix -> (
+            Error { at_line = lineno; reason = "truncated trace: missing rma-trace-end footer" }
+        | line when is_footer line -> (
             match parse_footer line with
             | Some n when n = List.length acc -> Ok (List.rev acc)
             | Some n ->
@@ -337,46 +348,38 @@ let read_all_raw ic =
       go 2 []
 
 module Incremental = struct
-  type phase = Awaiting_header | Streaming | Finished of int
+  type phase = Awaiting_header | Streaming | Finished
 
   type t = {
     mutable phase : phase;
-    mutable framed : bool;
     mutable lineno : int;  (* 1-based line number of the next [feed]. *)
     mutable count : int;
   }
 
   type step = Event of Event.event | Skip | Complete of int
 
-  let create () = { phase = Awaiting_header; framed = false; lineno = 1; count = 0 }
-  let events_seen t = t.count
-  let complete t = match t.phase with Finished _ -> true | _ -> false
-
-  let is_footer line =
-    String.length line >= String.length footer_prefix
-    && String.sub line 0 (String.length footer_prefix) = footer_prefix
+  let create () = { phase = Awaiting_header; lineno = 1; count = 0 }
 
   let feed t line =
     let here = t.lineno in
     t.lineno <- here + 1;
     match t.phase with
-    | Finished _ ->
+    | Finished ->
         (* Mirror [read_all_raw], which stops reading at the footer:
            trailing bytes after a complete frame are ignored. *)
         Ok Skip
     | Awaiting_header ->
-        if line = header || line = legacy_header then begin
-          t.framed <- line = header;
+        if line = header then begin
           t.phase <- Streaming;
           Ok Skip
         end
-        else Error { at_line = here; reason = Printf.sprintf "bad header %S" line }
+        else Error (bad_header line)
     | Streaming ->
         if String.trim line = "" then Ok Skip
-        else if t.framed && is_footer line then
+        else if is_footer line then
           match parse_footer line with
           | Some n when n = t.count ->
-              t.phase <- Finished n;
+              t.phase <- Finished;
               Ok (Complete n)
           | Some n ->
               Error
@@ -392,19 +395,6 @@ module Incremental = struct
               t.count <- t.count + 1;
               Ok (Event e)
           | Error reason -> Error { at_line = here; reason }
-
-  let finish t =
-    match t.phase with
-    | Finished n -> Ok n
-    | Awaiting_header -> Error { at_line = 1; reason = "empty trace" }
-    | Streaming ->
-        if t.framed then
-          Error { at_line = t.lineno; reason = "truncated trace: missing rma-trace-end footer" }
-        else begin
-          (* Legacy (format-1) streams have no footer: EOF is the frame. *)
-          t.phase <- Finished t.count;
-          Ok t.count
-        end
 end
 
 let read_all ic =

@@ -10,8 +10,9 @@
     is one line, and the last line is [rma-trace-end <count>]. The
     footer is what makes truncation — a killed writer, a full disk, an
     injected [Trace_truncate] fault — detectable even when the cut
-    falls exactly on a line boundary. {!read_all} still accepts
-    format-1 traces (no footer) for archived streams.
+    falls exactly on a line boundary. Format 1 (the same lines without
+    the footer) is no longer read: its header is rejected with a
+    [bad header] error naming the unsupported format.
 
     Decoding is {e total}: {!decode_event} and {!read_all} return
     [Error] on any malformed, truncated or bit-flipped input and never
@@ -23,9 +24,6 @@
 
 val header : string
 (** First line of every trace file (format 2). *)
-
-val legacy_header : string
-(** The format-1 header, still accepted by {!read_all}. *)
 
 val footer : int -> string
 (** [footer n] is the closing line of a stream carrying [n] events. *)
@@ -56,10 +54,10 @@ val write_all : out_channel -> Mpi_sim.Event.event list -> unit
     the line is flipped). *)
 
 val read_all : in_channel -> (Mpi_sim.Event.event list, error) result
-(** Validates the header, decodes every line, and — on a format-2
-    stream — requires the footer and checks its count; a missing or
-    mismatching footer reports truncation. Stops at the first
-    malformed line. Blank lines are ignored. *)
+(** Validates the header, decodes every line, and requires the footer
+    and checks its count; a missing or mismatching footer reports
+    truncation. Stops at the first malformed line. Blank lines are
+    ignored. *)
 
 (** {1 Incremental decoding}
 
@@ -68,7 +66,8 @@ val read_all : in_channel -> (Mpi_sim.Event.event list, error) result
     sessions. {!Incremental} is the same total grammar as {!read_all},
     refactored into a push decoder: hand it each complete line (without
     its newline) as it arrives and it yields decoded events until the
-    footer closes the frame. *)
+    footer closes the frame. A stream that ends before its footer was
+    cut short; the caller treats end-of-input there as a disconnect. *)
 
 module Incremental : sig
   type t
@@ -83,27 +82,13 @@ module Incremental : sig
   type step = Event of Mpi_sim.Event.event | Skip | Complete of int
 
   val create : unit -> t
-  (** A fresh decoder expecting the header line first (format 2 or the
-      legacy format-1 header). *)
+  (** A fresh decoder expecting the format-2 header line first. *)
 
   val feed : t -> string -> (step, error) result
   (** Consume one line. Total, like {!decode_event}: malformed input
       yields [Error] with the 1-based line number (header = line 1),
       never an exception. After the first [Error] the decoder state is
       unspecified — abandon the stream. *)
-
-  val finish : t -> (int, error) result
-  (** Signal end-of-input. [Ok n] when the frame completed ([n] events)
-      or the stream used the unframed legacy header; [Error] when a
-      format-2 stream ended without its footer (truncation) or no
-      header was ever seen. *)
-
-  val events_seen : t -> int
-  (** Events decoded so far. *)
-
-  val complete : t -> bool
-  (** Whether the frame has closed (footer seen, or legacy EOF via
-      {!finish}). *)
 end
 
 val escape : string -> string

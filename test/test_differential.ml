@@ -1,14 +1,13 @@
-(* ISSUE 3: property-based differential harness for the disjoint store's
-   insert fast path.
+(* Property-based differential harness for the disjoint store's insert
+   fast path.
 
    Random access streams — interleaved inserts, mid-stream race checks,
-   epoch notes, buffer flushes and window clears — are replayed against
-   three configurations of [Disjoint_store]:
+   epoch notes, finger flushes and window clears — are replayed against
+   two configurations of [Disjoint_store]:
 
    - the reference: [~fast_path:false], Algorithm 1 against the tree on
      every insert;
    - the finger cache (default creation, one pending run);
-   - the coalescing batch buffer ([~batch:true], several pending runs);
 
    asserting identical per-step race verdicts (same existing/incoming
    accesses), identical final interval sets, identical node counts and
@@ -34,7 +33,7 @@ type step =
   | Insert of Access.t
   | Check of Access.t
   | Note_epoch
-  | Batch_flush
+  | Flush_finger
   | Clear
 
 let decode_steps raw =
@@ -46,7 +45,7 @@ let decode_steps raw =
       let a = acc ~issuer ~seq:(i + 1) ~line ~lo ~hi:(lo + len - 1) kind in
       match t mod 12 with
       | 9 -> Check a
-      | 10 -> if x mod 2 = 0 then Note_epoch else Batch_flush
+      | 10 -> if x mod 2 = 0 then Note_epoch else Flush_finger
       | 11 when x mod 4 = 0 -> Clear
       | _ -> Insert a)
     raw
@@ -100,8 +99,8 @@ let replay store steps =
         | Note_epoch ->
             Disjoint_store.note_epoch store;
             V_quiet
-        | Batch_flush ->
-            Disjoint_store.batch_flush store;
+        | Flush_finger ->
+            Disjoint_store.flush_finger store;
             V_quiet
         | Clear ->
             Disjoint_store.clear store;
@@ -113,7 +112,7 @@ let replay store steps =
     steps
 
 let final_state store =
-  Disjoint_store.batch_flush store;
+  Disjoint_store.flush_finger store;
   let stats = Disjoint_store.stats store in
   (Disjoint_store.to_list store, stats)
 
@@ -144,21 +143,16 @@ let check_against_reference ~name reference_verdicts ref_state store_verdicts st
       if a <> b then QCheck.Test.fail_reportf "%s: %s differ: reference %d, got %d" name what a b)
     pairs
 
-let prop_batched_equals_unbatched =
-  QCheck.Test.make ~name:"differential: batched = unbatched disjoint store" ~count:700 arb_stream
-    (fun raw ->
+let prop_finger_equals_slow_path =
+  QCheck.Test.make ~name:"differential: finger = slow path" ~count:700 arb_stream (fun raw ->
       let steps = decode_steps raw in
       let reference = Disjoint_store.create ~fast_path:false () in
       let ref_verdicts = replay reference steps in
       let ref_state = final_state reference in
-      let finger = Disjoint_store.create ~batch:false () in
+      let finger = Disjoint_store.create () in
       let finger_verdicts = replay finger steps in
       check_against_reference ~name:"finger" ref_verdicts ref_state finger_verdicts
         (final_state finger);
-      let batched = Disjoint_store.create ~batch:true () in
-      let batched_verdicts = replay batched steps in
-      check_against_reference ~name:"batched" ref_verdicts ref_state batched_verdicts
-        (final_state batched);
       true)
 
 (* --- legacy agreement --- *)
@@ -192,20 +186,20 @@ let prop_legacy_agreement =
           raw
       in
       let legacy = Legacy_store.create () in
-      let unbatched = Disjoint_store.create ~fast_path:false () in
-      let batched = Disjoint_store.create ~batch:true () in
+      let slow = Disjoint_store.create ~fast_path:false () in
+      let finger = Disjoint_store.create () in
       List.iter
         (fun a ->
           let flagged outcome =
             match outcome with Store_intf.Inserted -> false | Store_intf.Race_detected _ -> true
           in
           let vl = flagged (Legacy_store.insert legacy a) in
-          let vu = flagged (Disjoint_store.insert unbatched a) in
-          let vb = flagged (Disjoint_store.insert batched a) in
-          if vl <> vu || vl <> vb then
-            QCheck.Test.fail_reportf "verdicts diverge on %s: legacy %b unbatched %b batched %b"
+          let vs = flagged (Disjoint_store.insert slow a) in
+          let vf = flagged (Disjoint_store.insert finger a) in
+          if vl <> vs || vl <> vf then
+            QCheck.Test.fail_reportf "verdicts diverge on %s: legacy %b slow path %b finger %b"
               (Format.asprintf "%a" Access.pp a)
-              vl vu vb)
+              vl vs vf)
         accesses;
       true)
 
@@ -214,8 +208,7 @@ let prop_legacy_agreement =
 (* Seeded event streams straight into the observer (no runtime): random
    interleavings of accesses on 3 ranks × 2 windows with epoch cycling
    and flushes, replayed on the sequential analyzer and on the sharded
-   engine at jobs ∈ {2, 4} (plus jobs = 4 with the coalescing batch
-   buffer). The engine's claim is byte-identity, so the comparison is
+   engine at jobs ∈ {2, 4}. The engine's claim is byte-identity, so the comparison is
    total: race count, every report (via the serialized JSON and SARIF
    exports, which carry ids, provenance and flight-recorder histories),
    the Algorithm 1 statistics, and the full per-tree interval state. *)
@@ -266,10 +259,10 @@ type analyzer_snapshot = {
   s_sarif : string;
 }
 
-let analyzer_replay ~jobs ~batch events =
+let analyzer_replay ~jobs events =
   let tool, dump =
     Rma_analysis.Rma_analyzer.create_inspectable ~nprocs:par_nprocs
-      ~mode:Rma_analysis.Tool.Collect ~batch_inserts:batch ~jobs ~queue_capacity:4
+      ~mode:Rma_analysis.Tool.Collect ~jobs ~queue_capacity:4
       Rma_analysis.Rma_analyzer.Contribution
   in
   List.iter (fun e -> ignore (tool.Rma_analysis.Tool.observer e)) events;
@@ -310,17 +303,17 @@ let prop_analyzer_jobs_deterministic =
   QCheck.Test.make ~name:"differential: analyzer byte-identical at jobs 1/2/4" ~count:150
     arb_stream (fun raw ->
       let events = decode_events raw in
-      let reference = analyzer_replay ~jobs:1 ~batch:false events in
+      let reference = analyzer_replay ~jobs:1 events in
       List.iter
-        (fun (jobs, batch) ->
-          let name = Printf.sprintf "jobs=%d%s" jobs (if batch then "+batch" else "") in
-          check_snapshot_equal ~name reference (analyzer_replay ~jobs ~batch events))
-        [ (2, false); (4, false); (4, true) ];
+        (fun jobs ->
+          check_snapshot_equal ~name:(Printf.sprintf "jobs=%d" jobs) reference
+            (analyzer_replay ~jobs events))
+        [ 2; 4 ];
       true)
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_batched_equals_unbatched;
+    QCheck_alcotest.to_alcotest prop_finger_equals_slow_path;
     QCheck_alcotest.to_alcotest prop_legacy_agreement;
     QCheck_alcotest.to_alcotest prop_analyzer_jobs_deterministic;
   ]
@@ -333,10 +326,10 @@ let suite =
 module Scenario = Rma_microbench.Scenario
 module Runner = Rma_microbench.Runner
 
-let hybrid_verdict ~interleave_seed ~jobs ~batch (k : Scenario.Kernel.t) =
+let hybrid_verdict ~interleave_seed ~jobs (k : Scenario.Kernel.t) =
   let tool =
     Rma_analysis.Rma_analyzer.create ~nprocs:k.Scenario.Kernel.k_nprocs
-      ~mode:Rma_analysis.Tool.Collect ~batch_inserts:batch ~jobs
+      ~mode:Rma_analysis.Tool.Collect ~jobs
       Rma_analysis.Rma_analyzer.Contribution
   in
   let v = Runner.run_kernel ~interleave_seed ~tool k in
@@ -346,26 +339,25 @@ let hybrid_verdict ~interleave_seed ~jobs ~batch (k : Scenario.Kernel.t) =
     Rma_util.Json.to_string (Rma_report.Race_export.to_json ~generator:"diff" reports) )
 
 (* Same interleave seed => byte-identical verdicts, digests and JSON
-   exports whether the analyzer shards across 1, 2 or 4 workers and
-   whether inserts are batched. *)
+   exports whether the analyzer shards across 1, 2 or 4 workers. *)
 let test_interleave_determinism_across_jobs () =
   List.iter
     (fun (k : Scenario.Kernel.t) ->
       List.iter
         (fun interleave_seed ->
-          let reference = hybrid_verdict ~interleave_seed ~jobs:1 ~batch:false k in
+          let reference = hybrid_verdict ~interleave_seed ~jobs:1 k in
           List.iter
-            (fun (jobs, batch) ->
+            (fun jobs ->
               let flagged_r, digest_r, json_r = reference in
-              let flagged, digest, json = hybrid_verdict ~interleave_seed ~jobs ~batch k in
+              let flagged, digest, json = hybrid_verdict ~interleave_seed ~jobs k in
               let label =
-                Printf.sprintf "%s interleave=%d jobs=%d batch=%b" k.Scenario.Kernel.k_name
-                  interleave_seed jobs batch
+                Printf.sprintf "%s interleave=%d jobs=%d" k.Scenario.Kernel.k_name
+                  interleave_seed jobs
               in
               Alcotest.(check bool) (label ^ " flagged") flagged_r flagged;
               Alcotest.(check string) (label ^ " digest") digest_r digest;
               Alcotest.(check string) (label ^ " json") json_r json)
-            [ (2, false); (4, false); (4, true) ])
+            [ 2; 4 ])
         [ 13; 29 ])
     Scenario.Kernel.hybrid
 
@@ -375,7 +367,7 @@ let test_interleave_label_stable_across_seeds () =
   List.iter
     (fun (k : Scenario.Kernel.t) ->
       for interleave_seed = 1 to 50 do
-        let flagged, _, _ = hybrid_verdict ~interleave_seed ~jobs:1 ~batch:true k in
+        let flagged, _, _ = hybrid_verdict ~interleave_seed ~jobs:1 k in
         Alcotest.(check bool)
           (Printf.sprintf "%s interleave=%d" k.Scenario.Kernel.k_name interleave_seed)
           k.Scenario.Kernel.k_racy flagged
@@ -388,7 +380,7 @@ let test_interleave_label_stable_across_seeds () =
 let test_interleave_preserves_single_thread_verdicts () =
   List.iter
     (fun (k : Scenario.Kernel.t) ->
-      let reference, _, _ = hybrid_verdict ~interleave_seed:13 ~jobs:1 ~batch:false k in
+      let reference, _, _ = hybrid_verdict ~interleave_seed:13 ~jobs:1 k in
       Alcotest.(check bool) k.Scenario.Kernel.k_name k.Scenario.Kernel.k_racy reference)
     Scenario.Kernel.all
 

@@ -1,8 +1,8 @@
 (* The sharded parallel engine ([Rma_par]) and its analyzer
    integration: the engine contract (clamping, shard stability, FIFO
    order, barrier drain, exception stashing, critical-path accounting),
-   a soak test under maximum back-pressure (queue_capacity = 1, batch
-   buffers on), byte-identity sweeps of the full 154-code suite and the
+   a soak test under maximum back-pressure (queue_capacity = 1),
+   byte-identity sweeps of the full 154-code suite and the
    kernel corpus at jobs = 4, and golden-file stability of the
    provenance pipeline under sharded execution. *)
 
@@ -98,10 +98,10 @@ let test_take_work_seconds_resets () =
 
 (* A deterministic pseudo-random event stream over 8 ranks × 4 windows
    with epoch cycling, replayed in lockstep on the sequential analyzer
-   and on a 4-shard engine throttled to one in-flight task per shard
-   with the coalescing batch buffers on. Comparing [bst_summary] at
-   every epoch close proves each barrier really drains both the shard
-   queues and the per-store batch buffers; the test terminating at all
+   and on a 4-shard engine throttled to one in-flight task per shard.
+   Comparing [bst_summary] at every epoch close proves each barrier
+   really drains the shard queues and flushes each store's finger; the
+   test terminating at all
    proves the back-pressure protocol cannot deadlock against the
    barrier. *)
 let soak_events ~nprocs ~wins ~n =
@@ -151,12 +151,11 @@ let soak_events ~nprocs ~wins ~n =
 let test_soak_backpressure_matches_sequential () =
   let nprocs = 8 in
   let events = soak_events ~nprocs ~wins:4 ~n:4000 in
-  let mk ~jobs ~queue_capacity ~batch =
-    Rma_analyzer.create ~nprocs ~mode:Tool.Collect ~batch_inserts:batch ~jobs ~queue_capacity
-      Rma_analyzer.Contribution
+  let mk ~jobs ~queue_capacity =
+    Rma_analyzer.create ~nprocs ~mode:Tool.Collect ~jobs ~queue_capacity Rma_analyzer.Contribution
   in
-  let seq = mk ~jobs:1 ~queue_capacity:1024 ~batch:false in
-  let par = mk ~jobs:4 ~queue_capacity:1 ~batch:true in
+  let seq = mk ~jobs:1 ~queue_capacity:1024 in
+  let par = mk ~jobs:4 ~queue_capacity:1 in
   List.iter
     (fun e ->
       ignore (seq.Tool.observer e);
@@ -164,8 +163,7 @@ let test_soak_backpressure_matches_sequential () =
       match e with
       | Event.Epoch_closed _ ->
           (* Sampled mid-stream: equality here means the barrier drained
-             the shard queues and the batch buffers before the close
-             finished. *)
+             the shard queues before the close finished. *)
           if par.Tool.bst_summary () <> seq.Tool.bst_summary () then
             Alcotest.failf "bst_summary diverged mid-stream at %s"
               (Format.asprintf "%a" Event.pp_event e)
@@ -289,7 +287,7 @@ let suite =
       test_exception_stashed_until_barrier;
     Alcotest.test_case "take_work_seconds measures and resets" `Quick
       test_take_work_seconds_resets;
-    Alcotest.test_case "soak: queue_capacity=1 + batching matches sequential" `Quick
+    Alcotest.test_case "soak: one-slot queues vs sequential" `Quick
       test_soak_backpressure_matches_sequential;
     Alcotest.test_case "154-code suite byte-identical at jobs=4" `Quick test_suite_sweep_jobs4;
     Alcotest.test_case "kernel corpus byte-identical at jobs=4" `Quick test_kernel_sweep_jobs4;

@@ -6,6 +6,7 @@
 
 module Daemon = Rma_serve.Daemon
 module Protocol = Rma_serve.Protocol
+module Session = Rma_serve.Session
 module Codec = Rma_trace.Codec
 module Recorder = Rma_trace.Recorder
 module Kernel = Rma_microbench.Scenario.Kernel
@@ -168,17 +169,25 @@ let test_byte_identical_verdicts () =
   Alcotest.(check int) "one completed" 1 stats.Daemon.completed;
   Alcotest.(check int) "no sessions leaked" 0 (Sessions.registered_count ())
 
-let test_legacy_stream_and_errors () =
+let test_format1_and_errors () =
   let nprocs, events = record_kernel clean_kernel in
   let stats =
     with_daemon @@ fun _d port ->
-    (* A legacy (format 1, unframed) stream completes at EOF. *)
-    let legacy =
-      Codec.legacy_header :: List.map Codec.encode_event events
-    in
-    let lines = run_session ~port ~session:"legacy" ~nprocs legacy in
-    Alcotest.(check string) "legacy summary"
-      "summary" (line_type (List.nth lines (List.length lines - 1)));
+    (* An unframed format-1 stream is refused at its header, and the
+       error says which format is unsupported. *)
+    let format1 = "rma-trace 1" :: List.map Codec.encode_event events in
+    let lines = run_session ~port ~session:"format1" ~nprocs format1 in
+    (match List.filter (fun l -> line_type l = "error") lines with
+    | [ l ] ->
+        let reason = Option.value ~default:"" (str_field "reason" l) in
+        Alcotest.(check bool)
+          (Printf.sprintf "reason %S names format 1 as unsupported" reason)
+          true
+          (Astring.String.is_infix ~affix:"bad header" reason
+          && Astring.String.is_infix ~affix:"format 1 is unsupported" reason)
+    | other -> Alcotest.failf "expected one error line, got %d" (List.length other));
+    Alcotest.(check bool) "no summary for a format-1 stream" false
+      (List.exists (fun l -> line_type l = "summary") lines);
     (* A non-JSON handshake is answered with an error line and a close. *)
     let fd = connect port in
     send_lines fd [ "this is not a handshake" ];
@@ -194,9 +203,92 @@ let test_legacy_stream_and_errors () =
       (List.exists (fun l -> line_type l = "error") lines);
     Unix.close fd
   in
-  Alcotest.(check int) "one completed" 1 stats.Daemon.completed;
-  Alcotest.(check int) "two protocol failures" 2 stats.Daemon.failed;
+  Alcotest.(check int) "nothing completed" 0 stats.Daemon.completed;
+  Alcotest.(check int) "three protocol failures" 3 stats.Daemon.failed;
   Alcotest.(check int) "no sessions leaked" 0 (Sessions.registered_count ())
+
+(* A client that never sends a newline cannot grow the daemon's line
+   buffer past [Session.max_line_bytes]: the session is closed as a
+   protocol error while a well-behaved session beside it completes. *)
+let test_unterminated_line_is_bounded () =
+  let cap = Session.max_line_bytes in
+  (* The buffer itself, driven directly. Lines split across chunks
+     reassemble, CRLF included... *)
+  let s = Session.create ~id:0 ~fd:Unix.stdin in
+  List.iter (fun c -> ignore (Session.push_bytes s c)) [ "ab"; "c\r\nde\n"; "f" ];
+  Alcotest.(check (list string)) "lines reassembled" [ "abc"; "de" ]
+    (List.of_seq (Queue.to_seq s.Session.inbox));
+  Alcotest.(check string) "tail kept" "f" (Buffer.contents s.Session.pending);
+  (* ...and an unterminated line is reported once it passes the cap,
+     without the buffer growing past it. [overflowed] is [true] once a
+     push reports it, and gives up one chunk past the cap. *)
+  let chunk = String.make 8192 'x' in
+  let rec overflowed sent =
+    sent <= cap + 8192 && ((not (Session.push_bytes s chunk)) || overflowed (sent + 8192))
+  in
+  Alcotest.(check bool) "over-long line reported" true (overflowed 0);
+  Alcotest.(check bool) "buffer stays within the cap" true
+    (Buffer.length s.Session.pending <= cap);
+  let nprocs, events = record_kernel racy_kernel in
+  let _, expected_digest = offline ~nprocs events in
+  let stats =
+    with_daemon @@ fun _d port ->
+    let good = connect port in
+    send_lines good [ hello ~session:"good" ~nprocs () ];
+    Alcotest.(check (option string)) "good admitted" (Some "admitted")
+      (Option.map line_type (recv_line good));
+    let hostile = connect port in
+    (* A daemon that kept buffering would never answer: fail, not hang. *)
+    Unix.setsockopt_float hostile Unix.SO_RCVTIMEO 10.0;
+    let trace = trace_lines events in
+    let half = List.length trace / 2 in
+    (* One byte past the cap, in two halves with the good session's
+       trace streamed in between. *)
+    write_all hostile (String.make (cap / 2) 'x');
+    send_lines good (List.filteri (fun i _ -> i < half) trace);
+    write_all hostile (String.make (cap - (cap / 2) + 1) 'x');
+    send_lines good (List.filteri (fun i _ -> i >= half) trace);
+    (match recv_all hostile with
+    | [ l ] ->
+        Alcotest.(check string) "hostile gets an error line" "error" (line_type l);
+        Alcotest.(check (option string)) "reason" (Some "line too long") (str_field "reason" l)
+    | other -> Alcotest.failf "expected one error line, got %d" (List.length other));
+    Unix.close hostile;
+    (try Unix.shutdown good Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
+    let lines = recv_all good in
+    Unix.close good;
+    Alcotest.(check (option string)) "good session digest" (Some expected_digest)
+      (str_field "digest" (List.nth lines (List.length lines - 1)))
+  in
+  Alcotest.(check int) "good session completed" 1 stats.Daemon.completed;
+  Alcotest.(check int) "hostile session failed" 1 stats.Daemon.failed;
+  Alcotest.(check int) "no sessions leaked" 0 (Sessions.registered_count ())
+
+(* Handshake fields the daemon no longer knows — here the removed
+   "batch_inserts" knob — are ignored: the session is admitted and its
+   digest is the offline analyze digest. *)
+let test_unknown_hello_field_ignored () =
+  let nprocs, events = record_kernel racy_kernel in
+  let _, expected_digest = offline ~nprocs events in
+  let _ =
+    with_daemon @@ fun _d port ->
+    let hello_line =
+      Json.to_string ~minify:true
+        (Json.Obj
+           [ ("hello", Json.Int Protocol.version); ("session", Json.String "old-client");
+             ("nprocs", Json.Int nprocs); ("batch_inserts", Json.Bool true) ])
+    in
+    let fd = connect port in
+    send_lines fd (hello_line :: trace_lines events);
+    (try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
+    let lines = recv_all fd in
+    Unix.close fd;
+    Alcotest.(check (option string)) "admitted" (Some "admitted")
+      (Option.map line_type (List.nth_opt lines 0));
+    Alcotest.(check (option string)) "digest matches offline analyze" (Some expected_digest)
+      (str_field "digest" (List.nth lines (List.length lines - 1)))
+  in
+  ()
 
 let test_admission_queue_and_shed () =
   let nprocs, events = record_kernel racy_kernel in
@@ -368,8 +460,10 @@ let suite =
   [
     Alcotest.test_case "byte-identical verdicts vs offline replay" `Quick
       test_byte_identical_verdicts;
-    Alcotest.test_case "legacy stream completes; bad handshake and bad event error out" `Quick
-      test_legacy_stream_and_errors;
+    Alcotest.test_case "format-1 rejected; bad lines error" `Quick test_format1_and_errors;
+    Alcotest.test_case "unterminated line closes the session" `Quick
+      test_unterminated_line_is_bounded;
+    Alcotest.test_case "unknown hello fields are ignored" `Quick test_unknown_hello_field_ignored;
     Alcotest.test_case "admission: queue then shed, queued session promoted" `Quick
       test_admission_queue_and_shed;
     Alcotest.test_case "interleaved sessions stay isolated" `Quick

@@ -205,42 +205,38 @@ let test_dominance_absorption_imprecision () =
   expect_inserted "remote read slips through"
     (Disjoint_store.insert store (acc ~issuer:1 ~seq:3 ~line:3 ~op:"MPI_Get" 0 7 Access_kind.Rma_read))
 
-(* --- Insert fast path: finger cache and coalescing batch buffer. --- *)
+(* --- Insert fast path: the finger cache. --- *)
 
-let adjacent_run ?(n = 8) ?(lo0 = 0) ?(line = 2) store =
+let adjacent_run ?(n = 8) ?(lo0 = 0) ?(line = 2) ?(seq0 = 1) store =
   for i = 0 to n - 1 do
     expect_inserted "run access"
       (Disjoint_store.insert store
-         (acc ~seq:(i + 1) ~line ~op:"MPI_Get" (lo0 + i) (lo0 + i) Access_kind.Rma_write))
+         (acc ~seq:(seq0 + i) ~line ~op:"MPI_Get" (lo0 + i) (lo0 + i) Access_kind.Rma_write))
   done
 
 let test_finger_absorbs_adjacent_run () =
   let store = Disjoint_store.create () in
   adjacent_run ~n:8 store;
   Alcotest.(check int) "one coalesced run" 1 (Disjoint_store.size store);
-  let s = Disjoint_store.fast_path_stats store in
-  Alcotest.(check int) "every extension is a finger hit" 7 s.Disjoint_store.finger_hits;
-  Alcotest.(check int) "every extension coalesced" 7 s.Disjoint_store.batch_coalesced;
+  Alcotest.(check int) "every extension is a finger hit" 7 (Disjoint_store.finger_hits store);
   Alcotest.(check bool) "fast-path invariants hold" true (Disjoint_store.self_check store)
 
 let test_overlap_after_run_flushes_and_races () =
   (* Finger invalidation: an overlapping conflicting access after a
-     coalesced run must flush the pending entry and race against the
-     full hull, exactly as the unbatched store would. *)
+     coalesced run must flush the finger and race against the full
+     hull, exactly as the slow path would. *)
   let store = Disjoint_store.create () in
   adjacent_run ~n:8 store;
   (match Disjoint_store.insert store (acc ~seq:50 ~line:9 ~op:"Store" 3 3 Access_kind.Local_write) with
-  | Store_intf.Inserted -> Alcotest.fail "race against the pending run missed"
+  | Store_intf.Inserted -> Alcotest.fail "race against the finger run missed"
   | Store_intf.Race_detected { existing; _ } ->
       Alcotest.(check bool) "existing is the coalesced hull" true
         (Interval.equal existing.Access.interval (Interval.make ~lo:0 ~hi:7)));
   Alcotest.(check int) "run flushed, racy access not recorded" 1 (Disjoint_store.size store);
-  Alcotest.(check int) "one flush event" 1
-    (Disjoint_store.fast_path_stats store).Disjoint_store.batch_flushes;
   Alcotest.(check bool) "fast-path invariants hold" true (Disjoint_store.self_check store)
 
 let test_clear_drops_pending_runs () =
-  let store = Disjoint_store.create ~batch:true () in
+  let store = Disjoint_store.create () in
   List.iter
     (fun a -> expect_inserted "run" (Disjoint_store.insert store a))
     [
@@ -248,9 +244,9 @@ let test_clear_drops_pending_runs () =
       acc ~seq:2 ~line:1 ~op:"MPI_Get" 1 1 Access_kind.Rma_write;
       acc ~seq:3 ~line:2 ~op:"MPI_Put" 5000 5007 Access_kind.Rma_read;
     ];
-  Alcotest.(check int) "two pending runs" 2 (Disjoint_store.size store);
+  Alcotest.(check int) "one tree node plus the finger" 2 (Disjoint_store.size store);
   Disjoint_store.clear store;
-  Alcotest.(check int) "clear drops pending runs too" 0 (Disjoint_store.size store);
+  Alcotest.(check int) "clear drops the finger too" 0 (Disjoint_store.size store);
   Alcotest.(check bool) "to_list is empty" true (Disjoint_store.to_list store = []);
   Alcotest.(check bool) "fast-path invariants hold" true (Disjoint_store.self_check store);
   expect_inserted "store usable after clear"
@@ -264,14 +260,9 @@ let test_merge_off_disables_fast_path () =
     List.init 8 (fun i -> acc ~seq:(i + 1) ~line:2 ~op:"MPI_Get" i i Access_kind.Rma_write)
   in
   let feed store = List.iter (fun a -> ignore (Disjoint_store.insert store a)) stream in
-  let no_merge = Disjoint_store.create ~merge:false ~batch:true () in
+  let no_merge = Disjoint_store.create ~merge:false () in
   feed no_merge;
-  Alcotest.(check bool) "batch request ignored without merging" false
-    (Disjoint_store.batching no_merge);
-  let s = Disjoint_store.fast_path_stats no_merge in
-  Alcotest.(check int) "no finger hits" 0 s.Disjoint_store.finger_hits;
-  Alcotest.(check int) "no coalesces" 0 s.Disjoint_store.batch_coalesced;
-  Alcotest.(check int) "no flushes" 0 s.Disjoint_store.batch_flushes;
+  Alcotest.(check int) "no finger hits" 0 (Disjoint_store.finger_hits no_merge);
   Alcotest.(check int) "one node per access" 8 (Disjoint_store.size no_merge);
   let slow = Disjoint_store.create ~merge:false ~fast_path:false () in
   feed slow;
@@ -280,68 +271,68 @@ let test_merge_off_disables_fast_path () =
     (Disjoint_store.stats no_merge).Store_intf.tree_ops
 
 let test_check_only_flushes_pending () =
-  (* Regression: check_only with a non-empty batch buffer must flush it
+  (* Regression: check_only with a run held by the finger must flush it
      first — the probe's verdict is computed against exactly the nodes
-     an unbatched store would hold — without inserting the probe or
-     closing the buffer. *)
-  let store = Disjoint_store.create ~batch:true () in
+     the slow path would hold — without inserting the probe. *)
+  let store = Disjoint_store.create () in
   adjacent_run ~n:6 store;
   (match
      Disjoint_store.check_only store (acc ~seq:50 ~line:9 ~op:"Store" 2 2 Access_kind.Local_write)
    with
-  | Store_intf.Inserted -> Alcotest.fail "check_only missed the race against the pending run"
+  | Store_intf.Inserted -> Alcotest.fail "check_only missed the race against the finger run"
   | Store_intf.Race_detected { existing; _ } ->
       Alcotest.(check bool) "existing is the flushed hull" true
         (Interval.equal existing.Access.interval (Interval.make ~lo:0 ~hi:5)));
   Alcotest.(check int) "probe was not inserted" 1 (Disjoint_store.size store);
-  Alcotest.(check int) "buffer flushed once" 1
-    (Disjoint_store.fast_path_stats store).Disjoint_store.batch_flushes;
-  Alcotest.(check bool) "buffer stays open after the flush" true (Disjoint_store.batching store)
+  Alcotest.(check bool) "fast-path invariants hold" true (Disjoint_store.self_check store);
+  (* The run now lives in the tree: the next adjacent access merges
+     through the slow path instead of extending a finger. *)
+  adjacent_run ~n:1 ~lo0:6 ~seq0:7 store;
+  Alcotest.(check int) "no finger left to extend" 5 (Disjoint_store.finger_hits store);
+  Alcotest.(check int) "merged into the flushed run" 1 (Disjoint_store.size store)
 
 let test_race_straddles_pending_flush () =
-  (* Regression: a conflicting insert near one of several pending runs
-     flushes only the interacting run, races against it, and leaves the
-     other run buffered — final state identical to the unbatched store. *)
-  let run_a = List.init 4 (fun i -> acc ~seq:(i + 1) ~line:1 ~op:"MPI_Get" i i Access_kind.Rma_write) in
-  let run_b =
-    List.init 4 (fun i ->
-        acc ~seq:(i + 10) ~line:2 ~op:"MPI_Get" (5000 + i) (5000 + i) Access_kind.Rma_write)
-  in
+  (* Regression: seeding the finger with run B moves run A into the
+     tree; a conflict on run A then races against that tree node while
+     the finger keeps holding run B — final state identical to the slow
+     path. *)
   let conflict = acc ~seq:20 ~line:5 ~op:"Store" 1 1 Access_kind.Local_write in
   let feed store =
-    List.iter (fun a -> expect_inserted "run" (Disjoint_store.insert store a)) (run_a @ run_b);
+    adjacent_run ~n:4 ~line:1 store;
+    adjacent_run ~n:4 ~lo0:5000 ~seq0:10 store;
     match Disjoint_store.insert store conflict with
     | Store_intf.Inserted -> Alcotest.fail "straddling conflict not flagged"
     | Store_intf.Race_detected { existing; _ } -> existing
   in
-  let batched = Disjoint_store.create ~batch:true () in
-  let existing = feed batched in
+  let store = Disjoint_store.create () in
+  let existing = feed store in
   Alcotest.(check bool) "race names the coalesced run" true
     (Interval.equal existing.Access.interval (Interval.make ~lo:0 ~hi:3));
-  Alcotest.(check int) "only the straddled run was flushed" 1
-    (Disjoint_store.fast_path_stats batched).Disjoint_store.batch_flushes;
-  Alcotest.(check bool) "fast-path invariants hold" true (Disjoint_store.self_check batched);
+  Alcotest.(check bool) "fast-path invariants hold" true (Disjoint_store.self_check store);
+  adjacent_run ~n:1 ~lo0:5004 ~seq0:21 store;
+  Alcotest.(check int) "the finger still holds run B" 7 (Disjoint_store.finger_hits store);
   let reference = Disjoint_store.create ~fast_path:false () in
   let existing_ref = feed reference in
-  Alcotest.(check bool) "batched and unbatched name the same node" true
+  adjacent_run ~n:1 ~lo0:5004 ~seq0:21 reference;
+  Alcotest.(check bool) "finger and slow path name the same node" true
     (Access.equal existing existing_ref);
-  Disjoint_store.batch_flush batched;
+  Disjoint_store.flush_finger store;
   Alcotest.(check bool) "final interval sets agree" true
-    (List.equal Access.equal (Disjoint_store.to_list reference) (Disjoint_store.to_list batched))
+    (List.equal Access.equal (Disjoint_store.to_list reference) (Disjoint_store.to_list store))
 
 let test_recorder_sees_precoalesce_origins () =
   (* Regression: coalescing must not hide origins from the flight
      recorder, and the epoch counter must advance under note_epoch even
-     with a non-empty batch buffer. *)
+     with a run held by the finger. *)
   Flight_recorder.enable ();
   Fun.protect ~finally:Flight_recorder.disable (fun () ->
-      let store = Disjoint_store.create ~batch:true () in
+      let store = Disjoint_store.create () in
       adjacent_run ~n:5 ~lo0:0 ~line:2 store;
       Disjoint_store.note_epoch store;
       adjacent_run ~n:3 ~lo0:10 ~line:3 store;
       let ring = Option.get (Disjoint_store.recorder store) in
       Alcotest.(check int) "every pre-coalesce origin recorded" 8 (Flight_recorder.length ring);
-      Alcotest.(check int) "epoch advanced with a pending buffer" 1
+      Alcotest.(check int) "epoch advanced with a finger run" 1
         (Flight_recorder.current_epoch ring);
       let epochs =
         List.map
