@@ -33,6 +33,7 @@ let entries =
     { golden = "golden/events_journal.jsonl"; env = "GOLDEN_OUT_EVENTS" };
     { golden = "golden/obs_stats.txt"; env = "GOLDEN_OUT_STATS" };
     { golden = "golden/prometheus_escaping.txt"; env = "GOLDEN_OUT_PROM" };
+    { golden = "golden/trace_kernels.rma"; env = "GOLDEN_OUT_TRACE" };
   ]
 
 let find_entry name =
