@@ -19,7 +19,11 @@ let default_thread ~issuer =
 
 let thread_equal a b = a.tid = b.tid && a.tstamp = b.tstamp && a.tview = b.tview
 
-let is_default_thread t = thread_equal t.thread (default_thread ~issuer:t.issuer)
+let is_default_thread t =
+  (* [thread_equal t.thread (default_thread ~issuer:t.issuer)] without
+     building the default: encoders ask this once per access. *)
+  let own = Rma_vclock.Vclock.rt_key ~rank:t.issuer ~thread:0 in
+  match t.thread with { tid = 0; tstamp = 1; tview = [ (k, 1) ] } -> k = own | _ -> false
 
 let make_threaded ~thread ~interval ~kind ~issuer ~seq ~debug =
   { interval; kind; issuer; seq; debug; thread }

@@ -325,8 +325,13 @@ and drain t (s : Session.t) =
         on_hello t s (Queue.pop s.Session.inbox);
         drain t s
     | Session.Streaming ->
-        let line = Queue.pop s.Session.inbox in
-        with_session_env s (fun () -> feed_line t s line);
+        (* One bracket for the whole run of buffered lines: the session's
+           fault state and run id stay installed from line to line, and
+           a line that ends or rejects the session ends the run. *)
+        with_session_env s (fun () ->
+            while s.Session.phase = Session.Streaming && not (Queue.is_empty s.Session.inbox) do
+              feed_line t s (Queue.pop s.Session.inbox)
+            done);
         drain t s
 
 let accept_new t =

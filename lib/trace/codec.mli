@@ -20,7 +20,19 @@
     that. When an {!Rma_fault} plan is installed, {!write_all} is the
     injection point for the [Trace_corrupt] (one flipped bit in an
     encoded line) and [Trace_truncate] (stream cut mid-line, footer
-    lost) sites. *)
+    lost) sites.
+
+    Lines are written and read in place: {!write_all} appends each
+    field to one buffer per stream, and the decoders scan the fields of
+    a line without splitting it, reusing the previous line's file and
+    operation strings when their bytes repeat. Neither contract moved
+    with that rewrite. The bytes written are those of the split-and-join
+    codec it replaced ([test/golden/trace_kernels.rma] pins them), and
+    decoding accepts the same lines, yields the same events and reports
+    the same error strings — field text that is not in the encoder's
+    canonical form goes through the general [int_of_string_opt] /
+    [float_of_string_opt] parsers, as before. A frozen copy of the old
+    codec in the test suite is the oracle for both. *)
 
 val header : string
 (** First line of every trace file (format 2). *)
