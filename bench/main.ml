@@ -167,62 +167,101 @@ let run_par ~scale () =
       ])
     rows
 
-(* Insert fast path: the Code 2 adjacent-access stream through the
-   disjoint store with the fast path off and with the finger cache —
-   asserting identical verdicts and final contents, and reporting the
-   tree-operation reduction. *)
+(* Insert fast path: two access streams through the disjoint store with
+   the fast path off and with the finger cache, asserting identical
+   per-access verdicts and final contents, and reporting the
+   tree-operation reduction. Each row fails the bench when the finger
+   needs more tree operations than its ceiling. *)
 let run_fastpath () =
-  section "Insert fast path (Code 2 adjacent-access microbench)";
+  section "Insert fast path (Code 2 adjacent accesses; CFD-Proxy halo runs)";
   let open Rma_access in
   let open Rma_store in
-  let dbg line = Debug_info.make ~file:"code2.c" ~line ~operation:"MPI_Get" in
-  let mk ~seq ~line lo hi kind =
-    Access.make ~interval:(Interval.make ~lo ~hi) ~kind ~issuer:0 ~seq ~debug:(dbg line)
+  let mk ?(issuer = 0) ~seq ~file ~line ~op lo hi kind =
+    Access.make ~interval:(Interval.make ~lo ~hi) ~kind ~issuer ~seq
+      ~debug:(Debug_info.make ~file ~line ~operation:op)
+  in
+  let row ~label ~prefix ~ceiling stream =
+    let feed store =
+      let verdicts = List.map (Disjoint_store.insert store) stream in
+      Disjoint_store.flush_finger store;
+      (verdicts, Disjoint_store.stats store, Disjoint_store.to_list store)
+    in
+    let verdicts_off, stats_off, list_off = feed (Disjoint_store.create ~fast_path:false ()) in
+    let finger = Disjoint_store.create () in
+    let verdicts_f, stats_f, list_f = feed finger in
+    let same_verdict a b =
+      match (a, b) with
+      | Store_intf.Inserted, Store_intf.Inserted -> true
+      | ( Store_intf.Race_detected { existing = e1; incoming = i1 },
+          Store_intf.Race_detected { existing = e2; incoming = i2 } ) ->
+          Access.equal e1 e2 && Access.equal i1 i2
+      | _ -> false
+    in
+    let identical =
+      List.equal same_verdict verdicts_off verdicts_f
+      && List.equal Access.equal list_off list_f
+      && stats_off.Store_intf.nodes = stats_f.Store_intf.nodes
+    in
+    if not identical then
+      failwith
+        (Printf.sprintf "fastpath bench (%s): finger cache and fast-path-off stores disagree"
+           label);
+    let ops_off = stats_off.Store_intf.tree_ops and ops_f = stats_f.Store_intf.tree_ops in
+    if ops_f > ceiling then
+      failwith
+        (Printf.sprintf "fastpath bench (%s): finger cache took %d tree ops, ceiling %d" label ops_f
+           ceiling);
+    let reduction = float_of_int ops_off /. float_of_int (max 1 ops_f) in
+    let hits = Disjoint_store.finger_hits finger in
+    Printf.printf "%s (%d accesses)\n" label (List.length stream);
+    Printf.printf "  %-26s %6d tree ops\n" "fast path off" ops_off;
+    Printf.printf "  %-26s %6d tree ops   (%.1fx fewer than fast-path-off)\n" "finger cache" ops_f
+      reduction;
+    Printf.printf "  finger: %d hits; race verdicts and final node sets: identical\n" hits;
+    [
+      (metric_key [ prefix; "off_tree_ops" ], float_of_int ops_off);
+      (metric_key [ prefix; "finger_tree_ops" ], float_of_int ops_f);
+      (metric_key [ prefix; "finger_reduction" ], reduction);
+      (metric_key [ prefix; "finger_hits" ], float_of_int hits);
+    ]
   in
   (* 1000 adjacent one-byte gets (Figure 8b), then one racy duplicate
      from another rank so the race path is exercised identically. *)
-  let adjacent = Array.init 1_000 (fun i -> mk ~seq:(i + 1) ~line:2 i i Access_kind.Rma_write) in
-  let racy =
-    Access.make ~interval:(Interval.make ~lo:500 ~hi:500) ~kind:Access_kind.Rma_write ~issuer:1
-      ~seq:1_001 ~debug:(dbg 9)
+  let code2 =
+    List.init 1_000 (fun i ->
+        mk ~seq:(i + 1) ~file:"code2.c" ~line:2 ~op:"MPI_Get" i i Access_kind.Rma_write)
+    @ [
+        mk ~issuer:1 ~seq:1_001 ~file:"code2.c" ~line:9 ~op:"MPI_Get" 500 500
+          Access_kind.Rma_write;
+      ]
   in
-  let feed store =
-    Array.iter (fun a -> ignore (Disjoint_store.insert store a)) adjacent;
-    let verdict = Disjoint_store.insert store racy in
-    Disjoint_store.flush_finger store;
-    (verdict, Disjoint_store.stats store, Disjoint_store.to_list store)
+  (* The CFD-Proxy halo shape: a run of adjacent 8-byte pack stores cut
+     by a far-away remote Put (which moves the run's head into the tree),
+     the run continuing next to its own head, a Put reading the head, and
+     a second run starting next to that non-mergeable node. *)
+  let halo =
+    let base = 65_536 in
+    let store ~seq ~line i =
+      mk ~seq ~file:"exchange.c" ~line ~op:"Store" (base + (8 * i)) (base + (8 * i) + 7)
+        Access_kind.Local_write
+    in
+    List.concat
+      [
+        List.init 400 (fun i -> store ~seq:(i + 1) ~line:302 i);
+        [
+          mk ~issuer:1 ~seq:401 ~file:"exchange.c" ~line:318 ~op:"MPI_Put" 1_000_000 1_000_007
+            Access_kind.Rma_write;
+        ];
+        List.init 200 (fun i -> store ~seq:(402 + i) ~line:302 (400 + i));
+        [
+          mk ~seq:602 ~file:"exchange.c" ~line:318 ~op:"MPI_Put" base (base + 63)
+            Access_kind.Rma_read;
+        ];
+        List.init 100 (fun i -> store ~seq:(603 + i) ~line:330 (-1 - i));
+      ]
   in
-  let verdict_off, stats_off, list_off = feed (Disjoint_store.create ~fast_path:false ()) in
-  let finger = Disjoint_store.create () in
-  let verdict_f, stats_f, list_f = feed finger in
-  let same_verdict =
-    match (verdict_off, verdict_f) with
-    | Store_intf.Inserted, Store_intf.Inserted -> true
-    | ( Store_intf.Race_detected { existing = e1; incoming = i1 },
-        Store_intf.Race_detected { existing = e2; incoming = i2 } ) ->
-        Access.equal e1 e2 && Access.equal i1 i2
-    | _ -> false
-  in
-  let identical =
-    same_verdict
-    && List.equal Access.equal list_off list_f
-    && stats_off.Store_intf.nodes = stats_f.Store_intf.nodes
-  in
-  if not identical then failwith "fastpath bench: finger cache and fast-path-off stores disagree";
-  let reduction =
-    float_of_int stats_off.Store_intf.tree_ops /. float_of_int (max 1 stats_f.Store_intf.tree_ops)
-  in
-  Printf.printf "%-28s %6d tree ops\n" "fast path off" stats_off.Store_intf.tree_ops;
-  Printf.printf "%-28s %6d tree ops   (%.1fx fewer than fast-path-off)\n" "finger cache"
-    stats_f.Store_intf.tree_ops reduction;
-  Printf.printf "finger: %d hits\n" (Disjoint_store.finger_hits finger);
-  Printf.printf "race verdicts and final node sets: identical\n";
-  [
-    ("fastpath_off_tree_ops", float_of_int stats_off.Store_intf.tree_ops);
-    ("fastpath_finger_tree_ops", float_of_int stats_f.Store_intf.tree_ops);
-    ("fastpath_finger_reduction", reduction);
-    ("fastpath_finger_hits", float_of_int (Disjoint_store.finger_hits finger));
-  ]
+  let code2_metrics = row ~label:"Code 2 adjacent gets" ~prefix:"fastpath" ~ceiling:8 code2 in
+  code2_metrics @ row ~label:"CFD-Proxy halo runs" ~prefix:"fastpath_halo" ~ceiling:40 halo
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one per table/figure, measuring the       *)

@@ -35,7 +35,7 @@ type t = {
   mutable finger_hits : int;
 }
 
-(* How far beyond the access a clear zone may be claimed. A cap keeps a
+(* How far beyond a new finger its clear zone may be claimed. A cap keeps a
    zone claim from spanning a huge empty tree (which would force a flush
    on every far-away insert); large enough that a Code 2 style run grows
    for thousands of bytes per claim. *)
@@ -79,9 +79,10 @@ let bump_peak t =
 let obs_finger_hits =
   Obs.counter ~help:"Inserts absorbed in O(1) by the finger cache" "store.disjoint.finger_hits"
 
-(* The finger run sits more than one byte away from every tree byte, so
-   a plain multiset insert is exactly what the slow path would have left
-   in the tree — no fragmentation or merging can apply. *)
+(* The finger is already the node the slow path would hold, and no tree
+   byte lies inside its open zone; it may touch a tree node at either
+   end, but then the slow path holds the two side by side as well. So a
+   plain multiset insert leaves the stored contents unchanged. *)
 let flush_finger t =
   match t.finger with
   | None -> ()
@@ -91,15 +92,13 @@ let flush_finger t =
 
 (* {2 Slow path — Algorithm 1 verbatim} *)
 
-(* get_intersecting_accesses (Algorithm 1 line 5), widened by one byte on
-   each side so merging can also see accesses adjacent to the new one
-   (the Figure 8b loop produces adjacent, never overlapping, accesses).
-   One interval-tree stab serves both the data-race check (line 2) and
-   the fragmentation input. *)
-let neighbourhood t access =
-  let iv = access.Access.interval in
-  let query = Interval.make ~lo:(Interval.lo iv - 1) ~hi:(Interval.hi iv + 1) in
-  Avl.stab t.tree query
+(* The window of get_intersecting_accesses (Algorithm 1 line 5): the
+   access widened by one byte on each side so merging can also see
+   accesses adjacent to the new one (the Figure 8b loop produces
+   adjacent, never overlapping, accesses). One interval-tree stab of it
+   serves both the data-race check (line 2) and the fragmentation
+   input. *)
+let widened iv = Interval.make ~lo:(Interval.lo iv - 1) ~hi:(Interval.hi iv + 1)
 
 (* data_race_detection (line 2): the new access against every overlapping
    recorded access. The interval-tree stab is exact, which is precisely
@@ -176,8 +175,41 @@ let merge_pieces t pieces =
   t.merges_performed <- t.merges_performed + merges;
   merged
 
-let slow_insert t access =
-  let candidates = neighbourhood t access in
+(* Make [acc] the new finger, claiming the open zone (pred_hi, succ_lo)
+   that a clearance descent certified free of tree bytes: at most
+   [zone_headroom] bytes each way, and never the bytes of the old finger,
+   which are about to become tree bytes. Precondition: the old finger
+   lies wholly on one side of [acc]. *)
+let seed_finger t acc ~pred_hi ~succ_lo =
+  let iv = acc.Access.interval in
+  let lo = Interval.lo iv and hi = Interval.hi iv in
+  let zl = max pred_hi (lo - 1 - zone_headroom) and zh = min succ_lo (hi + 1 + zone_headroom) in
+  let zl, zh =
+    match t.finger with
+    | None -> (zl, zh)
+    | Some p ->
+        let fiv = p.p_acc.Access.interval in
+        if Interval.hi fiv < lo then (max zl (Interval.hi fiv), zh)
+        else (zl, min zh (Interval.lo fiv))
+  in
+  flush_finger t;
+  t.finger <- Some { p_acc = acc; p_zone_lo = zl; p_zone_hi = zh }
+
+(* finish_insertion (line 8) for a single merged piece on the fast path:
+   hold it as the finger instead of inserting it when no tree byte lies
+   inside it, so the rest of an interrupted run extends in O(1). The gap
+   needs no one-byte widening: every mergeable node inside the access's
+   widened window was a stab candidate and is part of [piece], and a tree
+   node touching [piece] only bounds the zone, which [try_extend]'s
+   widened window must stay strictly inside. An old finger that survived
+   lies beyond the access's reach, hence wholly on one side of [piece]. *)
+let settle_piece t piece =
+  match Avl.clearance t.tree piece.Access.interval with
+  | Avl.Clear { pred_hi; succ_lo } -> seed_finger t piece ~pred_hi ~succ_lo
+  | Avl.Blocked -> Avl.insert t.tree piece
+
+let slow_insert t access window =
+  let candidates = Avl.stab t.tree window in
   match candidates with
   | [] ->
       (* Nothing overlaps or touches — plain insertion. *)
@@ -195,7 +227,9 @@ let slow_insert t access =
           (* finish_insertion (line 8): replace the old accesses with the
              new disjoint pieces. *)
           List.iter (fun old -> ignore (Avl.remove t.tree old)) candidates;
-          List.iter (fun piece -> Avl.insert t.tree piece) final;
+          (match final with
+          | [ piece ] when t.fast_path -> settle_piece t piece
+          | _ -> List.iter (fun piece -> Avl.insert t.tree piece) final);
           bump_peak t;
           Store_intf.Inserted)
 
@@ -231,31 +265,17 @@ let try_extend t access =
       else false
 
 (* Make [access] the new finger with one clearance descent instead of
-   the slow path's stab (and, on later extensions, remove + insert).
-   Precondition: the finger's zone does not reach the widened window —
-   callers flush it first otherwise — so the old finger lies wholly on
-   one side of the window. *)
-let try_seed t access =
-  match Avl.clearance t.tree access.Access.interval with
+   the slow path's stab (and, on later extensions, remove + insert). The
+   descent certifies the one-byte-widened window, so no tree node even
+   touches the access. Precondition: the finger's zone does not reach the
+   widened window — callers flush it first otherwise — so the old finger
+   lies wholly on one side of the window. *)
+let try_seed t access window =
+  match Avl.clearance t.tree window with
   | Avl.Blocked -> false
   | Avl.Clear { pred_hi; succ_lo } ->
-      let iv = access.Access.interval in
-      let lo = Interval.lo iv and hi = Interval.hi iv in
-      (* Claim at most [zone_headroom] bytes each way, and never the
-         bytes of the old finger, which are about to become tree bytes. *)
-      let zl = max pred_hi (lo - 1 - zone_headroom)
-      and zh = min succ_lo (hi + 1 + zone_headroom) in
-      let zl, zh =
-        match t.finger with
-        | None -> (zl, zh)
-        | Some p ->
-            let fiv = p.p_acc.Access.interval in
-            if Interval.hi fiv < lo then (max zl (Interval.hi fiv), zh)
-            else (zl, min zh (Interval.lo fiv))
-      in
-      flush_finger t;
       record_origin t access;
-      t.finger <- Some { p_acc = access; p_zone_lo = zl; p_zone_hi = zh };
+      seed_finger t access ~pred_hi ~succ_lo;
       bump_peak t;
       true
 
@@ -263,17 +283,17 @@ let insert_uninstrumented t access =
   t.inserts <- t.inserts + 1;
   Rma_obs.Telemetry.note_event ();
   let outcome =
-    if not t.fast_path then slow_insert t access
+    if not t.fast_path then slow_insert t access (widened access.Access.interval)
     else if try_extend t access then Store_intf.Inserted
     else begin
       (* A finger whose zone the widened window reaches could take part
          in the stab, race check or fragmentation below: flush it. *)
-      let iv = access.Access.interval in
+      let window = widened access.Access.interval in
       (match t.finger with
-      | Some p when Interval.hi iv + 1 > p.p_zone_lo && Interval.lo iv - 1 < p.p_zone_hi ->
+      | Some p when Interval.hi window > p.p_zone_lo && Interval.lo window < p.p_zone_hi ->
           flush_finger t
       | _ -> ());
-      if try_seed t access then Store_intf.Inserted else slow_insert t access
+      if try_seed t access window then Store_intf.Inserted else slow_insert t access window
     end
   in
   (match outcome with

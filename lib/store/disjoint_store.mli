@@ -52,8 +52,11 @@ val check_only : t -> Rma_access.Access.t -> Store_intf.insert_outcome
     zone, so extending it needs no tree descent. It never survives an
     epoch boundary ({!note_epoch}) or a race check ({!check_only}), and
     an insert whose one-byte-widened window reaches the zone flushes it
-    before the slow path runs — detection semantics are byte-for-byte
-    unchanged. DESIGN.md §9 has the argument. *)
+    before the slow path runs. When the slow path ends with a single
+    merged node and no tree byte lies inside it, that node becomes the
+    finger, so a run cut by an access elsewhere returns to the O(1)
+    path. Detection semantics are byte-for-byte unchanged. DESIGN.md §9
+    has the argument. *)
 
 val flush_finger : t -> unit
 (** Moves the finger run, if any, into the tree. Called automatically at
@@ -67,7 +70,8 @@ val finger_hits : t -> int
 
 val self_check : t -> bool
 (** Validates the fast-path invariants (the finger inside its clear zone,
-    the zone free of tree bytes) plus the tree invariants; for tests. *)
+    no tree byte inside the open zone) plus the tree invariants; for
+    tests. *)
 
 (** {1 Flight recorder}
 

@@ -150,14 +150,14 @@ module Make (Elt : ELEMENT) = struct
 
   type clearance = Blocked | Clear of { pred_hi : int; succ_lo : int }
 
-  (* Single root-to-leaf descent answering "is the one-byte-widened
-     window around [query] free of stored bytes, and how far does the
-     surrounding gap extend?". Abandoning a subtree on the left requires
-     its cached max_hi to stay left of the window, which also makes the
-     answer conservatively [Blocked] on trees that are not disjoint. *)
+  (* Single root-to-leaf descent answering "is the window [query] free
+     of stored bytes, and how far does the surrounding gap extend?".
+     Abandoning a subtree on the left requires its cached max_hi to stay
+     left of the window, which also makes the answer conservatively
+     [Blocked] on trees that are not disjoint. *)
   let clearance t query =
     touch t;
-    let wlo = Interval.lo query - 1 and whi = Interval.hi query + 1 in
+    let wlo = Interval.lo query and whi = Interval.hi query in
     let rec go node pred_hi succ_lo =
       match node with
       | None -> Clear { pred_hi; succ_lo }

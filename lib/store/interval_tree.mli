@@ -47,18 +47,19 @@ module Make (Elt : ELEMENT) : sig
 
   type clearance =
     | Blocked
-        (** Some stored byte lies within one byte of the query (or the
+        (** Some stored byte lies inside the query window (or the
             single-descent answer could not be certified). *)
     | Clear of { pred_hi : int; succ_lo : int }
-        (** No stored byte within one byte of the query: every stored
+        (** No stored byte inside the query window: every stored
             byte left of it is [<= pred_hi] and every stored byte right
             of it is [>= succ_lo] ([min_int]/[max_int] when that side is
             empty). *)
 
   val clearance : t -> Interval.t -> clearance
-  (** Single-descent gap query around the one-byte-widened query window;
-      conservative ([Blocked]) whenever certifying the gap would need a
-      second path. Used by the disjoint store's insert fast path. *)
+  (** Single-descent gap query on exactly the given window; callers
+      that care about adjacency widen it themselves. Conservative
+      ([Blocked]) whenever certifying the gap would need a second path.
+      Used by the disjoint store's finger cache. *)
 
   val ops : t -> int
   (** Cumulative count of tree operations (descents): [insert],

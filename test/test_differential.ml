@@ -143,17 +143,96 @@ let check_against_reference ~name reference_verdicts ref_state store_verdicts st
       if a <> b then QCheck.Test.fail_reportf "%s: %s differ: reference %d, got %d" name what a b)
     pairs
 
+let finger_equals_slow_path ~name steps =
+  let reference = Disjoint_store.create ~fast_path:false () in
+  let ref_verdicts = replay reference steps in
+  let ref_state = final_state reference in
+  let finger = Disjoint_store.create () in
+  let finger_verdicts = replay finger steps in
+  check_against_reference ~name ref_verdicts ref_state finger_verdicts (final_state finger);
+  true
+
 let prop_finger_equals_slow_path =
   QCheck.Test.make ~name:"differential: finger = slow path" ~count:700 arb_stream (fun raw ->
-      let steps = decode_steps raw in
-      let reference = Disjoint_store.create ~fast_path:false () in
-      let ref_verdicts = replay reference steps in
-      let ref_state = final_state reference in
-      let finger = Disjoint_store.create () in
-      let finger_verdicts = replay finger steps in
-      check_against_reference ~name:"finger" ref_verdicts ref_state finger_verdicts
-        (final_state finger);
-      true)
+      finger_equals_slow_path ~name:"finger" (decode_steps raw))
+
+(* --- run-biased streams --- *)
+
+(* Uniform streams rarely build long adjacent runs, so they seldom reach
+   the slow path's hand-over of a merged node to the finger. These
+   streams walk a cursor: most steps extend the current same-line run by
+   a 1–4 byte piece, and the rest cut it with a foreign-kind or
+   foreign-line access near the cursor, start a new run (often right next
+   to the old one, so it abuts a non-mergeable node), resume the previous
+   run while the finger holds another, or insert a race check, epoch
+   note, flush or clear. *)
+type run = { kind : int; line : int; issuer : int; up : bool; mutable cur : int }
+
+let decode_run_steps raw =
+  let make_run ~k ~x ~cur =
+    { kind = k mod 5; line = 1 + (k mod 3); issuer = x mod 3; up = x mod 2 = 0; cur }
+  in
+  let r = ref (make_run ~k:1 ~x:0 ~cur:100) and prev = ref (make_run ~k:2 ~x:1 ~cur:300) in
+  let access ~seq ~kind ~line ~issuer ~lo ~len =
+    let kind = List.nth Access_kind.all kind in
+    let issuer = if Access_kind.is_local kind then 0 else issuer in
+    acc ~issuer ~seq ~line ~lo ~hi:(lo + len - 1) kind
+  in
+  let extend ~seq ~len =
+    let run = !r in
+    let lo = if run.up then run.cur else run.cur - len + 1 in
+    run.cur <- (if run.up then lo + len else lo - 1);
+    if run.cur < 0 || run.cur > 400 then run.cur <- 200;
+    Insert (access ~seq ~kind:run.kind ~line:run.line ~issuer:run.issuer ~lo ~len)
+  in
+  List.mapi
+    (fun i (t, len, k, x) ->
+      let run = !r and seq = i + 1 in
+      (* Overlapping the run's last bytes, or abutting its growing end. *)
+      let near = if run.up then run.cur - (x mod 7) else run.cur + (x mod 7) - len + 1 in
+      match t mod 16 with
+      | 9 | 10 ->
+          let kind = (run.kind + 1 + (k mod 4)) mod 5 in
+          Insert (access ~seq ~kind ~line:run.line ~issuer:x ~lo:near ~len)
+      | 11 -> Insert (access ~seq ~kind:run.kind ~line:4 ~issuer:run.issuer ~lo:near ~len)
+      | 12 ->
+          r := !prev;
+          prev := run;
+          extend ~seq ~len
+      | 13 ->
+          let cur = if x mod 3 = 0 then 20 + (x mod 300) else run.cur in
+          r := make_run ~k ~x ~cur;
+          prev := run;
+          extend ~seq ~len
+      | 14 -> (
+          match x mod 3 with
+          | 0 -> Check (access ~seq ~kind:(k mod 5) ~line:5 ~issuer:x ~lo:near ~len)
+          | 1 -> Note_epoch
+          | _ -> Flush_finger)
+      | 15 when x mod 4 = 0 -> Clear
+      | _ -> extend ~seq ~len)
+    raw
+
+let arb_run_stream =
+  let step =
+    QCheck.Gen.(
+      let* t = int_range 0 1000 in
+      let* len = int_range 1 4 in
+      let* k = int_range 0 1000 in
+      let* x = int_range 0 1000 in
+      return (t, len, k, x))
+  in
+  QCheck.make
+    ~print:(fun l ->
+      String.concat ";"
+        (List.map (fun (t, len, k, x) -> Printf.sprintf "(%d,%d,%d,%d)" t len k x) l))
+    ~shrink:QCheck.Shrink.(list)
+    QCheck.Gen.(list_size (int_range 1 80) step)
+
+let prop_finger_equals_slow_path_on_runs =
+  QCheck.Test.make ~name:"differential: finger = slow path on interrupted runs" ~count:500
+    arb_run_stream (fun raw ->
+      finger_equals_slow_path ~name:"finger on runs" (decode_run_steps raw))
 
 (* --- legacy agreement --- *)
 
@@ -314,6 +393,7 @@ let prop_analyzer_jobs_deterministic =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_finger_equals_slow_path;
+    QCheck_alcotest.to_alcotest prop_finger_equals_slow_path_on_runs;
     QCheck_alcotest.to_alcotest prop_legacy_agreement;
     QCheck_alcotest.to_alcotest prop_analyzer_jobs_deterministic;
   ]

@@ -344,6 +344,76 @@ let test_recorder_sees_precoalesce_origins () =
       let hits = Flight_recorder.history ring (Interval.make ~lo:2 ~hi:2) in
       Alcotest.(check int) "history pinpoints the one contributing origin" 1 (List.length hits))
 
+(* The CFD-Proxy halo shape (§4.2, Figure 8b): a run of adjacent 8-byte
+   pack stores is interrupted by a far-away remote Put, which flushes the
+   run's head into the tree; the run then continues next to its own head.
+   A Put reading the head leaves a non-mergeable node, and a second run
+   starts next to it. *)
+let halo_stream =
+  let base = 65_536 in
+  let store ~seq ~line i =
+    acc ~seq ~line ~op:"Store" (base + (8 * i)) (base + (8 * i) + 7) Access_kind.Local_write
+  in
+  List.concat
+    [
+      List.init 400 (fun i -> store ~seq:(i + 1) ~line:302 i);
+      [
+        acc ~issuer:1 ~seq:401 ~line:318 ~op:"MPI_Put" 1_000_000 1_000_007
+          Access_kind.Rma_write;
+      ];
+      List.init 200 (fun i -> store ~seq:(402 + i) ~line:302 (400 + i));
+      [ acc ~seq:602 ~line:318 ~op:"MPI_Put" base (base + 63) Access_kind.Rma_read ];
+      List.init 100 (fun i -> store ~seq:(603 + i) ~line:330 (-1 - i));
+    ]
+
+let same_verdict a b =
+  match (a, b) with
+  | Store_intf.Inserted, Store_intf.Inserted -> true
+  | ( Store_intf.Race_detected { existing = e1; incoming = i1 },
+      Store_intf.Race_detected { existing = e2; incoming = i2 } ) ->
+      Access.equal e1 e2 && Access.equal i1 i2
+  | _ -> false
+
+let test_halo_runs_stay_on_the_finger () =
+  (* Regression: once the remote Put flushed the run's head, every later
+     store of the run, and of a run next to a non-mergeable node, took the
+     slow path (stab, remove, insert). With the slow path handing its
+     single merged node to the finger, six inserts miss it: the first
+     store (a seed), the remote Put (a seed), the first store after the
+     Put, the head read, the first store of the second run (two pieces:
+     it abuts the read) and its second store (handed to the finger). *)
+  let feed ?(check = true) store =
+    List.map
+      (fun a ->
+        let v = Disjoint_store.insert store a in
+        if check && not (Disjoint_store.self_check store) then
+          Alcotest.failf "fast-path invariants violated after seq %d" a.Access.seq;
+        v)
+      halo_stream
+  in
+  let reference = Disjoint_store.create ~fast_path:false () in
+  let ref_verdicts = feed reference in
+  let store = Disjoint_store.create () in
+  let verdicts = feed store in
+  Alcotest.(check bool) "no access races" true
+    (List.for_all (fun v -> not (is_race v)) verdicts);
+  Alcotest.(check bool) "verdicts equal the slow path" true
+    (List.equal same_verdict ref_verdicts verdicts);
+  Alcotest.(check bool) "stored contents equal the slow path" true
+    (List.equal Access.equal (Disjoint_store.to_list reference) (Disjoint_store.to_list store));
+  let ref_stats = Disjoint_store.stats reference and stats = Disjoint_store.stats store in
+  Alcotest.(check bool) "statistics other than tree_ops equal the slow path" true
+    ({ ref_stats with Store_intf.tree_ops = 0 } = { stats with Store_intf.tree_ops = 0 });
+  (* [self_check] descends the tree itself, so count tree ops on a store
+     fed without it. *)
+  let unchecked = Disjoint_store.create () in
+  ignore (feed ~check:false unchecked);
+  let inserts = List.length halo_stream in
+  Alcotest.(check bool) "all but six inserts hit the finger" true
+    (Disjoint_store.finger_hits unchecked >= inserts - 6);
+  Alcotest.(check bool) "tree ops stay under the ceiling" true
+    ((Disjoint_store.stats unchecked).Store_intf.tree_ops <= 40)
+
 (* --- Properties. --- *)
 
 let access_gen =
@@ -531,6 +601,8 @@ let suite =
     Alcotest.test_case "race straddling a pending flush" `Quick test_race_straddles_pending_flush;
     Alcotest.test_case "recorder sees pre-coalesce origins" `Quick
       test_recorder_sees_precoalesce_origins;
+    Alcotest.test_case "interrupted halo runs stay on the finger" `Quick
+      test_halo_runs_stay_on_the_finger;
     QCheck_alcotest.to_alcotest prop_disjoint_invariant;
     QCheck_alcotest.to_alcotest prop_coverage_preserved;
     QCheck_alcotest.to_alcotest prop_strongest_kind_preserved;
