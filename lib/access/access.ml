@@ -17,7 +17,13 @@ type t = {
 let default_thread ~issuer =
   { tid = 0; tstamp = 1; tview = [ (Rma_vclock.Vclock.rt_key ~rank:issuer ~thread:0, 1) ] }
 
-let thread_equal a b = a.tid = b.tid && a.tstamp = b.tstamp && a.tview = b.tview
+(* Pairs annotated as ints: list [=] would call the C polymorphic compare
+   on every mergeability check. *)
+let thread_equal a b =
+  a == b
+  || a.tid = b.tid && a.tstamp = b.tstamp
+     && (a.tview == b.tview
+        || List.equal (fun ((k, v) : int * int) (k', v') -> k = k' && v = v') a.tview b.tview)
 
 let is_default_thread t =
   (* [thread_equal t.thread (default_thread ~issuer:t.issuer)] without

@@ -22,8 +22,8 @@ let combine a b = if strength a >= strength b then a else b
 
 let all = [ Local_read; Local_write; Rma_read; Rma_write; Rma_accumulate ]
 
-let equal a b = a = b
-let compare a b = Stdlib.compare (strength a) (strength b)
+let equal a b = Int.equal (strength a) (strength b)
+let compare a b = Int.compare (strength a) (strength b)
 
 let to_string = function
   | Local_read -> "LOCAL_READ"

@@ -94,6 +94,14 @@ let store_degraded store = (store_stats store).Store_intf.degraded_drops > 0
    inserted). *)
 let store_flush_finger = function D s -> Disjoint_store.flush_finger s | L _ | S _ -> ()
 
+(* (space, window) tables with monomorphic key equality; [Hashtbl.hash]
+   keeps the generic bucket layout, so iteration and race order hold. *)
+module Tree_table = Hashtbl.Make (struct
+  type t = int * Event.win_id
+  let equal ((s, w) : t) ((s', w') : t) = Int.equal s s' && Int.equal w w'
+  let hash = Hashtbl.hash
+end)
+
 type tree = {
   store : store;
   mutable epoch_open : bool;
@@ -134,7 +142,7 @@ let site_of (a : Access.t) =
 
 let pair_key_of a b : site * site =
   let sa = site_of a and sb = site_of b in
-  if sa <= sb then (sa, sb) else (sb, sa)
+  if Debug_info.compare a.Access.debug b.Access.debug <= 0 then (sa, sb) else (sb, sa)
 
 (* Parallel half of the analyzer: the engine plus per-shard race
    buffers. A buffer is written only by its shard's worker domain and
@@ -155,7 +163,7 @@ type par = {
    semantics alone: some legal schedule overlaps them ("schedulable
    races", reported as [predicted] with a witness reordering). *)
 type predictive = {
-  weak_trees : (int * Event.win_id, tree) Hashtbl.t;
+  weak_trees : tree Tree_table.t;
   weak_phase : (Event.win_id, int) Hashtbl.t;
       (* Synchronization phases of a window: bumped on every weak clear.
          Two accesses in the same phase are weak-concurrent. *)
@@ -199,7 +207,7 @@ type state = {
   name : string;
   max_reports : int;
   par : par option;  (** [None] = today's sequential path, byte for byte. *)
-  trees : (int * Event.win_id, tree) Hashtbl.t;  (* (space, window) *)
+  trees : tree Tree_table.t;  (* (space, window) *)
   epoch_closers : (Event.win_id, (int, unit) Hashtbl.t) Hashtbl.t;
       (* The DISTINCT ranks that closed an epoch on a window since the
          last global clear. The §5.1 protocol ends every epoch with an
@@ -222,16 +230,19 @@ let new_store ?budget policy =
   | Order_blind -> D (Disjoint_store.create ~order_aware:false ?budget ())
   | Strided_extension -> S (Strided_store.create ?budget ())
 
-let tree_for st key =
-  match Hashtbl.find_opt st.trees key with
+(* The tree of [table] (observed or weak) under [key], created on first use. *)
+let tree_in st table key =
+  match Tree_table.find_opt table key with
   | Some t -> t
   | None ->
       let t =
         { store = new_store ?budget:st.budget st.policy;
           epoch_open = false; nodes_at_last_close = None; epoch_span = None }
       in
-      Hashtbl.replace st.trees key t;
+      Tree_table.replace table key t;
       t
+
+let tree_for st key = tree_in st st.trees key
 
 let obs_races = Obs.counter ~help:"Race reports recorded by the analyzer" "analyzer.races"
 
@@ -298,19 +309,8 @@ let obs_predicted =
   Obs.counter ~help:"Predicted (schedulable) races recorded by the analyzer"
     "analyzer.predicted_races"
 
-let weak_tree_for st p key =
-  match Hashtbl.find_opt p.weak_trees key with
-  | Some t -> t
-  | None ->
-      let t =
-        { store = new_store ?budget:st.budget st.policy;
-          epoch_open = false; nodes_at_last_close = None; epoch_span = None }
-      in
-      Hashtbl.replace p.weak_trees key t;
-      t
-
 let weak_clear_window p win =
-  Hashtbl.iter (fun (_, w) t -> if w = win then store_clear t.store) p.weak_trees;
+  Tree_table.iter (fun (_, w) t -> if w = win then store_clear t.store) p.weak_trees;
   let phase = Option.value (Hashtbl.find_opt p.weak_phase win) ~default:0 in
   Hashtbl.replace p.weak_phase win (phase + 1)
 
@@ -418,7 +418,7 @@ let insert_into st key access ~sim_time =
    access — the observed race of a pair always merges before the weak
    conflict, which the dedup in [consider_predicted] relies on). *)
 let weak_insert_into st p key access ~sim_time =
-  let tree = weak_tree_for st p key in
+  let tree = tree_in st p.weak_trees key in
   match st.par with
   | None -> (
       match store_insert tree.store access with
@@ -465,7 +465,7 @@ let merge_pending st p =
   match pending with
   | [] -> ()
   | pending ->
-      let pending = List.sort (fun a b -> compare a.p_tag b.p_tag) pending in
+      let pending = List.sort (fun a b -> Int.compare a.p_tag b.p_tag) pending in
       List.iter
         (fun pr ->
           if pr.p_predicted then
@@ -502,11 +502,11 @@ let sync st =
 let local_targets st ~space ~win =
   match win with
   | Some w -> (
-      match Hashtbl.find_opt st.trees (space, w) with
+      match Tree_table.find_opt st.trees (space, w) with
       | Some t when t.epoch_open -> [ (space, w) ]
       | _ -> [])
   | None ->
-      Hashtbl.fold
+      Tree_table.fold
         (fun (sp, w) t acc -> if sp = space && t.epoch_open then (sp, w) :: acc else acc)
         st.trees []
 
@@ -571,7 +571,7 @@ let predictive_collective st p ~kind ~rank =
       if Hashtbl.length p.coll_arrivals >= st.nprocs then begin
         Hashtbl.reset p.coll_arrivals;
         let wins = Hashtbl.create 4 in
-        Hashtbl.iter (fun (_, w) _ -> Hashtbl.replace wins w ()) p.weak_trees;
+        Tree_table.iter (fun (_, w) _ -> Hashtbl.replace wins w ()) p.weak_trees;
         Hashtbl.iter
           (fun w () ->
             let flushed = ref true in
@@ -660,7 +660,7 @@ let observer st event =
         (* NOT mirrored on the weak trees: this point depends on the
            schedule the run took (unlock_all is not collective), which is
            exactly the gap the predictive analysis exists to close. *)
-        Hashtbl.iter (fun (_, w) t -> if w = win then store_clear t.store) st.trees
+        Tree_table.iter (fun (_, w) t -> if w = win then store_clear t.store) st.trees
       end;
       (match st.predictive with
       | Some p ->
@@ -681,7 +681,7 @@ let observer st event =
          negatives for third-party origins (§6(2)). [flush_clears] exists
          as the negative ablation demonstrating exactly that. *)
       if st.flush_clears then begin
-        match Hashtbl.find_opt st.trees (rank, win) with
+        match Tree_table.find_opt st.trees (rank, win) with
         | Some tree -> store_clear tree.store
         | None -> ()
       end;
@@ -701,7 +701,7 @@ let observer st event =
   | Event.Win_created _ | Event.Win_freed _ | Event.Finished _ -> 0.0
 
 let bst_summary st () =
-  Hashtbl.fold
+  Tree_table.fold
     (fun _ tree acc ->
       let stats = store_stats tree.store in
       let final =
@@ -731,7 +731,7 @@ let make_state ~nprocs ?(config = Config.default) ?(mode = Tool.Abort_on_race)
      mid-stream, before later events run — which an asynchronous engine
      cannot reproduce; it stays on the sequential path regardless of
      [jobs]. *)
-  let jobs = match mode with Tool.Abort_on_race -> 1 | Tool.Collect -> max 1 jobs in
+  let jobs = match mode with Tool.Abort_on_race -> 1 | Tool.Collect -> Int.max 1 jobs in
   let par =
     if jobs <= 1 then None
     else
@@ -752,7 +752,7 @@ let make_state ~nprocs ?(config = Config.default) ?(mode = Tool.Abort_on_race)
     name = policy_name policy;
     max_reports;
     par;
-    trees = Hashtbl.create 16;
+    trees = Tree_table.create 16;
     epoch_closers = Hashtbl.create 4;
     races = [];
     race_count = 0;
@@ -761,7 +761,7 @@ let make_state ~nprocs ?(config = Config.default) ?(mode = Tool.Abort_on_race)
        else
          Some
            {
-             weak_trees = Hashtbl.create 16;
+             weak_trees = Tree_table.create 16;
              weak_phase = Hashtbl.create 4;
              last_closed = Hashtbl.create 8;
              fence_arrivals = Hashtbl.create 4;
@@ -813,14 +813,14 @@ let tool_of_state st =
       (fun () ->
         settle ();
         (match st.par with Some p -> p.next_tag <- 0 | None -> ());
-        Hashtbl.reset st.trees;
+        Tree_table.reset st.trees;
         Hashtbl.reset st.epoch_closers;
         st.races <- [];
         st.race_count <- 0;
         match st.predictive with
         | None -> ()
         | Some p ->
-            Hashtbl.reset p.weak_trees;
+            Tree_table.reset p.weak_trees;
             Hashtbl.reset p.weak_phase;
             Hashtbl.reset p.last_closed;
             Hashtbl.reset p.fence_arrivals;
@@ -847,7 +847,8 @@ let create_inspectable ~nprocs ?config ?mode ?flush_clears ?max_reports ?jobs
   in
   let dump () =
     ignore (sync st);
-    Hashtbl.fold (fun key tree acc -> (key, store_to_list tree.store) :: acc) st.trees []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    Tree_table.fold (fun key tree acc -> (key, store_to_list tree.store) :: acc) st.trees []
+    |> List.sort (fun ((s, w), _) ((s', w'), _) ->
+           match Int.compare s s' with 0 -> Int.compare w w' | c -> c)
   in
   (tool_of_state st, dump)

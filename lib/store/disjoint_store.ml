@@ -183,14 +183,15 @@ let merge_pieces t pieces =
 let seed_finger t acc ~pred_hi ~succ_lo =
   let iv = acc.Access.interval in
   let lo = Interval.lo iv and hi = Interval.hi iv in
-  let zl = max pred_hi (lo - 1 - zone_headroom) and zh = min succ_lo (hi + 1 + zone_headroom) in
+  let zl = Int.max pred_hi (lo - 1 - zone_headroom)
+  and zh = Int.min succ_lo (hi + 1 + zone_headroom) in
   let zl, zh =
     match t.finger with
     | None -> (zl, zh)
     | Some p ->
         let fiv = p.p_acc.Access.interval in
-        if Interval.hi fiv < lo then (max zl (Interval.hi fiv), zh)
-        else (zl, min zh (Interval.lo fiv))
+        if Interval.hi fiv < lo then (Int.max zl (Interval.hi fiv), zh)
+        else (zl, Int.min zh (Interval.lo fiv))
   in
   flush_finger t;
   t.finger <- Some { p_acc = acc; p_zone_lo = zl; p_zone_hi = zh }

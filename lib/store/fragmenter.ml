@@ -21,7 +21,7 @@ let fragment ~candidates ~new_acc =
         (match Interval.left_remainder ~outer:civ ~cut:new_acc.Access.interval with
         | Some left -> emit (Access.with_interval cand left)
         | None -> ());
-        let s = max (Interval.lo civ) nl and e = min (Interval.hi civ) nh in
+        let s = Int.max (Interval.lo civ) nl and e = Int.min (Interval.hi civ) nh in
         if !cursor < s then
           emit (Access.with_interval new_acc (Interval.make ~lo:!cursor ~hi:(s - 1)));
         emit (Access.dominate ~older:cand ~newer:new_acc (Interval.make ~lo:s ~hi:e));
