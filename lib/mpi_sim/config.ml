@@ -18,7 +18,7 @@ let default =
     apply_early_probability = 0.5;
     analysis_overhead_scale = 1.0;
     analysis_self_timed = false;
-    memory_size = 1 lsl 20;
+    memory_size = 4096;
   }
 
 let quiet_network =

@@ -28,5 +28,6 @@ let () =
       ("fault", Test_fault.suite);
       ("predictive", Test_predictive.suite);
       ("serve", Test_serve.suite);
+      ("sim_step", Test_sim_step.suite);
       ("golden_regen", Golden_regen.suite);
     ]
