@@ -60,7 +60,7 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv));
   let nprocs = !ranks in
-  Diag.with_diag ~prog:"fault_drill" ~generator:"fault_drill" !diag @@ fun () ->
+  Diag.with_diag ~prog:"fault_drill" ~generator:"fault_drill" !diag @@ fun run faults ->
   let params =
     {
       Cfd_proxy.Halo.default_params with
@@ -92,7 +92,9 @@ let () =
   List.iter
     (fun (label, budget) ->
       let tool =
-        Rma_analyzer.create ~nprocs ~config ~mode:Tool.Collect ?budget Rma_analyzer.Contribution
+        Rma_analyzer.create ~nprocs ~config ~mode:Tool.Collect
+          ~jobs:run.Rma_config.Run_config.jobs ~predictive:run.Rma_config.Run_config.predictive
+          ?budget ?faults Rma_analyzer.Contribution
       in
       let _result, summary = Cfd_proxy.Halo.run params ~nprocs ~config ~observer:tool.Tool.observer () in
       let checksum = summary.Cfd_proxy.Halo.checksum in

@@ -5,6 +5,7 @@
 
      dune exec examples/trace_postmortem.exe
      dune exec examples/trace_postmortem.exe -- /tmp/my_trace.txt
+     RMA_FAULT="seed=1,trace_truncate=1.0" dune exec examples/trace_postmortem.exe
 *)
 
 open Mpi_sim
@@ -33,6 +34,16 @@ let program () =
   Mpi.win_free win
 
 let () =
+  (* The environment is the only configuration this example reads: a
+     fault plan there damages the trace as it is written. *)
+  let run =
+    match Rma_config.Run_config.of_env () with
+    | Ok run -> run
+    | Error msg ->
+        Printf.eprintf "trace_postmortem: %s\n" msg;
+        exit 124
+  in
+  let faults = Rma_config.Run_config.faults run in
   let path =
     match Array.to_list Sys.argv with
     | _ :: p :: _ -> p
@@ -40,7 +51,7 @@ let () =
   in
   let recorder = Recorder.create () in
   let _ = Runtime.run ~nprocs:2 ~seed:3 ~observer:(Recorder.observer recorder) program in
-  Recorder.save recorder ~path;
+  Recorder.save ?faults recorder ~path;
   Printf.printf "recorded %d events to %s\n\n" (Recorder.length recorder) path;
 
   (match Recorder.load ~path with
@@ -49,6 +60,8 @@ let () =
       Printf.printf "1. On-the-fly tool on the replayed trace (stops at the first conflict):\n";
       let tool =
         Rma_analysis.Rma_analyzer.create ~nprocs:2 ~mode:Rma_analysis.Tool.Collect
+          ~jobs:run.Rma_config.Run_config.jobs ?budget:run.Rma_config.Run_config.budget
+          ~predictive:run.Rma_config.Run_config.predictive ?faults
           Rma_analysis.Rma_analyzer.Contribution
       in
       let races = Recorder.replay events ~tool in

@@ -29,14 +29,6 @@ type policy =
 
 val policy_name : policy -> string
 
-val set_default_predictive : bool -> unit
-(** Process-wide default for [?predictive] (the CLI's [--predictive]
-    flag); wins over the [RMA_PREDICTIVE] environment variable. *)
-
-val default_predictive : unit -> bool
-(** The default [?predictive]: {!set_default_predictive} if called, else
-    [RMA_PREDICTIVE] ([1]/[true]/[yes]/[on]), else [false]. *)
-
 val create :
   nprocs:int ->
   ?config:Mpi_sim.Config.t ->
@@ -47,13 +39,15 @@ val create :
   ?queue_capacity:int ->
   ?budget:Rma_fault.Budget.t ->
   ?predictive:bool ->
+  ?faults:Rma_fault.t ->
   policy ->
   Tool.t
 (** Defaults: [config = Mpi_sim.Config.default], [mode = Abort_on_race],
-    [flush_clears = false], [max_reports = 1000], [jobs] from {!Rma_par.default_jobs} (the CLI's [--jobs] / the
-    [RMA_JOBS] environment variable), [budget] from
-    {!Rma_fault.Budget.default} (the CLI's [--budget] / the
-    [RMA_BUDGET] environment variable).
+    [flush_clears = false], [max_reports = 1000], [jobs = 1], no
+    [budget], [predictive = false], no [faults]. The CLI's [--jobs],
+    [--budget], [--predictive] and [--fault-plan] (and their
+    environment twins) reach here only as these arguments (DESIGN.md
+    §20).
 
     A bounded [budget] applies to every (rank, window) store the
     analyzer creates; when governance drops or coarsens nodes, the sum
@@ -72,7 +66,9 @@ val create :
     DESIGN.md §10), so verdicts, statistics, report ids and serialized
     exports are byte-identical to [jobs = 1]. [Abort_on_race] forces
     [jobs = 1]: aborting mid-stream inside the racing event cannot be
-    reproduced asynchronously. When
+    reproduced asynchronously. [faults] is the run's fault schedule,
+    handed to the engine: its worker-crash and queue-overflow sites
+    fire at submits (DESIGN.md §11). When
     [config.analysis_self_timed] is set, the observer returns the
     engine's critical-path cost model (busiest shard per barrier
     interval) as simulated protocol seconds.
@@ -88,7 +84,7 @@ val create :
     false negatives for conflicts with other origins, which is why the
     real tool leaves flush uninstrumented.
 
-    [predictive:true] (default {!default_predictive}) runs the weak-order
+    [predictive:true] runs the weak-order
     analysis of DESIGN.md §15 alongside the observed one: a second set of
     (rank, window) trees cleared only at true synchronization edges
     (fence completion; barriers/allreduces with no unflushed one-sided
@@ -112,6 +108,7 @@ val create_inspectable :
   ?queue_capacity:int ->
   ?budget:Rma_fault.Budget.t ->
   ?predictive:bool ->
+  ?faults:Rma_fault.t ->
   policy ->
   Tool.t * (unit -> ((int * Mpi_sim.Event.win_id) * Rma_access.Access.t list) list)
 (** {!create} plus a dump of the analyzer's interval state: for each

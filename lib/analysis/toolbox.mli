@@ -29,13 +29,15 @@ val make :
   ?jobs:int ->
   ?budget:Rma_fault.Budget.t ->
   ?predictive:bool ->
+  ?faults:Rma_fault.t ->
   unit ->
   Tool.t
-(** Defaults: [config = Mpi_sim.Config.default], [mode = Collect],
-    [jobs], [budget] and [predictive] from the process-wide defaults
-    (see {!Rma_analyzer.create}); [jobs] affects the analyzer family ([Baseline] and [Must] ignore it), [budget] every
-    store-backed tool, and [predictive] the analyzer family (the
-    weak-order schedulable-race analysis of DESIGN.md §15).
+(** Defaults: [config = Mpi_sim.Config.default], [mode = Collect], and
+    the constants of {!Rma_analyzer.create} for the rest. [jobs] and
+    [faults] affect the analyzer family ([Baseline] and [Must] ignore
+    them), [budget] every store-backed tool, and [predictive] the
+    analyzer family (the weak-order schedulable-race analysis of
+    DESIGN.md §15).
 
     [batch_inserts] is ignored; the coalescing buffer was removed and
     never changed a verdict. *)

@@ -101,18 +101,14 @@ module Plan = struct
   let pp fmt t = Format.pp_print_string fmt (to_spec t)
 end
 
-(* Active plan plus, per site, the ordinal of the next [fire] call and
-   the count of fired faults. Ordinals make the schedule a pure function
-   of (seed, site, visit number): the k-th visit of a site draws the
-   same verdict whatever happened at other sites in between. *)
-type installed = { p : Plan.t; ordinals : int array; hits : int array }
+(* A plan plus, per site, the ordinal of the next [fire] call and the
+   count of fired faults. Ordinals make the schedule a pure function of
+   (seed, site, visit number): the k-th visit of a site draws the same
+   verdict whatever happened at other sites in between. *)
+type t = { p : Plan.t; ordinals : int array; hits : int array }
 
-let state : installed option ref = ref None
-
-let install p = state := Some { p; ordinals = Array.make n_sites 0; hits = Array.make n_sites 0 }
-let clear () = state := None
-let active () = !state <> None
-let plan () = match !state with None -> None | Some i -> Some i.p
+let create p = { p; ordinals = Array.make n_sites 0; hits = Array.make n_sites 0 }
+let plan t = t.p
 
 let obs_injected =
   Array.of_list
@@ -130,38 +126,23 @@ let mix seed site ord =
   let h = (seed * 0x9E3779B1) + ((site + 1) * 0x85EBCA77) + ((ord + 1) * 0xC2B2AE3D) in
   h lxor (h lsr 29)
 
-let fire site =
-  match !state with
-  | None -> false
-  | Some inst ->
-      let i = site_index site in
-      let ord = inst.ordinals.(i) in
-      inst.ordinals.(i) <- ord + 1;
-      let rate = Plan.rate inst.p site in
-      rate > 0.0
-      &&
-      let g = Prng.create ~seed:(mix inst.p.Plan.seed i ord) in
-      let hit = Prng.bernoulli g ~p:rate in
-      if hit then begin
-        inst.hits.(i) <- inst.hits.(i) + 1;
-        Obs.incr obs_injected.(i)
-      end;
-      hit
+let fire t site =
+  let i = site_index site in
+  let ord = t.ordinals.(i) in
+  t.ordinals.(i) <- ord + 1;
+  let rate = Plan.rate t.p site in
+  rate > 0.0
+  &&
+  let g = Prng.create ~seed:(mix t.p.Plan.seed i ord) in
+  let hit = Prng.bernoulli g ~p:rate in
+  if hit then begin
+    t.hits.(i) <- t.hits.(i) + 1;
+    Obs.incr obs_injected.(i)
+  end;
+  hit
 
-let fired site = match !state with None -> 0 | Some inst -> inst.hits.(site_index site)
-let ordinal site = match !state with None -> 0 | Some inst -> inst.ordinals.(site_index site)
-
-type snapshot = installed option
-
-let snapshot () =
-  match !state with
-  | None -> None
-  | Some i -> Some { i with ordinals = Array.copy i.ordinals; hits = Array.copy i.hits }
-
-let restore = function
-  | None -> state := None
-  | Some i ->
-      state := Some { i with ordinals = Array.copy i.ordinals; hits = Array.copy i.hits }
+let fired t site = t.hits.(site_index site)
+let ordinal t site = t.ordinals.(site_index site)
 
 module Budget = struct
   type policy = Fail_fast | Spill_oldest_epoch | Coarsen
@@ -232,24 +213,4 @@ module Budget = struct
     String.concat "," (caps @ [ "policy=" ^ policy_name t.policy ])
 
   let pp fmt t = Format.pp_print_string fmt (to_spec t)
-
-  let default_budget : t option ref = ref None
-  let set_default b = default_budget := b
-  let default () = !default_budget
 end
-
-(* Environment opt-ins, matching the RMA_JOBS pattern: a malformed spec
-   warns and is ignored rather than failing module initialisation. *)
-let () =
-  (match Sys.getenv_opt "RMA_FAULT" with
-  | None -> ()
-  | Some spec -> (
-      match Plan.of_spec spec with
-      | Ok p -> install p
-      | Error e -> Printf.eprintf "RMA_FAULT ignored: %s\n%!" e));
-  match Sys.getenv_opt "RMA_BUDGET" with
-  | None -> ()
-  | Some spec -> (
-      match Budget.of_spec spec with
-      | Ok b -> Budget.set_default (Some b)
-      | Error e -> Printf.eprintf "RMA_BUDGET ignored: %s\n%!" e)

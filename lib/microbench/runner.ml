@@ -185,12 +185,6 @@ type kernel_verdict = {
 
 let run_kernel ?(seed = 11) ?interleave_seed ~tool (kernel : Scenario.Kernel.t) =
   tool.Rma_analysis.Tool.reset ();
-  (* The kernel harness — not Runtime.run — honours RMA_INTERLEAVE_SEED,
-     so a CI interleaving sweep perturbs kernel schedules without
-     touching traces produced by direct Runtime.run callers. *)
-  let interleave_seed =
-    match interleave_seed with Some _ as s -> s | None -> Runtime.default_interleave_seed ()
-  in
   let config = { Config.default with Config.analysis_overhead_scale = 0.0 } in
   (try
      ignore

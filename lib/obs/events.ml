@@ -157,13 +157,3 @@ let recent () =
           match a.((start + i) mod Array.length a) with
           | Some ev -> ev
           | None -> assert false))
-
-let configure_from_env () =
-  (match Sys.getenv_opt "RMA_OBS_EVENTS" with
-  | Some path when path <> "" ->
-      Obs.enable ();
-      set_sink path
-  | _ -> ());
-  match Option.bind (Sys.getenv_opt "RMA_OBS_LEVEL") level_of_string with
-  | Some l -> set_level l
-  | None -> ()

@@ -92,7 +92,3 @@ val emitted_total : unit -> int
 val to_json : t -> Rma_util.Json.t
 val line : t -> string
 (** The minified JSON-lines form (no trailing newline). *)
-
-val configure_from_env : unit -> unit
-(** Apply [RMA_OBS_EVENTS] (enables {!Obs} and sets the sink) and
-    [RMA_OBS_LEVEL]. *)

@@ -87,13 +87,7 @@ let c_slo_burn =
   Obs.counter ~help:"Epoch closes slower than the RMA_SLO_EPOCH_CLOSE_MS threshold"
     "slo.epoch_close_burn_total"
 
-let default_slo_ms = 100.0
-
-let slo_threshold_ms =
-  ref
-    (match Option.bind (Sys.getenv_opt "RMA_SLO_EPOCH_CLOSE_MS") float_of_string_opt with
-    | Some ms when ms > 0.0 -> ms
-    | _ -> default_slo_ms)
+let slo_threshold_ms = ref 100.0
 
 let set_slo_epoch_close_ms ms = if ms > 0.0 then slo_threshold_ms := ms
 let slo_epoch_close_ms () = !slo_threshold_ms

@@ -44,11 +44,12 @@ val note_epoch_close : float -> unit
     disabled. *)
 
 val slo_epoch_close_ms : unit -> float
-(** The burn threshold in milliseconds (default 100, or
-    [RMA_SLO_EPOCH_CLOSE_MS] from the environment at startup). *)
+(** The burn threshold in milliseconds (default 100). *)
 
 val set_slo_epoch_close_ms : float -> unit
-(** Override the threshold; non-positive values are ignored. *)
+(** Override the threshold; non-positive values are ignored. The CLI,
+    bench and examples set it once from the run configuration
+    ([RMA_SLO_EPOCH_CLOSE_MS]). *)
 
 val reset_rate : unit -> unit
 (** Forget the rate window (next {!sample} only primes it). *)

@@ -49,15 +49,6 @@ let max_jobs = 8
 
 let clamp_jobs j = if j < 1 then 1 else if j > max_jobs then max_jobs else j
 
-let env_jobs () =
-  match Sys.getenv_opt "RMA_JOBS" with
-  | None -> 1
-  | Some s -> ( match int_of_string_opt (String.trim s) with Some j -> clamp_jobs j | None -> 1)
-
-let default = ref (env_jobs ())
-let default_jobs () = !default
-let set_default_jobs j = default := clamp_jobs j
-
 (* ------------------------------------------------------------------ *)
 (* Global worker pool: one FIFO queue + one domain per worker slot,     *)
 (* spawned on first use and reused by every engine. Workers never       *)
@@ -147,6 +138,7 @@ type recovery_stats = { crashes : int; recoveries : int; fallbacks : int; overfl
 type t = {
   n_jobs : int;
   queue_capacity : int;
+  faults : Rma_fault.t option;  (* drawn on the caller thread only *)
   mu : Mutex.t;
   changed : Condition.t;  (* any inflight decrement; pending reaching 0 *)
   shards : shard array;
@@ -167,12 +159,13 @@ type t = {
          (see DESIGN.md §13). *)
 }
 
-let create ?jobs ?(queue_capacity = 1024) () =
-  let n_jobs = clamp_jobs (match jobs with Some j -> j | None -> default_jobs ()) in
+let create ?(jobs = 1) ?(queue_capacity = 1024) ?faults () =
+  let n_jobs = clamp_jobs jobs in
   ensure_workers n_jobs;
   {
     n_jobs;
     queue_capacity = max 1 queue_capacity;
+    faults;
     mu = Mutex.create ();
     changed = Condition.create ();
     shards =
@@ -263,49 +256,47 @@ let drain t =
   done;
   Mutex.unlock t.mu
 
-let crash_shard t ~shard sh f =
+let crash_shard t faults ~shard sh f =
   sh.crashed <- true;
   t.crashes <- t.crashes + 1;
   Obs.incr obs_worker_crashes;
   (* The ordinal that produced this crash is the one the fire call just
      consumed; with the plan seed — journaled alongside it — the
      coordinates replay the fault exactly ([rma_race obs replay]). *)
-  let seed =
-    match Rma_fault.plan () with Some p -> p.Rma_fault.Plan.seed | None -> 0
-  in
   Events.emit ~shard
     ~kv:
       [
         ("event", "worker_crash");
         ("site", Rma_fault.site_name Rma_fault.Worker_crash);
-        ("ordinal", string_of_int (Rma_fault.ordinal Rma_fault.Worker_crash - 1));
-        ("seed", string_of_int seed);
+        ("ordinal", string_of_int (Rma_fault.ordinal faults Rma_fault.Worker_crash - 1));
+        ("seed", string_of_int (Rma_fault.plan faults).Rma_fault.Plan.seed);
       ]
     Events.Warn "par";
   Queue.push f sh.journal
 
 let submit t ~shard f =
   let sh = t.shards.(shard) in
-  if sh.crashed then Queue.push f sh.journal
-  else if not (Rma_fault.active ()) then dispatch t ~shard f
-  else if Rma_fault.fire Rma_fault.Worker_crash then crash_shard t ~shard sh f
-  else if Rma_fault.fire Rma_fault.Queue_overflow then begin
-    (* Overflow degrades this one task to inline execution; draining the
-       shard first preserves the per-shard submission order. *)
-    t.overflows <- t.overflows + 1;
-    Obs.incr obs_queue_overflows;
-    Events.emit ~shard
-      ~kv:
-        [
-          ("event", "queue_overflow");
-          ("site", Rma_fault.site_name Rma_fault.Queue_overflow);
-          ("ordinal", string_of_int (Rma_fault.ordinal Rma_fault.Queue_overflow - 1));
-        ]
-      Events.Warn "par";
-    wait_shard_idle t sh;
-    run_inline t sh f
-  end
-  else dispatch t ~shard f
+  match t.faults with
+  | _ when sh.crashed -> Queue.push f sh.journal
+  | None -> dispatch t ~shard f
+  | Some faults when Rma_fault.fire faults Rma_fault.Worker_crash ->
+      crash_shard t faults ~shard sh f
+  | Some faults when Rma_fault.fire faults Rma_fault.Queue_overflow ->
+      (* Overflow degrades this one task to inline execution; draining the
+         shard first preserves the per-shard submission order. *)
+      t.overflows <- t.overflows + 1;
+      Obs.incr obs_queue_overflows;
+      Events.emit ~shard
+        ~kv:
+          [
+            ("event", "queue_overflow");
+            ("site", Rma_fault.site_name Rma_fault.Queue_overflow);
+            ("ordinal", string_of_int (Rma_fault.ordinal faults Rma_fault.Queue_overflow - 1));
+          ]
+        Events.Warn "par";
+      wait_shard_idle t sh;
+      run_inline t sh f
+  | Some _ -> dispatch t ~shard f
 
 (* Busy-wait backoff: the engine has no Unix dependency and the delays
    in a fault plan are tiny test knobs, not production sleeps. *)
@@ -324,8 +315,8 @@ let backoff_wait seconds =
    calling thread (sequential degrade) — analysis always completes, and
    because the journal preserves submission order the verdicts are the
    sequential ones either way. Caller thread only, called at barriers. *)
-let recover t =
-  let plan = match Rma_fault.plan () with Some p -> p | None -> Rma_fault.Plan.default in
+let recover t faults =
+  let plan = Rma_fault.plan faults in
   Array.iteri
     (fun shard sh ->
       if sh.crashed then begin
@@ -339,7 +330,8 @@ let recover t =
           Queue.iter
             (fun f ->
               if sh.crashed then Queue.push f sh.journal
-              else if Rma_fault.fire Rma_fault.Worker_crash then crash_shard t ~shard sh f
+              else if Rma_fault.fire faults Rma_fault.Worker_crash then
+                crash_shard t faults ~shard sh f
               else dispatch t ~shard f)
             replay;
           drain t;
@@ -393,7 +385,7 @@ let ms seconds = Printf.sprintf "%.3f" (seconds *. 1000.0)
 let barrier t =
   let t0 = Rma_util.Timer.now () in
   drain t;
-  if has_crashed t then recover t;
+  (match t.faults with Some faults when has_crashed t -> recover t faults | _ -> ());
   Mutex.lock t.mu;
   let err = t.failure in
   t.failure <- None;

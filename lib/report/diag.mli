@@ -1,15 +1,15 @@
-(** Shared diagnostics plumbing for every front end (the CLI
-    subcommands, the bench driver, the example drills): one options
-    record covering the observability, event-journal, telemetry-server,
-    race-export, parallelism and fault/budget knobs, and one bracket
-    ({!with_diag}) that applies them in the right order around a run.
+(** Shared diagnostics plumbing for the CLI subcommands and the example
+    drills: one options record covering the observability,
+    event-journal, telemetry-server, race-export, parallelism and
+    fault/budget flags, and one bracket ({!with_diag}) around a run.
 
-    The ordering matters: stores and engines snapshot the flight
-    recorder, shard count, fault plan and budget when the tool is
-    created, so every knob is applied {e before} the run
-    thunk, and the exporters (Chrome trace, Prometheus dump, event
-    journal, summary, race JSON/SARIF) run after it — the obs ones even
-    when the thunk raises. *)
+    The bracket reads the environment once
+    ({!Rma_config.Run_config.of_env}), lays the flags over it, and hands
+    the resulting configuration and the run's one fault schedule to the
+    thunk, which passes them to every tool and writer it creates. The
+    exporters (Chrome trace, Prometheus dump, event journal, summary,
+    race JSON/SARIF) run after the thunk — the obs ones even when it
+    raises. *)
 
 type opts = {
   obs_out : string option;  (** Chrome trace_event JSON path. *)
@@ -29,9 +29,10 @@ type opts = {
   fault_plan : string option;  (** {!Rma_fault.Plan.of_spec} syntax. *)
   budget : string option;  (** {!Rma_fault.Budget.of_spec} syntax. *)
   predictive : bool;
-      (** Make predictive (weak-order schedulable-race) analysis the
-          process default — the [--predictive] flag. [false] leaves the
-          [RMA_PREDICTIVE] environment variable in charge. *)
+      (** The [--predictive] flag: [true] turns predictive (weak-order
+          schedulable-race) analysis on; [false] leaves
+          [RMA_PREDICTIVE] in charge. *)
+  interleave_seed : int option;  (** The [--interleave-seed] flag, where a subcommand has it. *)
 }
 
 val default : opts
@@ -44,24 +45,29 @@ val wants_obs : opts -> bool
     journal, server) is requested — the condition under which
     {!with_diag} enables {!Rma_obs.Obs}. *)
 
+val run_config : prog:string -> opts -> Rma_config.Run_config.t
+(** The environment's configuration with the flags of [opts] laid over
+    it. A malformed environment variable or flag value prints
+    [prog: bad NAME "value": reason] and exits 124. *)
+
 val with_diag :
   ?prog:string ->
   ?generator:string ->
   ?workload:string * (string * string) list ->
   opts ->
-  (unit -> Rma_analysis.Report.t list) ->
+  (Rma_config.Run_config.t -> Rma_fault.t option -> Rma_analysis.Report.t list) ->
   unit
 (** Run the thunk under the configured diagnostics and export
-    afterwards. [prog] names the binary in usage-error messages (exit
-    124 on a bad spec); [generator] is stamped into race exports.
-    [RMA_OBS_EVENTS] / [RMA_OBS_LEVEL] are applied first, explicit
-    options override them. Report ids are renumbered 1..n before
-    export; when observability is on, the journal's run id is threaded
-    into the race JSON/SARIF headers.
+    afterwards. The thunk receives {!run_config} and the run's fault
+    schedule ([None] without a plan); it must hand both to every tool
+    and writer it creates. [prog] names the binary in usage-error
+    messages; [generator] is stamped into race exports. Report ids are
+    renumbered 1..n before export; when observability is on, the
+    journal's run id is threaded into the race JSON/SARIF headers.
 
     [workload] names the run for the journal: a [run_start] record
-    (component ["diag"]) carries the workload name, its parameters, the
-    effective shard count and the canonical fault-plan/budget specs, and
+    (component ["diag"]) carries the workload name, its parameters and
+    {!Rma_config.Run_config.to_fields} of the configuration, and
     a [run_summary] record carries the race count and
     {!Race_export.verdict_digest} — together the coordinates
     [rma_race obs replay] needs to re-run the drill deterministically

@@ -167,14 +167,6 @@ let delta_of ~threshold ~sample_name ~metric ~old_value ~new_value =
   in
   { sample_name; metric; old_value; new_value; ratio; regression }
 
-let env_threshold name default =
-  match Option.bind (Sys.getenv_opt name) float_of_string_opt with
-  | Some v when v > 0.0 -> v
-  | _ -> default
-
-let default_rss_threshold () = env_threshold "RMA_BENCH_RSS_THRESHOLD" 1.0
-let default_eps_threshold () = env_threshold "RMA_BENCH_EPS_THRESHOLD" 0.5
-
 (* The telemetry fields gate with their own, looser thresholds: RSS and
    throughput are an order noisier than wall time at CI scale, so they
    get +100% / -50% defaults rather than wall time's +50%. Peak RSS
@@ -200,13 +192,8 @@ let telemetry_deltas ~rss_threshold ~eps_threshold old_s new_s =
       mk "critical_path_ms" old_s.critical_path_ms new_s.critical_path_ms false;
     ]
 
-let compare_records ?(threshold = 0.5) ?rss_threshold ?eps_threshold old_r new_r =
-  let rss_threshold =
-    match rss_threshold with Some t -> t | None -> default_rss_threshold ()
-  in
-  let eps_threshold =
-    match eps_threshold with Some t -> t | None -> default_eps_threshold ()
-  in
+let compare_records ?(threshold = 0.5) ?(rss_threshold = 1.0) ?(eps_threshold = 0.5) old_r
+    new_r =
   List.concat_map
     (fun old_s ->
       match List.find_opt (fun s -> String.equal s.name old_s.name) new_r.samples with

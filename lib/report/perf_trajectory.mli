@@ -16,14 +16,14 @@ type sample = {
       (** Process peak RSS by the end of the experiment
           ({!Rma_obs.Telemetry.peak_rss_bytes}; monotone across a bench
           run). Gated in comparisons with its own, looser threshold
-          (default +100%, [RMA_BENCH_RSS_THRESHOLD] / [--rss-threshold]
-          override). 0.0 in records written before the field existed —
-          comparisons skip zeros. *)
+          (default +100%, [--rss-threshold] overrides it). 0.0 in
+          records written before the field existed — comparisons skip
+          zeros. *)
   events_per_sec : float;
       (** Store events processed per wall second during the experiment.
           Gated as {e higher}-is-better: a drop past the threshold
-          (default -50%, [RMA_BENCH_EPS_THRESHOLD] / [--events-threshold]
-          override) regresses. Zeros skipped as above. *)
+          (default -50%, [--events-threshold] overrides it) regresses.
+          Zeros skipped as above. *)
   critical_path_ms : float;
       (** Accumulated parallel-engine critical path over the experiment
           ({!Rma_par.critical_path_total} delta; DESIGN.md §13).
@@ -73,12 +73,6 @@ val lower_is_better : string -> bool
     "...ns...", "...nodes...", "...dropped...") regress upward; anything
     else is reported as change only. *)
 
-val default_rss_threshold : unit -> float
-(** 1.0 (= +100%) unless [RMA_BENCH_RSS_THRESHOLD] overrides it. *)
-
-val default_eps_threshold : unit -> float
-(** 0.5 (= -50%) unless [RMA_BENCH_EPS_THRESHOLD] overrides it. *)
-
 val compare_records :
   ?threshold:float -> ?rss_threshold:float -> ?eps_threshold:float -> record -> record ->
   delta list
@@ -87,9 +81,9 @@ val compare_records :
     metrics before a delta counts as a regression (default 0.5 = +50%),
     with an absolute floor: sub-millisecond wall times never regress
     (pure scheduling noise). The telemetry fields gate separately:
-    [rss_threshold] bounds [peak_rss_bytes] growth (default
-    {!default_rss_threshold}) and [eps_threshold] bounds
-    [events_per_sec] {e shrinkage} (default {!default_eps_threshold});
+    [rss_threshold] bounds [peak_rss_bytes] growth (default 1.0 =
+    +100%) and [eps_threshold] bounds [events_per_sec] {e shrinkage}
+    (default 0.5 = -50%);
     both skip samples whose baseline value is 0 (records predating the
     fields). [critical_path_ms] is compared but never regresses.
     Identical records yield only [ratio = 1.0, regression = false]

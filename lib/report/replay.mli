@@ -2,8 +2,9 @@
 
     A journal written by a diagnosed run (see {!Diag.with_diag}) carries
     everything needed to reproduce it: the [run_start] record names the
-    workload, its parameters, the effective shard count and the
-    canonical fault-plan/budget specs; each [worker_crash] record pins
+    workload, its parameters and the run configuration
+    ({!Rma_config.Run_config.to_fields}: shard count, predictive mode,
+    canonical fault-plan/budget specs); each [worker_crash] record pins
     the exact fault coordinate [(seed, site, ordinal)]; and the
     [run_summary] record carries the race count and
     {!Race_export.verdict_digest} of the verdicts. This module closes
@@ -15,8 +16,8 @@
 
     Determinism rests on {!Rma_fault.fire}: faults are a pure function
     of [(plan.seed, site, ordinal)] drawn on the submitting thread, so
-    reinstalling the journaled plan replays the identical fault
-    schedule regardless of wall-clock interleaving. *)
+    a fresh schedule of the journaled plan replays the identical fault
+    sequence regardless of wall-clock interleaving. *)
 
 type crash = {
   c_site : string;
@@ -28,9 +29,9 @@ type plan = {
   r_run_id : string;  (** Journal run id of the original run. *)
   r_workload : string;  (** [cfd], [minivite], [bfs] or [code]. *)
   r_params : (string * string) list;  (** Workload parameters, verbatim. *)
-  r_jobs : int;  (** Effective shard count of the original run. *)
-  r_fault : string option;  (** Canonical {!Rma_fault.Plan} spec. *)
-  r_budget : string option;  (** Canonical {!Rma_fault.Budget} spec. *)
+  r_config : Rma_config.Run_config.t;
+      (** The original run's configuration; a key missing from an older
+          journal keeps its {!Rma_config.Run_config.default}. *)
   r_crashes : crash list;  (** Worker crashes, in journal order. *)
   r_races : int option;  (** [run_summary] race count, when present. *)
   r_digest : string option;  (** [run_summary] verdict digest. *)
@@ -40,7 +41,7 @@ val extract : Rma_obs.Events.t list -> (plan, string) result
 (** Pull the replay coordinates out of a decoded journal prefix.
     [Error] when no [run_start] record is present (the run predates the
     journal contract, or the journal was truncated before the header
-    landed). A missing [run_summary] leaves [r_races]/[r_digest] as
+    landed) or when it carries a malformed configuration value. A missing [run_summary] leaves [r_races]/[r_digest] as
     [None] — the original run crashed before finishing, and {!run}
     reports the re-run's verdicts without an equality check. *)
 
@@ -60,14 +61,15 @@ type outcome = {
 }
 
 val run : plan -> (outcome, string) result
-(** Re-execute the drill: reinstall the journaled fault plan (zeroing
-    every ordinal), shard count and budget, run the named workload with
-    the same parameters under the same detector, and journal the re-run
-    to a temporary file to recover its crash coordinates. Process-global
-    knobs (fault plan, default jobs, default budget, journal sink) are
-    restored afterwards, even on raise. [Error] on an unknown workload
-    or malformed parameters — the journal, not this process, is the
-    source of truth, so nothing is guessed. *)
+(** Re-execute the drill: build the named workload's detector from the
+    journaled configuration (shard count, budget, predictive mode and a
+    fresh schedule of the fault plan, every ordinal at 0), run it with
+    the same parameters, and journal the re-run to a temporary file to
+    recover its crash coordinates. The process-wide journal sink and
+    level are restored afterwards, even on raise; nothing else is
+    touched. [Error] on an unknown workload or malformed parameters —
+    the journal, not this process, is the source of truth, so nothing
+    is guessed. *)
 
 val verdict : plan -> outcome -> bool
 (** The replay contract: crashes match, and the digest matches when the

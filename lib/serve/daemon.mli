@@ -5,21 +5,21 @@
     serviced round-robin from a rotating offset (fairness), decoding
     Codec streams incrementally, driving each session's detector, and
     streaming {!Protocol} verdict lines back. Single-threadedness is
-    load-bearing: the {!Rma_fault} schedule, the {!Rma_obs.Obs}
-    registry and {!Rma_par} submission are all caller-thread
-    disciplines, and one loop thread satisfies them for every session
-    at once. Worker domains still parallelise the analysis itself —
+    load-bearing: fault draws, the {!Rma_obs.Obs} registry and
+    {!Rma_par} submission are all caller-thread disciplines, and one
+    loop thread satisfies them for every session at once. Worker domains still parallelise the analysis itself —
     sessions that ask for [jobs > 1] shard their stores over the shared
     process-global {!Rma_par} pool, which is reused across sessions and
     never grows past the largest request ({!Rma_par.pool_size}).
 
-    {b Isolation.} Each admitted session gets its own detector tool
-    (stores, budget, shard engine), its own run_id
-    (["<daemon>-s<n>"], labelling journal records and the
-    [rma_session_info] metric via {!Rma_obs.Sessions}), and its own
-    {!Rma_fault} schedule: the daemon snapshots/restores fault state
-    around every processing slice, so interleaving sessions never
-    perturbs each other's deterministic fault ordinals. Verdicts are
+    {b Isolation.} Each admitted session builds its own run
+    configuration from its hello and gets its own detector tool
+    (stores, budget, shard engine and a {!Rma_fault.t} schedule of its
+    own) and its own run_id (["<daemon>-s<n>"], labelling journal
+    records and the [rma_session_info] metric via
+    {!Rma_obs.Sessions}). No fault state is shared, so interleaving
+    sessions cannot perturb each other's deterministic fault ordinals
+    (DESIGN.md §20). Verdicts are
     byte-identical to the offline [analyze] path by construction — the
     same tool, fed the same events in the same order, with races
     renumbered to stream order exactly as the offline export renumbers.
@@ -33,7 +33,8 @@
     handshake.
 
     {b Churn.} A session may disconnect at any point, including
-    mid-epoch; its tool, fault snapshot and socket are released and a
+    mid-epoch; its tool (with its fault schedule) and socket are
+    released and a
     queued session is promoted. Nothing session-scoped survives the
     close — {!Rma_obs.Sessions.registered_count} and
     {!Rma_par.pool_size} are the leak-check surfaces the churn test
@@ -54,9 +55,12 @@ val default_config : config
 
 type t
 
-val create : ?config:config -> unit -> t
+val create : ?config:config -> ?run:Rma_config.Run_config.t -> unit -> t
 (** Bind and listen (raising [Unix.Unix_error] if the address is
-    taken), ignore SIGPIPE, and journal a [serve_start] record. An
+    taken), ignore SIGPIPE, and journal a [serve_start] record. [run]
+    (default {!Rma_config.Run_config.default}) supplies the shard
+    count, predictive mode and budget of sessions whose hello omits
+    them; a session's fault plan comes from its hello only. An
     ephemeral TCP request prints [serve-port: <port>] on stderr — the
     line scripted callers scrape, mirroring [obs-serve-port]. The loop
     does not run yet: call {!run} (blocking) or {!start}. *)
@@ -74,9 +78,9 @@ val request_stop : t -> unit
 
 val start : t -> unit
 (** Run the loop on a background domain (tests and the bench soak).
-    While it runs, the loop thread owns the process-global
-    fault/obs/par caller-thread state — do not run analyses from other
-    threads until {!stop} returns. *)
+    While it runs, the loop thread owns the process-global obs/par
+    caller-thread state — do not run analyses from other threads until
+    {!stop} returns. *)
 
 val stop : t -> unit
 (** {!request_stop} then join the {!start} domain, if any. *)

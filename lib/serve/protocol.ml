@@ -1,5 +1,6 @@
 module Json = Rma_util.Json
 module Toolbox = Rma_analysis.Toolbox
+module Run_config = Rma_config.Run_config
 
 let version = 1
 
@@ -7,34 +8,29 @@ type hello = {
   session : string;
   tool : Toolbox.kind;
   nprocs : int;
-  jobs : int option;
-  predictive : bool option;
-  budget : Rma_fault.Budget.t option;
-  fault : Rma_fault.Plan.t option;
+  run : Run_config.t;
 }
 
 let ( let* ) r f = Result.bind r f
 
-let opt_field name conv j =
-  match Json.member name j with
-  | None | Some Json.Null -> Ok None
-  | Some v -> (
-      match conv v with
-      | Some v -> Ok (Some v)
-      | None -> Error (Printf.sprintf "ill-typed hello field %S" name))
+(* The hello's run-configuration fields, as the string pairs
+   [Run_config.of_fields] parses; each must have its JSON type. *)
+let config_fields j =
+  let as_string name conv =
+    match Json.member name j with
+    | None | Some Json.Null -> Ok []
+    | Some v -> (
+        match conv v with
+        | Some s -> Ok [ (name, s) ]
+        | None -> Error (Printf.sprintf "ill-typed hello field %S" name))
+  in
+  let* jobs = as_string "jobs" (fun v -> Option.map string_of_int (Json.to_int v)) in
+  let* predictive = as_string "predictive" (fun v -> Option.map string_of_bool (Json.to_bool v)) in
+  let* budget = as_string "budget" Json.to_str in
+  let* fault = as_string "fault" Json.to_str in
+  Ok (jobs @ predictive @ budget @ fault)
 
-let spec_field name of_spec j =
-  match Json.member name j with
-  | None | Some Json.Null -> Ok None
-  | Some v -> (
-      match Json.to_str v with
-      | None -> Error (Printf.sprintf "ill-typed hello field %S" name)
-      | Some s -> (
-          match of_spec s with
-          | Ok parsed -> Ok (Some parsed)
-          | Error e -> Error (Printf.sprintf "bad %s spec: %s" name e)))
-
-let parse_hello line =
+let parse_hello ?(base = Run_config.default) line =
   let* j = Result.map_error (fun e -> "malformed hello: " ^ e) (Json.of_string line) in
   let* () =
     match Option.bind (Json.member "hello" j) Json.to_int with
@@ -62,11 +58,9 @@ let parse_hello line =
     | Some _ -> Error "nprocs must be >= 1"
     | None -> Error "missing \"nprocs\" field"
   in
-  let* jobs = opt_field "jobs" Json.to_int j in
-  let* predictive = opt_field "predictive" Json.to_bool j in
-  let* budget = spec_field "budget" Rma_fault.Budget.of_spec j in
-  let* fault = spec_field "fault" Rma_fault.Plan.of_spec j in
-  Ok { session; tool; nprocs; jobs; predictive; budget; fault }
+  let* fields = config_fields j in
+  let* run = Run_config.of_fields ~base fields in
+  Ok { session; tool; nprocs; run }
 
 (* ------------------------------------------------------------------ *)
 (* Server -> client lines                                              *)

@@ -19,26 +19,25 @@ val version : int
     name (1–128 chars); [tool] defaults to the paper's contribution
     detector; [nprocs] is the simulated rank count the trace was
     recorded with (required — detector state is sized before the first
-    event arrives). The remaining knobs mirror the offline CLI flags
-    and fall back to the daemon process's defaults when omitted:
-    [jobs] (shard count), [predictive], [budget] (a
-    {!Rma_fault.Budget.of_spec} string), and [fault] (a
-    {!Rma_fault.Plan.of_spec} string applied to this session only).
-    Fields the daemon does not know are ignored, so older clients that
-    still send them are admitted unchanged. *)
+    event arrives). [run] is the session's own run configuration: the
+    optional fields [jobs] (JSON int), [predictive] (bool), [budget] (a
+    {!Rma_fault.Budget.of_spec} string) and [fault] (a
+    {!Rma_fault.Plan.of_spec} string) mirror the offline CLI flags and
+    are parsed by {!Rma_config.Run_config.of_fields}; an omitted one
+    keeps the daemon's default. Fields the daemon does not know are
+    ignored, so older clients that still send them are admitted
+    unchanged. *)
 type hello = {
   session : string;
   tool : Rma_analysis.Toolbox.kind;
   nprocs : int;
-  jobs : int option;
-  predictive : bool option;
-  budget : Rma_fault.Budget.t option;
-  fault : Rma_fault.Plan.t option;
+  run : Rma_config.Run_config.t;
 }
 
-val parse_hello : string -> (hello, string) result
+val parse_hello : ?base:Rma_config.Run_config.t -> string -> (hello, string) result
 (** Total: any line yields [Ok] or a one-line reason suitable for an
-    [error] reply. Example accepted line:
+    [error] reply. [base] (default {!Rma_config.Run_config.default})
+    supplies the fields the hello omits. Example accepted line:
     [{"hello":1,"session":"job-42","tool":"contribution","nprocs":4,
       "budget":"4096:spill","fault":"seed=7,worker_crash=0.05"}]. *)
 

@@ -33,7 +33,6 @@ type t = {
   mutable run_id : string;
   mutable tool : Tool.t option;
   decoder : Codec.Incremental.t;
-  mutable fault_snap : Rma_fault.snapshot option;
   mutable races_streamed : int;
   mutable last_race_count : int;
   mutable events_fed : int;
@@ -50,7 +49,6 @@ let create ~id ~fd =
     run_id = "";
     tool = None;
     decoder = Codec.Incremental.create ();
-    fault_snap = None;
     races_streamed = 0;
     last_race_count = 0;
     events_fed = 0;

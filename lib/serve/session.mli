@@ -50,11 +50,10 @@ type t = {
   mutable hello : Protocol.hello option;
   mutable run_id : string;  (** ["<daemon run id>-s<id>"] once admitted. *)
   mutable tool : Rma_analysis.Tool.t option;
+      (** Built at admission from the hello's run configuration; owns
+          the session's stores, shard engine and fault schedule, so
+          nothing about them is shared with another session. *)
   decoder : Rma_trace.Codec.Incremental.t;
-  mutable fault_snap : Rma_fault.snapshot option;
-      (** Where this session's private fault schedule paused — restored
-          around every processing slice so interleaved sessions never
-          perturb each other's deterministic fault ordinals. *)
   mutable races_streamed : int;
   mutable last_race_count : int;
   mutable events_fed : int;

@@ -28,9 +28,9 @@ val create :
     [~merge:false], because the fast path coalesces adjacent accesses —
     i.e. it {e is} a merge.
 
-    [?budget] (default {!Rma_fault.Budget.default}, i.e. the process
-    default or none) bounds the store: an insert leaving the store over
-    the effective node cap triggers the budget's degradation policy —
+    [?budget] (default none: unbounded) bounds the store: an insert
+    leaving the store over the effective node cap triggers the budget's
+    degradation policy —
     {!Rma_fault.Budget.Exhausted} under [Fail_fast], oldest-first
     eviction under [Spill_oldest_epoch], provenance-discarding merging
     under [Coarsen] — with every lost node counted in the

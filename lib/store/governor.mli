@@ -16,8 +16,7 @@ open Rma_access
 type t
 
 val create : ?budget:Rma_fault.Budget.t -> bytes_per_node:int -> unit -> t option
-(** [None] when the explicit budget (or, absent one, the process
-    default {!Rma_fault.Budget.default}) is missing or unbounded — an
+(** [None] when the budget is missing or unbounded — an
     ungoverned store pays one option match per insert. [bytes_per_node]
     is the store's documented per-node memory estimate used to convert
     [max_bytes] into a node cap; the effective cap is the tighter of

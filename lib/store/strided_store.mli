@@ -49,7 +49,7 @@ type t
 
 val create : ?order_aware:bool -> ?budget:Rma_fault.Budget.t -> unit -> t
 (** Default [order_aware = true]. [?budget] (default
-    {!Rma_fault.Budget.default}) bounds the region count as on
+    none: unbounded) bounds the region count as on
     {!Disjoint_store.create}; [Coarsen] merges perfect stride
     continuations ignoring debug info (coverage-exact), then spills
     oldest regions if still over. *)

@@ -475,11 +475,10 @@ let corrupt_line line =
    line-at-a-time writer had it, while 16 KiB raised it by 3.5 MB. *)
 let flush_at = 65536
 
-let write_all oc events =
+let write_all ?faults oc events =
   let buf = Buffer.create (2 * flush_at) in
   Buffer.add_string buf header;
   Buffer.add_char buf '\n';
-  let faulty = Rma_fault.active () in
   let rec go written = function
     | [] ->
         Buffer.add_string buf (footer written);
@@ -489,14 +488,16 @@ let write_all oc events =
         let start = Buffer.length buf in
         encode_into buf e;
         let len = Buffer.length buf - start in
-        if faulty && Rma_fault.fire Rma_fault.Trace_truncate then begin
+        if match faults with Some f -> Rma_fault.fire f Rma_fault.Trace_truncate | None -> false
+        then begin
           (* Cut mid-line: half the bytes land, the newline and the
              footer never do. *)
           Buffer.truncate buf (start + (len / 2));
           Buffer.output_buffer oc buf
         end
         else begin
-          if faulty && Rma_fault.fire Rma_fault.Trace_corrupt then begin
+          if match faults with Some f -> Rma_fault.fire f Rma_fault.Trace_corrupt | None -> false
+          then begin
             let line = corrupt_line (Buffer.sub buf start len) in
             Buffer.truncate buf start;
             Buffer.add_string buf line

@@ -17,7 +17,7 @@
     Decoding is {e total}: {!decode_event} and {!read_all} return
     [Error] on any malformed, truncated or bit-flipped input and never
     raise or loop — the fuzz suite in [test/test_fuzz.ml] holds them to
-    that. When an {!Rma_fault} plan is installed, {!write_all} is the
+    that. Given a {!Rma_fault} schedule, {!write_all} is the
     injection point for the [Trace_corrupt] (one flipped bit in an
     encoded line) and [Trace_truncate] (stream cut mid-line, footer
     lost) sites.
@@ -58,8 +58,8 @@ val encode_event : Mpi_sim.Event.event -> string
 val decode_event : string -> (Mpi_sim.Event.event, string) result
 (** Total: any input yields [Ok] or [Error], never an exception. *)
 
-val write_all : out_channel -> Mpi_sim.Event.event list -> unit
-(** Header, one line per event, footer. Under an installed fault plan,
+val write_all : ?faults:Rma_fault.t -> out_channel -> Mpi_sim.Event.event list -> unit
+(** Header, one line per event, footer. Under a fault schedule,
     each line first passes the [Trace_truncate] site (fires: the stream
     stops after a prefix of that line and the footer is never written)
     and then the [Trace_corrupt] site (fires: one deterministic bit of

@@ -270,24 +270,24 @@ let corrupt_line line =
     Bytes.to_string b
   end
 
-let write_all oc events =
+let write_all ?faults oc events =
   output_string oc Rma_trace.Codec.header;
   output_char oc '\n';
-  let faulty = Rma_fault.active () in
+  let fire site = match faults with Some f -> Rma_fault.fire f site | None -> false in
   let truncated = ref false in
   let written = ref 0 in
   List.iter
     (fun e ->
       if not !truncated then begin
         let line = encode_event e in
-        if faulty && Rma_fault.fire Rma_fault.Trace_truncate then begin
+        if fire Rma_fault.Trace_truncate then begin
           (* Cut mid-line: half the bytes land, the newline and the
              footer never do. *)
           truncated := true;
           output_string oc (String.sub line 0 (String.length line / 2))
         end
         else begin
-          let line = if faulty && Rma_fault.fire Rma_fault.Trace_corrupt then corrupt_line line else line in
+          let line = if fire Rma_fault.Trace_corrupt then corrupt_line line else line in
           output_string oc line;
           output_char oc '\n';
           incr written

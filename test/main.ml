@@ -29,5 +29,6 @@ let () =
       ("predictive", Test_predictive.suite);
       ("serve", Test_serve.suite);
       ("sim_step", Test_sim_step.suite);
+      ("run_config", Test_run_config.suite);
       ("golden_regen", Golden_regen.suite);
     ]

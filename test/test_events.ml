@@ -32,14 +32,6 @@ let with_events ?(level = Events.Info) f =
       Obs.reset ())
     f
 
-let with_plan plan f =
-  let saved = Rma_fault.plan () in
-  Rma_fault.install plan;
-  Fun.protect
-    ~finally:(fun () ->
-      match saved with Some p -> Rma_fault.install p | None -> Rma_fault.clear ())
-    f
-
 (* --- levels ---------------------------------------------------------- *)
 
 let test_levels () =
@@ -124,12 +116,11 @@ let journal_of_seeded_run () =
   Events.set_run_id "run-golden";
   Events.set_sink path;
   let plan = { Plan.default with Plan.seed = 7; worker_crash = 0.3; max_retries = 2 } in
-  with_plan plan (fun () ->
-      let engine = Rma_par.create ~jobs:4 () in
-      for i = 0 to 15 do
-        Rma_par.submit engine ~shard:(i mod 4) (fun () -> ())
-      done;
-      Rma_par.barrier engine);
+  let engine = Rma_par.create ~jobs:4 ~faults:(Rma_fault.create plan) () in
+  for i = 0 to 15 do
+    Rma_par.submit engine ~shard:(i mod 4) (fun () -> ())
+  done;
+  Rma_par.barrier engine;
   let budget = { Budget.max_nodes = Some 4; max_bytes = None; policy = Budget.Spill_oldest_epoch } in
   let store = Disjoint_store.create ~budget () in
   List.iteri

@@ -441,7 +441,7 @@ let test_threaded_json_round_trip () =
 
 (* End-to-end golden: the canonical unordered-sibling-store hybrid race
    exported as JSON. GOLDEN_OUT_HYBRID=/abs/path regenerates. *)
-let hybrid_race_reports () =
+let hybrid_race_reports ?jobs ?predictive ?faults () =
   let k =
     match
       Rma_microbench.Scenario.Kernel.find "hyb_lockall_local_tstore_put_unordered_race"
@@ -451,7 +451,7 @@ let hybrid_race_reports () =
   in
   let tool =
     Rma_analyzer.create ~nprocs:k.Rma_microbench.Scenario.Kernel.k_nprocs ~mode:Tool.Collect
-      Rma_analyzer.Contribution
+      ?jobs ?predictive ?faults Rma_analyzer.Contribution
   in
   let v = Rma_microbench.Runner.run_kernel ~interleave_seed:13 ~tool k in
   v.Rma_microbench.Runner.k_reports

@@ -199,25 +199,18 @@ let prop_post_mortem_deterministic_on_trace =
 
 (* --- codec totality under hostile bytes ----------------------------- *)
 
-(* Write a recorded stream through the real framing writer (with any
-   ambient fault plan cleared, so the base bytes are well-formed), then
-   attack the bytes directly. The invariant is totality: [read_all]
+(* Write a recorded stream through the real framing writer (no fault
+   schedule, so the base bytes are well-formed), then attack the bytes
+   directly. The invariant is totality: [read_all]
    returns [Ok] or a structured [Error] — it never raises and never
    loops — and a complete parse is only reported for complete streams. *)
-
-let without_fault_plan f =
-  let saved = Rma_fault.plan () in
-  Rma_fault.clear ();
-  Fun.protect
-    ~finally:(fun () -> match saved with Some pl -> Rma_fault.install pl | None -> ())
-    f
 
 let trace_bytes events =
   let path = Filename.temp_file "fuzz_codec" ".txt" in
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> without_fault_plan (fun () -> Rma_trace.Codec.write_all oc events));
+    (fun () -> Rma_trace.Codec.write_all oc events);
   let ic = open_in_bin path in
   let s =
     Fun.protect

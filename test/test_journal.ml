@@ -159,13 +159,10 @@ let test_stats_counts () =
    sequence, byte-identical verdict digest. *)
 let drill_params = [ ("tool", "contribution"); ("ranks", "4"); ("seed", "5"); ("vertices", "2000"); ("inject", "true") ]
 
-let run_drill () =
+let run_drill run faults =
   let config =
-    {
-      Mpi_sim.Config.default with
-      Mpi_sim.Config.analysis_overhead_scale = 2.0;
-      analysis_self_timed = true;
-    }
+    Rma_config.Run_config.sim_config run
+      { Mpi_sim.Config.default with Mpi_sim.Config.analysis_overhead_scale = 2.0 }
   in
   let params =
     {
@@ -175,22 +172,21 @@ let run_drill () =
       inject_race = true;
     }
   in
-  let tool = Toolbox.make Toolbox.Contribution ~nprocs:4 ~config () in
+  let tool =
+    Toolbox.make Toolbox.Contribution ~nprocs:4 ~config ~jobs:run.Rma_config.Run_config.jobs
+      ?faults ()
+  in
   let _ = Minivite.Louvain.run params ~nprocs:4 ~seed:5 ~config ~observer:tool.Tool.observer () in
   tool.Tool.races ()
 
 let test_replay_roundtrip () =
   let journal = Filename.temp_file "rma_replay_test" ".jsonl" in
-  let prev_budget = Rma_fault.Budget.default () in
   let restore () =
     Events.close ();
     Events.clear ();
     Events.set_level Events.Info;
     Obs.disable ();
     Obs.reset ();
-    Rma_fault.clear ();
-    Rma_fault.Budget.set_default prev_budget;
-    Rma_par.set_default_jobs 1;
     try Sys.remove journal with Sys_error _ -> ()
   in
   Fun.protect ~finally:restore @@ fun () ->
@@ -211,8 +207,9 @@ let test_replay_roundtrip () =
     | Error msg -> Alcotest.failf "extract failed: %s" msg
   in
   Alcotest.(check string) "workload recovered" "minivite" plan.Replay.r_workload;
-  Alcotest.(check int) "jobs recovered" 2 plan.Replay.r_jobs;
-  Alcotest.(check bool) "fault spec recovered" true (plan.Replay.r_fault <> None);
+  Alcotest.(check int) "jobs recovered" 2 plan.Replay.r_config.Rma_config.Run_config.jobs;
+  Alcotest.(check bool) "fault spec recovered" true
+    (plan.Replay.r_config.Rma_config.Run_config.fault <> None);
   Alcotest.(check bool) "the drill crashed at least once" true (plan.Replay.r_crashes <> []);
   Alcotest.(check bool) "run_summary landed" true (plan.Replay.r_digest <> None);
   List.iter
@@ -236,6 +233,66 @@ let test_replay_roundtrip () =
   Alcotest.(check bool) "tampered crash sequence fails" false
     (Replay.verdict plan { outcome with Replay.o_crash_match = false })
 
+(* The run_start record carries the whole run configuration: a
+   predictive code run journals predictive=true and replays under it. A
+   journal written before the predictive and interleave-seed keys
+   existed still extracts, with their old defaults. *)
+let test_journal_records_run_config () =
+  let journal = Filename.temp_file "rma_predictive_journal" ".jsonl" in
+  let restore () =
+    Events.close ();
+    Events.clear ();
+    Obs.disable ();
+    Obs.reset ();
+    try Sys.remove journal with Sys_error _ -> ()
+  in
+  Fun.protect ~finally:restore @@ fun () ->
+  let code = "ll_get_get_inwindow_origin_race" in
+  Diag.with_diag ~prog:"test" ~generator:"test"
+    ~workload:("code", [ ("tool", "contribution"); ("code", code) ])
+    { Diag.default with Diag.obs_events = Some journal; predictive = true }
+    (fun run faults ->
+      let tool =
+        Toolbox.make Toolbox.Contribution ~nprocs:3 ~jobs:run.Rma_config.Run_config.jobs
+          ~predictive:run.Rma_config.Run_config.predictive ?faults ()
+      in
+      (Rma_microbench.Runner.run ~tool (Option.get (Rma_microbench.Scenario.find code)))
+        .Rma_microbench.Runner.reports);
+  let plan =
+    match Replay.extract (Journal.read_file journal).Journal.events with
+    | Ok p -> p
+    | Error msg -> Alcotest.failf "extract failed: %s" msg
+  in
+  Alcotest.(check bool) "predictive=true read back" true
+    plan.Replay.r_config.Rma_config.Run_config.predictive;
+  Alcotest.(check (list (pair string string))) "config keys are not workload parameters"
+    [ ("tool", "contribution"); ("code", code) ]
+    plan.Replay.r_params;
+  (match Replay.run plan with
+  | Ok o -> Alcotest.(check bool) "the predictive run replays" true (Replay.verdict plan o)
+  | Error msg -> Alcotest.failf "replay failed: %s" msg);
+  let old_start =
+    {
+      Events.ts = 0.0;
+      level = Events.Info;
+      component = "diag";
+      run_id = "run-old";
+      shard = -1;
+      span_id = 0;
+      kv =
+        [ ("event", "run_start"); ("workload", "code"); ("tool", "contribution"); ("code", code);
+          ("jobs", "2") ];
+    }
+  in
+  match Replay.extract [ old_start ] with
+  | Error msg -> Alcotest.failf "an older journal no longer extracts: %s" msg
+  | Ok p ->
+      let c = p.Replay.r_config in
+      Alcotest.(check int) "old journal: jobs" 2 c.Rma_config.Run_config.jobs;
+      Alcotest.(check bool) "old journal: predictive off" false c.Rma_config.Run_config.predictive;
+      Alcotest.(check (option int)) "old journal: no interleave seed" None
+        c.Rma_config.Run_config.interleave_seed
+
 let test_extract_requires_header () =
   match Replay.extract [] with
   | Ok _ -> Alcotest.fail "empty journal must not extract"
@@ -254,4 +311,6 @@ let suite =
     Alcotest.test_case "stats aggregate the seeded drill" `Quick test_stats_counts;
     Alcotest.test_case "journaled drill replays byte-identically" `Quick test_replay_roundtrip;
     Alcotest.test_case "extract demands a run_start header" `Quick test_extract_requires_header;
+    Alcotest.test_case "the journal records the whole run configuration" `Quick
+      test_journal_records_run_config;
   ]

@@ -15,21 +15,12 @@ module Race_export = Rma_report.Race_export
 
 (* --- engine contract ------------------------------------------------ *)
 
-let with_default_jobs f =
-  let saved = Rma_par.default_jobs () in
-  Fun.protect ~finally:(fun () -> Rma_par.set_default_jobs saved) f
-
 let test_jobs_clamped () =
-  with_default_jobs @@ fun () ->
-  Rma_par.set_default_jobs 0;
-  Alcotest.(check int) "0 clamps to 1" 1 (Rma_par.default_jobs ());
-  Rma_par.set_default_jobs 999;
-  Alcotest.(check int) "999 clamps to max_jobs" Rma_par.max_jobs (Rma_par.default_jobs ());
-  Rma_par.set_default_jobs 3;
-  Alcotest.(check int) "in-range value kept" 3 (Rma_par.default_jobs ());
-  Alcotest.(check int) "create honours the default" 3 (Rma_par.jobs (Rma_par.create ()));
-  Alcotest.(check int) "create clamps explicit jobs" Rma_par.max_jobs
-    (Rma_par.jobs (Rma_par.create ~jobs:123 ()))
+  let jobs j = Rma_par.jobs (Rma_par.create ~jobs:j ()) in
+  Alcotest.(check int) "0 clamps to 1" 1 (jobs 0);
+  Alcotest.(check int) "999 clamps to max_jobs" Rma_par.max_jobs (jobs 999);
+  Alcotest.(check int) "in-range value kept" 3 (jobs 3);
+  Alcotest.(check int) "the default is sequential" 1 (Rma_par.jobs (Rma_par.create ()))
 
 let test_shard_of_stable () =
   let e = Rma_par.create ~jobs:4 () in
@@ -219,10 +210,12 @@ let test_kernel_sweep_jobs4 () =
 (* --- golden stability under sharded execution ----------------------- *)
 
 (* The Code 1 provenance scenario of test_export.ml, parameterised over
-   the shard count. *)
-let code1_reports ~jobs () =
+   the shard count (and, for the run-configuration sweep, predictive
+   mode and a fault schedule). *)
+let code1_reports ?predictive ?faults ~jobs () =
   let tool =
-    Rma_analyzer.create ~nprocs:2 ~mode:Tool.Collect ~jobs Rma_analyzer.Contribution
+    Rma_analyzer.create ~nprocs:2 ~mode:Tool.Collect ~jobs ?predictive ?faults
+      Rma_analyzer.Contribution
   in
   let feed e = ignore (tool.Tool.observer e) in
   let access ~seq ~line ~op lo hi kind =

@@ -18,7 +18,7 @@
      predictive run missed is exactly the false negative the mode exists
      to close.
 
-   N defaults to 25; RMA_PREDICTIVE_SEEDS overrides (CI uses 8). *)
+   N is 25. *)
 
 open Rma_analysis
 open Rma_store
@@ -33,13 +33,7 @@ let with_recorder f =
   Flight_recorder.enable ();
   Fun.protect ~finally:Flight_recorder.disable f
 
-let sweep_seeds () =
-  match Sys.getenv_opt "RMA_PREDICTIVE_SEEDS" with
-  | None -> 25
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n > 0 -> n
-      | _ -> 25)
+let sweep_seeds = 25
 
 let site_str (s : Runner.race_site) =
   Printf.sprintf "%s:%d %s" s.Runner.site_file s.Runner.site_line s.Runner.site_op
@@ -158,7 +152,7 @@ let test_prd_labels_seed0 () =
 (* --- direction (a): soundness ----------------------------------------- *)
 
 let test_soundness_sweep () =
-  let n = sweep_seeds () in
+  let n = sweep_seeds in
   List.iter
     (fun (k : Scenario.Kernel.t) ->
       let ptool = mk_tool ~nprocs:k.Scenario.Kernel.k_nprocs ~predictive:true () in
@@ -189,7 +183,7 @@ let test_soundness_sweep () =
 (* --- direction (b): completeness -------------------------------------- *)
 
 let test_completeness_sweep () =
-  let n = sweep_seeds () in
+  let n = sweep_seeds in
   List.iter
     (fun (k : Scenario.Kernel.t) ->
       let ptool = mk_tool ~nprocs:k.Scenario.Kernel.k_nprocs ~predictive:true () in

@@ -327,14 +327,14 @@ let pinned_traces () =
 
 (* [Recorder.save] of [events], returned as the file's bytes together
    with [Recorder.load] of that file. *)
-let save_and_load events =
+let save_and_load ?faults events =
   let recorder = Recorder.create () in
   List.iter (fun e -> ignore (Recorder.observer recorder e)) events;
   let path = Filename.temp_file "rma_golden" ".rma" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Recorder.save recorder ~path;
+      Recorder.save ?faults recorder ~path;
       (In_channel.with_open_bin path In_channel.input_all, Recorder.load ~path))
 
 let test_trace_golden () =
@@ -603,13 +603,6 @@ let written_by write_all events =
       Out_channel.with_open_bin path (fun oc -> write_all oc events);
       In_channel.with_open_bin path In_channel.input_all)
 
-let with_fault_plan plan f =
-  let saved = Rma_fault.plan () in
-  (match plan with Some p -> Rma_fault.install p | None -> Rma_fault.clear ());
-  Fun.protect
-    ~finally:(fun () -> match saved with Some p -> Rma_fault.install p | None -> Rma_fault.clear ())
-    f
-
 let plan_gen =
   Gen.(
     let* seed = nat in
@@ -638,8 +631,9 @@ let prop_write_all_matches_oracle =
           (fun e -> Result.is_ok (outcome Codec_oracle.encode_event e))
           (List.concat chunks)
       in
-      let ours = with_fault_plan plan (fun () -> written_by Codec.write_all events) in
-      let theirs = with_fault_plan plan (fun () -> written_by Codec_oracle.write_all events) in
+      let faults () = Option.map Rma_fault.create plan in
+      let ours = written_by (Codec.write_all ?faults:(faults ())) events in
+      let theirs = written_by (Codec_oracle.write_all ?faults:(faults ())) events in
       String.equal ours theirs)
 
 (* One decoder across a whole stream: the strings, debug records and
