@@ -91,7 +91,7 @@ let test_harness_measure_baseline_free () =
   let workload ~config ~observer =
     Mpi_sim.Runtime.run ~nprocs:2 ~config ?observer (fun () -> Mpi_sim.Mpi.barrier ())
   in
-  let m = Harness.measure ~nprocs:2 ~config:Mpi_sim.Config.quiet_network ~workload Harness.Baseline in
+  let m = Harness.measure ~nprocs:2 ~config:Mpi_sim.Config.quiet_network ~workload Rma_analysis.Toolbox.Baseline in
   Alcotest.(check int) "no races" 0 m.Harness.races;
   Alcotest.(check int) "no nodes" 0 m.Harness.nodes_final;
   Alcotest.(check string) "name" "Baseline" m.Harness.tool
