@@ -8,10 +8,8 @@
      dune exec bench/main.exe -- --scale 1.0 fig11
                                               -- paper-size MiniVite input
      dune exec bench/main.exe -- --ranks 8,16 table4
-     dune exec bench/main.exe -- --json BENCH.json
-                                              -- perf-trajectory record
-     dune exec bench/main.exe -- --compare old.json new.json
-     dune exec bench/main.exe -- --compare old.json new.json --threshold 0.25
+     dune exec bench/main.exe -- --counts counts.txt table3
+                                              -- exact counts, one per line
      dune exec bench/main.exe -- --fault-plan seed=7,worker_crash=0.05 --jobs 4 fig10
      dune exec bench/main.exe -- --budget 4096:spill fig11
      dune exec bench/main.exe -- --obs-events events.jsonl --obs-level debug fig10
@@ -29,11 +27,12 @@ module Run_config = Rma_config.Run_config
 
 let section title = Printf.printf "\n=== %s ===\n\n%!" title
 
-(* Every runner returns its flat metric bag for the perf-trajectory
-   record; wall time is added by the dispatch span below. Simulated
-   times and node counts go in as-is; only keys present in both records
-   are compared, so scale/rank changes degrade to fewer comparisons,
-   not false alarms. *)
+(* Every runner prints its table and returns the counts it reproduces
+   exactly: verdict bits, confusion cells, node counts, races and drops.
+   [--counts] writes them for scripts/check_bench_counts.sh to diff
+   against bench/counts.txt. Timings (wall, simulated seconds, speedups)
+   vary run to run and stay in the printed tables; perfbench owns
+   timing. *)
 
 let metric_key parts = String.concat "_" parts
 
@@ -43,11 +42,10 @@ let run_table2 ~run ~faults =
   print_string rendered;
   List.concat_map
     (fun (r : Experiments.verdict_row) ->
-      let b v = if v then 1.0 else 0.0 in
       [
-        (metric_key [ r.code; "legacy" ], b r.legacy);
-        (metric_key [ r.code; "must" ], b r.must);
-        (metric_key [ r.code; "contribution" ], b r.contribution);
+        (metric_key [ r.code; "legacy" ], Bool.to_int r.legacy);
+        (metric_key [ r.code; "must" ], Bool.to_int r.must);
+        (metric_key [ r.code; "contribution" ], Bool.to_int r.contribution);
       ])
     rows
 
@@ -62,11 +60,10 @@ let run_table3 ~run ~faults =
      ll_load_get_inwindow_origin_safe).";
   List.concat_map
     (fun (r : Experiments.confusion_row) ->
-      let i v = float_of_int v in
       [
-        (metric_key [ r.tool; "fp" ], i r.fp); (metric_key [ r.tool; "fn" ], i r.fn);
-        (metric_key [ r.tool; "tp" ], i r.tp); (metric_key [ r.tool; "tn" ], i r.tn);
-        (metric_key [ r.tool; "dropped" ], i r.dropped);
+        (metric_key [ r.tool; "fp" ], r.fp); (metric_key [ r.tool; "fn" ], r.fn);
+        (metric_key [ r.tool; "tp" ], r.tp); (metric_key [ r.tool; "tn" ], r.tn);
+        (metric_key [ r.tool; "dropped" ], r.dropped);
       ])
     rows
 
@@ -77,13 +74,11 @@ let run_table4 ~scale ~ranks ~run ~faults =
   List.concat_map
     (fun (r : Experiments.table4_row) ->
       let pre = Printf.sprintf "r%d_v%d" r.ranks r.vertices in
-      let i v = float_of_int v in
       [
-        (metric_key [ pre; "legacy_nodes" ], i r.legacy_nodes);
-        (metric_key [ pre; "contribution_nodes" ], i r.contribution_nodes);
-        (metric_key [ pre; "legacy_peak_nodes" ], i r.legacy_peak);
-        (metric_key [ pre; "contribution_peak_nodes" ], i r.contribution_peak);
-        (metric_key [ pre; "reduction" ], r.reduction);
+        (metric_key [ pre; "legacy_nodes" ], r.legacy_nodes);
+        (metric_key [ pre; "contribution_nodes" ], r.contribution_nodes);
+        (metric_key [ pre; "legacy_peak_nodes" ], r.legacy_peak);
+        (metric_key [ pre; "contribution_peak_nodes" ], r.contribution_peak);
       ])
     rows
 
@@ -97,8 +92,8 @@ let run_fig8 () =
   let r, rendered = Experiments.fig8 () in
   print_string rendered;
   [
-    ("legacy_nodes", float_of_int r.Experiments.legacy_nodes);
-    ("contribution_nodes", float_of_int r.Experiments.contribution_nodes);
+    ("legacy_nodes", r.Experiments.legacy_nodes);
+    ("contribution_nodes", r.Experiments.contribution_nodes);
   ]
 
 let run_fig9 ~run ~faults =
@@ -110,14 +105,11 @@ let perf_metrics rows =
   List.concat_map
     (fun (r : Experiments.perf_row) ->
       let pre = Printf.sprintf "%s_r%d" r.tool r.nprocs in
-      let i v = float_of_int v in
       [
-        (metric_key [ pre; "epoch_time_s" ], r.epoch_time);
-        (metric_key [ pre; "exec_time_s" ], r.exec_time);
-        (metric_key [ pre; "nodes" ], i r.nodes);
-        (metric_key [ pre; "peak_nodes" ], i r.nodes_peak);
-        (metric_key [ pre; "races" ], i r.races);
-        (metric_key [ pre; "dropped" ], i r.dropped);
+        (metric_key [ pre; "nodes" ], r.nodes);
+        (metric_key [ pre; "peak_nodes" ], r.nodes_peak);
+        (metric_key [ pre; "races" ], r.races);
+        (metric_key [ pre; "dropped" ], r.dropped);
       ])
     rows
 
@@ -145,10 +137,7 @@ let run_ablation ~run ~faults =
   print_string rendered;
   List.concat_map
     (fun (r : Experiments.ablation_row) ->
-      [
-        (metric_key [ r.variant; "nodes" ], float_of_int r.nodes);
-        (metric_key [ r.variant; "races" ], float_of_int r.races);
-      ])
+      [ (metric_key [ r.variant; "nodes" ], r.nodes); (metric_key [ r.variant; "races" ], r.races) ])
     rows
 
 let run_par ~scale ~run ~faults =
@@ -158,20 +147,13 @@ let run_par ~scale ~run ~faults =
   List.concat_map
     (fun (r : Experiments.par_row) ->
       let pre = Printf.sprintf "par_j%d" r.p_jobs in
-      [
-        (metric_key [ pre; "epoch_time_s" ], r.p_epoch_time);
-        (metric_key [ pre; "exec_time_s" ], r.p_exec_time);
-        (metric_key [ pre; "races" ], float_of_int r.p_races);
-        (metric_key [ pre; "nodes" ], float_of_int r.p_nodes);
-        (metric_key [ pre; "speedup" ], r.p_speedup);
-        (metric_key [ pre; "critical_path_ms" ], r.p_critical_path *. 1000.0);
-      ])
+      [ (metric_key [ pre; "races" ], r.p_races); (metric_key [ pre; "nodes" ], r.p_nodes) ])
     rows
 
 (* Insert fast path: two access streams through the disjoint store with
    the fast path off and with the finger cache, asserting identical
    per-access verdicts and final contents, and reporting the
-   tree-operation reduction. Each row fails the bench when the finger
+   tree-operation counts. Each row fails the bench when the finger
    needs more tree operations than its ceiling. *)
 let run_fastpath () =
   section "Insert fast path (Code 2 adjacent accesses; CFD-Proxy halo runs)";
@@ -220,10 +202,9 @@ let run_fastpath () =
       reduction;
     Printf.printf "  finger: %d hits; race verdicts and final node sets: identical\n" hits;
     [
-      (metric_key [ prefix; "off_tree_ops" ], float_of_int ops_off);
-      (metric_key [ prefix; "finger_tree_ops" ], float_of_int ops_f);
-      (metric_key [ prefix; "finger_reduction" ], reduction);
-      (metric_key [ prefix; "finger_hits" ], float_of_int hits);
+      (metric_key [ prefix; "off_tree_ops" ], ops_off);
+      (metric_key [ prefix; "finger_tree_ops" ], ops_f);
+      (metric_key [ prefix; "finger_hits" ], hits);
     ]
   in
   (* 1000 adjacent one-byte gets (Figure 8b), then one racy duplicate
@@ -350,14 +331,14 @@ let run_micro () =
   let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
   let rows = Hashtbl.fold (fun name ols_result acc -> (name, ols_result) :: acc) results [] in
   let rows = List.sort (fun (a, _) (b, _) -> String.compare a b) rows in
-  List.filter_map
+  List.iter
     (fun (name, ols_result) ->
       let estimate =
         match Analyze.OLS.estimates ols_result with Some (e :: _) -> e | _ -> Float.nan
       in
-      Printf.printf "%-62s %12.1f ns/run\n" name estimate;
-      if Float.is_finite estimate then Some (name ^ "_ns", estimate) else None)
-    rows
+      Printf.printf "%-62s %12.1f ns/run\n" name estimate)
+    rows;
+  []
 
 
 (* Hybrid MPI+threads kernel sweep: accuracy of the contribution
@@ -388,18 +369,18 @@ let run_hybrid ~run ~faults =
   Printf.printf "%d kernels x %d interleaves: %d/%d verdicts correct, %.3f s total\n"
     (List.length kernels) (List.length interleaves) !correct !total wall;
   [
-    ("hybrid_kernels", float_of_int (List.length kernels));
-    ("hybrid_verdicts_total", float_of_int !total);
-    ("hybrid_verdicts_correct", float_of_int !correct);
-    ("hybrid_wall_seconds", wall);
+    ("hybrid_kernels", List.length kernels);
+    ("hybrid_verdicts_total", !total);
+    ("hybrid_verdicts_correct", !correct);
   ]
 
 (* Predictive-mode overhead and yield: the full labeled kernel corpus
    (base + hybrid + prd) under the observed-only analyzer and again with
-   --predictive, same seeds. The headline number is the wall-time ratio —
-   the weak-order bookkeeping must stay under 2x the observed-only
-   analysis — plus the extra races predictive mode surfaces at a
-   schedule where the observed analysis misses them. *)
+   --predictive, same seeds. It prints the wall-time ratio (the
+   weak-order bookkeeping should stay under 2x the observed-only
+   analysis) and returns the race counts, including the extra races
+   predictive mode surfaces at a schedule where the observed analysis
+   misses them. *)
 let run_predictive ~run ~faults =
   section "Predictive mode (weak-order analysis)";
   let module Scenario = Rma_microbench.Scenario in
@@ -447,20 +428,19 @@ let run_predictive ~run ~faults =
     (List.length kernels) (List.length interleaves) obs_races obs_wall prd_observed
     prd_predicted prd_wall overhead;
   [
-    ("predictive_kernels", float_of_int (List.length kernels));
-    ("predictive_observed_races", float_of_int prd_observed);
-    ("predictive_predicted_races", float_of_int prd_predicted);
-    ("predictive_observed_wall_seconds", obs_wall);
-    ("predictive_wall_seconds", prd_wall);
-    ("predictive_overhead_ratio", overhead);
+    ("predictive_kernels", List.length kernels);
+    ("predictive_observed_races", prd_observed);
+    ("predictive_predicted_races", prd_predicted);
   ]
 
 (* Sustained-throughput soak of the serve daemon: a stream of seeded
    client sessions — most completing, some hanging up mid-stream —
-   against a live daemon on an ephemeral loopback port. The headline
-   numbers are sessions/sec over the whole soak and the p99 verdict
-   latency, measured client-side from the moment the trace footer is
-   sent to the summary line arriving. *)
+   against a live daemon on an ephemeral loopback port. It prints
+   sessions/sec over the whole soak and the p99 verdict latency,
+   measured client-side from the moment the trace footer is sent to the
+   summary line arriving. Before stopping the daemon it waits until
+   every connection is closed, so the daemon's totals cover every
+   session and must equal what the clients sent. *)
 let run_serve ~run =
   section "Serve daemon soak";
   let module Daemon = Rma_serve.Daemon in
@@ -475,9 +455,10 @@ let run_serve ~run =
       (Mpi_sim.Runtime.run ~nprocs:k.Kernel.k_nprocs ~seed:42 ~config
          ~observer:(Recorder.observer r) k.Kernel.k_program);
     let events = Recorder.events r in
+    let n = List.length events in
     ( k.Kernel.k_nprocs,
-      (Codec.header :: List.map Codec.encode_event events) @ [ Codec.footer (List.length events) ]
-    )
+      n,
+      (Codec.header :: List.map Codec.encode_event events) @ [ Codec.footer n ] )
   in
   let racy = record "rrb_lockall_remote_conflict_put_put_race" in
   let clean = record "rrb_lockall_remote_disjoint_put_put_safe" in
@@ -506,11 +487,16 @@ let run_serve ~run =
   Daemon.start daemon;
   let sessions = 40 in
   let latencies = ref [] in
-  let completed = ref 0 and aborted = ref 0 in
+  let completed = ref 0 and aborted = ref 0 and events_sent = ref 0 in
   let t0 = Rma_util.Timer.now () in
+  let all_closed () =
+    let st = Daemon.stats daemon in
+    st.Daemon.accepted = sessions
+    && st.Daemon.completed + st.Daemon.shed + st.Daemon.disconnected + st.Daemon.failed = sessions
+  in
   Fun.protect ~finally:(fun () -> Daemon.stop daemon) (fun () ->
       for i = 1 to sessions do
-        let nprocs, lines = if i mod 2 = 0 then racy else clean in
+        let nprocs, n_events, lines = if i mod 2 = 0 then racy else clean in
         let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
         Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Daemon.port daemon));
         let hello =
@@ -521,10 +507,13 @@ let run_serve ~run =
           let cut = List.filteri (fun j _ -> j < List.length lines / 2) lines in
           write_all fd (String.concat "\n" (hello :: cut) ^ "\n");
           Unix.close fd;
-          incr aborted
+          incr aborted;
+          (* The cut keeps the header line, which carries no event. *)
+          events_sent := !events_sent + List.length cut - 1
         end
         else begin
           write_all fd (String.concat "\n" (hello :: lines) ^ "\n");
+          events_sent := !events_sent + n_events;
           let footer_sent = Rma_util.Timer.now () in
           (try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
           let reply = read_to_eof fd in
@@ -538,9 +527,22 @@ let run_serve ~run =
             incr completed
           end
         end
+      done;
+      let deadline = Rma_util.Timer.now () +. 10.0 in
+      while (not (all_closed ())) && Rma_util.Timer.now () < deadline do
+        Unix.sleepf 0.001
       done);
   let wall = Rma_util.Timer.now () -. t0 in
   let stats = Daemon.stats daemon in
+  if not (all_closed () && stats.Daemon.admitted = sessions
+          && stats.Daemon.events_ingested = !events_sent)
+  then
+    failwith
+      (Printf.sprintf
+         "serve bench: daemon admitted %d of %d sessions and ingested %d of %d events \
+          sent (%d connections accepted)"
+         stats.Daemon.admitted sessions stats.Daemon.events_ingested !events_sent
+         stats.Daemon.accepted);
   let sorted = List.sort compare !latencies in
   let percentile p =
     match sorted with
@@ -559,34 +561,15 @@ let run_serve ~run =
     stats.Daemon.admitted stats.Daemon.disconnected stats.Daemon.races_streamed
     stats.Daemon.events_ingested;
   [
-    ("serve_sessions_per_sec", sessions_per_sec);
-    ("serve_p50_verdict_latency_ms", p50);
-    ("serve_p99_verdict_latency_ms", p99);
-    ("serve_sessions_completed", float_of_int !completed);
-    ("serve_sessions_aborted", float_of_int !aborted);
-    ("serve_races_streamed", float_of_int stats.Daemon.races_streamed);
-    ("serve_events_ingested", float_of_int stats.Daemon.events_ingested);
+    ("serve_sessions_completed", !completed);
+    ("serve_sessions_aborted", !aborted);
+    ("serve_races_streamed", stats.Daemon.races_streamed);
+    ("serve_events_ingested", stats.Daemon.events_ingested);
   ]
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                               *)
 (* ------------------------------------------------------------------ *)
-
-let compare_mode ~threshold ~rss_threshold ~eps_threshold old_path new_path =
-  let load path =
-    match Perf_trajectory.load ~path with
-    | Ok r -> r
-    | Error msg ->
-        Printf.eprintf "bench: cannot load %s: %s\n" path msg;
-        exit 2
-  in
-  let old_record = load old_path and new_record = load new_path in
-  let body, has_regressions =
-    Perf_trajectory.render_comparison ?threshold ?rss_threshold ?eps_threshold ~old_record
-      ~new_record ()
-  in
-  print_string body;
-  exit (if has_regressions then 1 else 0)
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -595,12 +578,7 @@ let () =
   let obs_out = ref None in
   let obs_summary = ref false in
   let obs_serve = ref None in
-  let json_out = ref None in
-  let generator = ref "bench" in
-  let threshold = ref None in
-  let rss_threshold = ref None in
-  let eps_threshold = ref None in
-  let compare_paths = ref None in
+  let counts_out = ref None in
   let selected = ref [] in
   let diag = ref Diag.default in
   let rec parse = function
@@ -626,23 +604,8 @@ let () =
     | "--obs-serve" :: v :: rest ->
         obs_serve := Some (int_of_string v);
         parse rest
-    | "--json" :: v :: rest ->
-        json_out := Some v;
-        parse rest
-    | "--generator" :: v :: rest ->
-        generator := v;
-        parse rest
-    | "--threshold" :: v :: rest ->
-        threshold := Some (float_of_string v);
-        parse rest
-    | "--rss-threshold" :: v :: rest ->
-        rss_threshold := Some (float_of_string v);
-        parse rest
-    | "--events-threshold" :: v :: rest ->
-        eps_threshold := Some (float_of_string v);
-        parse rest
-    | "--compare" :: old_path :: new_path :: rest ->
-        compare_paths := Some (old_path, new_path);
+    | "--counts" :: v :: rest ->
+        counts_out := Some v;
         parse rest
     | "--jobs" :: v :: rest ->
         diag := { !diag with Diag.jobs = Some (int_of_string v) };
@@ -658,18 +621,11 @@ let () =
         parse rest
   in
   parse args;
-  (match !compare_paths with
-  | Some (old_path, new_path) ->
-      compare_mode ~threshold:!threshold ~rss_threshold:!rss_threshold
-        ~eps_threshold:!eps_threshold old_path new_path
-  | None -> ());
   let selected = if !selected = [] then [ "all" ] else List.rev !selected in
   let scale = !scale and ranks = !ranks in
   let run = Diag.run_config ~prog:"bench" !diag in
   let faults = Run_config.faults run in
-  (* --json implies Obs: the record snapshots the counter registry. *)
-  if !obs_out <> None || !obs_summary || !json_out <> None || run.Run_config.obs_events <> None
-     || !obs_serve <> None
+  if !obs_out <> None || !obs_summary || run.Run_config.obs_events <> None || !obs_serve <> None
   then Rma_obs.Obs.enable ();
   Rma_obs.Events.set_level run.Run_config.obs_level;
   Option.iter Rma_obs.Events.set_sink run.Run_config.obs_events;
@@ -714,33 +670,32 @@ let () =
   in
   let selected = List.concat_map (function "all" -> all_names | n -> [ n ]) selected in
   (* Each experiment becomes a top-level phase span so a trace of the
-     full sweep shows where the wall time went; the same span reading is
-     the sample's wall_seconds, so the Chrome trace and the JSON record
-     cannot disagree. *)
-  let samples =
-    List.map
+     full sweep shows where the wall time went. *)
+  let counts =
+    List.concat_map
       (fun name ->
-        let events0 = Rma_obs.Telemetry.events_total () in
-        let crit0 = Rma_par.critical_path_total () in
-        let metrics, wall = Rma_obs.Obs.time_span ~cat:"phase" name (fun () -> dispatch name) in
-        let events = Rma_obs.Telemetry.events_total () - events0 in
-        let crit = Rma_par.critical_path_total () -. crit0 in
-        Rma_obs.Telemetry.sample ();
-        {
-          Perf_trajectory.name;
-          wall_seconds = wall;
-          peak_rss_bytes = float_of_int (Rma_obs.Telemetry.peak_rss_bytes ());
-          events_per_sec = (if wall > 0.0 then float_of_int events /. wall else 0.0);
-          critical_path_ms = crit *. 1000.0;
-          metrics;
-        })
+        let counts, _wall = Rma_obs.Obs.time_span ~cat:"phase" name (fun () -> dispatch name) in
+        (* Tool and variant names carry spaces; one field per column. *)
+        let field = String.map (function ' ' -> '_' | c -> c) in
+        List.map (fun (metric, v) -> Printf.sprintf "%s %s %d" name (field metric) v) counts)
       selected
   in
-  (match !json_out with
+  (match !counts_out with
   | Some path ->
-      Perf_trajectory.write ~path (Perf_trajectory.make ~generator:!generator ~scale samples);
-      Printf.eprintf "bench: wrote perf-trajectory record to %s\n%!" path
-  | None -> ignore samples);
+      (* The header pins the inputs: counts from another scale, rank
+         list or experiment list are not comparable line by line. *)
+      let ranks =
+        match ranks with
+        | None -> "default"
+        | Some l -> String.concat "," (List.map string_of_int l)
+      in
+      let oc = open_out path in
+      Printf.fprintf oc "# scale %g ranks %s experiments %s\n" scale ranks
+        (String.concat " " selected);
+      List.iter (fun l -> output_string oc (l ^ "\n")) (List.sort String.compare counts);
+      close_out oc;
+      Printf.eprintf "bench: wrote %d counts to %s\n%!" (List.length counts) path
+  | None -> ());
   (match !obs_out with
   | Some path ->
       Rma_obs.Chrome_trace.write ~path ();

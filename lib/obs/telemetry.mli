@@ -1,32 +1,16 @@
-(** Live resource telemetry: a sampling collector for GC pressure,
-    peak RSS and event throughput, feeding the {!Obs} gauge registry
-    (and from there the Prometheus endpoint, the summary exporter and
-    the bench trajectory).
-
-    Throughput accounting ({!note_events}) is always on and costs one
-    domain-local increment per call — the stores invoke it on every
-    insert from worker domains, so it deliberately avoids shared-cache
-    contention. Everything else ({!sample}) is pull-based and gated on
-    {!Obs.is_enabled}. *)
-
-val note_events : int -> unit
-(** Count [n] processed store events on the calling domain. *)
-
-val note_event : unit -> unit
-
-val events_total : unit -> int
-(** Events counted across all domains (readers may see a slightly
-    stale sum while workers are running; never a torn one). *)
+(** Live resource telemetry: a sampling collector for GC pressure and
+    peak RSS, feeding the {!Obs} gauge registry (and from there the
+    Prometheus endpoint and the summary exporter). {!sample} is
+    pull-based and gated on {!Obs.is_enabled}; nothing here runs on the
+    stores' insert path. *)
 
 val peak_rss_bytes : unit -> int
 (** High-water resident set size: [VmHWM] from [/proc/self/status],
     falling back to the GC top-of-heap size where /proc is absent. *)
 
 val sample : unit -> unit
-(** Take one sample: refresh the GC/RSS/throughput gauges
-    ([telemetry.*]) and the [slo.epoch_close_p99_ms] gauge. The
-    events/sec gauge covers the window since the previous sample. No-op
-    when {!Obs} is disabled. *)
+(** Take one sample: refresh the GC/RSS gauges ([telemetry.*]) and the
+    [slo.epoch_close_p99_ms] gauge. No-op when {!Obs} is disabled. *)
 
 (** {1 Epoch-close latency SLO}
 
@@ -50,6 +34,3 @@ val set_slo_epoch_close_ms : float -> unit
 (** Override the threshold; non-positive values are ignored. The CLI,
     bench and examples set it once from the run configuration
     ([RMA_SLO_EPOCH_CLOSE_MS]). *)
-
-val reset_rate : unit -> unit
-(** Forget the rate window (next {!sample} only primes it). *)

@@ -282,7 +282,6 @@ let try_seed t access window =
 
 let insert_uninstrumented t access =
   t.inserts <- t.inserts + 1;
-  Rma_obs.Telemetry.note_event ();
   let outcome =
     if not t.fast_path then slow_insert t access (widened access.Access.interval)
     else if try_extend t access then Store_intf.Inserted

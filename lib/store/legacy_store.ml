@@ -62,7 +62,6 @@ let obs_race_checks =
 
 let insert_uninstrumented t access =
   t.inserts <- t.inserts + 1;
-  Rma_obs.Telemetry.note_event ();
   (* First traversal: conflict check restricted to the BST search path —
      the lower-bound-only approximation the paper identifies as the source
      of legacy false negatives. *)

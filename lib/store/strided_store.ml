@@ -285,7 +285,6 @@ let insert_unbudgeted t access =
           end)
 
 let insert_uninstrumented t access =
-  Rma_obs.Telemetry.note_event ();
   let outcome = insert_unbudgeted t access in
   (match outcome with
   | Store_intf.Inserted ->

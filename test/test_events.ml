@@ -209,14 +209,6 @@ let prop_line_roundtrips =
 
 let test_telemetry_collector () =
   with_events @@ fun () ->
-  Telemetry.reset_rate ();
-  let before = Telemetry.events_total () in
-  let store = Disjoint_store.create () in
-  for i = 1 to 100 do
-    ignore (Disjoint_store.insert store (disjoint_access ~seq:i (i * 8) ((i * 8) + 3)))
-  done;
-  Alcotest.(check bool) "store inserts feed the event counter" true
-    (Telemetry.events_total () - before >= 100);
   Alcotest.(check bool) "peak RSS is observable" true (Telemetry.peak_rss_bytes () > 0);
   Telemetry.sample ();
   let gauge name =
@@ -227,9 +219,7 @@ let test_telemetry_collector () =
   Alcotest.(check bool) "telemetry.peak_rss_bytes gauge set" true
     (gauge "telemetry.peak_rss_bytes" > 0.0);
   Alcotest.(check bool) "telemetry.gc_live_words gauge set" true
-    (gauge "telemetry.gc_live_words" > 0.0);
-  Alcotest.(check bool) "telemetry.events_total gauge counts" true
-    (gauge "telemetry.events_total" >= 100.0)
+    (gauge "telemetry.gc_live_words" > 0.0)
 
 (* --- serve smoke ----------------------------------------------------- *)
 

@@ -1,5 +1,5 @@
-(* The race-provenance pipeline: flight recorder semantics, JSON/SARIF
-   exports, and the bench perf-trajectory comparison. *)
+(* The race-provenance pipeline: flight recorder semantics and JSON/SARIF
+   exports. *)
 
 open Rma_access
 open Rma_store
@@ -256,101 +256,6 @@ let test_explain_names_merged_source () =
   Alcotest.(check bool) "explain shows the matrix cell" true
     (Astring.String.is_infix ~affix:"Figure 3 cell" text)
 
-(* --- perf trajectory ------------------------------------------------- *)
-
-let sample name wall metrics =
-  {
-    Perf_trajectory.name;
-    wall_seconds = wall;
-    peak_rss_bytes = 0.0;
-    events_per_sec = 0.0;
-    critical_path_ms = 0.0;
-    metrics;
-  }
-
-let record samples =
-  {
-    Perf_trajectory.schema_version = Perf_trajectory.schema_version;
-    generator = "test";
-    scale = 0.1;
-    samples;
-    counters = [ ("events", 42) ];
-  }
-
-let test_perf_json_round_trip () =
-  let r = record [ sample "fig10" 1.5 [ ("nodes", 100.0); ("races", 3.0) ] ] in
-  match Perf_trajectory.of_json (Perf_trajectory.to_json r) with
-  | Error msg -> Alcotest.failf "decode failed: %s" msg
-  | Ok r' ->
-      Alcotest.(check string) "round-trips"
-        (Json.to_string (Perf_trajectory.to_json r))
-        (Json.to_string (Perf_trajectory.to_json r'))
-
-let test_compare_identical_is_clean () =
-  let r = record [ sample "fig10" 1.5 [ ("nodes", 100.0); ("races", 3.0) ] ] in
-  let deltas = Perf_trajectory.compare_records r r in
-  Alcotest.(check int) "every metric compared" 3 (List.length deltas);
-  List.iter
-    (fun (d : Perf_trajectory.delta) ->
-      Alcotest.(check (float 1e-9)) "ratio 1.0" 1.0 d.Perf_trajectory.ratio)
-    deltas;
-  Alcotest.(check int) "no regressions on identical records" 0
-    (List.length (Perf_trajectory.regressions deltas))
-
-let test_compare_flags_regression () =
-  let old_r = record [ sample "fig10" 1.0 [ ("nodes", 100.0); ("modularity", 0.4) ] ] in
-  let new_r = record [ sample "fig10" 2.0 [ ("nodes", 200.0); ("modularity", 0.1) ] ] in
-  let regs = Perf_trajectory.(regressions (compare_records old_r new_r)) in
-  let metrics = List.map (fun (d : Perf_trajectory.delta) -> d.Perf_trajectory.metric) regs in
-  Alcotest.(check bool) "2x wall time flagged" true (List.mem "wall_seconds" metrics);
-  Alcotest.(check bool) "2x node count flagged" true (List.mem "nodes" metrics);
-  Alcotest.(check bool) "modularity is not lower-is-better" false (List.mem "modularity" metrics)
-
-let test_compare_threshold_is_configurable () =
-  let old_r = record [ sample "fig10" 1.0 [] ] in
-  let new_r = record [ sample "fig10" 2.0 [] ] in
-  Alcotest.(check int) "2x passes a 1.5 (=+150%) threshold" 0
-    (List.length Perf_trajectory.(regressions (compare_records ~threshold:1.5 old_r new_r)));
-  Alcotest.(check int) "2x fails a 0.5 (=+50%) threshold" 1
-    (List.length Perf_trajectory.(regressions (compare_records ~threshold:0.5 old_r new_r)))
-
-let test_compare_ignores_sub_ms_noise () =
-  let old_r = record [ sample "micro" 1e-5 [] ] in
-  let new_r = record [ sample "micro" 9e-4 [] ] in
-  Alcotest.(check int) "sub-millisecond wall times never regress" 0
-    (List.length Perf_trajectory.(regressions (compare_records old_r new_r)))
-
-let test_compare_fails_on_missing_baseline_experiment () =
-  (* A baseline predating the "par" experiment: the comparison must fail
-     with a message naming the missing experiment, not skip it silently
-     and not raise. *)
-  let old_r = record [ sample "fig10" 1.0 [ ("nodes", 100.0) ] ] in
-  let new_r =
-    record [ sample "fig10" 1.0 [ ("nodes", 100.0) ]; sample "par" 0.5 [ ("par_j4_speedup", 1.9) ] ]
-  in
-  Alcotest.(check (list string))
-    "missing experiment detected" [ "par" ]
-    (Perf_trajectory.missing_from_baseline ~old_record:old_r ~new_record:new_r);
-  let body, failed =
-    Perf_trajectory.render_comparison ~old_record:old_r ~new_record:new_r ()
-  in
-  Alcotest.(check bool) "comparison fails" true failed;
-  Alcotest.(check bool) "message names the experiment" true
-    (Astring.String.is_infix ~affix:"par" body && Astring.String.is_infix ~affix:"baseline" body);
-  (* The reverse direction fails too: a candidate that never ran a
-     baseline experiment dropped coverage — those metrics would silently
-     stop being tracked if the comparison passed. *)
-  Alcotest.(check (list string))
-    "dropped experiment detected" [ "par" ]
-    (Perf_trajectory.missing_from_candidate ~old_record:new_r ~new_record:old_r);
-  let body', failed' =
-    Perf_trajectory.render_comparison ~old_record:new_r ~new_record:old_r ()
-  in
-  Alcotest.(check bool) "candidate missing a baseline experiment fails" true failed';
-  Alcotest.(check bool) "and the verdict names the dropped experiment" true
-    (Astring.String.is_infix ~affix:"par" body'
-    && Astring.String.is_infix ~affix:"missing" body')
-
 let suite =
   [
     Alcotest.test_case "disabled recorder is a no-op" `Quick test_recorder_disabled_noop;
@@ -372,17 +277,6 @@ let suite =
       test_sarif_lists_all_locations;
     Alcotest.test_case "explain renders the merged-away source" `Quick
       test_explain_names_merged_source;
-    Alcotest.test_case "perf record JSON round-trips" `Quick test_perf_json_round_trip;
-    Alcotest.test_case "compare: identical records are clean" `Quick
-      test_compare_identical_is_clean;
-    Alcotest.test_case "compare: 2x growth on lower-is-better metrics flagged" `Quick
-      test_compare_flags_regression;
-    Alcotest.test_case "compare: threshold is configurable" `Quick
-      test_compare_threshold_is_configurable;
-    Alcotest.test_case "compare: sub-millisecond wall noise ignored" `Quick
-      test_compare_ignores_sub_ms_noise;
-    Alcotest.test_case "compare: missing baseline experiment is a clear failure" `Quick
-      test_compare_fails_on_missing_baseline_experiment;
   ]
 
 (* --- Hybrid thread fields in race exports (PR 8) --- *)
