@@ -517,7 +517,7 @@ let export_cmd =
 
 (* --- record / analyze: the offline post-mortem pair --- *)
 
-module Recorder = Rma_trace.Recorder
+module Codec = Rma_trace.Codec
 
 let trace_out_arg =
   Arg.(
@@ -550,12 +550,20 @@ let record_cmd =
     (* Mirror Runner.run/run_kernel: zero observer cost, so the trace is
        schedule-identical to what the in-process detectors saw. *)
     let config = { Mpi_sim.Config.default with Mpi_sim.Config.analysis_overhead_scale = 0.0 } in
-    let r = Recorder.create () in
-    ignore
-      (Mpi_sim.Runtime.run ~nprocs ~seed ?interleave_seed:run.Run_config.interleave_seed ~config
-         ~observer:(Recorder.observer r) program);
-    Recorder.save ?faults r ~path:out;
-    Printf.printf "recorded %d events (%d ranks) to %s\n" (Recorder.length r) nprocs out;
+    let w =
+      Out_channel.with_open_text out (fun oc ->
+          let w = Codec.Writer.create ?faults oc in
+          let observer e =
+            Codec.Writer.add w e;
+            0.0
+          in
+          ignore
+            (Mpi_sim.Runtime.run ~nprocs ~seed ?interleave_seed:run.Run_config.interleave_seed
+               ~config ~observer program);
+          Codec.Writer.close w;
+          w)
+    in
+    Printf.printf "recorded %d events (%d ranks) to %s\n" (Codec.Writer.count w) nprocs out;
     []
   in
   Cmd.v
@@ -578,33 +586,26 @@ let analyze_cmd =
       value
       & opt (some int) None
       & info [ "ranks"; "n" ] ~docv:"N"
-          ~doc:"Simulated rank count; defaults to the highest rank the trace mentions, plus one.")
-  in
-  let renumber reports =
-    List.mapi
-      (fun i r -> { r with Report.provenance = { r.Report.provenance with Report.id = i + 1 } })
-      reports
+          ~doc:
+            "Simulated rank count; defaults to the highest rank the trace mentions, plus one, \
+             found by a first pass over the file that $(docv) skips.")
   in
   let run obs tool_choice file ranks =
     with_diag ~workload:("analyze", [ ("tool", Toolbox.slug tool_choice); ("trace", file) ]) obs
     @@ fun run faults ->
-    match Recorder.load ~path:file with
+    (* Default simulator config, not [config run]: replay charges no
+       observer cost, and the serve daemon builds its per-session tools
+       the same way — the byte-identical-verdict contract hangs on it. *)
+    let make_tool ~nprocs =
+      Harness.make_tool ~run ?faults tool_choice ~nprocs ~config:Mpi_sim.Config.default
+    in
+    match Rma_trace.Ingest.file ?nprocs:ranks ~make_tool file with
     | Error msg ->
-        Printf.eprintf "analyze: cannot read %s: %s\n" file msg;
+        Printf.eprintf "analyze: %s: %s\n" file msg;
         exit 2
-    | Ok events ->
-        let nprocs =
-          match ranks with Some n -> n | None -> Rma_trace.Post_mortem.nprocs_of events
-        in
-        (* Default simulator config, not [config run]: replay charges no
-           observer cost, and the serve daemon builds its per-session
-           tools the same way — the byte-identical-verdict contract hangs
-           on it. *)
-        let tool =
-          Harness.make_tool ~run ?faults tool_choice ~nprocs ~config:Mpi_sim.Config.default
-        in
-        let reports = renumber (Recorder.replay events ~tool) in
-        Printf.printf "%s: %d events, %d ranks — %s\n" file (List.length events) nprocs
+    | Ok { Rma_trace.Ingest.tool; nprocs; events } ->
+        let reports = tool.Tool.races () in
+        Printf.printf "%s: %d events, %d ranks — %s\n" file events nprocs
           (match List.length reports with
           | 0 -> "no race"
           | 1 -> "1 race"

@@ -84,8 +84,8 @@ let () =
     match !nprocs with
     | Some n -> n
     | None -> (
-        match Rma_trace.Recorder.load ~path:trace with
-        | Ok events -> Rma_trace.Post_mortem.nprocs_of events
+        match Rma_trace.Ingest.ranks trace with
+        | Ok n -> n
         | Error e -> die "serve_client: cannot infer --nprocs from %s: %s" trace e)
   in
   let fd =

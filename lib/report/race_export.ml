@@ -6,11 +6,12 @@ module Flight_recorder = Rma_store.Flight_recorder
 (* v2 added the optional [run_id] header cross-linking a verdict file to
    the event journal of the run that produced it; v3 added the
    [predicted] flag and schedulable-race [witness] of predictive mode.
-   v1/v2 files still load — and the emitted header version is ADAPTIVE:
+   v2 files still load — and the emitted header version is ADAPTIVE:
    a file with no predicted race is written as v2, so every
-   observed-only export stays byte-identical to pre-predictive builds. *)
+   observed-only export stays byte-identical to pre-predictive builds.
+   Every v2 writer emits each race's [degraded] flag. *)
 let schema_version = 3
-let min_schema_version = 1
+let min_schema_version = 2
 
 let used_schema_version reports =
   if List.exists (fun (r : Report.t) -> r.Report.provenance.Report.predicted) reports then
@@ -222,9 +223,7 @@ let report_of_json j =
     let* l = field "incoming_history" Json.to_list j in
     map_result origin_of_json l
   in
-  (* Optional with a [false] default so pre-governance race files still load. *)
-  let* degraded = opt_field "degraded" Json.to_bool j in
-  let degraded = Option.value degraded ~default:false in
+  let* degraded = field "degraded" Json.to_bool j in
   (* v3 fields; absent (observed race, or pre-predictive file) = false. *)
   let* predicted = opt_field "predicted" Json.to_bool j in
   let predicted = Option.value predicted ~default:false in
@@ -274,8 +273,7 @@ let of_json_with_run_id j =
       (Printf.sprintf "unsupported race schema version %d (expected %d..%d)" version
          min_schema_version schema_version)
   else
-    (* v1 files have no run_id; in v2 it is still optional (a run
-       without --obs never had one). *)
+    (* Optional: a run without --obs never had one. *)
     let run_id = Option.bind (Json.member "run_id" j) Json.to_str in
     let* races = field "races" Json.to_list j in
     let* reports = map_result report_of_json races in

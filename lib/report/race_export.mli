@@ -16,7 +16,7 @@ val schema_version : int
     schedulable-race [witness] of predictive mode). *)
 
 val min_schema_version : int
-(** Oldest version {!of_json} still loads (1). *)
+(** Oldest version {!of_json} still loads (2). *)
 
 val used_schema_version : Report.t list -> int
 (** The header version {!to_json} stamps for these reports: 3 when any
@@ -44,8 +44,7 @@ val of_json : Rma_util.Json.t -> (Report.t list, string) result
     format carries. *)
 
 val of_json_with_run_id : Rma_util.Json.t -> (Report.t list * string option, string) result
-(** Like {!of_json}, also surfacing the header's [run_id] when present
-    (always [None] for v1 files). *)
+(** Like {!of_json}, also surfacing the header's [run_id] when present. *)
 
 val write_json : path:string -> ?run_id:string -> generator:string -> Report.t list -> unit
 

@@ -5,6 +5,7 @@ module Tool = Rma_analysis.Tool
 module Toolbox = Rma_analysis.Toolbox
 module Report = Rma_analysis.Report
 module Codec = Rma_trace.Codec
+module Ingest = Rma_trace.Ingest
 module Race_export = Rma_report.Race_export
 module Run_config = Rma_config.Run_config
 
@@ -211,82 +212,75 @@ and on_hello t (s : Session.t) line =
         close_session t s Session.Shed
       end
 
-and flush_races t (s : Session.t) =
-  match s.Session.tool with
-  | None -> ()
-  | Some tool ->
-      (* race_count is a cheap int; only rebuild the stored list when it
-         moved (it also moves for reports dropped past the tool's cap,
-         in which case the stored list is simply unchanged). *)
-      let rc = tool.Tool.race_count () in
-      if rc <> s.Session.last_race_count then begin
-        s.Session.last_race_count <- rc;
-        let stored = tool.Tool.races () in
-        let n = List.length stored in
-        if n > s.Session.races_streamed then begin
-          let fresh = drop s.Session.races_streamed stored in
-          List.iteri
-            (fun i r ->
-              if Session.is_open s then begin
-                (* Stream order is final order (the stored list is
-                   chronological and append-only), so the 1-based stream
-                   index is exactly the id the offline export's
-                   renumbering would assign. *)
-                let r = with_id (s.Session.races_streamed + i + 1) r in
-                if send t s (Protocol.race r) then begin
-                  Atomic.incr t.c_races;
-                  Obs.incr obs_races
-                end
-              end)
-            fresh;
-          s.Session.races_streamed <- n
-        end
+and flush_races t (s : Session.t) tool =
+  (* race_count is a cheap int; only rebuild the stored list when it
+     moved (it also moves for reports dropped past the tool's cap, in
+     which case the stored list is simply unchanged). *)
+  match Ingest.race_count tool with
+  | Error reason -> reject t s reason
+  | Ok rc when rc <> s.Session.last_race_count ->
+      s.Session.last_race_count <- rc;
+      let stored = tool.Tool.races () in
+      let n = List.length stored in
+      if n > s.Session.races_streamed then begin
+        let fresh = drop s.Session.races_streamed stored in
+        List.iteri
+          (fun i r ->
+            if Session.is_open s then begin
+              (* Stream order is final order (the stored list is
+                 chronological and append-only), so the 1-based stream
+                 index is exactly the id the offline export's
+                 renumbering would assign. *)
+              let r = with_id (s.Session.races_streamed + i + 1) r in
+              if send t s (Protocol.race r) then begin
+                Atomic.incr t.c_races;
+                Obs.incr obs_races
+              end
+            end)
+          fresh;
+        s.Session.races_streamed <- n
       end
+  | Ok _ -> ()
 
-and finish_session t (s : Session.t) n_events =
-  match s.Session.tool with
-  | None -> close_session t s (Session.Protocol_error "stream completed without a tool")
-  | Some tool ->
-      flush_races t s;
-      if Session.is_open s then begin
-        let reports = List.mapi (fun i r -> with_id (i + 1) r) (tool.Tool.races ()) in
-        let digest = Race_export.verdict_digest reports in
-        let degraded = (tool.Tool.bst_summary ()).Tool.degraded_drops_total in
-        let session = Option.value (Session.session_name s) ~default:"" in
-        Events.emit
-          ~kv:
-            [
-              ("event", "session_summary");
-              ("session", session);
-              ("events", string_of_int n_events);
-              ("races", string_of_int (List.length reports));
-              ("digest", digest);
-            ]
-          Events.Info "serve";
-        if
-          send t s
-            (Protocol.summary ~session ~events:n_events ~races:(List.length reports) ~digest
-               ~degraded_drops:degraded)
-        then close_session t s Session.Completed
-      end
+and finish_session t (s : Session.t) tool n_events =
+  flush_races t s tool;
+  if Session.is_open s then begin
+    let reports = List.mapi (fun i r -> with_id (i + 1) r) (tool.Tool.races ()) in
+    let digest = Race_export.verdict_digest reports in
+    let degraded = (tool.Tool.bst_summary ()).Tool.degraded_drops_total in
+    let session = Option.value (Session.session_name s) ~default:"" in
+    Events.emit
+      ~kv:
+        [
+          ("event", "session_summary");
+          ("session", session);
+          ("events", string_of_int n_events);
+          ("races", string_of_int (List.length reports));
+          ("digest", digest);
+        ]
+      Events.Info "serve";
+    if
+      send t s
+        (Protocol.summary ~session ~events:n_events ~races:(List.length reports) ~digest
+           ~degraded_drops:degraded)
+    then close_session t s Session.Completed
+  end
 
+(* [Ingest.line] is the step [rma_race analyze] folds over a trace file,
+   so a session's verdicts are the offline ones by construction. *)
 and feed_line t (s : Session.t) line =
-  match Codec.Incremental.feed s.Session.decoder line with
-  | Ok Codec.Incremental.Skip -> ()
-  | Ok (Codec.Incremental.Event e) ->
-      s.Session.events_fed <- s.Session.events_fed + 1;
-      Atomic.incr t.c_events;
-      Obs.incr obs_events;
-      (match s.Session.tool with
-      | None -> ()
-      | Some tool -> (
-          try ignore (tool.Tool.observer e) with
-          | Report.Race_abort _ -> ()
-          | Rma_fault.Budget.Exhausted msg ->
-              reject t s ("budget exhausted: " ^ msg)));
-      if Session.is_open s then flush_races t s
-  | Ok (Codec.Incremental.Complete n) -> finish_session t s n
-  | Error err -> reject t s (Codec.error_to_string err)
+  match s.Session.tool with
+  | None -> reject t s "streaming without a tool"
+  | Some tool -> (
+      match Ingest.line tool s.Session.decoder line with
+      | Ok Codec.Incremental.Skip -> ()
+      | Ok (Codec.Incremental.Event _) ->
+          s.Session.events_fed <- s.Session.events_fed + 1;
+          Atomic.incr t.c_events;
+          Obs.incr obs_events;
+          flush_races t s tool
+      | Ok (Codec.Incremental.Complete n) -> finish_session t s tool n
+      | Error reason -> reject t s reason)
 
 and reject t (s : Session.t) reason =
   ignore (send t s (Protocol.error ?session:(Session.session_name s) reason));

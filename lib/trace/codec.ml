@@ -8,7 +8,6 @@ let footer n = Printf.sprintf "%s %d" footer_prefix n
 type error = { at_line : int; reason : string }
 
 let error_to_string e = Printf.sprintf "line %d: %s" e.at_line e.reason
-let pp_error fmt e = Format.pp_print_string fmt (error_to_string e)
 
 let needs_escape c = c = '%' || c = '\t' || c = '\n' || c = '\r'
 
@@ -475,42 +474,62 @@ let corrupt_line line =
    line-at-a-time writer had it, while 16 KiB raised it by 3.5 MB. *)
 let flush_at = 65536
 
-let write_all ?faults oc events =
-  let buf = Buffer.create (2 * flush_at) in
-  Buffer.add_string buf header;
-  Buffer.add_char buf '\n';
-  let rec go written = function
-    | [] ->
-        Buffer.add_string buf (footer written);
+module Writer = struct
+  type t = {
+    oc : out_channel;
+    faults : Rma_fault.t option;
+    buf : Buffer.t;
+    mutable count : int;
+    mutable cut : bool;  (* Truncated or closed: nothing more is written. *)
+  }
+
+  let create ?faults oc =
+    let buf = Buffer.create (2 * flush_at) in
+    Buffer.add_string buf (header ^ "\n");
+    { oc; faults; buf; count = 0; cut = false }
+
+  let fire t site = match t.faults with Some f -> Rma_fault.fire f site | None -> false
+
+  let add t e =
+    t.count <- t.count + 1;
+    if not t.cut then begin
+      let buf = t.buf in
+      let start = Buffer.length buf in
+      encode_into buf e;
+      let len = Buffer.length buf - start in
+      if fire t Rma_fault.Trace_truncate then begin
+        (* Cut mid-line: half the bytes land, the newline and the
+           footer never do. *)
+        Buffer.truncate buf (start + (len / 2));
+        t.cut <- true
+      end
+      else begin
+        if fire t Rma_fault.Trace_corrupt then begin
+          let line = corrupt_line (Buffer.sub buf start len) in
+          Buffer.truncate buf start;
+          Buffer.add_string buf line
+        end;
         Buffer.add_char buf '\n';
-        Buffer.output_buffer oc buf
-    | e :: rest ->
-        let start = Buffer.length buf in
-        encode_into buf e;
-        let len = Buffer.length buf - start in
-        if match faults with Some f -> Rma_fault.fire f Rma_fault.Trace_truncate | None -> false
-        then begin
-          (* Cut mid-line: half the bytes land, the newline and the
-             footer never do. *)
-          Buffer.truncate buf (start + (len / 2));
-          Buffer.output_buffer oc buf
+        if Buffer.length buf >= flush_at then begin
+          Buffer.output_buffer t.oc buf;
+          Buffer.clear buf
         end
-        else begin
-          if match faults with Some f -> Rma_fault.fire f Rma_fault.Trace_corrupt | None -> false
-          then begin
-            let line = corrupt_line (Buffer.sub buf start len) in
-            Buffer.truncate buf start;
-            Buffer.add_string buf line
-          end;
-          Buffer.add_char buf '\n';
-          if Buffer.length buf >= flush_at then begin
-            Buffer.output_buffer oc buf;
-            Buffer.clear buf
-          end;
-          go (written + 1) rest
-        end
-  in
-  go 0 events
+      end
+    end
+
+  let count t = t.count
+
+  let close t =
+    if not t.cut then Buffer.add_string t.buf (footer t.count ^ "\n");
+    t.cut <- true;
+    Buffer.output_buffer t.oc t.buf;
+    Buffer.clear t.buf
+end
+
+let write_all ?faults oc events =
+  let w = Writer.create ?faults oc in
+  List.iter (Writer.add w) events;
+  Writer.close w
 
 let parse_footer line =
   match String.split_on_char ' ' line with
@@ -532,35 +551,13 @@ let bad_header line =
 
 let is_footer line = String.starts_with ~prefix:footer_prefix line
 
-let read_all_raw ic =
-  match input_line ic with
-  | exception End_of_file -> Error { at_line = 1; reason = "empty trace" }
-  | first when first <> header -> Error (bad_header first)
-  | _ ->
-      let d = decoder () in
-      let rec go lineno acc =
-        match input_line ic with
-        | exception End_of_file ->
-            Error { at_line = lineno; reason = "truncated trace: missing rma-trace-end footer" }
-        | line when is_footer line -> (
-            match parse_footer line with
-            | Some n when n = List.length acc -> Ok (List.rev acc)
-            | Some n ->
-                Error
-                  {
-                    at_line = lineno;
-                    reason =
-                      Printf.sprintf "footer count %d disagrees with %d decoded events" n
-                        (List.length acc);
-                  }
-            | None -> Error { at_line = lineno; reason = "malformed rma-trace-end footer" })
-        | line when String.trim line = "" -> go (lineno + 1) acc
-        | line -> (
-            match decode_line d line with
-            | Ok e -> go (lineno + 1) (e :: acc)
-            | Error reason -> Error { at_line = lineno; reason })
-      in
-      go 2 []
+(* A rejected trace is an operational incident, not just a return
+   value: journal it. *)
+let fail e =
+  Rma_obs.Events.emit
+    ~kv:[ ("event", "read_error"); ("at_line", string_of_int e.at_line); ("reason", e.reason) ]
+    Rma_obs.Events.Error "codec";
+  Error e
 
 module Incremental = struct
   type phase = Awaiting_header | Streaming | Finished
@@ -581,15 +578,14 @@ module Incremental = struct
     t.lineno <- here + 1;
     match t.phase with
     | Finished ->
-        (* Mirror [read_all_raw], which stops reading at the footer:
-           trailing bytes after a complete frame are ignored. *)
+        (* Trailing bytes after a complete frame are ignored. *)
         Ok Skip
     | Awaiting_header ->
         if line = header then begin
           t.phase <- Streaming;
           Ok Skip
         end
-        else Error (bad_header line)
+        else fail (bad_header line)
     | Streaming ->
         if String.trim line = "" then Ok Skip
         else if is_footer line then
@@ -598,29 +594,46 @@ module Incremental = struct
               t.phase <- Finished;
               Ok (Complete n)
           | Some n ->
-              Error
+              fail
                 {
                   at_line = here;
                   reason =
                     Printf.sprintf "footer count %d disagrees with %d decoded events" n t.count;
                 }
-          | None -> Error { at_line = here; reason = "malformed rma-trace-end footer" }
+          | None -> fail { at_line = here; reason = "malformed rma-trace-end footer" }
         else
           match decode_line t.dec line with
           | Ok e ->
               t.count <- t.count + 1;
               Ok (Event e)
-          | Error reason -> Error { at_line = here; reason }
+          | Error reason -> fail { at_line = here; reason }
+
+  let finish t =
+    match t.phase with
+    | Finished -> Ok t.count
+    | Awaiting_header -> fail { at_line = 1; reason = "empty trace" }
+    | Streaming ->
+        fail { at_line = t.lineno; reason = "truncated trace: missing rma-trace-end footer" }
 end
 
+let fold ic step ~eof =
+  let dec = Incremental.create () in
+  let rec go () =
+    match input_line ic with
+    | exception End_of_file -> Result.map_error eof (Incremental.finish dec)
+    | line -> (
+        match step dec line with
+        | Ok (Incremental.Complete n) -> Ok n
+        | Ok (Incremental.Event _ | Incremental.Skip) -> go ()
+        | Error e -> Error e)
+  in
+  go ()
+
 let read_all ic =
-  match read_all_raw ic with
-  | Ok _ as ok -> ok
-  | Error e as err ->
-      (* A rejected trace is an operational incident (corrupted file,
-         interrupted writer), not just a return value: journal it. *)
-      Rma_obs.Events.emit
-        ~kv:
-          [ ("event", "read_error"); ("at_line", string_of_int e.at_line); ("reason", e.reason) ]
-        Rma_obs.Events.Error "codec";
-      err
+  let events = ref [] in
+  let keep dec line =
+    let r = Incremental.feed dec line in
+    (match r with Ok (Incremental.Event e) -> events := e :: !events | _ -> ());
+    r
+  in
+  Result.map (fun _ -> List.rev !events) (fold ic keep ~eof:Fun.id)

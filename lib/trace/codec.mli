@@ -17,22 +17,14 @@
     Decoding is {e total}: {!decode_event} and {!read_all} return
     [Error] on any malformed, truncated or bit-flipped input and never
     raise or loop — the fuzz suite in [test/test_fuzz.ml] holds them to
-    that. Given a {!Rma_fault} schedule, {!write_all} is the
+    that. Given a {!Rma_fault} schedule, {!Writer} is the
     injection point for the [Trace_corrupt] (one flipped bit in an
     encoded line) and [Trace_truncate] (stream cut mid-line, footer
     lost) sites.
 
-    Lines are written and read in place: {!write_all} appends each
-    field to one buffer per stream, and the decoders scan the fields of
-    a line without splitting it, reusing the previous line's file and
-    operation strings when their bytes repeat. Neither contract moved
-    with that rewrite. The bytes written are those of the split-and-join
-    codec it replaced ([test/golden/trace_kernels.rma] pins them), and
-    decoding accepts the same lines, yields the same events and reports
-    the same error strings — field text that is not in the encoder's
-    canonical form goes through the general [int_of_string_opt] /
-    [float_of_string_opt] parsers, as before. A frozen copy of the old
-    codec in the test suite is the oracle for both. *)
+    Lines are written and read in place, field by field, with the bytes
+    and errors of the split-and-join codec this replaced: a frozen copy
+    of it in the test suite is the oracle (DESIGN.md §17). *)
 
 val header : string
 (** First line of every trace file (format 2). *)
@@ -48,7 +40,6 @@ type error = {
 }
 
 val error_to_string : error -> string
-val pp_error : Format.formatter -> error -> unit
 
 (** {1 Events} *)
 
@@ -58,28 +49,36 @@ val encode_event : Mpi_sim.Event.event -> string
 val decode_event : string -> (Mpi_sim.Event.event, string) result
 (** Total: any input yields [Ok] or [Error], never an exception. *)
 
+(** {1 Writing} *)
+
+(** One stream: the header, a line per {!add}, the footer at {!close}.
+    Lines gather in one 64 KiB buffer handed to the channel as it fills.
+    Under a fault schedule each {!add} passes the [Trace_truncate] site
+    (fires: half the line is kept and nothing more is written or drawn)
+    and then the [Trace_corrupt] site (fires: one bit of the line is
+    flipped). *)
+module Writer : sig
+  type t
+
+  val create : ?faults:Rma_fault.t -> out_channel -> t
+  val add : t -> Mpi_sim.Event.event -> unit
+
+  val count : t -> int
+  (** Events added, including any after a truncation. *)
+
+  val close : t -> unit
+  (** The footer, unless the stream was cut, then every buffered byte to
+      the channel, which stays open. *)
+end
+
 val write_all : ?faults:Rma_fault.t -> out_channel -> Mpi_sim.Event.event list -> unit
-(** Header, one line per event, footer. Under a fault schedule,
-    each line first passes the [Trace_truncate] site (fires: the stream
-    stops after a prefix of that line and the footer is never written)
-    and then the [Trace_corrupt] site (fires: one deterministic bit of
-    the line is flipped). *)
+(** One {!Writer} over a list. *)
 
-val read_all : in_channel -> (Mpi_sim.Event.event list, error) result
-(** Validates the header, decodes every line, and requires the footer
-    and checks its count; a missing or mismatching footer reports
-    truncation. Stops at the first malformed line. Blank lines are
-    ignored. *)
+(** {1 Reading}
 
-(** {1 Incremental decoding}
-
-    The [serve] daemon receives one Codec stream per socket session and
-    must make progress a line at a time, interleaved with other
-    sessions. {!Incremental} is the same total grammar as {!read_all},
-    refactored into a push decoder: hand it each complete line (without
-    its newline) as it arrives and it yields decoded events until the
-    footer closes the frame. A stream that ends before its footer was
-    cut short; the caller treats end-of-input there as a disconnect. *)
+    Every reader decodes through {!Incremental}: the [serve] daemon
+    feeds it one socket line at a time, {!fold} one file line at a time.
+    Each error it returns is journaled once, as a [read_error]. *)
 
 module Incremental : sig
   type t
@@ -101,7 +100,22 @@ module Incremental : sig
       yields [Error] with the 1-based line number (header = line 1),
       never an exception. After the first [Error] the decoder state is
       unspecified — abandon the stream. *)
+
+  val finish : t -> (int, error) result
+  (** End of input: the footer's count, else [empty trace] or
+      [truncated trace: missing rma-trace-end footer]. *)
 end
+
+val fold :
+  in_channel ->
+  (Incremental.t -> string -> (Incremental.step, 'e) result) ->
+  eof:(error -> 'e) ->
+  (int, 'e) result
+(** Each line to the step, with one decoder, until an [Error] or the
+    footer's count; end of input first is {!Incremental.finish}'s error. *)
+
+val read_all : in_channel -> (Mpi_sim.Event.event list, error) result
+(** {!fold} over {!Incremental.feed}, keeping the events. *)
 
 val escape : string -> string
 val unescape : string -> string

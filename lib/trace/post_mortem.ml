@@ -30,27 +30,22 @@ type stamped = {
 
 type vid_info = { origin : int; mutable joined_at : int option }
 
-let nprocs_of events =
-  List.fold_left
-    (fun acc e ->
-      match e with
-      | Event.Access a ->
-          max acc (max (a.Event.space + 1) (a.Event.access.Access.issuer + 1))
-      | Event.Collective { rank; _ }
-      | Event.Win_created { rank; _ }
-      | Event.Win_freed { rank; _ }
-      | Event.Epoch_opened { rank; _ }
-      | Event.Epoch_closed { rank; _ }
-      | Event.Flushed { rank; _ }
-      | Event.Finished { rank; _ } -> max acc (rank + 1))
-    1 events
+let nprocs_step acc = function
+  | Event.Access a -> max acc (max (a.Event.space + 1) (a.Event.access.Access.issuer + 1))
+  | Event.Collective { rank; _ }
+  | Event.Win_created { rank; _ }
+  | Event.Win_freed { rank; _ }
+  | Event.Epoch_opened { rank; _ }
+  | Event.Epoch_closed { rank; _ }
+  | Event.Flushed { rank; _ }
+  | Event.Finished { rank; _ } -> max acc (rank + 1)
 
 (* Phase 1: replay the synchronisation structure, stamping every access
    with its thread and clock — the same region model as the MUST-RMA
    baseline (virtual region per one-sided operation, retired at epoch
    close; collectives merge). *)
 let stamp_accesses events =
-  let nprocs = nprocs_of events in
+  let nprocs = List.fold_left nprocs_step 1 events in
   let clocks = Array.init nprocs (fun _ -> Vclock.create ~nprocs) in
   let vids : (int, vid_info) Hashtbl.t = Hashtbl.create 1024 in
   let epoch_vids : (int * Event.win_id, int list) Hashtbl.t = Hashtbl.create 16 in

@@ -30,11 +30,11 @@ type result = {
   pairs_checked : int;
 }
 
-val nprocs_of : Mpi_sim.Event.event list -> int
-(** Smallest rank-universe containing every event: max over all ranks
-    and access spaces/issuers, plus one (minimum 1). The [analyze]
-    subcommand and the serve daemon use it to size detector state when
-    a trace arrives without out-of-band rank metadata. *)
+val nprocs_step : int -> Mpi_sim.Event.event -> int
+(** [max acc (r + 1)] over every rank [r] the event names (its rank, or
+    an access's space and issuer). Folded from 1 over a trace it is the
+    smallest rank universe containing every event: {!analyze} sizes its
+    clocks so, and {!Ingest.ranks} infers [analyze]'s rank count. *)
 
 val analyze : ?max_reports:int -> Mpi_sim.Event.event list -> result
 (** Default cap 10 000 distinct pairs. Duplicate races from the same

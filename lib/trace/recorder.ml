@@ -18,22 +18,14 @@ let events t = List.rev t.events
 
 let length t = t.count
 
-let clear t =
-  t.events <- [];
-  t.count <- 0
-
 let save ?faults t ~path =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Codec.write_all ?faults oc (events t))
+  Out_channel.with_open_text path (fun oc -> Codec.write_all ?faults oc (events t))
 
 let load ~path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> Result.map_error Codec.error_to_string (Codec.read_all ic))
+  In_channel.with_open_text path (fun ic ->
+      Result.map_error Codec.error_to_string (Codec.read_all ic))
 
 let replay events ~tool =
   tool.Rma_analysis.Tool.reset ();
-  (try List.iter (fun e -> ignore (tool.Rma_analysis.Tool.observer e)) events
-   with Rma_analysis.Report.Race_abort _ -> ());
+  List.iter (fun e -> Result.iter_error failwith (Ingest.event tool e)) events;
   tool.Rma_analysis.Tool.races ()

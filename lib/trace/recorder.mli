@@ -1,5 +1,9 @@
-(** Capture an instrumentation event stream for later offline analysis —
-    the front half of the MC-Checker-style post-mortem workflow. *)
+(** Capture an instrumentation event stream in memory, as a list — for
+    callers that need the whole trace, such as the {!Post_mortem}
+    exhaustive oracle. Writing, reading and replaying go through the
+    streaming path: {!Codec.Writer}, {!Codec.read_all} and
+    {!Ingest.event}. The [record]/[analyze] subcommands stream and
+    never build this list. *)
 
 type t
 
@@ -20,8 +24,6 @@ val events : t -> Mpi_sim.Event.event list
 
 val length : t -> int
 
-val clear : t -> unit
-
 val save : ?faults:Rma_fault.t -> t -> path:string -> unit
 (** Write the trace file ({!Codec.write_all}: framed format 2; the
     [Trace_corrupt]/[Trace_truncate] sites of [faults] fire inside). *)
@@ -32,5 +34,6 @@ val load : path:string -> (Mpi_sim.Event.event list, string) result
     malformed input. *)
 
 val replay : Mpi_sim.Event.event list -> tool:Rma_analysis.Tool.t -> Rma_analysis.Report.t list
-(** Feed a recorded stream through any detector (reset first) and
-    return its reports; Race_abort from an aborting tool is caught. *)
+(** Reset the tool, feed it each event through {!Ingest.event} and
+    return its reports. A fail-fast budget's exhaustion raises
+    [Failure] with {!Ingest.event}'s reason. *)

@@ -9,8 +9,11 @@
 #      journal and the /metrics endpoint on,
 #   4. run two client sessions (racy, clean) plus one that hangs up
 #      mid-stream, scraping /metrics while the daemon is live,
-#   5. assert the streamed digests byte-equal the offline ones, and
-#   6. shut the daemon down cleanly and check the journal saw it all.
+#   5. assert the streamed digests byte-equal the offline ones,
+#   6. check that a trace cut before its footer fails analyze (exit 2,
+#      no digest) and that a fail-fast budget ends analyze and a session
+#      on the same file with the same reason, and
+#   7. shut the daemon down cleanly and check the journal saw it all.
 #
 # Usage: scripts/serve_smoke.sh [workdir]
 #   DUNE="opam exec -- dune" scripts/serve_smoke.sh   # under opam (CI)
@@ -80,7 +83,34 @@ if grep -q '"type":"race"' "$WORK/clean.session.txt"; then
 fi
 echo "serve_smoke: streamed digests byte-equal the offline analyze path"
 
-# --- 6: clean shutdown -------------------------------------------------------
+# --- 6: failures, offline and served ---------------------------------------
+head -n -1 "$WORK/racy.rma" >"$WORK/racy.cut.rma"
+status=0
+$DUNE exec bin/rma_race_cli.exe -- analyze "$WORK/racy.cut.rma" >"$WORK/cut.offline.txt" \
+  2>"$WORK/cut.offline.err" || status=$?
+cat "$WORK/cut.offline.err"
+test "$status" -eq 2
+if grep -q '^digest:' "$WORK/cut.offline.txt"; then
+  echo "serve_smoke: FAIL — a trace without its footer printed a digest" >&2
+  exit 1
+fi
+
+status=0
+$DUNE exec bin/rma_race_cli.exe -- analyze --budget nodes=1,policy=fail "$WORK/clean.rma" \
+  >/dev/null 2>"$WORK/budget.offline.err" || status=$?
+test "$status" -eq 2
+status=0
+$DUNE exec examples/serve_client.exe -- --port "$PORT" --trace "$WORK/clean.rma" \
+  --session budget-smoke --budget nodes=1,policy=fail >"$WORK/budget.session.txt" || status=$?
+test "$status" -eq 3
+OFFLINE_REASON=$(grep -o 'budget exhausted: .*' "$WORK/budget.offline.err")
+SERVED_REASON=$(sed -n 's/.*"reason":"\(budget exhausted: [^"]*\)".*/\1/p' "$WORK/budget.session.txt")
+echo "serve_smoke: offline: $OFFLINE_REASON"
+echo "serve_smoke: served:  $SERVED_REASON"
+test -n "$OFFLINE_REASON" && test "$OFFLINE_REASON" = "$SERVED_REASON"
+echo "serve_smoke: a cut trace fails analyze; a fail-fast budget gives one reason on both paths"
+
+# --- 7: clean shutdown -------------------------------------------------------
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 trap - EXIT

@@ -169,47 +169,23 @@ let test_degraded_race_flagged () =
   let r = List.hd reports in
   Alcotest.(check bool) "provenance carries the degradation" true
     r.Report.provenance.Report.degraded;
-  (* The flag survives the JSON round trip... *)
+  (* The flag survives the JSON round trip. *)
   let text = Json.to_string (Race_export.to_json ~generator:"test" reports) in
-  (match Result.bind (Json.of_string text) Race_export.of_json with
+  match Result.bind (Json.of_string text) Race_export.of_json with
   | Error msg -> Alcotest.failf "round trip failed: %s" msg
   | Ok reports' ->
       Alcotest.(check bool) "degraded survives JSON" true
-        (List.hd reports').Report.provenance.Report.degraded);
-  (* ...and a schema-v1 file without the field still loads, as exact. *)
-  let clean = with_recorder code1_race_reports in
-  let stripped =
-    match Json.of_string (Json.to_string (Race_export.to_json ~generator:"test" clean)) with
-    | Ok (Json.Obj fields) ->
-        Json.Obj
-          (List.map
-             (function
-               | "races", Json.List rs ->
-                   ( "races",
-                     Json.List
-                       (List.map
-                          (function
-                            | Json.Obj f ->
-                                Json.Obj (List.filter (fun (k, _) -> k <> "degraded") f)
-                            | j -> j)
-                          rs) )
-               | kv -> kv)
-             fields)
-    | _ -> Alcotest.fail "re-parse failed"
-  in
-  match Race_export.of_json stripped with
-  | Error msg -> Alcotest.failf "pre-governance file rejected: %s" msg
-  | Ok loaded ->
-      Alcotest.(check bool) "missing field defaults to exact" false
-        (List.hd loaded).Report.provenance.Report.degraded
+        (List.hd reports').Report.provenance.Report.degraded
 
+(* Too new, and v1: its races predate the required [degraded] flag. *)
 let test_json_rejects_bad_version () =
-  let json =
-    Json.Obj [ ("schema_version", Json.Int 999); ("races", Json.List []) ]
-  in
-  match Race_export.of_json json with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "schema version 999 accepted"
+  List.iter
+    (fun v ->
+      let json = Json.Obj [ ("schema_version", Json.Int v); ("races", Json.List []) ] in
+      match Race_export.of_json json with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "schema version %d accepted" v)
+    [ 999; 1 ]
 
 (* --- SARIF ----------------------------------------------------------- *)
 

@@ -10,6 +10,7 @@ module Protocol = Rma_serve.Protocol
 module Session = Rma_serve.Session
 module Codec = Rma_trace.Codec
 module Recorder = Rma_trace.Recorder
+module Ingest = Rma_trace.Ingest
 module Kernel = Rma_microbench.Scenario.Kernel
 module Json = Rma_util.Json
 module Toolbox = Rma_analysis.Toolbox
@@ -56,9 +57,12 @@ let offline ?jobs ?budget ~nprocs events =
 
 (* --- a minimal blocking client -------------------------------------- *)
 
+(* A daemon that dies mid-session leaves its sockets open: the receive
+   timeout turns that into a failed test instead of a hung one. *)
 let connect port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
   fd
 
 let write_all fd s =
@@ -578,6 +582,48 @@ let test_metrics_label_sessions () =
   in
   ()
 
+(* A fail-fast budget ends a session and the offline ingestion of the
+   same trace with the same reason: sequentially, where the observer
+   raises, and sharded, where a worker parks the failure until the next
+   barrier. The daemon outlives both sessions. *)
+let test_budget_exhausted_same_reason () =
+  let nprocs, events = record_kernel clean_kernel in
+  let lines = trace_lines events in
+  let path = Filename.temp_file "rma_serve_budget" ".rma" in
+  Out_channel.with_open_bin path (fun oc -> List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let spec = "nodes=1,policy=fail" in
+  let budget = Result.get_ok (Rma_fault.Budget.of_spec spec) in
+  let offline_reason jobs =
+    let make_tool ~nprocs = Toolbox.make Toolbox.Contribution ~nprocs ~jobs ~budget () in
+    match Ingest.file ~nprocs ~make_tool path with
+    | Ok _ -> Alcotest.failf "jobs=%d: offline ingestion outlived a one-node budget" jobs
+    | Error reason -> reason
+  in
+  let stats =
+    with_daemon @@ fun _d port ->
+    List.iter
+      (fun jobs ->
+        let reason = offline_reason jobs in
+        Alcotest.(check bool)
+          (Printf.sprintf "jobs=%d: offline reason names the budget" jobs)
+          true
+          (String.starts_with ~prefix:"budget exhausted: " reason);
+        let served = run_session ~jobs ~budget:spec ~port ~session:"budget" ~nprocs lines in
+        let last = List.nth served (List.length served - 1) in
+        Alcotest.(check string) (Printf.sprintf "jobs=%d: session ends in error" jobs) "error"
+          (line_type last);
+        Alcotest.(check (option string))
+          (Printf.sprintf "jobs=%d: session reason is the offline one" jobs)
+          (Some reason) (str_field "reason" last))
+      [ 1; 2 ];
+    let after = run_session ~port ~session:"after" ~nprocs lines in
+    Alcotest.(check string) "the daemon still completes sessions" "summary"
+      (line_type (List.nth after (List.length after - 1)))
+  in
+  Alcotest.(check int) "both budget sessions failed" 2 stats.Daemon.failed;
+  Alcotest.(check int) "the last session completed" 1 stats.Daemon.completed
+
 let suite =
   [
     Alcotest.test_case "byte-identical verdicts vs offline replay" `Quick
@@ -594,4 +640,6 @@ let suite =
     Alcotest.test_case "/metrics labels sessions by run id" `Quick test_metrics_label_sessions;
     Alcotest.test_case "interleaved sessions keep their own fault schedules" `Quick
       test_interleaved_faults_isolated;
+    Alcotest.test_case "budget exhausted: same reason offline and served" `Quick
+      test_budget_exhausted_same_reason;
   ]

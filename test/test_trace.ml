@@ -663,3 +663,102 @@ let suite =
         prop_write_all_matches_oracle;
         prop_stream_matches_oracle;
       ]
+
+(* --- Streaming ingestion failures ---
+
+   [Ingest.file] decodes a trace while it feeds the tool, so an error
+   can surface after events were fed. Whether the rank count is given
+   or found by the first pass, each broken file must fail with the
+   text and line number [Codec.read_all] reports, journal one
+   [read_error], and yield no verdicts. *)
+
+let broken_traces () =
+  let events = sample_events () in
+  let n = List.length events in
+  let body = List.map Codec.encode_event events in
+  let lines ls = String.concat "" (List.map (fun l -> l ^ "\n") ls) in
+  let corrupt_at = 5 in
+  [
+    ("empty file", "", "line 1: empty trace", false);
+    ( "bad header",
+      lines (("rma-trace 1" :: body) @ [ Codec.footer n ]),
+      "line 1: bad header \"rma-trace 1\": trace format 1 is unsupported (only format 2 is read)",
+      false );
+    ( "footer cut off",
+      lines (Codec.header :: body),
+      Printf.sprintf "line %d: truncated trace: missing rma-trace-end footer" (n + 2),
+      true );
+    ( "corrupt line mid-file",
+      lines
+        ((Codec.header :: List.mapi (fun i l -> if i = corrupt_at then "A\t0\tLR\tbogus" else l) body)
+        @ [ Codec.footer n ]),
+      Printf.sprintf "line %d: malformed trace line \"A\\t0\\tLR\\tbogus\"" (corrupt_at + 2),
+      true );
+    ( "footer count disagrees",
+      lines ((Codec.header :: body) @ [ Codec.footer (n + 1) ]),
+      Printf.sprintf "line %d: footer count %d disagrees with %d decoded events" (n + 2) (n + 1) n,
+      true );
+  ]
+
+(* [f]'s result and the [read_error] records it journaled. *)
+let journaled_read_errors f =
+  let journal = Filename.temp_file "rma_ingest" ".jsonl" in
+  Rma_obs.Obs.enable ();
+  Rma_obs.Events.set_sink journal;
+  let finish () =
+    Rma_obs.Events.close ();
+    Rma_obs.Obs.disable ();
+    Rma_obs.Obs.reset ();
+    Sys.remove journal
+  in
+  Fun.protect ~finally:finish @@ fun () ->
+  let r = f () in
+  Rma_obs.Events.close ();
+  let records = (Rma_obs.Journal.read_file journal).Rma_obs.Journal.events in
+  ( r,
+    List.length
+      (List.filter
+         (fun e -> List.assoc_opt "event" e.Rma_obs.Events.kv = Some "read_error")
+         records) )
+
+let test_ingest_failures () =
+  List.iter
+    (fun (case, bytes, expected, mid_stream) ->
+      let path = Filename.temp_file "rma_ingest" ".rma" in
+      Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+      Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+      let read_all = In_channel.with_open_bin path Codec.read_all in
+      Alcotest.(check (result reject string))
+        (case ^ ": read_all's text") (Error expected)
+        (Result.map_error Codec.error_to_string read_all);
+      List.iter
+        (fun nprocs ->
+          let known = Option.is_some nprocs in
+          let what = Printf.sprintf "%s, %s rank count" case (if known then "known" else "inferred") in
+          let fed = ref 0 in
+          let make_tool ~nprocs:_ =
+            {
+              Tool.baseline with
+              Tool.observer =
+                (fun _ ->
+                  incr fed;
+                  0.0);
+            }
+          in
+          let r, read_errors = journaled_read_errors (fun () -> Ingest.file ?nprocs ~make_tool path) in
+          (match r with
+          | Ok _ -> Alcotest.failf "%s: verdicts from a broken trace" what
+          | Error text -> Alcotest.(check string) (what ^ ": error text") expected text);
+          Alcotest.(check int) (what ^ ": one read_error journaled") 1 read_errors;
+          (* With the count known the only pass feeds the tool, so a
+             mid-stream error comes after events were fed; inferring it
+             fails in the rank pass, before any tool exists. *)
+          Alcotest.(check bool) (what ^ ": events fed before the error") (known && mid_stream)
+            (!fed > 0))
+        [ None; Some 2 ])
+    (broken_traces ())
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "ingestion fails like read_all, once, without verdicts" `Quick
+        test_ingest_failures ]
