@@ -5,7 +5,6 @@
      rma_race code ll_get_load_inwindow_origin_race
      rma_race minivite --ranks 32 --vertices 64000 --tool must --inject
      rma_race cfd --ranks 12 --iterations 50 --tool legacy
-     rma_race experiment table3
      rma_race minivite --inject --races-json races.json --races-sarif races.sarif
      rma_race explain 1 --from races.json
 *)
@@ -408,86 +407,6 @@ let cfd_cmd =
   Cmd.v
     (Cmd.info "cfd" ~doc:"Run the CFD-Proxy-like halo exchange under a detector.")
     Term.(const run $ diag_term $ tool_arg $ ranks_arg 12 $ seed_arg $ iterations_arg $ cells_arg)
-
-(* --- experiment --- *)
-
-let experiment_cmd =
-  let which_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"EXPERIMENT"
-          ~doc:"table2, table3, table4, fig5, fig8, fig9, fig10, fig11, fig12, ablation or par.")
-  in
-  let scale_arg =
-    Arg.(value & opt float 0.1 & info [ "scale" ] ~docv:"S" ~doc:"MiniVite input scale factor.")
-  in
-  let run obs which scale =
-    with_diag obs @@ fun run faults ->
-    let open Rma_report in
-    (match which with
-    | "table2" -> print_string (snd (Experiments.table2 ~run ?faults ()))
-    | "table3" -> print_string (snd (Experiments.table3 ~run ?faults ()))
-    | "table4" -> print_string (snd (Experiments.table4 ~scale ~run ?faults ()))
-    | "fig5" -> print_string (Experiments.fig5 ())
-    | "fig8" -> print_string (snd (Experiments.fig8 ()))
-    | "fig9" -> print_string (Experiments.fig9 ~run ?faults ())
-    | "fig10" -> print_string (snd (Experiments.fig10 ~run ?faults ()))
-    | "fig11" -> print_string (snd (Experiments.fig11 ~scale ~run ?faults ()))
-    | "fig12" -> print_string (snd (Experiments.fig12 ~scale ~run ?faults ()))
-    | "ablation" -> print_string (snd (Experiments.ablation ~run ?faults ()))
-    | "par" -> print_string (snd (Experiments.par ~scale ~run ?faults ()))
-    | other ->
-        Printf.eprintf "unknown experiment %S\n" other;
-        exit 2);
-    []
-  in
-  Cmd.v
-    (Cmd.info "experiment" ~doc:"Regenerate one of the paper's tables or figures.")
-    Term.(const run $ diag_term $ which_arg $ scale_arg)
-
-(* --- bfs --- *)
-
-let bfs_cmd =
-  let vertices_arg =
-    Arg.(value & opt int 20_000 & info [ "vertices" ] ~docv:"V" ~doc:"Graph size.")
-  in
-  let run obs tool_choice nprocs seed vertices =
-    with_diag
-      ~workload:
-        ( "bfs",
-          [
-            ("tool", Toolbox.slug tool_choice);
-            ("ranks", string_of_int nprocs);
-            ("seed", string_of_int seed);
-            ("vertices", string_of_int vertices);
-          ] )
-      obs
-    @@ fun run faults ->
-    let config = config run in
-    let params =
-      {
-        Graph500.Bfs.default_params with
-        Graph500.Bfs.graph =
-          { Minivite.Graph.default_params with Minivite.Graph.n_vertices = vertices };
-      }
-    in
-    let tool = Harness.make_tool ~run ?faults tool_choice ~nprocs ~config in
-    let observer = match tool_choice with Toolbox.Baseline -> None | _ -> Some tool.Tool.observer in
-    let result, summary = Graph500.Bfs.run params ~nprocs ~seed ~config ?observer () in
-    Printf.printf
-      "bfs: %d vertices, %d ranks — reached %d in %d levels, checksum %Ld, %d overflow retries\n"
-      vertices nprocs summary.Graph500.Bfs.reached summary.Graph500.Bfs.levels
-      summary.Graph500.Bfs.parent_checksum summary.Graph500.Bfs.inbox_overflows;
-    Printf.printf "simulated time: %.1f ms; wall: %.2f s\n"
-      (result.Mpi_sim.Runtime.makespan *. 1000.0)
-      result.Mpi_sim.Runtime.wall_seconds;
-    print_tool_outcome tool;
-    tool.Tool.races ()
-  in
-  Cmd.v
-    (Cmd.info "bfs" ~doc:"Run the Graph500-style fence-synchronised BFS under a detector.")
-    Term.(const run $ diag_term $ tool_arg $ ranks_arg 16 $ seed_arg $ vertices_arg)
 
 (* --- export --- *)
 
@@ -933,8 +852,6 @@ let () =
             kernel_cmd;
             minivite_cmd;
             cfd_cmd;
-            bfs_cmd;
-            experiment_cmd;
             export_cmd;
             record_cmd;
             analyze_cmd;

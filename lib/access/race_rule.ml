@@ -3,6 +3,9 @@ type verdict =
   | Race of { first : Access.t; second : Access.t }
   | Predicted of { first : Access.t; second : Access.t }
 
+(* [program_ordered]: [first] is known to happen-before [second] inside
+   one process (same thread, or threads synchronised by a
+   spawn/join/signal/wait edge). *)
 let conflict_kinds_ordered ~order_aware ~program_ordered ~first ~second =
   let open Access_kind in
   if is_local first && is_local second then false

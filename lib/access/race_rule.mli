@@ -22,24 +22,16 @@ type verdict =
           overlaps it, even if the observed run did not. Produced only
           by {!check_weak}; {!check} never returns it. *)
 
-val conflict_kinds_ordered : order_aware:bool -> program_ordered:bool ->
-  first:Access_kind.t -> second:Access_kind.t -> bool
-(** Kind-level conflict table, ignoring intervals. [first] is the access
-    already recorded (issued earlier), [second] the newcomer.
-    [program_ordered] says whether [first] is known to happen-before
-    [second] inside one process (same thread, or threads synchronised by
-    a spawn/join/signal/wait edge); accesses of different processes are
-    never ordered, so any RMA+WRITE combination conflicts there. Two
-    local accesses never conflict. *)
-
 val conflict_kinds : order_aware:bool -> same_process:bool ->
   first:Access_kind.t -> second:Access_kind.t -> bool
-(** {!conflict_kinds_ordered} under the single-thread assumption
-    [program_ordered = same_process] — the thread-oblivious table every
-    pre-hybrid caller used. A local access by one thread followed by an
-    RMA call by a {e different, unsynchronised} thread of the same rank
-    needs the ordered variant: it is [same_process = true] but
-    [program_ordered = false], and conflicts. *)
+(** Kind-level conflict table, ignoring intervals, under the
+    single-thread assumption that same-process accesses are program
+    ordered. [first] is the access already recorded (issued earlier),
+    [second] the newcomer. Accesses of different processes are never
+    ordered, so any RMA+WRITE combination conflicts there. Two local
+    accesses never conflict. {!check} also knows threads: a local access
+    by one thread followed by an RMA call by a {e different,
+    unsynchronised} thread of the same rank conflicts. *)
 
 val check : order_aware:bool -> existing:Access.t -> incoming:Access.t -> verdict
 (** Full predicate: overlap of intervals plus [conflict_kinds], with

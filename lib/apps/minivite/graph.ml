@@ -95,5 +95,3 @@ let ghosts t =
   let arr = Array.of_list out in
   Array.sort compare arr;
   arr
-
-let total_edges t = t.n_edges_local

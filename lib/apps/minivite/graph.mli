@@ -46,7 +46,3 @@ val owned : t -> int -> bool
 
 val ghosts : t -> int array
 (** Distinct non-owned vertices adjacent to owned ones, sorted. *)
-
-val total_edges : t -> int
-(** Local edge endpoints (each undirected edge counted from both sides
-    across ranks). *)

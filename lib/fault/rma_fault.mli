@@ -48,8 +48,6 @@ val site_name : site -> string
 (** Stable lowercase name, as used in {!Plan} specs and Obs counters
     ([fault.injected.<site>]). *)
 
-val all_sites : site list
-
 (** {1 Fault plans} *)
 
 module Plan : sig

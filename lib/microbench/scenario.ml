@@ -66,6 +66,9 @@ let kind_of op role =
   | (Load | Store), (As_origin_buffer | As_remote_target) | (Get | Put), As_local ->
       invalid_arg "Scenario.kind_of: inconsistent op/role"
 
+(* The Figure 3 matrix: at least one RMA access and one write on the
+   shared location, unordered — program order only protects a local
+   access followed by an RMA call of the same process. *)
 let ground_truth_racy ~first:(op1, actor1) ~second:(op2, actor2) ~first_role ~second_role =
   let k1 = kind_of op1 first_role and k2 = kind_of op2 second_role in
   Race_rule.conflict_kinds ~order_aware:true ~same_process:(actor1 = actor2) ~first:k1 ~second:k2

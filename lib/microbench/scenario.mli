@@ -55,9 +55,7 @@ type t = {
   racy : bool;  (** Ground truth. *)
 }
 
-val op_name : op -> string
 val actor_rank : actor -> int
-val place_name : place -> string
 
 val place_owner_rank : place -> int
 (** 0 for origin-side places, 1 for target-side ones. *)
@@ -66,12 +64,6 @@ val kind_of : op -> role -> Rma_access.Access_kind.t
 (** The access kind the operation performs {e on the shared location}
     (§2.1 duality: a Put reads its origin buffer and writes the remote
     window; a Get does the converse). *)
-
-val ground_truth_racy :
-  first:op * actor -> second:op * actor -> first_role:role -> second_role:role -> bool
-(** The Figure 3 matrix: at least one RMA access and one write on the
-    shared location, unordered — program order only protects a local
-    access followed by an RMA call of the same process. *)
 
 val all : t list
 (** The full 154-code suite, deterministically ordered by name. *)
@@ -112,9 +104,6 @@ module Kernel : sig
     k_racy : bool;  (** Ground truth. *)
     k_program : unit -> unit;  (** The rank program (runs on every rank). *)
   }
-
-  val sync_name : sync -> string
-  val locality_name : locality -> string
 
   val all : t list
   (** The full corpus; every kernel wants [k_nprocs] ranks. *)

@@ -13,7 +13,6 @@ let protocol_bug what =
 
 let comm_rank () = match op Runtime.R_rank with Runtime.RInt r -> r | _ -> protocol_bug "comm_rank"
 let comm_size () = match op Runtime.R_size with Runtime.RInt n -> n | _ -> protocol_bug "comm_size"
-let wtime () = match op Runtime.R_wtime with Runtime.RFloat t -> t | _ -> protocol_bug "wtime"
 
 let compute seconds =
   match op (Runtime.R_compute seconds) with Runtime.RUnit -> () | _ -> protocol_bug "compute"
@@ -116,12 +115,10 @@ let recv_data ?src ?tag () = (recv ?src ?tag ()).Runtime.data
 let barrier () =
   match op Runtime.R_barrier with Runtime.RUnit -> () | _ -> protocol_bug "barrier"
 
-let allreduce_i64 value ~op:o =
-  match op (Runtime.R_allreduce { value; op = o; as_float = false }) with
-  | Runtime.RI64 v -> v
-  | _ -> protocol_bug "allreduce_i64"
-
-let allreduce_int value ~op = Int64.to_int (allreduce_i64 (Int64.of_int value) ~op)
+let allreduce_int value ~op:o =
+  match op (Runtime.R_allreduce { value = Int64.of_int value; op = o; as_float = false }) with
+  | Runtime.RI64 v -> Int64.to_int v
+  | _ -> protocol_bug "allreduce_int"
 
 let allreduce_float value ~op:o =
   match op (Runtime.R_allreduce { value = Int64.bits_of_float value; op = o; as_float = true }) with
@@ -137,9 +134,6 @@ let thread_join tid =
   match op (Runtime.R_thread_join { tid }) with
   | Runtime.RUnit -> ()
   | _ -> protocol_bug "thread_join"
-
-let thread_self () =
-  match op Runtime.R_thread_self with Runtime.RInt t -> t | _ -> protocol_bug "thread_self"
 
 let signal sig_id =
   match op (Runtime.R_signal { sig_id }) with

@@ -20,9 +20,6 @@ val loc : file:string -> line:int -> string -> Debug_info.t
 val comm_rank : unit -> int
 val comm_size : unit -> int
 
-val wtime : unit -> float
-(** Simulated seconds on the calling rank's clock. *)
-
 val compute : float -> unit
 (** Advance the simulated clock by [seconds] of application work. *)
 
@@ -120,7 +117,6 @@ val barrier : unit -> unit
 (** Synchronises all ranks. Per the MPI standard (and §6 of the paper)
     it does NOT complete outstanding one-sided operations. *)
 
-val allreduce_i64 : int64 -> op:Runtime.reduce_op -> int64
 val allreduce_int : int -> op:Runtime.reduce_op -> int
 val allreduce_float : float -> op:Runtime.reduce_op -> float
 (** Float allreduce via bit-carrying of binary64 (exact for Max/Min on
@@ -144,9 +140,6 @@ val thread_spawn : (unit -> unit) -> int
 val thread_join : int -> unit
 (** Block until the thread with the given id finishes; a synchronisation
     edge from the child's last action to the caller's next. *)
-
-val thread_self : unit -> int
-(** The calling thread's id within its rank; 0 for the main thread. *)
 
 val signal : int -> unit
 (** Post one count on the given intra-rank signal slot (a counting

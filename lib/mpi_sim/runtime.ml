@@ -12,7 +12,6 @@ type message = { src : int; tag : int; data : Bytes.t; sent_at : float }
 type request =
   | R_rank
   | R_size
-  | R_wtime
   | R_compute of float
   | R_alloc of { size : int; label : string; storage : Memory.storage; exposed : bool }
   | R_load of { addr : int; len : int; loc : Debug_info.t }
@@ -57,14 +56,12 @@ type request =
   | R_allreduce of { value : int64; op : reduce_op; as_float : bool }
   | R_thread_spawn of { body : unit -> unit }
   | R_thread_join of { tid : int }
-  | R_thread_self
   | R_signal of { sig_id : int }
   | R_wait of { sig_id : int }
 
 type reply =
   | RUnit
   | RInt of int
-  | RFloat of float
   | RI64 of int64
   | RBytes of Bytes.t
   | RMsg of message
@@ -578,7 +575,6 @@ let handle_request s rank tid req k =
   match req with
   | R_rank -> resume s rank k (RInt rank)
   | R_size -> resume s rank k (RInt s.nprocs)
-  | R_wtime -> resume s rank k (RFloat rk.clock)
   | R_compute c ->
       rk.clock <- rk.clock +. Float.max 0.0 c;
       resume s rank k RUnit
@@ -963,7 +959,6 @@ let handle_request s rank tid req k =
       s.threads_spawned <- s.threads_spawned + 1;
       spawn_fiber s rank child_tid body;
       resume s rank k (RInt child_tid)
-  | R_thread_self -> resume s rank k (RInt tid)
   | R_thread_join { tid = target } ->
       if target = tid then
         raise (Mpi_error (Printf.sprintf "rank %d: thread %d joining itself" rank tid));

@@ -36,7 +36,6 @@ type message = { src : int; tag : int; data : Bytes.t; sent_at : float }
 type request =
   | R_rank
   | R_size
-  | R_wtime
   | R_compute of float
   | R_alloc of { size : int; label : string; storage : Memory.storage; exposed : bool }
   | R_load of { addr : int; len : int; loc : Debug_info.t }
@@ -81,14 +80,12 @@ type request =
   | R_allreduce of { value : int64; op : reduce_op; as_float : bool }
   | R_thread_spawn of { body : unit -> unit }
   | R_thread_join of { tid : int }
-  | R_thread_self
   | R_signal of { sig_id : int }
   | R_wait of { sig_id : int }
 
 type reply =
   | RUnit
   | RInt of int
-  | RFloat of float
   | RI64 of int64
   | RBytes of Bytes.t
   | RMsg of message

@@ -36,13 +36,11 @@ let mu = Mutex.create ()
 
 let min_level = ref Info
 let sink : out_channel option ref = ref None
-let sink_path = ref ""
 let ring_cap = ref 4096
 let ring : t option array ref = ref (Array.make 4096 None)
 let ring_len = ref 0
 let ring_next = ref 0
 let run_id_ref = ref ""
-let emitted = Atomic.make 0
 
 (* Shard identity is domain-local: worker domains stamp it once per
    spawn (Rma_par), so Governor degradation fired from inside a worker
@@ -82,18 +80,14 @@ let run_id () = locked run_id_locked
 
 let close_sink_locked () =
   (match !sink with Some oc -> close_out_noerr oc | None -> ());
-  sink := None;
-  sink_path := ""
+  sink := None
 
 let close () = locked close_sink_locked
 
 let set_sink path =
   locked (fun () ->
       close_sink_locked ();
-      sink := Some (open_out path);
-      sink_path := path)
-
-let sink_file () = locked (fun () -> if !sink = None then None else Some !sink_path)
+      sink := Some (open_out path))
 
 let set_ring_cap n =
   let n = max 1 n in
@@ -107,10 +101,7 @@ let clear () =
   locked (fun () ->
       Array.fill !ring 0 (Array.length !ring) None;
       ring_len := 0;
-      ring_next := 0;
-      Atomic.set emitted 0)
-
-let emitted_total () = Atomic.get emitted
+      ring_next := 0)
 
 (* Field order is part of the journal contract (golden tests diff raw
    lines): ts, level, component, run_id, shard, span_id, kv. *)
@@ -138,7 +129,6 @@ let emit ?shard ?(span_id = 0) ?(kv = []) lvl component =
   if Obs.is_enabled () && severity lvl >= severity !min_level then begin
     let ts = Obs.rel_time (Timer.now ()) in
     let shard = match shard with Some s -> s | None -> current_shard () in
-    Atomic.incr emitted;
     locked (fun () ->
         let ev = { ts; level = lvl; component; run_id = run_id_locked (); shard; span_id; kv } in
         match !sink with

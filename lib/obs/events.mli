@@ -47,14 +47,12 @@ val set_sink : string -> unit
 val close : unit -> unit
 (** Close the file sink (if any) and fall back to the ring. *)
 
-val sink_file : unit -> string option
-
 val set_ring_cap : int -> unit
 (** Resize the no-sink ring (default 4096 events); drops buffered
     events. *)
 
 val clear : unit -> unit
-(** Drop buffered ring events and zero {!emitted_total}. *)
+(** Drop buffered ring events. *)
 
 val set_run_id : string -> unit
 (** Override the process-generated run id (tests pin it for golden
@@ -75,19 +73,14 @@ val set_current_shard : int -> unit
 (** Stamp the calling domain's shard identity ([Rma_par] workers call
     this once per spawn); -1 = not a shard. *)
 
-val current_shard : unit -> int
-
 val emit :
   ?shard:int -> ?span_id:int -> ?kv:(string * string) list -> level -> string -> unit
 (** [emit lvl component] records one event; [shard] defaults to the
-    calling domain's {!current_shard}. No-op when {!Obs.is_enabled} is
-    false or [lvl] is below {!level}. *)
+    calling domain's, as set by {!set_current_shard}. No-op when
+    {!Obs.is_enabled} is false or [lvl] is below {!level}. *)
 
 val recent : unit -> t list
 (** Buffered ring events, oldest first (empty while a sink is set). *)
-
-val emitted_total : unit -> int
-(** Events emitted (sink or ring) since start/{!clear}. *)
 
 val to_json : t -> Rma_util.Json.t
 val line : t -> string

@@ -30,8 +30,6 @@ val parse_line : string -> (Events.t, string) result
 (** Decode one journal line. Total: malformed JSON, missing fields,
     unknown levels and ill-typed [kv] values all come back as [Error]. *)
 
-val read_channel : in_channel -> read
-
 val read_file : string -> read
 (** Total: an unopenable path yields [{ events = []; lines = 0;
     error = Some { at_line = 0; _ } }]. *)
@@ -59,9 +57,6 @@ type percentiles = {
   p95 : float;
   p99 : float;  (** Exact nearest-rank percentiles, not histogram bins. *)
 }
-
-val percentiles_of : float list -> percentiles option
-(** [None] on the empty list. *)
 
 type stats = {
   total : int;

@@ -49,10 +49,6 @@ let set_state ~run_id state =
           | Queued | Active -> ())
       | None -> ())
 
-let active_count () =
-  locked (fun () ->
-      Hashtbl.fold (fun _ e acc -> match e.state with Active -> acc + 1 | _ -> acc) live 0)
-
 let registered_count () = locked (fun () -> Hashtbl.length live)
 
 let snapshot () =

@@ -18,9 +18,6 @@
     into the state label, e.g. ["closed:completed"]). *)
 type state = Queued | Active | Closed of string
 
-val state_label : state -> string
-(** ["queued"], ["active"], or ["closed:<reason>"]. *)
-
 val register : run_id:string -> session:string -> state:state -> unit
 (** Add (or replace) the entry for [run_id]. [session] is the
     client-chosen session name. *)
@@ -30,15 +27,13 @@ val set_state : run_id:string -> state -> unit
     the live table into the bounded recent-closures window (capacity
     64, oldest evicted). Unknown run ids are ignored. *)
 
-val active_count : unit -> int
-(** Entries currently in state [Active]. *)
-
 val registered_count : unit -> int
 (** Live (non-closed) entries — the leak-check number: zero once every
     session has drained. *)
 
 val snapshot : unit -> (string * string * string) list
-(** Every visible entry as [(run_id, session, state_label)]: live ones
+(** Every visible entry as [(run_id, session, state)], the state
+    rendered ["queued"], ["active"] or ["closed:<reason>"]: live ones
     sorted by run_id, then recent closures oldest-first. *)
 
 val reset : unit -> unit

@@ -40,7 +40,6 @@ let obs_critical_path_ms =
    engines internally. *)
 let critical_total = ref 0.0
 let critical_path_total () = !critical_total
-let reset_critical_path_total () = critical_total := 0.0
 
 (* The pool is deliberately small: the analyzer's shards are coarse
    (whole interval trees), and the OCaml runtime caps live domains, so a
@@ -157,6 +156,7 @@ type t = {
       (* Caller-thread only: sum over this engine's barriers of the
          longest shard busy window plus the barrier overhead after it
          (see DESIGN.md §13). *)
+  mutable idle : bool;  (* caller-thread only: nothing submitted since the last barrier *)
 }
 
 let create ?(jobs = 1) ?(queue_capacity = 1024) ?faults () =
@@ -186,6 +186,7 @@ let create ?(jobs = 1) ?(queue_capacity = 1024) ?faults () =
     overflows = 0;
     sched_trace = 0;
     critical_seconds = 0.0;
+    idle = true;
   }
 
 let jobs t = t.n_jobs
@@ -275,6 +276,7 @@ let crash_shard t faults ~shard sh f =
   Queue.push f sh.journal
 
 let submit t ~shard f =
+  t.idle <- false;
   let sh = t.shards.(shard) in
   match t.faults with
   | _ when sh.crashed -> Queue.push f sh.journal
@@ -382,7 +384,7 @@ let emit_shard_windows t =
 
 let ms seconds = Printf.sprintf "%.3f" (seconds *. 1000.0)
 
-let barrier t =
+let run_barrier t =
   let t0 = Rma_util.Timer.now () in
   drain t;
   (match t.faults with Some faults when has_crashed t -> recover t faults | _ -> ());
@@ -447,8 +449,15 @@ let barrier t =
     t.shards;
   match err with Some e -> raise e | None -> ()
 
+(* With nothing submitted since the last barrier, no task, crash or
+   stashed failure can be outstanding. *)
+let barrier t =
+  if not t.idle then begin
+    t.idle <- true;
+    run_barrier t
+  end
+
 let critical_path_seconds t = t.critical_seconds
-let current_flow_id t = t.sched_trace
 
 let recovery_stats t =
   { crashes = t.crashes; recoveries = t.recoveries; fallbacks = t.fallbacks; overflows = t.overflows }

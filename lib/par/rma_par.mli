@@ -96,7 +96,9 @@ val barrier : t -> unit
 (** Wait until every task submitted to this engine has completed —
     recovering crashed shards and replaying their journals first — then
     re-raise the first stashed task exception, if any. Records the wait
-    in [par.barrier_wait_ns]. *)
+    in [par.barrier_wait_ns]. A no-op when nothing was submitted since
+    the previous barrier: there is nothing to wait for, recover or
+    re-raise, and [par.barriers] counts only barriers that waited. *)
 
 val pending : t -> int
 (** Tasks submitted but not yet completed (diagnostic; caller thread).
@@ -126,14 +128,6 @@ val critical_path_total : unit -> float
 (** Process-wide sum of {!critical_path_seconds} across every engine —
     the harness reads deltas of this around a workload so attribution
     works even when the workload creates its engines internally. *)
-
-val reset_critical_path_total : unit -> unit
-
-val current_flow_id : t -> int
-(** The causal-flow id minted by this engine's latest barrier span — the
-    id the next window's ["shard work"] spans bind to; 0 before the
-    first barrier. Exposed so external attribution (the [obs stats]
-    critical-path walk) can join journal events to the trace flow. *)
 
 val take_work_seconds : t -> float
 (** Critical-path cost model: the maximum over shards of wall-clock

@@ -39,6 +39,9 @@ let default =
 
 let wants_races opts = opts.races_json <> None || opts.races_sarif <> None
 
+(* Any observability output (trace, summary, Prometheus, journal,
+   server) requested: the condition under which [with_diag] enables
+   Obs. *)
 let wants_obs opts =
   opts.obs_out <> None || opts.obs_summary || opts.obs_prometheus <> None
   || opts.obs_events <> None || opts.obs_serve <> None

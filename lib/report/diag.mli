@@ -40,11 +40,6 @@ val default : opts
 
 val wants_races : opts -> bool
 
-val wants_obs : opts -> bool
-(** True when any observability output (trace, summary, Prometheus,
-    journal, server) is requested — the condition under which
-    {!with_diag} enables {!Rma_obs.Obs}. *)
-
 val run_config : prog:string -> opts -> Rma_config.Run_config.t
 (** The environment's configuration with the flags of [opts] laid over
     it. A malformed environment variable or flag value prints

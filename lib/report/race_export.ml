@@ -289,10 +289,6 @@ let load_json_with_run_id ~path =
   let* j = Json.load ~path in
   of_json_with_run_id j
 
-let load_json ~path =
-  let* reports, _run_id = load_json_with_run_id ~path in
-  Ok reports
-
 (* ------------------------------------------------------------------ *)
 (* SARIF 2.1.0                                                         *)
 (* ------------------------------------------------------------------ *)

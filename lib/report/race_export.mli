@@ -15,9 +15,6 @@ val schema_version : int
     [run_id] header — plus the per-race [predicted] flag and
     schedulable-race [witness] of predictive mode). *)
 
-val min_schema_version : int
-(** Oldest version {!of_json} still loads (2). *)
-
 val used_schema_version : Report.t list -> int
 (** The header version {!to_json} stamps for these reports: 3 when any
     report is predicted, else 2 — so observed-only exports stay
@@ -39,18 +36,15 @@ val to_json : ?run_id:string -> generator:string -> Report.t list -> Rma_util.Js
 
 val of_json : Rma_util.Json.t -> (Report.t list, string) result
 (** Inverse of {!to_json}: rejects unknown schema versions and malformed
-    reports; accepts every version from {!min_schema_version} up.
+    reports; accepts every version from 2 up.
     [to_json] followed by [of_json] is the identity on every field the
     format carries. *)
 
-val of_json_with_run_id : Rma_util.Json.t -> (Report.t list * string option, string) result
-(** Like {!of_json}, also surfacing the header's [run_id] when present. *)
-
 val write_json : path:string -> ?run_id:string -> generator:string -> Report.t list -> unit
 
-val load_json : path:string -> (Report.t list, string) result
-
 val load_json_with_run_id : path:string -> (Report.t list * string option, string) result
+(** {!of_json} of a file, also surfacing the header's [run_id] when
+    present. *)
 
 (** {1 SARIF 2.1.0} *)
 

@@ -157,22 +157,6 @@ let build_thunk p =
           let tool = make_tool ~nprocs in
           let _ = Minivite.Louvain.run params ~nprocs ~seed ~config ?observer:(observer tool) () in
           tool.Tool.races ())
-  | "bfs" ->
-      let* nprocs = int_param "ranks" ~default:16 in
-      let* seed = int_param "seed" ~default:42 in
-      let* vertices = int_param "vertices" ~default:20_000 in
-      Ok
-        (fun () ->
-          let params =
-            {
-              Graph500.Bfs.default_params with
-              Graph500.Bfs.graph =
-                { Minivite.Graph.default_params with Minivite.Graph.n_vertices = vertices };
-            }
-          in
-          let tool = make_tool ~nprocs in
-          let _ = Graph500.Bfs.run params ~nprocs ~seed ~config ?observer:(observer tool) () in
-          tool.Tool.races ())
   | "code" -> (
       match param "code" with
       | None -> Error "run_start for a code workload lacks its code parameter"
@@ -186,8 +170,7 @@ let build_thunk p =
                   (Rma_microbench.Runner.run ~tool scenario).Rma_microbench.Runner.reports)))
   | other ->
       Error
-        (Printf.sprintf "workload %S is not replayable (replay covers cfd, minivite, bfs and code)"
-           other)
+        (Printf.sprintf "workload %S is not replayable (replay covers cfd, minivite and code)" other)
 
 (* Same renumbering [Diag.with_diag] applies before digesting, so the
    replay digest is computed over identically-labelled reports. *)

@@ -27,7 +27,7 @@ type crash = {
 
 type plan = {
   r_run_id : string;  (** Journal run id of the original run. *)
-  r_workload : string;  (** [cfd], [minivite], [bfs] or [code]. *)
+  r_workload : string;  (** [cfd], [minivite] or [code]. *)
   r_params : (string * string) list;  (** Workload parameters, verbatim. *)
   r_config : Rma_config.Run_config.t;
       (** The original run's configuration; a key missing from an older

@@ -212,6 +212,12 @@ and on_hello t (s : Session.t) line =
         close_session t s Session.Shed
       end
 
+(* A read of a sharded tool is a barrier, so a session reads its races
+   only where the analyzer has just run one, at each Epoch_closed (the
+   read's own barrier then has nothing to wait for and is skipped), and
+   at the footer. Those points depend only on the trace, never on how
+   its bytes were split across reads, so a session's fault schedule is
+   the same alone or interleaved. *)
 and flush_races t (s : Session.t) tool =
   (* race_count is a cheap int; only rebuild the stored list when it
      moved (it also moves for reports dropped past the tool's cap, in
@@ -274,11 +280,11 @@ and feed_line t (s : Session.t) line =
   | Some tool -> (
       match Ingest.line tool s.Session.decoder line with
       | Ok Codec.Incremental.Skip -> ()
-      | Ok (Codec.Incremental.Event _) ->
+      | Ok (Codec.Incremental.Event ev) -> (
           s.Session.events_fed <- s.Session.events_fed + 1;
           Atomic.incr t.c_events;
           Obs.incr obs_events;
-          flush_races t s tool
+          match ev with Mpi_sim.Event.Epoch_closed _ -> flush_races t s tool | _ -> ())
       | Ok (Codec.Incremental.Complete n) -> finish_session t s tool n
       | Error reason -> reject t s reason)
 

@@ -17,12 +17,6 @@ let reason_label = function
 
 type phase = Handshaking | Queued | Streaming | Closed of close_reason
 
-let phase_label = function
-  | Handshaking -> "handshaking"
-  | Queued -> "queued"
-  | Streaming -> "streaming"
-  | Closed r -> "closed:" ^ reason_label r
-
 type t = {
   id : int;
   fd : Unix.file_descr;

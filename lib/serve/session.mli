@@ -33,8 +33,6 @@ val reason_label : close_reason -> string
 
 type phase = Handshaking | Queued | Streaming | Closed of close_reason
 
-val phase_label : phase -> string
-
 type t = {
   id : int;  (** Daemon-local ordinal, minted at accept. *)
   fd : Unix.file_descr;

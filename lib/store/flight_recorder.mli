@@ -35,14 +35,12 @@ type t
 
 val enable : ?capacity:int -> unit -> unit
 (** Turn recording on for stores created {e afterwards}. [capacity] is
-    the ring size per store (default {!default_capacity}). *)
+    the ring size per store (default 512 origins per (rank, window)
+    store). *)
 
 val disable : unit -> unit
 
 val is_enabled : unit -> bool
-
-val default_capacity : int
-(** 512 origins per (rank, window) store. *)
 
 val create : unit -> t option
 (** A fresh ring when recording is enabled, [None] otherwise — stores

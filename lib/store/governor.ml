@@ -33,6 +33,7 @@ let observe_seq t seq =
   match t with None -> () | Some g -> if seq > g.max_seq then g.max_seq <- seq
 
 let note_epoch t = match t with None -> () | Some g -> g.watermark <- g.max_seq
+(* Was [seq] observed before the last epoch boundary? *)
 let completed_epoch t ~seq = seq <= t.watermark
 
 let spill_victims t ~size ~seq_of nodes =

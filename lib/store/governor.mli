@@ -38,9 +38,6 @@ val note_epoch : t option -> unit
 (** Epoch boundary: every access observed so far becomes
     completed-epoch (spill victims of first resort). *)
 
-val completed_epoch : t -> seq:int -> bool
-(** Was [seq] observed before the last epoch boundary? *)
-
 val spill_victims : t -> size:int -> seq_of:('a -> int) -> 'a list -> 'a list
 (** [spill_victims g ~size ~seq_of nodes] chooses which of [nodes] the
     store must evict to get from [size] back to the cap: oldest

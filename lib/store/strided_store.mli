@@ -40,7 +40,6 @@ type region = {
           evidence the hybrid program-order test needs. *)
 }
 
-val region_hull : region -> Interval.t
 val region_covers : region -> Interval.t -> bool
 (** Does the region cover at least one byte of the interval? Gap bytes
     do not count. *)

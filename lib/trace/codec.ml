@@ -186,6 +186,18 @@ let encode_event event =
 
 exception Bad_field of string
 
+(* Input named in an error keeps its first [max_quoted] bytes, then "…"
+   and its byte length, so no error grows with the line it names. *)
+let max_quoted = 64
+
+let clipped fmt s =
+  let n = String.length s in
+  if n <= max_quoted then Printf.sprintf fmt s
+  else Printf.sprintf fmt (String.sub s 0 max_quoted) ^ Printf.sprintf "… (%d bytes)" n
+
+let clip s = clipped "%s" s
+let quote s = clipped "%S" s
+
 (* One string field's previous raw text and its decoded value. *)
 type memo = { mutable raw : string; mutable decoded : string }
 
@@ -249,7 +261,9 @@ let int_slice s a b =
   if v >= 0 then if neg then -v else v
   else
     let text = String.sub s a (b - a) in
-    match int_of_string_opt text with Some i -> i | None -> raise (Bad_field ("bad int " ^ text))
+    match int_of_string_opt text with
+    | Some i -> i
+    | None -> raise (Bad_field ("bad int " ^ clip text))
 
 (* [-?[0-9]+\.[0-9]{9}] with at most 15 digits in all, the shape
    [%.9f] writes: the digits form an int [m] below 2^53, so
@@ -271,7 +285,7 @@ let float_slice s a b =
     let text = String.sub s a (b - a) in
     match float_of_string_opt text with
     | Some f -> f
-    | None -> raise (Bad_field ("bad float " ^ text))
+    | None -> raise (Bad_field ("bad float " ^ clip text))
 
 let int_field d =
   let a = d.pos in
@@ -292,7 +306,7 @@ let bool_field d =
   match if b - a = 1 then String.unsafe_get d.line a else ' ' with
   | '1' -> true
   | '0' -> false
-  | _ -> raise (Bad_field ("bad bool " ^ String.sub d.line a (b - a)))
+  | _ -> raise (Bad_field ("bad bool " ^ clip (String.sub d.line a (b - a))))
 
 let rec slice_equal s a b t i =
   a >= b || (String.unsafe_get s a = String.unsafe_get t i && slice_equal s (a + 1) b t (i + 1))
@@ -309,7 +323,7 @@ let kind_field d =
   else if is "RR" then Access_kind.Rma_read
   else if is "RW" then Access_kind.Rma_write
   else if is "RA" then Access_kind.Rma_accumulate
-  else raise (Bad_field (Printf.sprintf "unknown access kind %S" (String.sub d.line a (b - a))))
+  else raise (Bad_field ("unknown access kind " ^ quote (String.sub d.line a (b - a))))
 
 (* A string field: the memo's decoded string when the bytes match its
    raw text, else one [String.sub] (plus [unescape] if it holds a [%])
@@ -331,7 +345,7 @@ let collective_field d =
   if is "barrier" then Event.Barrier
   else if is "allreduce" then Event.Allreduce
   else if is "fence" then Event.Fence
-  else raise (Bad_field ("unknown collective " ^ String.sub d.line a (b - a)))
+  else raise (Bad_field ("unknown collective " ^ clip (String.sub d.line a (b - a))))
 
 (* [c:v] pairs separated by commas, each component an int. *)
 let tview_field d =
@@ -339,7 +353,9 @@ let tview_field d =
   let a = d.pos in
   let b = next_field d in
   let pair pa pb =
-    let bad () = raise (Bad_field ("bad thread-view pair " ^ String.sub s pa (pb - pa))) in
+    let bad () =
+      raise (Bad_field ("bad thread-view pair " ^ clip (String.sub s pa (pb - pa))))
+    in
     let c = index_in s pa pb ':' in
     if c = pb || index_in s (c + 1) pb ':' < pb then bad ()
     else
@@ -438,7 +454,7 @@ let decode_fields d =
       let rank = int_field d in
       let sim_time = float_field d in
       Event.Finished { rank; sim_time }
-  | _ -> raise (Bad_field (Printf.sprintf "malformed trace line %S" s))
+  | _ -> raise (Bad_field ("malformed trace line " ^ quote s))
 
 (* The grammar is total over well-formed OCaml strings, but "never
    raises" is a contract the fuzz suite enforces against arbitrary
@@ -542,10 +558,10 @@ let parse_footer line =
 let bad_header line =
   let reason =
     match String.split_on_char ' ' line with
-    | [ "rma-trace"; v ] ->
+    | [ "rma-trace"; v ] when String.length line <= max_quoted ->
         Printf.sprintf "bad header %S: trace format %s is unsupported (only format 2 is read)" line
           v
-    | _ -> Printf.sprintf "bad header %S" line
+    | _ -> "bad header " ^ quote line
   in
   { at_line = 1; reason }
 

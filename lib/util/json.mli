@@ -18,9 +18,7 @@ type t =
 
 val to_string : ?minify:bool -> t -> string
 (** Two-space indented by default; [~minify:true] packs everything on
-    one line (the bench trajectory format, one record per file). *)
-
-val to_channel : ?minify:bool -> out_channel -> t -> unit
+    one line. *)
 
 val write : path:string -> ?minify:bool -> t -> unit
 

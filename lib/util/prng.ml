@@ -42,12 +42,6 @@ let bool t = Int64.logand (next_int64 t) 1L = 1L
 
 let bernoulli t ~p = float t ~bound:1.0 < p
 
-let exponential t ~mean =
-  let u = float t ~bound:1.0 in
-  (* Clamp away from 0 so log stays finite. *)
-  let u = if u < 1e-300 then 1e-300 else u in
-  -.mean *. log u
-
 let shuffle_in_place t arr =
   for i = Array.length arr - 1 downto 1 do
     let j = int t ~bound:(i + 1) in

@@ -39,10 +39,6 @@ val bool : t -> bool
 val bernoulli : t -> p:float -> bool
 (** [bernoulli t ~p] is [true] with probability [p]. *)
 
-val exponential : t -> mean:float -> float
-(** Exponentially distributed draw with the given mean; used for
-    simulated communication latencies. *)
-
 val shuffle_in_place : t -> 'a array -> unit
 (** Fisher–Yates shuffle driven by [t]. *)
 

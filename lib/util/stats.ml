@@ -22,7 +22,6 @@ let add t x =
 let count t = t.count
 let mean t = if t.count = 0 then 0.0 else t.mean
 let variance t = if t.count < 2 then 0.0 else t.m2 /. float_of_int (t.count - 1)
-let stddev t = sqrt (variance t)
 let min_value t = t.min_v
 let max_value t = t.max_v
 let total t = t.total
@@ -64,9 +63,3 @@ let percentile samples ~p =
       samples.(lo) +. (frac *. (samples.(hi) -. samples.(lo)))
     end
   end
-
-let summary_line t =
-  if t.count = 0 then "n=0"
-  else
-    Printf.sprintf "n=%d mean=%.6g sd=%.6g min=%.6g max=%.6g" t.count (mean t) (stddev t)
-      t.min_v t.max_v

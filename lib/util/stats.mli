@@ -19,8 +19,6 @@ val mean : t -> float
 val variance : t -> float
 (** Unbiased sample variance; 0 with fewer than two samples. *)
 
-val stddev : t -> float
-
 val min_value : t -> float
 (** Smallest sample; [infinity] when empty. *)
 
@@ -37,6 +35,3 @@ val percentile : float array -> p:float -> float
 (** [percentile samples ~p] for [p] in [0,100], linear interpolation
     between closest ranks. The array is sorted in place. Raises
     [Invalid_argument] on an empty array or out-of-range [p]. *)
-
-val summary_line : t -> string
-(** One-line rendering: count, mean, stddev, min, max. *)

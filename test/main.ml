@@ -19,7 +19,6 @@ let () =
       ("differential", Test_differential.suite);
       ("par", Test_par.suite);
       ("oracle", Test_oracle.suite);
-      ("graph500", Test_graph500.suite);
       ("memory", Test_memory.suite);
       ("obs", Test_obs.suite);
       ("events", Test_events.suite);

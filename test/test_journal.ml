@@ -300,6 +300,29 @@ let test_extract_requires_header () =
       Alcotest.(check bool) "error names the missing run_start" true
         (Astring.String.is_infix ~affix:"run_start" msg)
 
+(* A journal from a build that still ran the Graph500 BFS workload
+   extracts, but replay refuses it by name. *)
+let test_replay_refuses_unknown_workload () =
+  let start =
+    {
+      Events.ts = 0.0;
+      level = Events.Info;
+      component = "diag";
+      run_id = "run-bfs";
+      shard = -1;
+      span_id = 0;
+      kv = [ ("event", "run_start"); ("workload", "bfs"); ("ranks", "8") ];
+    }
+  in
+  match Replay.extract [ start ] with
+  | Error msg -> Alcotest.failf "a bfs run_start no longer extracts: %s" msg
+  | Ok plan -> (
+      match Replay.run plan with
+      | Ok _ -> Alcotest.fail "a bfs journal replayed"
+      | Error msg ->
+          Alcotest.(check string) "refusal names the replayable workloads"
+            "workload \"bfs\" is not replayable (replay covers cfd, minivite and code)" msg)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_parse_line_total;
@@ -311,6 +334,7 @@ let suite =
     Alcotest.test_case "stats aggregate the seeded drill" `Quick test_stats_counts;
     Alcotest.test_case "journaled drill replays byte-identically" `Quick test_replay_roundtrip;
     Alcotest.test_case "extract demands a run_start header" `Quick test_extract_requires_header;
+    Alcotest.test_case "replay refuses a bfs run_start" `Quick test_replay_refuses_unknown_workload;
     Alcotest.test_case "the journal records the whole run configuration" `Quick
       test_journal_records_run_config;
   ]

@@ -624,6 +624,45 @@ let test_budget_exhausted_same_reason () =
   Alcotest.(check int) "both budget sessions failed" 2 stats.Daemon.failed;
   Alcotest.(check int) "the last session completed" 1 stats.Daemon.completed
 
+(* Every read of a sharded tool may run a barrier, so a session must
+   read no more often than [Ingest.file] does. The trace fits the
+   daemon's 8 KiB read, so it arrives in one batch. *)
+let test_served_barriers_match_offline () =
+  let nprocs, events = record_kernel racy_kernel in
+  let lines = trace_lines events in
+  let path = Filename.temp_file "rma_serve_barriers" ".rma" in
+  Out_channel.with_open_bin path (fun oc -> List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Alcotest.(check bool) "the trace fits one 8 KiB read" true
+    (String.length (String.concat "\n" lines) < 8192);
+  let barriers = Rma_obs.Obs.counter "par.barriers" in
+  let count f =
+    Rma_obs.Obs.reset ();
+    Rma_obs.Obs.enable ();
+    Fun.protect
+      ~finally:(fun () ->
+        Rma_obs.Obs.disable ();
+        Rma_obs.Obs.reset ())
+      (fun () ->
+        f ();
+        barriers.Rma_obs.Obs.c_value)
+  in
+  let offline =
+    count (fun () ->
+        let make_tool ~nprocs = Toolbox.make Toolbox.Contribution ~nprocs ~jobs:2 () in
+        ignore (Result.get_ok (Ingest.file ~nprocs ~make_tool path)))
+  in
+  let served =
+    count (fun () ->
+        ignore
+          (with_daemon @@ fun _d port ->
+           let out = run_session ~jobs:2 ~port ~session:"barriers" ~nprocs lines in
+           Alcotest.(check string) "session completes" "summary"
+             (line_type (List.nth out (List.length out - 1)))))
+  in
+  Alcotest.(check bool) "the sharded tool ran barriers" true (offline > 0);
+  Alcotest.(check int) "served barriers = Ingest.file's" offline served
+
 let suite =
   [
     Alcotest.test_case "byte-identical verdicts vs offline replay" `Quick
@@ -642,4 +681,6 @@ let suite =
       test_interleaved_faults_isolated;
     Alcotest.test_case "budget exhausted: same reason offline and served" `Quick
       test_budget_exhausted_same_reason;
+    Alcotest.test_case "a jobs-2 session runs Ingest.file's barriers" `Quick
+      test_served_barriers_match_offline;
   ]

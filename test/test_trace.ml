@@ -758,7 +758,45 @@ let test_ingest_failures () =
         [ None; Some 2 ])
     (broken_traces ())
 
+(* An error names at most 64 bytes of its input, then "…" and the
+   input's length: a 1 MB line is not copied into stderr and the
+   journal. *)
+let test_long_input_errors_are_bounded () =
+  let n = 1 lsl 20 in
+  let long = String.make n 'x' in
+  let check_error what expected = function
+    | Ok _ -> Alcotest.failf "%s: accepted a 1 MB line of x" what
+    | Error text ->
+        Alcotest.(check string) (what ^ ": error text") expected text;
+        Alcotest.(check bool) (what ^ ": under 200 bytes") true (String.length text < 200)
+  in
+  let malformed = Printf.sprintf "malformed trace line %S… (%d bytes)" (String.make 64 'x') n in
+  check_error "decode_event" malformed (Codec.decode_event long);
+  List.iter
+    (fun (case, lines, expected) ->
+      let path = Filename.temp_file "rma_long" ".rma" in
+      Out_channel.with_open_bin path (fun oc ->
+          List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+      Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+      List.iter
+        (fun nprocs ->
+          check_error ("Ingest.file, " ^ case) expected
+            (Ingest.file ?nprocs ~make_tool:(fun ~nprocs:_ -> Tool.baseline) path))
+        [ None; Some 2 ])
+    [
+      ("long event line", [ Codec.header; long; Codec.footer 1 ], "line 2: " ^ malformed);
+      ( "long header",
+        [ "rma-trace " ^ long; Codec.footer 0 ],
+        Printf.sprintf "line 1: bad header %S… (%d bytes)"
+          (String.sub ("rma-trace " ^ long) 0 64)
+          (n + 10) );
+    ]
+
 let suite =
   suite
-  @ [ Alcotest.test_case "ingestion fails like read_all, once, without verdicts" `Quick
-        test_ingest_failures ]
+  @ [
+      Alcotest.test_case "ingestion fails like read_all, once, without verdicts" `Quick
+        test_ingest_failures;
+      Alcotest.test_case "errors on a 1 MB line stay under 200 bytes" `Quick
+        test_long_input_errors_are_bounded;
+    ]
