@@ -48,6 +48,7 @@ type t = {
   mutable sessions : Session.t list;  (* accept order; loop thread only *)
   mutable next_id : int;
   mutable rotate : int;
+  rbuf : Bytes.t;  (* every session's reads land here; loop thread only *)
   stopping : bool Atomic.t;
   mutable dom : unit Domain.t option;
   c_accepted : int Atomic.t;
@@ -332,8 +333,7 @@ let accept_new t =
       end
 
 let service t (s : Session.t) =
-  let buf = Bytes.create 8192 in
-  match Unix.read s.Session.fd buf 0 8192 with
+  match Unix.read s.Session.fd t.rbuf 0 (Bytes.length t.rbuf) with
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   | exception Unix.Unix_error _ -> close_session t s Session.Disconnected
   | 0 ->
@@ -341,7 +341,7 @@ let service t (s : Session.t) =
          client died mid-stream. *)
       close_session t s Session.Disconnected
   | n ->
-      let fits = Session.push_bytes s (Bytes.sub_string buf 0 n) in
+      let fits = Session.push_bytes s t.rbuf n in
       (* Lines completed before the over-long one still count. *)
       drain t s;
       if (not fits) && Session.is_open s then reject t s "line too long"
@@ -417,6 +417,7 @@ let create ?(config = default_config) ?(run = Run_config.default) () =
       sessions = [];
       next_id = 1;
       rotate = 0;
+      rbuf = Bytes.create 8192;
       stopping = Atomic.make false;
       dom = None;
       c_accepted = Atomic.make 0;

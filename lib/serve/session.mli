@@ -39,7 +39,7 @@ type t = {
   mutable phase : phase;
   pending : Buffer.t;
       (** Received bytes not yet newline-terminated; never more than
-          {!max_line_bytes}. *)
+          {!Rma_trace.Codec.max_line_bytes}. *)
   inbox : string Queue.t;
       (** Complete lines the state machine has not consumed yet — a
           client that pipelines its handshake and trace in one write
@@ -68,16 +68,13 @@ val wants_read : t -> bool
     {e not} read — the kernel socket buffer back-pressures the client
     until a streaming slot frees. *)
 
-val max_line_bytes : int
-(** Longest line, without its terminator, a session may send (64 KiB). *)
-
-val push_bytes : t -> string -> bool
-(** Append a received chunk, moving every newly completed line (without
-    its terminator; CRLF tolerated) into [inbox]. The unterminated tail
-    is kept for the next chunk. Returns [false], keeping nothing of the
-    offending line past its first {!max_line_bytes} bytes, once a line
-    grows longer than that; the daemon then closes the session with
-    [Protocol_error "line too long"]. *)
+val push_bytes : t -> bytes -> int -> bool
+(** [push_bytes s buf len] appends the first [len] bytes of [buf], a
+    received chunk, through {!Rma_trace.Codec.split_lines}: every newly
+    completed line (without its terminator; CRLF tolerated) moves into
+    [inbox], the unterminated tail stays in [pending]. Returns [false]
+    once a line grows past {!Rma_trace.Codec.max_line_bytes}; the daemon
+    then closes the session with [Protocol_error "line too long"]. *)
 
 val session_name : t -> string option
 (** The handshake's session name, once known. *)

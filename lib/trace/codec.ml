@@ -77,9 +77,52 @@ let add_int buf n =
     add_digits buf (-n)
   end
 
-(* The C primitive [Printf.sprintf "%.9f"] ends in, so the bytes are
-   the same for every float, nan and the infinities included. *)
+(* The C primitive [Printf.sprintf "%.9f"] ends in: [time_f]'s fallback
+   outside its exact range. *)
 external format_float : string -> float -> string = "caml_format_float"
+
+(* "00", "01", ..., "99": two digits per 16-bit store. *)
+let digit_pairs =
+  String.init 200 (fun i -> Char.chr (48 + if i land 1 = 0 then i / 20 else i / 2 mod 10))
+
+let add_pair buf n = Buffer.add_uint16_ne buf (String.get_uint16_ne digit_pairs (2 * n))
+
+(* [n < 10^9] as exactly nine digits, zero-padded. *)
+let add_nine buf n =
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n / 100_000_000)));
+  let n = n mod 100_000_000 in
+  add_pair buf (n / 1_000_000);
+  add_pair buf (n / 10_000 mod 100);
+  add_pair buf (n / 100 mod 100);
+  add_pair buf (n mod 100)
+
+(* [Printf.sprintf "%.9f" t]'s bytes. Below 1e6 they come from the
+   integer [n] nearest |t|·10^9, ties to even as [printf] rounds:
+   [p +. err] is that product exactly ([err] is the fma residual), and
+   [p < 2^50] makes [m] and [frac] exact and [|err| <= 1/16], so a
+   [frac] under 1/4 rounds down and otherwise the exact sign of
+   [frac -. 0.5 +. err] decides. The sign bit keeps [-0.] and tiny
+   negatives as [-0.000000000]. *)
+let time_f buf t =
+  Buffer.add_char buf '\t';
+  let a = Float.abs t in
+  if a < 1e6 then begin
+    let p = a *. 1e9 in
+    let err = Float.fma a 1e9 (-.p) in
+    let m = int_of_float p in
+    let frac = p -. float_of_int m in
+    let n =
+      if frac < 0.25 then m
+      else
+        let d = frac -. 0.5 +. err in
+        if d > 0.0 then m + 1 else if d < 0.0 then m else m + (m land 1)
+    in
+    if Float.sign_bit t then Buffer.add_char buf '-';
+    add_digits buf (n / 1_000_000_000);
+    Buffer.add_char buf '.';
+    add_nine buf (n mod 1_000_000_000)
+  end
+  else Buffer.add_string buf (format_float "%.9f" t)
 
 let int_f buf n =
   Buffer.add_char buf '\t';
@@ -90,10 +133,6 @@ let opt_int_f buf = function
   | Some n -> int_f buf n
 
 let bool_f buf b = Buffer.add_string buf (if b then "\t1" else "\t0")
-
-let time_f buf t =
-  Buffer.add_char buf '\t';
-  Buffer.add_string buf (format_float "%.9f" t)
 
 let string_f buf s =
   Buffer.add_char buf '\t';
@@ -632,18 +671,66 @@ module Incremental = struct
         fail { at_line = t.lineno; reason = "truncated trace: missing rma-trace-end footer" }
 end
 
-let fold ic step ~eof =
-  let dec = Incremental.create () in
-  let rec go () =
-    match input_line ic with
-    | exception End_of_file -> Result.map_error eof (Incremental.finish dec)
-    | line -> (
-        match step dec line with
-        | Ok (Incremental.Complete n) -> Ok n
-        | Ok (Incremental.Event _ | Incremental.Skip) -> go ()
-        | Error e -> Error e)
+(* A hello line is a few hundred bytes and an event line stays under
+   1 KiB even with long escaped file names; 64 KiB is far above any
+   legitimate line, yet bounds what a stream that never sends '\n' can
+   make a reader hold. *)
+let max_line_bytes = 65_536
+
+(* The first '\n' in [b.[i..len-1]], or [len]. *)
+let rec newline_in b i len =
+  if i >= len || Bytes.unsafe_get b i = '\n' then i else newline_in b (i + 1) len
+
+(* Only the new chunk is scanned for newlines, so each byte is looked at
+   once however the stream is split into reads. *)
+let split_lines pending chunk len emit =
+  let fits n = Buffer.length pending + n <= max_line_bytes in
+  let rec go start =
+    let stop = newline_in chunk start len in
+    if stop = len then begin
+      let rest = len - start in
+      let ok = fits rest in
+      if ok then Buffer.add_subbytes pending chunk start rest;
+      ok
+    end
+    else if fits (stop - start) then begin
+      if Buffer.length pending = 0 then emit (Bytes.sub_string chunk start (stop - start))
+      else begin
+        Buffer.add_subbytes pending chunk start (stop - start);
+        let line = Buffer.contents pending in
+        Buffer.clear pending;
+        emit line
+      end;
+      go (stop + 1)
+    end
+    else false
   in
-  go ()
+  go 0
+
+let fold (type e) ic (step : Incremental.t -> string -> (Incremental.step, e) result)
+    ~(error : error -> e) : (int, e) result =
+  let dec = Incremental.create () in
+  let exception Stop of (int, e) result in
+  let emit line =
+    match step dec line with
+    | Ok (Incremental.Complete n) -> raise_notrace (Stop (Ok n))
+    | Ok (Incremental.Event _ | Incremental.Skip) -> ()
+    | Error e -> raise_notrace (Stop (Error e))
+  in
+  let pending = Buffer.create 256 in
+  (* The size of the channel's own buffer, so one read fills it. *)
+  let chunk = Bytes.create 65536 in
+  let rec go () =
+    match In_channel.input ic chunk 0 (Bytes.length chunk) with
+    | 0 ->
+        (* As [input_line]: a last line needs no newline. *)
+        if Buffer.length pending > 0 then emit (Buffer.contents pending);
+        Result.map_error error (Incremental.finish dec)
+    | n ->
+        if split_lines pending chunk n emit then go ()
+        else Result.map_error error (fail { at_line = dec.lineno; reason = "line too long" })
+  in
+  try go () with Stop r -> r
 
 let read_all ic =
   let events = ref [] in
@@ -652,4 +739,4 @@ let read_all ic =
     (match r with Ok (Incremental.Event e) -> events := e :: !events | _ -> ());
     r
   in
-  Result.map (fun _ -> List.rev !events) (fold ic keep ~eof:Fun.id)
+  Result.map (fun _ -> List.rev !events) (fold ic keep ~error:Fun.id)

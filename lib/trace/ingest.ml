@@ -22,7 +22,7 @@ let line tool dec l =
 
 let fold_file path tool =
   try
-    In_channel.with_open_text path (fun ic -> Codec.fold ic (line tool) ~eof:Codec.error_to_string)
+    In_channel.with_open_text path (fun ic -> Codec.fold ic (line tool) ~error:Codec.error_to_string)
   with Sys_error msg -> Error msg
 
 let ranks path =

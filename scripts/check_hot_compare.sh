@@ -4,7 +4,9 @@
 # disjoint store and the analyzer's tree tables) and the simulator's
 # per-access step that feeds it (the scheduler's run queue, event
 # dispatch and access classification in the runtime, and the rank
-# memory's scans) must stay monomorphic:
+# memory's scans), and the trace codec and ingestion step that every
+# recorded, analyzed or served event passes through, must stay
+# monomorphic:
 # without flambda, Stdlib's polymorphic [compare]/[=]/[<]/... on
 # non-int types and Stdlib's [max]/[min] on any type are calls into the
 # C runtime's generic compare (DESIGN.md §18, §19). This script lists the
@@ -32,6 +34,8 @@ OBJECTS=(
   lib/mpi_sim/.mpi_sim.objs/native/mpi_sim__Run_queue.o
   lib/mpi_sim/.mpi_sim.objs/native/mpi_sim__Runtime.o
   lib/mpi_sim/.mpi_sim.objs/native/mpi_sim__Memory.o
+  lib/trace/.rma_trace.objs/native/rma_trace__Codec.o
+  lib/trace/.rma_trace.objs/native/rma_trace__Ingest.o
 )
 
 # Module paths in symbol names are joined by "." on OCaml 5.1 and by

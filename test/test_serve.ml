@@ -221,14 +221,15 @@ let test_format1_and_errors () =
   Alcotest.(check int) "no sessions leaked" 0 (Sessions.registered_count ())
 
 (* A client that never sends a newline cannot grow the daemon's line
-   buffer past [Session.max_line_bytes]: the session is closed as a
+   buffer past [Codec.max_line_bytes]: the session is closed as a
    protocol error while a well-behaved session beside it completes. *)
 let test_unterminated_line_is_bounded () =
-  let cap = Session.max_line_bytes in
+  let cap = Codec.max_line_bytes in
+  let push s c = Session.push_bytes s (Bytes.of_string c) (String.length c) in
   (* The buffer itself, driven directly. Lines split across chunks
      reassemble, CRLF included... *)
   let s = Session.create ~id:0 ~fd:Unix.stdin in
-  List.iter (fun c -> ignore (Session.push_bytes s c)) [ "ab"; "c\r\nde\n"; "f" ];
+  List.iter (fun c -> ignore (push s c)) [ "ab"; "c\r\nde\n"; "f" ];
   Alcotest.(check (list string)) "lines reassembled" [ "abc"; "de" ]
     (List.of_seq (Queue.to_seq s.Session.inbox));
   Alcotest.(check string) "tail kept" "f" (Buffer.contents s.Session.pending);
@@ -237,7 +238,7 @@ let test_unterminated_line_is_bounded () =
      push reports it, and gives up one chunk past the cap. *)
   let chunk = String.make 8192 'x' in
   let rec overflowed sent =
-    sent <= cap + 8192 && ((not (Session.push_bytes s chunk)) || overflowed (sent + 8192))
+    sent <= cap + 8192 && ((not (push s chunk)) || overflowed (sent + 8192))
   in
   Alcotest.(check bool) "over-long line reported" true (overflowed 0);
   Alcotest.(check bool) "buffer stays within the cap" true

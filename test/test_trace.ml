@@ -407,6 +407,16 @@ let float_gen =
             5e-324; 1e300; 4.5e15; 999999.999999999; 1e6; 9007199254740993.0; 0.0000000005;
             -0.0000000005; 0.0000000015;
           ] );
+      (* Exact ties at the tenth decimal, and the doubles either side of
+         a rounding midpoint (m + 1/2) / 10^9. *)
+      (1, Gen.map (fun k -> float_of_int k /. 1024.) (Gen.int_range (-(1 lsl 20)) (1 lsl 20)));
+      ( 1,
+        Gen.map2
+          (fun m up ->
+            let t = (float_of_int m +. 0.5) /. 1e9 in
+            if up then Float.succ t else Float.pred t)
+          (Gen.int_bound 1_000_000_000_000_000)
+          Gen.bool );
     ]
 
 let char_gen =
@@ -694,6 +704,11 @@ let broken_traces () =
         @ [ Codec.footer n ]),
       Printf.sprintf "line %d: malformed trace line \"A\\t0\\tLR\\tbogus\"" (corrupt_at + 2),
       true );
+    ( "line over the cap mid-file",
+      lines
+        ((Codec.header :: body) @ [ String.make (Codec.max_line_bytes + 1) 'x'; Codec.footer n ]),
+      Printf.sprintf "line %d: line too long" (n + 2),
+      true );
     ( "footer count disagrees",
       lines ((Codec.header :: body) @ [ Codec.footer (n + 1) ]),
       Printf.sprintf "line %d: footer count %d disagrees with %d decoded events" (n + 2) (n + 1) n,
@@ -784,13 +799,77 @@ let test_long_input_errors_are_bounded () =
             (Ingest.file ?nprocs ~make_tool:(fun ~nprocs:_ -> Tool.baseline) path))
         [ None; Some 2 ])
     [
-      ("long event line", [ Codec.header; long; Codec.footer 1 ], "line 2: " ^ malformed);
-      ( "long header",
-        [ "rma-trace " ^ long; Codec.footer 0 ],
-        Printf.sprintf "line 1: bad header %S… (%d bytes)"
-          (String.sub ("rma-trace " ^ long) 0 64)
-          (n + 10) );
+      ("long event line", [ Codec.header; long; Codec.footer 1 ], "line 2: line too long");
+      ("long header", [ "rma-trace " ^ long; Codec.footer 0 ], "line 1: line too long");
     ]
+
+(* A file line is capped like a socket line: a 20 MiB line is refused
+   once it passes the cap, never read whole, so neither the heap's high
+   water mark nor the words allocated grow with it. *)
+let test_long_file_line_is_bounded () =
+  let path = Filename.temp_file "rma_long" ".rma" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let block = String.make 65536 'x' in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (Codec.header ^ "\n");
+      for _ = 1 to 320 do
+        output_string oc block
+      done;
+      output_string oc "\n");
+  let mib_words = (1 lsl 20) / (Sys.word_size / 8) in
+  (* A full major cycle brings the runtime's lazily merged counters up
+     to date on both sides of the call. *)
+  let stat () =
+    Gc.full_major ();
+    Gc.quick_stat ()
+  in
+  let before = stat () in
+  let r = Ingest.file ~make_tool:(fun ~nprocs:_ -> Tool.baseline) path in
+  let after = stat () in
+  (match r with
+  | Ok _ -> Alcotest.fail "accepted a 20 MiB line"
+  | Error text -> Alcotest.(check string) "error text" "line 2: line too long" text);
+  Alcotest.(check bool) "top_heap_words grows by under 1 MiB" true
+    (after.Gc.top_heap_words - before.Gc.top_heap_words < mib_words);
+  Alcotest.(check bool) "under 1 MiB allocated in the major heap" true
+    (after.Gc.major_words -. before.Gc.major_words < float_of_int mib_words)
+
+(* The time field against [Printf.sprintf "%.9f"] itself: every k/1024
+   for |k| <= 2^20 (the odd ones are exact ties at the tenth decimal),
+   both neighbours of the doubles nearest (m + 1/2) / 10^9, both sides
+   of the 1e6 limit of the integer writer, the special values, and
+   random bit patterns whose exponent keeps them under 2^20, where the
+   integer writer runs (above it both sides call the same C printf). *)
+let test_time_field_matches_printf () =
+  let printf = Printf.sprintf "%.9f" in
+  let check t =
+    let line = Codec.encode_event (Event.Finished { rank = 0; sim_time = t }) in
+    let want = printf t in
+    if not (String.length line = String.length want + 4 && String.ends_with ~suffix:want line)
+    then Alcotest.failf "%h: encoded %S, printf %S" t line want
+  in
+  for k = -(1 lsl 20) to 1 lsl 20 do
+    check (float_of_int k /. 1024.)
+  done;
+  let st = Random.State.make [| 22 |] in
+  for _ = 1 to 100_000 do
+    let t = (float_of_int (Random.State.full_int st 1_000_000_000_000_000) +. 0.5) /. 1e9 in
+    check (Float.succ t);
+    check (Float.pred t)
+  done;
+  List.iter check
+    [
+      Float.pred 1e6; 1e6; Float.succ 1e6; -.Float.pred 1e6; -1e6; -.Float.succ 1e6; 0.0; -0.0;
+      nan; -.nan; infinity; neg_infinity; min_float; -.min_float; 5e-324; -5e-324; max_float;
+      -.max_float;
+    ];
+  for _ = 1 to 100_000 do
+    let bits = Random.State.bits64 st in
+    let exponent = Int64.of_int (Random.State.int st 1043) in
+    check
+      (Int64.float_of_bits
+         (Int64.logor (Int64.logand bits 0x800F_FFFF_FFFF_FFFFL) (Int64.shift_left exponent 52)))
+  done
 
 let suite =
   suite
@@ -799,4 +878,8 @@ let suite =
         test_ingest_failures;
       Alcotest.test_case "errors on a 1 MB line stay under 200 bytes" `Quick
         test_long_input_errors_are_bounded;
+      Alcotest.test_case "a 20 MiB file line grows the heap by under 1 MiB" `Quick
+        test_long_file_line_is_bounded;
+      Alcotest.test_case "time field matches Printf.sprintf %.9f" `Slow
+        test_time_field_matches_printf;
     ]
