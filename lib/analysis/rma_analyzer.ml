@@ -192,6 +192,9 @@ type state = {
   max_reports : int;
   par : par option;  (** [None] = today's sequential path, byte for byte. *)
   trees : tree Tree_table.t;  (* (space, window) *)
+  routes : ((int * Event.win_id) * tree) list option array;
+      (* rank -> the trees of [trees] a windowless local access of the
+         rank enters, once computed ([windowless_routes]). *)
   epoch_closers : (Event.win_id, (int, unit) Hashtbl.t) Hashtbl.t;
       (* The DISTINCT ranks that closed an epoch on a window since the
          last global clear. The §5.1 protocol ends every epoch with an
@@ -214,6 +217,8 @@ let new_store ?budget policy =
   | Order_blind -> D (Disjoint_store.create ~order_aware:false ?budget ())
   | Strided_extension -> S (Strided_store.create ?budget ())
 
+let drop_routes st = Array.fill st.routes 0 (Array.length st.routes) None
+
 (* The tree of [table] (observed or weak) under [key], created on first use. *)
 let tree_in st table key =
   match Tree_table.find_opt table key with
@@ -224,9 +229,18 @@ let tree_in st table key =
           epoch_open = false; nodes_at_last_close = None; epoch_span = None }
       in
       Tree_table.replace table key t;
+      (* Creation may resize the table, which reorders its buckets. *)
+      if table == st.trees then drop_routes st;
       t
 
 let tree_for st key = tree_in st st.trees key
+
+(* Only a flip changes the rank's list: the key order is the table's. *)
+let set_epoch_open st ~rank tree flag =
+  if not (Bool.equal tree.epoch_open flag) then begin
+    tree.epoch_open <- flag;
+    if rank >= 0 && rank < Array.length st.routes then st.routes.(rank) <- None
+  end
 
 let obs_races = Obs.counter ~help:"Race reports recorded by the analyzer" "analyzer.races"
 
@@ -357,8 +371,7 @@ let consider_predicted st p ~space ~win ~existing ~incoming ~sim_time ~prov_base
         Obs.incr obs_predicted
       end
 
-let insert_into st key access ~sim_time =
-  let tree = tree_for st key in
+let insert_into st key tree access ~sim_time =
   match st.par with
   | None -> (
       match store_insert tree.store access with
@@ -480,45 +493,70 @@ let sync st =
         work *. st.config.Config.analysis_overhead_scale
       else 0.0
 
-(* Which trees receive a local access: the window containing it when its
-   epoch is open, otherwise every open epoch of the rank (the analyzer
-   only collects accesses "contained within each epoch", §5.1). *)
-let local_targets st ~space ~win =
-  match win with
-  | Some w -> (
-      match Tree_table.find_opt st.trees (space, w) with
-      | Some t when t.epoch_open -> [ (space, w) ]
-      | _ -> [])
-  | None ->
-      Tree_table.fold
-        (fun (sp, w) t acc -> if sp = space && t.epoch_open then (sp, w) :: acc else acc)
-        st.trees []
+(* [insert_into], then the weak-tree counterpart under predictive mode. *)
+let insert_both st key tree access ~sim_time =
+  insert_into st key tree access ~sim_time;
+  match st.predictive with Some p -> weak_insert_into st p key access ~sim_time | None -> ()
+
+(* The trees a local access that names no window enters: every open
+   epoch of its rank (the analyzer only collects accesses "contained
+   within each epoch", §5.1), as [Tree_table.fold] lists them. The list
+   is kept per rank until a tree is created, one of the rank's epoch
+   flags flips or the tool resets; it is the fold's own output, so the
+   order of inserts into several trees, and with it race ids, stays the
+   fold's. *)
+let windowless_routes st space =
+  let fold () =
+    Tree_table.fold
+      (fun ((sp, _) as key) t acc -> if sp = space && t.epoch_open then (key, t) :: acc else acc)
+      st.trees []
+  in
+  if space >= 0 && space < Array.length st.routes then (
+    match st.routes.(space) with
+    | Some routes -> routes
+    | None ->
+        let routes = fold () in
+        st.routes.(space) <- Some routes;
+        routes)
+  else fold ()
 
 let on_access st (a : Event.access_event) =
   if not a.Event.relevant then 0.0 (* filtered out by the alias analysis *)
   else begin
-    let access = a.Event.access in
-    let is_rma = Access_kind.is_rma access.Access.kind in
-    let keys =
-      if is_rma then
-        match a.Event.win with Some w -> [ (a.Event.space, w) ] | None -> []
-      else local_targets st ~space:a.Event.space ~win:a.Event.win
-    in
-    List.iter (fun key -> insert_into st key access ~sim_time:a.Event.sim_time) keys;
-    (match st.predictive with
-    | Some p ->
-        (* The issuer now has uncompleted one-sided traffic on the
-           window, until its next flush / unlock / fence: a barrier
-           reached before that cannot weakly synchronise the window. *)
-        if is_rma then
-          List.iter (fun (_, w) -> Hashtbl.replace p.unflushed (w, access.Access.issuer) ()) keys;
-        List.iter (fun key -> weak_insert_into st p key access ~sim_time:a.Event.sim_time) keys
-    | None -> ());
-    (* The origin's notification MPI_Send towards the target (§5.1):
-       charged on the target-side event of cross-rank operations. *)
-    if is_rma && a.Event.space <> access.Access.issuer then
-      Config.message_cost st.config ~bytes_count:32
-    else 0.0
+    let access = a.Event.access and space = a.Event.space and sim_time = a.Event.sim_time in
+    if Access_kind.is_rma access.Access.kind then begin
+      (match a.Event.win with
+      | Some w ->
+          (* The issuer now has uncompleted one-sided traffic on the
+             window, until its next flush / unlock / fence: a barrier
+             reached before that cannot weakly synchronise the window. *)
+          (match st.predictive with
+          | Some p -> Hashtbl.replace p.unflushed (w, access.Access.issuer) ()
+          | None -> ());
+          let key = (space, w) in
+          insert_both st key (tree_for st key) access ~sim_time
+      | None -> ());
+      (* The origin's notification MPI_Send towards the target (§5.1):
+         charged on the target-side event of cross-rank operations. *)
+      if space <> access.Access.issuer then Config.message_cost st.config ~bytes_count:32
+      else 0.0
+    end
+    else begin
+      (match a.Event.win with
+      | Some w -> (
+          (* The window containing it, when its epoch is open. *)
+          let key = (space, w) in
+          match Tree_table.find_opt st.trees key with
+          | Some tree when tree.epoch_open -> insert_both st key tree access ~sim_time
+          | _ -> ())
+      | None -> (
+          let routes = windowless_routes st space in
+          List.iter (fun (key, tree) -> insert_into st key tree access ~sim_time) routes;
+          match st.predictive with
+          | Some p -> List.iter (fun (key, _) -> weak_insert_into st p key access ~sim_time) routes
+          | None -> ()));
+      0.0
+    end
   end
 
 (* True-synchronization edges for the weak order (everything else —
@@ -588,7 +626,7 @@ let observer st event =
   | Event.Access a -> on_access st a
   | Event.Epoch_opened { win; rank; sim_time } ->
       let tree = tree_for st (rank, win) in
-      tree.epoch_open <- true;
+      set_epoch_open st ~rank tree true;
       store_note_epoch tree.store;
       if Obs.is_enabled () then begin
         tree.epoch_span <-
@@ -607,7 +645,7 @@ let observer st event =
          under Obs so the sequential hot path stays clock-free. *)
       let close_t0 = if Obs.is_enabled () then Rma_util.Timer.now () else 0.0 in
       let tree = tree_for st (rank, win) in
-      tree.epoch_open <- false;
+      set_epoch_open st ~rank tree false;
       store_flush_finger tree.store;
       let nodes = store_size tree.store in
       tree.nodes_at_last_close <- Some nodes;
@@ -733,6 +771,7 @@ let make_state ~nprocs ?(config = Config.default) ?(mode = Tool.Abort_on_race)
     max_reports;
     par;
     trees = Tree_table.create 16;
+    routes = Array.make nprocs None;
     epoch_closers = Hashtbl.create 4;
     races = [];
     race_count = 0;
@@ -794,6 +833,7 @@ let tool_of_state st =
         settle ();
         (match st.par with Some p -> p.next_tag <- 0 | None -> ());
         Tree_table.reset st.trees;
+        drop_routes st;
         Hashtbl.reset st.epoch_closers;
         st.races <- [];
         st.race_count <- 0;

@@ -40,19 +40,23 @@ let parse_line line =
   Ok { Events.ts; level; component; run_id; shard; span_id; kv = List.rev kv }
 
 let read_channel ic =
-  let rec go acc lineno =
-    match input_line ic with
-    | exception End_of_file -> { events = List.rev acc; lines = lineno - 1; error = None }
-    | line -> (
-        (* A flushed-but-empty trailing line is normal, not corruption. *)
-        if String.trim line = "" then go acc (lineno + 1)
-        else
-          match parse_line line with
-          | Ok ev -> go (ev :: acc) (lineno + 1)
-          | Error reason ->
-              { events = List.rev acc; lines = lineno; error = Some { at_line = lineno; reason } })
+  let events = ref [] and lineno = ref 0 in
+  let exception Stop of error in
+  let emit line =
+    incr lineno;
+    (* A flushed-but-empty trailing line is normal, not corruption. *)
+    if String.trim line <> "" then
+      match parse_line line with
+      | Ok ev -> events := ev :: !events
+      | Error reason -> raise_notrace (Stop { at_line = !lineno; reason })
   in
-  go [] 1
+  let read lines error = { events = List.rev !events; lines; error } in
+  match Rma_util.Lines.iter_channel ic emit with
+  | true -> read !lineno None
+  | false ->
+      let at_line = !lineno + 1 in
+      read at_line (Some { at_line; reason = "line too long" })
+  | exception Stop e -> read e.at_line (Some e)
 
 let read_file path =
   match open_in path with

@@ -51,10 +51,7 @@ let create ~id ~fd =
 let is_open s = match s.phase with Closed _ -> false | _ -> true
 let wants_read s = match s.phase with Handshaking | Streaming -> true | _ -> false
 
-(* CRLF tolerated. *)
 let push_bytes s chunk len =
-  Codec.split_lines s.pending chunk len (fun line ->
-      let n = String.length line in
-      Queue.add (if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line) s.inbox)
+  Rma_util.Lines.split_lines s.pending chunk len (fun line -> Queue.add line s.inbox)
 
 let session_name s = match s.hello with Some h -> Some h.Protocol.session | None -> None

@@ -39,7 +39,7 @@ type t = {
   mutable phase : phase;
   pending : Buffer.t;
       (** Received bytes not yet newline-terminated; never more than
-          {!Rma_trace.Codec.max_line_bytes}. *)
+          {!Rma_util.Lines.max_line_bytes}. *)
   inbox : string Queue.t;
       (** Complete lines the state machine has not consumed yet — a
           client that pipelines its handshake and trace in one write
@@ -70,10 +70,10 @@ val wants_read : t -> bool
 
 val push_bytes : t -> bytes -> int -> bool
 (** [push_bytes s buf len] appends the first [len] bytes of [buf], a
-    received chunk, through {!Rma_trace.Codec.split_lines}: every newly
+    received chunk, through {!Rma_util.Lines.split_lines}: every newly
     completed line (without its terminator; CRLF tolerated) moves into
     [inbox], the unterminated tail stays in [pending]. Returns [false]
-    once a line grows past {!Rma_trace.Codec.max_line_bytes}; the daemon
+    once a line grows past {!Rma_util.Lines.max_line_bytes}; the daemon
     then closes the session with [Protocol_error "line too long"]. *)
 
 val session_name : t -> string option

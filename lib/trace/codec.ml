@@ -246,14 +246,22 @@ type decoder = {
   (* The previous line's file and operation fields: a stream repeats the
      same few source locations, so a match reuses the decoded string
      instead of allocating it again. Likewise the previous access's
-     debug record and default thread, shared by the next access with
-     the same location or issuer. *)
+     debug record, shared by the next access with the same location. *)
   file : memo;
   op : memo;
   mutable debug : Debug_info.t;
-  mutable issuer : int;
-  mutable thread : Access.thread_info;
+  mutable threads : Access.thread_info array;
+      (* issuer -> its default thread, [no_thread] until first needed:
+         every access of one issuer shares one record, so
+         [Access.mergeable] compares threads by [==]. *)
 }
+
+let no_thread = { Access.tid = -1; tstamp = 0; tview = [] }
+
+(* An issuer at or past this bound gets a fresh default thread per
+   access, so hostile input cannot make a decoder hold a large table. A
+   negative issuer has no default thread: its line fails to decode. *)
+let max_threads = 4096
 
 let decoder () =
   {
@@ -262,9 +270,26 @@ let decoder () =
     file = { raw = ""; decoded = "" };
     op = { raw = ""; decoded = "" };
     debug = Debug_info.make ~file:"" ~line:0 ~operation:"";
-    issuer = 0;
-    thread = Access.default_thread ~issuer:0;
+    threads = [||];
   }
+
+let default_thread d issuer =
+  if issuer < 0 || issuer >= max_threads then Access.default_thread ~issuer
+  else begin
+    let n = Array.length d.threads in
+    if issuer >= n then begin
+      let grown = Array.make (Int.min max_threads (Int.max (2 * n) (issuer + 16))) no_thread in
+      Array.blit d.threads 0 grown 0 n;
+      d.threads <- grown
+    end;
+    let t = d.threads.(issuer) in
+    if t != no_thread then t
+    else begin
+      let t = Access.default_thread ~issuer in
+      d.threads.(issuer) <- t;
+      t
+    end
+  end
 
 (* The first [ch] in [s.[i..b-1]], or [b]. *)
 let rec index_in s i b ch =
@@ -438,12 +463,7 @@ let decode_access d nfields =
   d.debug <- debug;
   let thread =
     match nfields with
-    | 14 ->
-        if issuer <> d.issuer then begin
-          d.thread <- Access.default_thread ~issuer;
-          d.issuer <- issuer
-        end;
-        d.thread
+    | 14 -> default_thread d issuer
     | 17 ->
         let tid = int_field d in
         let tstamp = int_field d in
@@ -598,7 +618,7 @@ let bad_header line =
   let reason =
     match String.split_on_char ' ' line with
     | [ "rma-trace"; v ] when String.length line <= max_quoted ->
-        Printf.sprintf "bad header %S: trace format %s is unsupported (only format 2 is read)" line
+        Printf.sprintf "bad header %S: trace format %S is unsupported (only format 2 is read)" line
           v
     | _ -> "bad header " ^ quote line
   in
@@ -671,42 +691,6 @@ module Incremental = struct
         fail { at_line = t.lineno; reason = "truncated trace: missing rma-trace-end footer" }
 end
 
-(* A hello line is a few hundred bytes and an event line stays under
-   1 KiB even with long escaped file names; 64 KiB is far above any
-   legitimate line, yet bounds what a stream that never sends '\n' can
-   make a reader hold. *)
-let max_line_bytes = 65_536
-
-(* The first '\n' in [b.[i..len-1]], or [len]. *)
-let rec newline_in b i len =
-  if i >= len || Bytes.unsafe_get b i = '\n' then i else newline_in b (i + 1) len
-
-(* Only the new chunk is scanned for newlines, so each byte is looked at
-   once however the stream is split into reads. *)
-let split_lines pending chunk len emit =
-  let fits n = Buffer.length pending + n <= max_line_bytes in
-  let rec go start =
-    let stop = newline_in chunk start len in
-    if stop = len then begin
-      let rest = len - start in
-      let ok = fits rest in
-      if ok then Buffer.add_subbytes pending chunk start rest;
-      ok
-    end
-    else if fits (stop - start) then begin
-      if Buffer.length pending = 0 then emit (Bytes.sub_string chunk start (stop - start))
-      else begin
-        Buffer.add_subbytes pending chunk start (stop - start);
-        let line = Buffer.contents pending in
-        Buffer.clear pending;
-        emit line
-      end;
-      go (stop + 1)
-    end
-    else false
-  in
-  go 0
-
 let fold (type e) ic (step : Incremental.t -> string -> (Incremental.step, e) result)
     ~(error : error -> e) : (int, e) result =
   let dec = Incremental.create () in
@@ -717,20 +701,10 @@ let fold (type e) ic (step : Incremental.t -> string -> (Incremental.step, e) re
     | Ok (Incremental.Event _ | Incremental.Skip) -> ()
     | Error e -> raise_notrace (Stop (Error e))
   in
-  let pending = Buffer.create 256 in
-  (* The size of the channel's own buffer, so one read fills it. *)
-  let chunk = Bytes.create 65536 in
-  let rec go () =
-    match In_channel.input ic chunk 0 (Bytes.length chunk) with
-    | 0 ->
-        (* As [input_line]: a last line needs no newline. *)
-        if Buffer.length pending > 0 then emit (Buffer.contents pending);
-        Result.map_error error (Incremental.finish dec)
-    | n ->
-        if split_lines pending chunk n emit then go ()
-        else Result.map_error error (fail { at_line = dec.lineno; reason = "line too long" })
-  in
-  try go () with Stop r -> r
+  match Rma_util.Lines.iter_channel ic emit with
+  | true -> Result.map_error error (Incremental.finish dec)
+  | false -> Result.map_error error (fail { at_line = dec.lineno; reason = "line too long" })
+  | exception Stop r -> r
 
 let read_all ic =
   let events = ref [] in

@@ -78,7 +78,8 @@ val write_all : ?faults:Rma_fault.t -> out_channel -> Mpi_sim.Event.event list -
 
     Every reader decodes through {!Incremental}: the [serve] daemon
     feeds it one socket line at a time, {!fold} one file line at a time,
-    both split by {!split_lines}.
+    both split by {!Rma_util.Lines.split_lines}, which drops the ['\r']
+    of a CRLF line ending.
     Each error it returns is journaled once, as a [read_error]. *)
 
 module Incremental : sig
@@ -107,26 +108,15 @@ module Incremental : sig
       [truncated trace: missing rma-trace-end footer]. *)
 end
 
-val max_line_bytes : int
-(** Longest line, without its newline, that any reader accepts (64 KiB). *)
-
-val split_lines : Buffer.t -> bytes -> int -> (string -> unit) -> bool
-(** [split_lines pending chunk len emit] passes each line that the first
-    [len] bytes of [chunk] complete to [emit], without its ['\n'] (a
-    ['\r'] before it is kept), and keeps the unterminated tail in
-    [pending] for the next chunk. It returns [false] once a line grows
-    past {!max_line_bytes}, holding nothing of it past that cap; the
-    lines before it were emitted. The one line splitter: {!fold} reads a
-    file through it, the [serve] daemon each socket read. *)
-
 val fold :
   in_channel ->
   (Incremental.t -> string -> (Incremental.step, 'e) result) ->
   error:(error -> 'e) ->
   (int, 'e) result
 (** Each line to the step, with one decoder, until an [Error] or the
-    footer's count. Lines split as [input_line] splits them (the last
-    needs no newline); one longer than {!max_line_bytes} is
+    footer's count. Lines split as {!Rma_util.Lines.iter_channel} splits
+    them (the last needs no newline, a CRLF ending reads as LF); one
+    longer than {!Rma_util.Lines.max_line_bytes} is
     [line N: line too long] and is never held whole, so reading any file
     holds at most two 64 KiB blocks beyond the decoder. End of input
     first is {!Incremental.finish}'s error. [error] maps the reader's

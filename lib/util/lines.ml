@@ -1,0 +1,55 @@
+(* A hello line is a few hundred bytes, an event line stays under 1 KiB
+   even with long escaped file names, and the longest journal line of
+   the golden runs is 197 bytes; 64 KiB is far above any legitimate
+   line, yet bounds what a stream that never sends '\n' can make a
+   reader hold. *)
+let max_line_bytes = 65_536
+
+(* The first '\n' in [b.[i..len-1]], or [len]. *)
+let rec newline_in b i len =
+  if i >= len || Bytes.unsafe_get b i = '\n' then i else newline_in b (i + 1) len
+
+(* Only the new chunk is scanned for newlines, so each byte is looked at
+   once however the stream is split into reads. A line's '\r' may be the
+   last byte of [pending] when the '\n' opens the next chunk. *)
+let split_lines pending chunk len emit =
+  let fits n = Buffer.length pending + n <= max_line_bytes in
+  let rec go start =
+    let stop = newline_in chunk start len in
+    if stop = len then begin
+      let rest = len - start in
+      let ok = fits rest in
+      if ok then Buffer.add_subbytes pending chunk start rest;
+      ok
+    end
+    else if fits (stop - start) then begin
+      let cr = stop > start && Bytes.unsafe_get chunk (stop - 1) = '\r' in
+      let last = if cr then stop - 1 else stop in
+      if Buffer.length pending = 0 then emit (Bytes.sub_string chunk start (last - start))
+      else begin
+        Buffer.add_subbytes pending chunk start (last - start);
+        let n = Buffer.length pending in
+        let n = if stop = start && Buffer.nth pending (n - 1) = '\r' then n - 1 else n in
+        let line = Buffer.sub pending 0 n in
+        Buffer.clear pending;
+        emit line
+      end;
+      go (stop + 1)
+    end
+    else false
+  in
+  go 0
+
+let iter_channel ic emit =
+  let pending = Buffer.create 256 in
+  (* The size of the channel's own buffer, so one read fills it. *)
+  let chunk = Bytes.create 65536 in
+  let rec go () =
+    match In_channel.input ic chunk 0 (Bytes.length chunk) with
+    | 0 ->
+        (* As [input_line]: a last line needs no newline. *)
+        if Buffer.length pending > 0 then emit (Buffer.contents pending);
+        true
+    | n -> split_lines pending chunk n emit && go ()
+  in
+  go ()

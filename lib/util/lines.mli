@@ -1,0 +1,20 @@
+(** Bounded line splitting for byte streams: trace files, journal files
+    and socket reads all cut their lines here, under one length cap. *)
+
+val max_line_bytes : int
+(** Longest line, without its ['\n'], that any reader accepts (64 KiB). *)
+
+val split_lines : Buffer.t -> bytes -> int -> (string -> unit) -> bool
+(** [split_lines pending chunk len emit] passes each line that the first
+    [len] bytes of [chunk] complete to [emit], without its ['\n'] and
+    without one ['\r'] just before it, and keeps the unterminated tail
+    in [pending] for the next chunk. It returns [false] once a line
+    grows past {!max_line_bytes}, holding nothing of it past that cap;
+    the lines before it were emitted. *)
+
+val iter_channel : in_channel -> (string -> unit) -> bool
+(** Every line of the channel to [emit], read in 64 KiB chunks through
+    {!split_lines}; a last line needs no newline, as with [input_line].
+    [false] at the first line longer than {!max_line_bytes}, which is
+    never held whole: reading holds at most two 64 KiB blocks. [emit]
+    may raise to stop early. *)

@@ -4,9 +4,10 @@
 # disjoint store and the analyzer's tree tables) and the simulator's
 # per-access step that feeds it (the scheduler's run queue, event
 # dispatch and access classification in the runtime, and the rank
-# memory's scans), and the trace codec and ingestion step that every
-# recorded, analyzed or served event passes through, must stay
-# monomorphic:
+# memory's scans), the trace codec and ingestion step that every
+# recorded, analyzed or served event passes through, the recorder that
+# every analyze pass replays through, and the serve session that every
+# served line crosses, must stay monomorphic:
 # without flambda, Stdlib's polymorphic [compare]/[=]/[<]/... on
 # non-int types and Stdlib's [max]/[min] on any type are calls into the
 # C runtime's generic compare (DESIGN.md §18, §19). This script lists the
@@ -36,6 +37,8 @@ OBJECTS=(
   lib/mpi_sim/.mpi_sim.objs/native/mpi_sim__Memory.o
   lib/trace/.rma_trace.objs/native/rma_trace__Codec.o
   lib/trace/.rma_trace.objs/native/rma_trace__Ingest.o
+  lib/trace/.rma_trace.objs/native/rma_trace__Recorder.o
+  lib/serve/.rma_serve.objs/native/rma_serve__Session.o
 )
 
 # Module paths in symbol names are joined by "." on OCaml 5.1 and by

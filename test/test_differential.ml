@@ -286,11 +286,12 @@ let prop_legacy_agreement =
 
 (* Seeded event streams straight into the observer (no runtime): random
    interleavings of accesses on 3 ranks × 2 windows with epoch cycling
-   and flushes, replayed on the sequential analyzer and on the sharded
-   engine at jobs ∈ {2, 4}. The engine's claim is byte-identity, so the comparison is
-   total: race count, every report (via the serialized JSON and SARIF
-   exports, which carry ids, provenance and flight-recorder histories),
-   the Algorithm 1 statistics, and the full per-tree interval state. *)
+   and flushes, some local accesses naming no window, replayed on the
+   sequential analyzer and on the sharded engine at jobs ∈ {2, 4}. The
+   engine's claim is byte-identity, so the comparison is total: race
+   count, every report (via the serialized JSON and SARIF exports, which
+   carry ids, provenance and flight-recorder histories), the Algorithm 1
+   statistics, and the full per-tree interval state. *)
 
 let par_nprocs = 3
 let par_wins = 2
@@ -318,9 +319,12 @@ let decode_events raw =
           let kind = List.nth Access_kind.all (k mod 5) in
           let issuer = if Access_kind.is_local kind then rank else x mod par_nprocs in
           let a = acc ~issuer ~seq:(i + 1) ~line:(1 + (t mod 6)) ~lo ~hi:(lo + len - 1) kind in
+          (* A third of the local accesses name no window: they land in
+             every open epoch of their rank. *)
+          let win = if Access_kind.is_local kind && t / 10 mod 3 = 0 then None else Some win in
           push
             (Mpi_sim.Event.Access
-               { space = rank; access = a; win = Some win; relevant = true; on_stack = false; sim_time }))
+               { space = rank; access = a; win; relevant = true; on_stack = false; sim_time }))
     raw;
   for w = 0 to par_wins - 1 do
     for r = 0 to par_nprocs - 1 do
@@ -473,4 +477,195 @@ let suite =
         test_interleave_label_stable_across_seeds;
       Alcotest.test_case "interleave: single-thread kernels keep verdicts" `Slow
         test_interleave_preserves_single_thread_verdicts;
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* Windowless local accesses: every open epoch of the rank            *)
+(* ------------------------------------------------------------------ *)
+
+(* A local access that names no window lands in every tree of its rank
+   whose epoch is open (§5.1), in the tree table's iteration order. The
+   seeded streams below mix such accesses with RMA traffic, windowed
+   local accesses, epoch cycling over 2 windows, trees first created
+   mid-stream (by an epoch open or by an RMA access into a closed
+   window) and a [reset] halfway; 20 ranks make 40 trees, past the
+   table's first resize. Their verdict digests are pinned, so the set
+   and the order of the trees one access enters — hence race ids, the
+   exports and the digest — cannot move. *)
+
+type route_step = Ev of Mpi_sim.Event.event | Reset
+
+let route_stream ~seed ~nprocs ~steps =
+  let rng = Rma_util.Prng.create ~seed in
+  let pick n = Rma_util.Prng.int rng ~bound:n in
+  let opened = Array.make_matrix nprocs par_wins false in
+  let out = ref [] in
+  let ev e = out := Ev e :: !out in
+  for w = 0 to par_wins - 1 do
+    ev (Mpi_sim.Event.Win_created { win = w; rank = 0; base = 0; size = 4096; sim_time = 0.0 })
+  done;
+  (* Window 1's trees are first created mid-stream. *)
+  for r = 0 to nprocs - 1 do
+    ev (Mpi_sim.Event.Epoch_opened { win = 0; rank = r; sim_time = 0.0 });
+    opened.(r).(0) <- true
+  done;
+  for i = 1 to steps do
+    let sim_time = float_of_int i in
+    if i = steps / 2 then begin
+      out := Reset :: !out;
+      Array.iter (fun row -> Array.fill row 0 par_wins false) opened
+    end;
+    let rank = pick nprocs and win = pick par_wins in
+    let lo = pick 32 in
+    let hi = lo + pick 8 in
+    let line = 1 + pick 4 in
+    let access ~issuer kind = acc ~issuer ~seq:i ~line ~lo ~hi kind in
+    let local () = if pick 2 = 0 then Access_kind.Local_write else Access_kind.Local_read in
+    match pick 10 with
+    | 0 | 1 | 2 | 3 ->
+        ev
+          (Mpi_sim.Event.Access
+             { space = rank; access = access ~issuer:rank (local ()); win = None;
+               relevant = true; on_stack = false; sim_time })
+    | 4 | 5 | 6 ->
+        let kind = List.nth Access_kind.[ Rma_read; Rma_write; Rma_accumulate ] (pick 3) in
+        ev
+          (Mpi_sim.Event.Access
+             { space = rank; access = access ~issuer:(pick nprocs) kind; win = Some win;
+               relevant = true; on_stack = false; sim_time })
+    | 7 ->
+        ev
+          (Mpi_sim.Event.Access
+             { space = rank; access = access ~issuer:rank (local ()); win = Some win;
+               relevant = true; on_stack = false; sim_time })
+    | _ ->
+        if opened.(rank).(win) then ev (Mpi_sim.Event.Epoch_closed { win; rank; sim_time })
+        else ev (Mpi_sim.Event.Epoch_opened { win; rank; sim_time });
+        opened.(rank).(win) <- not opened.(rank).(win)
+  done;
+  List.rev !out
+
+(* The race count and verdict digest at the reset and at the end, plus
+   a digest of the JSON export (race ids and provenance), as one hex
+   digest. *)
+let route_digest ~predictive ~jobs ~nprocs steps =
+  let tool =
+    Rma_analysis.Rma_analyzer.create ~nprocs ~mode:Rma_analysis.Tool.Collect ~jobs ~predictive
+      Rma_analysis.Rma_analyzer.Contribution
+  in
+  let phases = ref [] in
+  let settle () =
+    let races = tool.Rma_analysis.Tool.races () in
+    phases :=
+      Printf.sprintf "%d %s %s"
+        (tool.Rma_analysis.Tool.race_count ())
+        (Rma_report.Race_export.verdict_digest races)
+        (Digest.to_hex
+           (Digest.string
+              (Rma_util.Json.to_string (Rma_report.Race_export.to_json ~generator:"routes" races))))
+      :: !phases
+  in
+  List.iter
+    (function
+      | Ev e -> ignore (tool.Rma_analysis.Tool.observer e)
+      | Reset ->
+          settle ();
+          tool.Rma_analysis.Tool.reset ())
+    steps;
+  settle ();
+  Digest.to_hex (Digest.string (String.concat "\n" (List.rev !phases)))
+
+(* (seed, ranks, observed digest, predictive digest), pinned from the
+   analyzer that folded the whole tree table for every such access. *)
+let route_pins =
+  [
+    (1, 3, "fc99fe28a131ff26f422a3b71677fb03", "fc99fe28a131ff26f422a3b71677fb03");
+    (2, 3, "8be879c1648f92135f6e784d1f36499e", "8be879c1648f92135f6e784d1f36499e");
+    (3, 3, "18f288c41176ebd535bffafddaf71a97", "0c48a64d842e53cb37a1d1c178920bc1");
+    (4, 20, "d1a3dd9157eb73ef64aac7fbc96d0341", "d1a3dd9157eb73ef64aac7fbc96d0341");
+  ]
+
+let test_windowless_digests_pinned () =
+  List.iter
+    (fun (seed, nprocs, observed, predicted) ->
+      let steps = route_stream ~seed ~nprocs ~steps:400 in
+      List.iter
+        (fun (predictive, pinned) ->
+          List.iter
+            (fun jobs ->
+              Alcotest.(check string)
+                (Printf.sprintf "seed %d ranks %d predictive %b jobs %d" seed nprocs predictive
+                   jobs)
+                pinned
+                (route_digest ~predictive ~jobs ~nprocs steps))
+            [ 1; 2 ])
+        [ (false, observed); (true, predicted) ])
+    route_pins
+
+(* Rank [rank] has both windows open and rank [rank + 1] puts into
+   each; the rank stores to other bytes without naming a window (its
+   route list is now in use), then, after RMA traffic from the rank has
+   created every other rank's two trees when [filler] is set, to the
+   put bytes: one race per open window. The races, in order. *)
+let windowless_races ~nprocs ~rank ~filler =
+  let access ~space ~issuer ~win ~seq ~lo kind =
+    Mpi_sim.Event.Access
+      { space; access = acc ~issuer ~seq ~line:(10 * seq) ~lo ~hi:(lo + 7) kind; win;
+        relevant = true; on_stack = false; sim_time = float_of_int seq }
+  in
+  let put ~space ~issuer ~win ~seq ~lo =
+    access ~space ~issuer ~win:(Some win) ~seq ~lo Access_kind.Rma_write
+  in
+  let store ~seq ~lo = access ~space:rank ~issuer:rank ~win:None ~seq ~lo Access_kind.Local_write in
+  let origin = (rank + 1) mod nprocs in
+  let others = List.filter (fun q -> q <> rank) (List.init nprocs Fun.id) in
+  let events =
+    [ Mpi_sim.Event.Epoch_opened { win = 0; rank; sim_time = 0.0 };
+      Mpi_sim.Event.Epoch_opened { win = 1; rank; sim_time = 0.0 };
+      put ~space:rank ~issuer:origin ~win:0 ~seq:1 ~lo:0;
+      put ~space:rank ~issuer:origin ~win:1 ~seq:2 ~lo:0;
+      store ~seq:3 ~lo:100 ]
+    @ (if filler then
+         List.concat_map
+           (fun q -> [ put ~space:q ~issuer:rank ~win:0 ~seq:4 ~lo:200;
+                       put ~space:q ~issuer:rank ~win:1 ~seq:4 ~lo:200 ])
+           others
+       else [])
+    @ [ store ~seq:5 ~lo:0 ]
+  in
+  let tool =
+    Rma_analysis.Rma_analyzer.create ~nprocs ~mode:Rma_analysis.Tool.Collect
+      Rma_analysis.Rma_analyzer.Contribution
+  in
+  List.iter (fun e -> ignore (tool.Rma_analysis.Tool.observer e)) events;
+  tool.Rma_analysis.Tool.races ()
+
+let windows races = List.map (fun r -> r.Rma_analysis.Report.win) races
+
+let test_windowless_races_in_both_windows () =
+  let races = windowless_races ~nprocs:2 ~rank:0 ~filler:false in
+  Alcotest.(check (list (option int))) "one race per open window" [ Some 1; Some 0 ]
+    (windows races);
+  Alcotest.(check string) "digest pinned" "373c40106cc514d6546945be099d55be"
+    (Rma_report.Race_export.verdict_digest races)
+
+(* Rank 2 of 48: growing the table from 4 to 96 trees resizes it, which
+   swaps the iteration order of the rank's two trees, so the race order
+   follows the table as it is at the access, not as it was when the
+   rank's list was first built. *)
+let test_windowless_order_follows_resize () =
+  Alcotest.(check (list (option int))) "before the resize" [ Some 1; Some 0 ]
+    (windows (windowless_races ~nprocs:48 ~rank:2 ~filler:false));
+  Alcotest.(check (list (option int))) "after the resize" [ Some 0; Some 1 ]
+    (windows (windowless_races ~nprocs:48 ~rank:2 ~filler:true))
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "windowless accesses: seeded verdict digests pinned" `Quick
+        test_windowless_digests_pinned;
+      Alcotest.test_case "windowless access races in both open windows" `Quick
+        test_windowless_races_in_both_windows;
+      Alcotest.test_case "windowless race order follows a table resize" `Quick
+        test_windowless_order_follows_resize;
     ]

@@ -127,6 +127,40 @@ let test_unreadable_file () =
   | Some e -> Alcotest.(check int) "at_line 0 marks an unopenable file" 0 e.Journal.at_line
   | None -> Alcotest.fail "expected an error for an unopenable path"
 
+(* A journal line is capped like a trace line: a 20 MiB line is refused
+   once it passes the cap, never read whole, so neither the heap's high
+   water mark nor the words allocated grow with it; the line before it
+   still decodes. *)
+let test_long_journal_line_is_bounded () =
+  let ev =
+    { Events.ts = 1.0; level = Events.Info; component = "test"; run_id = "r"; shard = 0;
+      span_id = 0; kv = [] }
+  in
+  let path = Filename.temp_file "rma_journal_long" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let block = String.make 65536 'x' in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (Events.line ev ^ "\n");
+      for _ = 1 to 320 do
+        output_string oc block
+      done;
+      output_string oc "\n");
+  let mib_words = (1 lsl 20) / (Sys.word_size / 8) in
+  let stat () =
+    Gc.full_major ();
+    Gc.quick_stat ()
+  in
+  let before = stat () in
+  let r = Journal.read_file path in
+  let after = stat () in
+  Alcotest.(check int) "the line before decodes" 1 (List.length r.Journal.events);
+  Alcotest.(check (option string)) "error text" (Some "line 2: line too long")
+    (Option.map Journal.error_to_string r.Journal.error);
+  Alcotest.(check bool) "top_heap_words grows by under 1 MiB" true
+    (after.Gc.top_heap_words - before.Gc.top_heap_words < mib_words);
+  Alcotest.(check bool) "under 1 MiB allocated in the major heap" true
+    (after.Gc.major_words -. before.Gc.major_words < float_of_int mib_words)
+
 (* --- stats golden over the seeded-drill journal ----------------------- *)
 
 (* The same golden journal test_events pins (run-golden, plan seed 7,
@@ -330,6 +364,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_truncation;
     QCheck_alcotest.to_alcotest prop_bit_flip;
     Alcotest.test_case "unopenable path is a line-0 error" `Quick test_unreadable_file;
+    Alcotest.test_case "a 20 MiB journal line grows the heap by under 1 MiB" `Quick
+      test_long_journal_line_is_bounded;
     Alcotest.test_case "obs stats matches the golden report" `Quick test_stats_golden;
     Alcotest.test_case "stats aggregate the seeded drill" `Quick test_stats_counts;
     Alcotest.test_case "journaled drill replays byte-identically" `Quick test_replay_roundtrip;

@@ -197,7 +197,7 @@ let test_format1_and_errors () =
           (Printf.sprintf "reason %S names format 1 as unsupported" reason)
           true
           (Astring.String.is_infix ~affix:"bad header" reason
-          && Astring.String.is_infix ~affix:"format 1 is unsupported" reason)
+          && Astring.String.is_infix ~affix:"format \"1\" is unsupported" reason)
     | other -> Alcotest.failf "expected one error line, got %d" (List.length other));
     Alcotest.(check bool) "no summary for a format-1 stream" false
       (List.exists (fun l -> line_type l = "summary") lines);
@@ -221,10 +221,10 @@ let test_format1_and_errors () =
   Alcotest.(check int) "no sessions leaked" 0 (Sessions.registered_count ())
 
 (* A client that never sends a newline cannot grow the daemon's line
-   buffer past [Codec.max_line_bytes]: the session is closed as a
-   protocol error while a well-behaved session beside it completes. *)
+   buffer past [Rma_util.Lines.max_line_bytes]: the session is closed as
+   a protocol error while a well-behaved session beside it completes. *)
 let test_unterminated_line_is_bounded () =
-  let cap = Codec.max_line_bytes in
+  let cap = Rma_util.Lines.max_line_bytes in
   let push s c = Session.push_bytes s (Bytes.of_string c) (String.length c) in
   (* The buffer itself, driven directly. Lines split across chunks
      reassemble, CRLF included... *)

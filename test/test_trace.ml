@@ -692,7 +692,8 @@ let broken_traces () =
     ("empty file", "", "line 1: empty trace", false);
     ( "bad header",
       lines (("rma-trace 1" :: body) @ [ Codec.footer n ]),
-      "line 1: bad header \"rma-trace 1\": trace format 1 is unsupported (only format 2 is read)",
+      "line 1: bad header \"rma-trace 1\": trace format \"1\" is unsupported (only format 2 is \
+       read)",
       false );
     ( "footer cut off",
       lines (Codec.header :: body),
@@ -706,7 +707,8 @@ let broken_traces () =
       true );
     ( "line over the cap mid-file",
       lines
-        ((Codec.header :: body) @ [ String.make (Codec.max_line_bytes + 1) 'x'; Codec.footer n ]),
+        ((Codec.header :: body)
+        @ [ String.make (Rma_util.Lines.max_line_bytes + 1) 'x'; Codec.footer n ]),
       Printf.sprintf "line %d: line too long" (n + 2),
       true );
     ( "footer count disagrees",
@@ -882,4 +884,116 @@ let suite =
         test_long_file_line_is_bounded;
       Alcotest.test_case "time field matches Printf.sprintf %.9f" `Slow
         test_time_field_matches_printf;
+    ]
+
+(* --- CRLF input, header quoting, the decoder's thread table --- *)
+
+(* A trace file with CRLF line ends reads as its LF original: the same
+   events reach the tool, so the verdicts are the same. *)
+let test_crlf_trace_same_verdicts () =
+  let events = kernel_events "rrb_lockall_remote_conflict_put_put_race" in
+  let lf, _ = save_and_load events in
+  let crlf = String.concat "\r\n" (String.split_on_char '\n' lf) in
+  let verdicts bytes =
+    let path = Filename.temp_file "rma_crlf" ".rma" in
+    Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+    Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+    let make_tool ~nprocs =
+      Rma_analyzer.create ~nprocs ~mode:Tool.Collect Rma_analyzer.Contribution
+    in
+    match Ingest.file ~make_tool path with
+    | Ok run ->
+        let races = run.Ingest.tool.Tool.races () in
+        (List.length races, run.Ingest.events, Rma_report.Race_export.verdict_digest races)
+    | Error e -> Alcotest.failf "trace rejected: %s" e
+  in
+  let races, n, digest = verdicts lf in
+  Alcotest.(check bool) "the kernel races" true (races > 0);
+  Alcotest.(check (triple int int string)) "CRLF copy: same races, events and digest"
+    (races, n, digest) (verdicts crlf)
+
+(* A header naming an unknown version quotes it, control bytes escaped. *)
+let test_bad_header_quotes_version () =
+  let path = Filename.temp_file "rma_header" ".rma" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_bin path (fun oc -> output_string oc "rma-trace 2\t\nrma-trace-end 0\n");
+  match In_channel.with_open_bin path Codec.read_all with
+  | Ok _ -> Alcotest.fail "accepted a bad header"
+  | Error e ->
+      Alcotest.(check string) "error text"
+        "line 1: bad header \"rma-trace 2\\t\": trace format \"2\\t\" is unsupported (only format \
+         2 is read)"
+        (Codec.error_to_string e)
+
+(* One decoder shares one default thread per issuer, however the
+   issuers interleave; an issuer past the table's bound still decodes
+   to its default thread. A negative issuer has none (its clock key is
+   undefined), so its line is an error, as it always was. *)
+let test_decoder_thread_table () =
+  let access ~issuer ~seq =
+    Event.Access
+      {
+        Event.space = 0;
+        access =
+          Rma_access.Access.make
+            ~interval:(Rma_access.Interval.make ~lo:seq ~hi:seq)
+            ~kind:Rma_access.Access_kind.Local_write ~issuer ~seq
+            ~debug:(Rma_access.Debug_info.make ~file:"t.c" ~line:1 ~operation:"Store");
+        win = None;
+        relevant = true;
+        on_stack = false;
+        sim_time = 0.0;
+      }
+  in
+  let dec = Codec.Incremental.create () in
+  ignore (Codec.Incremental.feed dec Codec.header);
+  let decode e =
+    match Codec.Incremental.feed dec (Codec.encode_event e) with
+    | Ok (Codec.Incremental.Event (Event.Access a)) -> a.Event.access
+    | _ -> Alcotest.fail "access did not decode"
+  in
+  let issuers = [ 0; 1; 0; 7; 1; 0; 7 ] in
+  let decoded = List.mapi (fun seq issuer -> decode (access ~issuer ~seq)) issuers in
+  List.iter
+    (fun (a : Rma_access.Access.t) ->
+      List.iter
+        (fun (b : Rma_access.Access.t) ->
+          if a.Rma_access.Access.issuer = b.Rma_access.Access.issuer then
+            Alcotest.(check bool)
+              (Printf.sprintf "issuer %d shares one thread record" a.Rma_access.Access.issuer)
+              true
+              (a.Rma_access.Access.thread == b.Rma_access.Access.thread))
+        decoded)
+    decoded;
+  List.iter
+    (fun issuer ->
+      let a = decode (access ~issuer ~seq:1) in
+      Alcotest.(check bool)
+        (Printf.sprintf "issuer %d decodes to its default thread" issuer)
+        true
+        (Rma_access.Access.thread_equal a.Rma_access.Access.thread
+           (Rma_access.Access.default_thread ~issuer)))
+    [ 0; 7; 4095; 4096; 1_000_000; max_int ];
+  List.iter
+    (fun issuer ->
+      let line =
+        Printf.sprintf "A\t0\tLW\t1\t1\t%d\t1\t-\t1\t0\t0.000000000\tt.c\t1\tStore" issuer
+      in
+      match Codec.Incremental.feed dec line with
+      | Error e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "issuer %d is a decode failure" issuer)
+            true
+            (String.starts_with ~prefix:"decode failure" e.Codec.reason)
+      | Ok _ -> Alcotest.failf "issuer %d decoded" issuer)
+    [ -1; min_int ]
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "a CRLF trace gives the LF trace's verdicts" `Quick
+        test_crlf_trace_same_verdicts;
+      Alcotest.test_case "a bad header quotes the version" `Quick test_bad_header_quotes_version;
+      Alcotest.test_case "decoder shares one default thread per issuer" `Quick
+        test_decoder_thread_table;
     ]

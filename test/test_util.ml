@@ -200,3 +200,41 @@ let chart_suite =
   ]
 
 let suite = suite @ chart_suite
+
+(* --- Lines --- *)
+
+(* However a text is cut into chunks, [Lines.split_lines] emits the
+   '\n'-terminated lines, each without one '\r' before its '\n' (also
+   when the '\r' ends one chunk and the '\n' opens the next), and keeps
+   the unterminated tail. *)
+let prop_split_lines_any_chunking =
+  QCheck.Test.make ~name:"Lines.split_lines: CRLF and LF over any chunking" ~count:500
+    QCheck.(
+      pair
+        (string_gen_of_size Gen.(int_range 0 40) (Gen.oneofl [ 'a'; 'b'; '\r'; '\n' ]))
+        (list_of_size Gen.(int_range 0 6) (int_range 0 40)))
+    (fun (text, cuts) ->
+      let parts = String.split_on_char '\n' text in
+      let rec terminated = function [] | [ _ ] -> [] | l :: rest -> l :: terminated rest in
+      let drop_cr l =
+        let n = String.length l in
+        if n > 0 && l.[n - 1] = '\r' then String.sub l 0 (n - 1) else l
+      in
+      let expected = List.map drop_cr (terminated parts) in
+      let tail = List.nth parts (List.length parts - 1) in
+      let pending = Buffer.create 16 and got = ref [] in
+      let cuts =
+        List.sort_uniq Int.compare (List.map (fun c -> c mod (String.length text + 1)) cuts)
+      in
+      let rec feed from = function
+        | [] -> [ (from, String.length text) ]
+        | c :: rest -> (from, c) :: feed c rest
+      in
+      List.iter
+        (fun (a, b) ->
+          let chunk = Bytes.of_string (String.sub text a (b - a)) in
+          assert (Lines.split_lines pending chunk (b - a) (fun l -> got := l :: !got)))
+        (feed 0 cuts);
+      List.rev !got = expected && Buffer.contents pending = tail)
+
+let suite = suite @ [ QCheck_alcotest.to_alcotest prop_split_lines_any_chunking ]
