@@ -13,7 +13,6 @@
      dune exec bench/main.exe -- --fault-plan seed=7,worker_crash=0.05 --jobs 4 fig10
      dune exec bench/main.exe -- --budget 4096:spill fig11
      dune exec bench/main.exe -- --obs-events events.jsonl --obs-level debug fig10
-     dune exec bench/main.exe -- --obs-serve 9090 fig11    -- curl /metrics mid-run
 
    Scale notes: MiniVite inputs default to one tenth of the paper's
    640k/1,280k vertices so the full sweep finishes in minutes; rank
@@ -577,7 +576,6 @@ let () =
   let ranks = ref None in
   let obs_out = ref None in
   let obs_summary = ref false in
-  let obs_serve = ref None in
   let counts_out = ref None in
   let selected = ref [] in
   let diag = ref Diag.default in
@@ -601,9 +599,6 @@ let () =
     | "--obs-level" :: v :: rest ->
         diag := { !diag with Diag.obs_level = Some v };
         parse rest
-    | "--obs-serve" :: v :: rest ->
-        obs_serve := Some (int_of_string v);
-        parse rest
     | "--counts" :: v :: rest ->
         counts_out := Some v;
         parse rest
@@ -625,20 +620,11 @@ let () =
   let scale = !scale and ranks = !ranks in
   let run = Diag.run_config ~prog:"bench" !diag in
   let faults = Run_config.faults run in
-  if !obs_out <> None || !obs_summary || run.Run_config.obs_events <> None || !obs_serve <> None
-  then Rma_obs.Obs.enable ();
+  if !obs_out <> None || !obs_summary || run.Run_config.obs_events <> None then
+    Rma_obs.Obs.enable ();
   Rma_obs.Events.set_level run.Run_config.obs_level;
   Option.iter Rma_obs.Events.set_sink run.Run_config.obs_events;
   Rma_obs.Telemetry.set_slo_epoch_close_ms run.Run_config.slo_epoch_close_ms;
-  let server =
-    match !obs_serve with
-    | Some port ->
-        let s = Rma_obs.Serve.start ~port in
-        Printf.eprintf "obs: serving /metrics /healthz /events on 127.0.0.1:%d\n%!"
-          (Rma_obs.Serve.port s);
-        Some s
-    | None -> None
-  in
   let dispatch = function
     | "table2" -> run_table2 ~run ~faults
     | "table3" -> run_table3 ~run ~faults
@@ -702,5 +688,4 @@ let () =
       Printf.eprintf "obs: wrote Chrome trace to %s\n%!" path
   | None -> ());
   if !obs_summary then print_string (Rma_obs.Summary.to_string ());
-  (match server with Some s -> Rma_obs.Serve.stop s | None -> ());
   Rma_obs.Events.close ()

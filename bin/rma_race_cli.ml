@@ -43,12 +43,6 @@ let diag_term =
       & info [ "obs-prometheus" ] ~docv:"FILE"
           ~doc:"Write metrics in Prometheus text exposition format to $(docv).")
   in
-  let sample =
-    Arg.(
-      value & opt int 1
-      & info [ "obs-sample" ] ~docv:"N"
-          ~doc:"Record one span out of every $(docv) (1 keeps all; metrics are never sampled).")
-  in
   let events =
     Arg.(
       value
@@ -67,16 +61,6 @@ let diag_term =
           ~doc:
             "Minimum event-journal level: debug, info, warn or error (default info; debug admits \
              per-epoch events). Same as setting $(b,RMA_OBS_LEVEL).")
-  in
-  let serve =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "obs-serve" ] ~docv:"PORT"
-          ~doc:
-            "Serve $(b,/metrics) (Prometheus text), $(b,/healthz) and $(b,/events) on \
-             127.0.0.1:$(docv) from a background domain for the duration of the run (0 picks an \
-             ephemeral port).")
   in
   let races_json =
     Arg.(
@@ -142,16 +126,14 @@ let diag_term =
              JSON/SARIF exports, with a witness reordering rendered by $(b,explain)), even when \
              the observed schedule kept them apart. Same as setting $(b,RMA_PREDICTIVE=1).")
   in
-  let mk obs_out obs_summary obs_prometheus obs_events obs_level obs_serve obs_sample races_json
-      races_sarif jobs fault_plan budget predictive =
+  let mk obs_out obs_summary obs_prometheus obs_events obs_level races_json races_sarif jobs
+      fault_plan budget predictive =
     {
       Diag.obs_out;
       obs_summary;
       obs_prometheus;
       obs_events;
       obs_level;
-      obs_serve;
-      obs_sample;
       races_json;
       races_sarif;
       jobs;
@@ -162,8 +144,8 @@ let diag_term =
     }
   in
   Term.(
-    const mk $ out $ summary $ prometheus $ events $ level $ serve $ sample $ races_json
-    $ races_sarif $ jobs $ fault_plan $ budget $ predictive)
+    const mk $ out $ summary $ prometheus $ events $ level $ races_json $ races_sarif $ jobs
+    $ fault_plan $ budget $ predictive)
 
 let generator = "rma_race"
 

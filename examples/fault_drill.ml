@@ -46,9 +46,6 @@ let () =
     | "--obs-level" :: v :: rest ->
         diag := { !diag with Diag.obs_level = Some v };
         parse rest
-    | "--obs-serve" :: v :: rest ->
-        diag := { !diag with Diag.obs_serve = Some (int_of_string v) };
-        parse rest
     | "--jobs" :: v :: rest ->
         diag := { !diag with Diag.jobs = Some (int_of_string v) };
         parse rest

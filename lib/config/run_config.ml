@@ -80,7 +80,10 @@ let apply ?(label = Fun.id) lookup setters base =
     (fun acc (name, set) ->
       match (acc, lookup name) with
       | Error _, _ | _, None -> acc
-      | Ok t, Some v -> Result.map_error (Printf.sprintf "bad %s %S: %s" (label name) v) (set t v))
+      | Ok t, Some v ->
+          Result.map_error
+            (Printf.sprintf "bad %s %s: %s" (label name) (Rma_util.Lines.quote v))
+            (set t v))
     (Ok base) setters
 
 let of_env () =

@@ -1,5 +1,6 @@
 module Obs = Rma_obs.Obs
 module Prng = Rma_util.Prng
+module Lines = Rma_util.Lines
 
 type site = Trace_corrupt | Trace_truncate | Worker_crash | Queue_overflow
 
@@ -49,8 +50,8 @@ module Plan = struct
   let parse_rate key v =
     match float_of_string_opt v with
     | Some f when f >= 0.0 && f <= 1.0 -> Ok f
-    | Some _ -> Error (Printf.sprintf "%s: rate %s outside [0, 1]" key v)
-    | None -> Error (Printf.sprintf "%s: malformed rate %S" key v)
+    | Some _ -> Error (Printf.sprintf "%s: rate %s outside [0, 1]" key (Lines.clip v))
+    | None -> Error (Printf.sprintf "%s: malformed rate %s" key (Lines.quote v))
 
   let of_spec spec =
     let fields =
@@ -63,7 +64,7 @@ module Plan = struct
       | Error _ as e -> e
       | Ok t -> (
           match String.index_opt field '=' with
-          | None -> Error (Printf.sprintf "expected key=value, got %S" field)
+          | None -> Error (Printf.sprintf "expected key=value, got %s" (Lines.quote field))
           | Some i -> (
               let key = String.sub field 0 i in
               let v = String.sub field (i + 1) (String.length field - i - 1) in
@@ -71,7 +72,7 @@ module Plan = struct
               | "seed" -> (
                   match int_of_string_opt v with
                   | Some s -> Ok { t with seed = s }
-                  | None -> Error (Printf.sprintf "seed: malformed integer %S" v))
+                  | None -> Error (Printf.sprintf "seed: malformed integer %s" (Lines.quote v)))
               | "trace_corrupt" ->
                   Result.map (fun r -> { t with trace_corrupt = r }) (parse_rate key v)
               | "trace_truncate" ->
@@ -83,12 +84,12 @@ module Plan = struct
               | "max_retries" -> (
                   match int_of_string_opt v with
                   | Some r when r >= 0 -> Ok { t with max_retries = r }
-                  | _ -> Error (Printf.sprintf "max_retries: expected non-negative integer, got %S" v))
+                  | _ -> Error (Printf.sprintf "max_retries: expected non-negative integer, got %s" (Lines.quote v)))
               | "backoff" -> (
                   match float_of_string_opt v with
                   | Some b when b >= 0.0 -> Ok { t with backoff = b }
-                  | _ -> Error (Printf.sprintf "backoff: expected non-negative seconds, got %S" v))
-              | _ -> Error (Printf.sprintf "unknown fault-plan key %S" key)))
+                  | _ -> Error (Printf.sprintf "backoff: expected non-negative seconds, got %s" (Lines.quote v)))
+              | _ -> Error (Printf.sprintf "unknown fault-plan key %s" (Lines.quote key))))
     in
     List.fold_left parse_field (Ok default) fields
 
@@ -162,12 +163,12 @@ module Budget = struct
     | "fail" | "fail_fast" -> Ok Fail_fast
     | "spill" | "spill_oldest_epoch" -> Ok Spill_oldest_epoch
     | "coarsen" -> Ok Coarsen
-    | s -> Error (Printf.sprintf "unknown budget policy %S (fail|spill|coarsen)" s)
+    | s -> Error (Printf.sprintf "unknown budget policy %s (fail|spill|coarsen)" (Lines.quote s))
 
   let parse_cap key v =
     match int_of_string_opt v with
     | Some n when n > 0 -> Ok n
-    | _ -> Error (Printf.sprintf "%s: expected positive integer, got %S" key v)
+    | _ -> Error (Printf.sprintf "%s: expected positive integer, got %s" key (Lines.quote v))
 
   let of_spec spec =
     let spec = String.trim spec in
@@ -191,7 +192,7 @@ module Budget = struct
           | Error _ as e -> e
           | Ok t -> (
               match String.index_opt field '=' with
-              | None -> Error (Printf.sprintf "expected key=value, got %S" field)
+              | None -> Error (Printf.sprintf "expected key=value, got %s" (Lines.quote field))
               | Some i -> (
                   let key = String.sub field 0 i in
                   let v = String.sub field (i + 1) (String.length field - i - 1) in
@@ -201,7 +202,7 @@ module Budget = struct
                   | "bytes" ->
                       Result.map (fun n -> { t with max_bytes = Some n }) (parse_cap key v)
                   | "policy" -> Result.map (fun policy -> { t with policy }) (policy_of_string v)
-                  | _ -> Error (Printf.sprintf "unknown budget key %S" key)))
+                  | _ -> Error (Printf.sprintf "unknown budget key %s" (Lines.quote key))))
         in
         List.fold_left parse_field (Ok unbounded) fields
 

@@ -31,7 +31,8 @@ type t = {
 
 (* One mutex serialises everything below: worker domains emit
    concurrently (crash/recovery events come from inside Rma_par worker
-   loops) and the telemetry server reads the ring from its own domain. *)
+   loops) and a serve daemon on a background domain reads the ring for
+   /events. *)
 let mu = Mutex.create ()
 
 let min_level = ref Info

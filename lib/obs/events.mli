@@ -15,8 +15,8 @@
     runs; below that gate a per-event level filter applies. With a file
     sink set ([--obs-events FILE] / [RMA_OBS_EVENTS]) lines are
     appended and flushed as they happen; without one they land in a
-    bounded in-memory ring readable via {!recent} (and served by the
-    telemetry endpoint's [/events]). Emission is safe from any domain. *)
+    bounded in-memory ring readable via {!recent} (and served as
+    [/events] on a [serve] daemon's port). Emission is safe from any domain. *)
 
 type level = Debug | Info | Warn | Error
 

@@ -1,4 +1,5 @@
 module Json = Rma_util.Json
+module Lines = Rma_util.Lines
 
 type error = { at_line : int; reason : string }
 
@@ -21,7 +22,7 @@ let parse_line line =
   let* level =
     match Events.level_of_string level_name with
     | Some l -> Ok l
-    | None -> Error (Printf.sprintf "unknown level %S" level_name)
+    | None -> Error (Printf.sprintf "unknown level %s" (Lines.quote level_name))
   in
   let* component = field "component" Json.to_str j in
   let* run_id = field "run_id" Json.to_str j in
@@ -34,7 +35,7 @@ let parse_line line =
         let* acc = acc in
         match Json.to_str v with
         | Some s -> Ok ((k, s) :: acc)
-        | None -> Error (Printf.sprintf "ill-typed kv value for %S" k))
+        | None -> Error (Printf.sprintf "ill-typed kv value for %s" (Lines.quote k)))
       (Ok []) kv_obj
   in
   Ok { Events.ts; level; component; run_id; shard; span_id; kv = List.rev kv }
@@ -51,7 +52,7 @@ let read_channel ic =
       | Error reason -> raise_notrace (Stop { at_line = !lineno; reason })
   in
   let read lines error = { events = List.rev !events; lines; error } in
-  match Rma_util.Lines.iter_channel ic emit with
+  match Lines.iter_channel ic emit with
   | true -> read !lineno None
   | false ->
       let at_line = !lineno + 1 in

@@ -20,8 +20,9 @@ let enabled = ref false
 let trace_epoch = ref 0.0
 
 (* The registry tables are written on creation only (find-or-register,
-   normally at module init) but read by the telemetry server from a
-   background domain; the mutex covers exactly those two sides. Metric
+   normally at module init) but may be read from another domain (a
+   serve daemon started on a background domain renders /metrics there);
+   the mutex covers exactly those two sides. Metric
    mutation (c_value, bucket counts) stays lock-free: OCaml int and
    pointer stores are atomic, so a concurrent reader sees a slightly
    stale value, never a torn one. *)
@@ -35,8 +36,6 @@ let categories : (string, Timer.accumulator) Hashtbl.t = Hashtbl.create 8
 let spans_rev : span list ref = ref []
 let span_count = ref 0
 let span_cap = ref 1_000_000
-let keep_one_in = ref 1
-let span_seq = ref 0
 let next_id = ref 0
 let sim_pid_current = ref 2
 let sim_runs = ref 0
@@ -74,7 +73,6 @@ let reset () =
   Hashtbl.iter (fun _ acc -> Timer.reset acc) categories;
   spans_rev := [];
   span_count := 0;
-  span_seq := 0;
   next_id := 0;
   sim_pid_current := 2;
   sim_runs := 0;
@@ -118,7 +116,6 @@ let histogram ?(help = "") ?(unit_ = "s") name =
 let observe h v = if !enabled then Histogram.observe h v
 let observe_int h n = if !enabled then Histogram.observe h (float_of_int n)
 
-let set_sampling ~keep_one_in:n = keep_one_in := max 1 n
 let set_span_cap n = span_cap := max 0 n
 
 let record_span sp =
@@ -128,17 +125,12 @@ let record_span sp =
   end
 
 let start_span ?(cat = "span") ?(args = []) ?(trace_id = 0) ?(parent_id = 0) ~pid ~tid ?at name =
-  if not !enabled then None
+  if (not !enabled) || !span_count >= !span_cap then None
   else begin
-    span_seq := !span_seq + 1;
-    if !keep_one_in > 1 && !span_seq mod !keep_one_in <> 0 then None
-    else if !span_count >= !span_cap then None
-    else begin
-      let t0 = match at with Some t -> t | None -> rel_time (Timer.now ()) in
-      Some { sp_id = fresh_id (); sp_name = name; sp_cat = cat; sp_pid = pid; sp_tid = tid;
-             sp_t0 = t0; sp_t1 = Float.nan; sp_args = args; sp_trace_id = trace_id;
-             sp_parent_id = parent_id }
-    end
+    let t0 = match at with Some t -> t | None -> rel_time (Timer.now ()) in
+    Some { sp_id = fresh_id (); sp_name = name; sp_cat = cat; sp_pid = pid; sp_tid = tid;
+           sp_t0 = t0; sp_t1 = Float.nan; sp_args = args; sp_trace_id = trace_id;
+           sp_parent_id = parent_id }
   end
 
 let finish_span ?at ?(args = []) = function

@@ -79,10 +79,6 @@ val rel_time : float -> float
 (** Convert an absolute {!Rma_util.Timer.now} reading to trace-relative
     seconds. *)
 
-val set_sampling : keep_one_in:int -> unit
-(** Record only every n-th {!start_span} span (phase and emitted spans
-    are never sampled out). Default 1 = keep everything. *)
-
 val set_span_cap : int -> unit
 (** Hard bound on stored spans (default 1_000_000); beyond it new spans
     are dropped. *)
@@ -92,12 +88,12 @@ val fresh_id : unit -> int
     mint a trace id ahead of the span that will originate it. *)
 
 val span_id : span option -> int
-(** The span's unique id, or 0 for [None] (disabled / sampled out). *)
+(** The span's unique id, or 0 for [None] (disabled or over the cap). *)
 
 val start_span :
   ?cat:string -> ?args:(string * string) list -> ?trace_id:int -> ?parent_id:int -> pid:int ->
   tid:int -> ?at:float -> string -> span option
-(** Open a span; [None] when disabled, sampled out, or over the cap.
+(** Open a span; [None] when disabled or over the cap.
     [at] gives an explicit domain timestamp (e.g. simulated time);
     without it the trace-relative wall clock is read. The span is only
     stored once {!finish_span} runs. [trace_id] marks the span as the

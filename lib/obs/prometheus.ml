@@ -39,20 +39,6 @@ let to_text ?(filter = fun _ -> true) () =
     Buffer.add_string b
       (Printf.sprintf "rma_run_info{run_id=\"%s\"} 1\n" (escape_label_value (Events.run_id ())))
   end;
-  (* Multiplexed runs (serve sessions) each get their own labelled
-     series rather than fighting over the single rma_run_info gauge. *)
-  (if filter "session_info" then
-     match Sessions.snapshot () with
-     | [] -> ()
-     | entries ->
-         header "rma_session_info" "per-session run ids multiplexed in this process" "gauge";
-         List.iter
-           (fun (run_id, session, state) ->
-             Buffer.add_string b
-               (Printf.sprintf "rma_session_info{run_id=\"%s\",session=\"%s\",state=\"%s\"} 1\n"
-                  (escape_label_value run_id) (escape_label_value session)
-                  (escape_label_value state)))
-           entries);
   List.iter
     (fun (c : Obs.counter) ->
       if filter c.Obs.c_name then begin

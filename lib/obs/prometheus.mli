@@ -6,13 +6,9 @@
     values are escaped per the exposition format. *)
 
 val to_text : ?filter:(string -> bool) -> unit -> string
-(** [filter] receives the {e raw} registry name (plus ["run_info"] and
-    ["session_info"] for the synthetic metrics) and selects which
-    families to render; default keeps everything. When the {!Sessions}
-    registry is non-empty, one [rma_session_info{run_id,session,state}]
-    series is rendered per registered run, so processes multiplexing
-    many sessions (the [serve] daemon) label each instead of clobbering
-    the single [rma_run_info] gauge. *)
+(** [filter] receives the {e raw} registry name (plus ["run_info"] for
+    the synthetic run-id gauge) and selects which families to render;
+    default keeps everything. *)
 
 val write : path:string -> unit -> unit
 

@@ -1,6 +1,6 @@
 (** Live resource telemetry: a sampling collector for GC pressure and
     peak RSS, feeding the {!Obs} gauge registry (and from there the
-    Prometheus endpoint and the summary exporter). {!sample} is
+    Prometheus text and the summary exporter). {!sample} is
     pull-based and gated on {!Obs.is_enabled}; nothing here runs on the
     stores' insert path. *)
 

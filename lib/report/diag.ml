@@ -8,8 +8,6 @@ type opts = {
   obs_prometheus : string option;
   obs_events : string option;
   obs_level : string option;
-  obs_serve : int option;
-  obs_sample : int;
   races_json : string option;
   races_sarif : string option;
   jobs : int option;
@@ -26,8 +24,6 @@ let default =
     obs_prometheus = None;
     obs_events = None;
     obs_level = None;
-    obs_serve = None;
-    obs_sample = 1;
     races_json = None;
     races_sarif = None;
     jobs = None;
@@ -39,12 +35,11 @@ let default =
 
 let wants_races opts = opts.races_json <> None || opts.races_sarif <> None
 
-(* Any observability output (trace, summary, Prometheus, journal,
-   server) requested: the condition under which [with_diag] enables
-   Obs. *)
+(* Any observability output (trace, summary, Prometheus, journal)
+   requested: the condition under which [with_diag] enables Obs. *)
 let wants_obs opts =
   opts.obs_out <> None || opts.obs_summary || opts.obs_prometheus <> None
-  || opts.obs_events <> None || opts.obs_serve <> None
+  || opts.obs_events <> None
 
 (* A bad value is a usage error, not a crash mid-run: report and exit
    with the code the CLI has always used for spec errors. *)
@@ -82,7 +77,8 @@ let run_config ~prog opts =
         | Some l -> { run with Run_config.obs_level = l }
         | None ->
             usage_error ~prog
-              (Printf.sprintf "bad --obs-level %S: expected debug, info, warn or error" s))
+              (Printf.sprintf "bad --obs-level %s: expected debug, info, warn or error"
+                 (Rma_util.Lines.quote s)))
   in
   match opts.obs_events with Some _ as p -> { run with Run_config.obs_events = p } | None -> run
 
@@ -94,10 +90,7 @@ let with_diag ?(prog = "rma_race") ?(generator = "rma_race") ?workload opts f =
   let run = run_config ~prog opts in
   let opts = { opts with obs_events = run.Run_config.obs_events } in
   let active = wants_obs opts in
-  if active then begin
-    Obs.enable ();
-    Obs.set_sampling ~keep_one_in:(max 1 opts.obs_sample)
-  end;
+  if active then Obs.enable ();
   Events.set_level run.Run_config.obs_level;
   Option.iter Events.set_sink opts.obs_events;
   Rma_obs.Telemetry.set_slo_epoch_close_ms run.Run_config.slo_epoch_close_ms;
@@ -112,17 +105,7 @@ let with_diag ?(prog = "rma_race") ?(generator = "rma_race") ?workload opts f =
       let kv = [ ("event", "run_start"); ("workload", name) ] @ params @ Run_config.to_fields run in
       Events.emit ~kv Events.Info "diag"
   | None -> ());
-  let server =
-    Option.map
-      (fun port ->
-        let s = Rma_obs.Serve.start ~port in
-        Printf.eprintf "obs: serving /metrics /healthz /events on 127.0.0.1:%d\n%!"
-          (Rma_obs.Serve.port s);
-        s)
-      opts.obs_serve
-  in
   let obs_export () =
-    Option.iter Rma_obs.Serve.stop server;
     if active then begin
       let write_file what write path =
         try

@@ -1,7 +1,6 @@
 (** Shared diagnostics plumbing for the CLI subcommands and the example
     drills: one options record covering the observability,
-    event-journal, telemetry-server, race-export, parallelism and
-    fault/budget flags, and one bracket ({!with_diag}) around a run.
+    event-journal, race-export, parallelism and fault/budget flags, and one bracket ({!with_diag}) around a run.
 
     The bracket reads the environment once
     ({!Rma_config.Run_config.of_env}), lays the flags over it, and hands
@@ -19,10 +18,6 @@ type opts = {
   obs_level : string option;
       (** Journal level name ([debug|info|warn|error]); bad names are a
           usage error. *)
-  obs_serve : int option;
-      (** Serve [/metrics], [/healthz] and [/events] on this loopback
-          port for the duration of the run (0 = ephemeral). *)
-  obs_sample : int;  (** Keep one span in N (1 = all). *)
   races_json : string option;
   races_sarif : string option;
   jobs : int option;

@@ -1,6 +1,7 @@
 module Obs = Rma_obs.Obs
 module Events = Rma_obs.Events
-module Sessions = Rma_obs.Sessions
+module Prometheus = Rma_obs.Prometheus
+module Telemetry = Rma_obs.Telemetry
 module Tool = Rma_analysis.Tool
 module Toolbox = Rma_analysis.Toolbox
 module Report = Rma_analysis.Report
@@ -14,17 +15,6 @@ type addr = Tcp of int | Unix_path of string
 type config = { addr : addr; max_sessions : int; accept_queue : int }
 
 let default_config = { addr = Tcp 0; max_sessions = 8; accept_queue = 16 }
-
-(* Metrics are pre-created at module load (main thread): the Obs
-   registry is not thread-safe, and the daemon loop may run on a
-   background domain. Incrementing an existing counter is a plain field
-   update and safe enough for monitoring. *)
-let obs_admitted = Obs.counter ~help:"Serve sessions admitted to streaming" "serve.sessions_admitted"
-let obs_completed = Obs.counter ~help:"Serve sessions completed (summary sent)" "serve.sessions_completed"
-let obs_shed = Obs.counter ~help:"Serve sessions refused by admission control" "serve.sessions_shed"
-let obs_races = Obs.counter ~help:"Race verdicts streamed to serve clients" "serve.races_streamed"
-let obs_events = Obs.counter ~help:"Trace events ingested by the serve daemon" "serve.events_ingested"
-let obs_active = Obs.gauge ~help:"Serve sessions currently streaming" "serve.active_sessions"
 
 type stats = {
   accepted : int;
@@ -46,6 +36,9 @@ type t = {
   bound : addr;
   daemon_run_id : string;
   mutable sessions : Session.t list;  (* accept order; loop thread only *)
+  closed : string Queue.t;
+      (* [session_labels] of the last [recent_closed] admitted sessions
+         to close, oldest first; loop thread only *)
   mutable next_id : int;
   mutable rotate : int;
   rbuf : Bytes.t;  (* every session's reads land here; loop thread only *)
@@ -103,6 +96,99 @@ let graceful_close fd =
    with Unix.Unix_error _ | Invalid_argument _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 
+(* --- HTTP on the daemon's port ---------------------------------------
+
+   A connection whose first line starts with [GET ] is one HTTP request
+   (a hello is JSON, so the two cannot be confused). The loop answers it
+   from its own state and closes the connection; the request gets no run
+   id and no journal record. *)
+
+let recent_closed = 64
+
+let http_response ?(status = "200 OK") ~content_type body =
+  Printf.sprintf
+    "HTTP/1.1 %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s"
+    status content_type (String.length body) body
+
+(* One Prometheus family of integer samples, each [(labels, value)]. *)
+let family b name help kind samples =
+  Printf.bprintf b "# HELP %s %s\n# TYPE %s %s\n" name help name kind;
+  List.iter (fun (labels, v) -> Printf.bprintf b "%s%s %d\n" name labels v) samples
+
+(* The labels of a session's [rma_session_info] series. *)
+let session_labels (s : Session.t) state =
+  let esc = Prometheus.escape_label_value in
+  Printf.sprintf "{run_id=\"%s\",session=\"%s\",state=\"%s\"}" (esc s.Session.run_id)
+    (esc (Option.value (Session.session_name s) ~default:""))
+    (esc state)
+
+(* Every series comes from a source that is exact whether or not Obs
+   counts: the run id, the session table, the daemon's atomics. The Obs
+   registry's families follow only while Obs is on, so none of them
+   shows a zero that only means "not counting". *)
+let metrics t =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b (Prometheus.to_text ~filter:(String.equal "run_info") ());
+  let live =
+    List.filter (fun (s : Session.t) -> s.Session.phase = Session.Streaming) t.sessions
+    |> List.sort (fun (a : Session.t) b -> String.compare a.Session.run_id b.Session.run_id)
+    |> List.map (fun s -> session_labels s "active")
+  in
+  (match live @ List.of_seq (Queue.to_seq t.closed) with
+  | [] -> ()
+  | labels ->
+      family b "rma_session_info" "per-session run ids multiplexed in this process" "gauge"
+        (List.map (fun l -> (l, 1)) labels));
+  let one name help kind v = family b name help kind [ ("", Atomic.get v) ] in
+  one "rma_serve_events_ingested" "Trace events ingested by the serve daemon" "counter" t.c_events;
+  one "rma_serve_races_streamed" "Race verdicts streamed to serve clients" "counter" t.c_races;
+  one "rma_serve_sessions_admitted" "Serve sessions admitted to streaming" "counter" t.c_admitted;
+  one "rma_serve_sessions_completed" "Serve sessions completed (summary sent)" "counter"
+    t.c_completed;
+  one "rma_serve_sessions_shed" "Serve sessions refused by admission control" "counter" t.c_shed;
+  one "rma_serve_active_sessions" "Serve sessions currently streaming" "gauge" t.g_active;
+  if Obs.is_enabled () then begin
+    Telemetry.sample ();
+    Buffer.add_string b (Prometheus.to_text ~filter:(fun n -> not (String.equal n "run_info")) ())
+  end;
+  Buffer.contents b
+
+(* [/events?run=<run id>] keeps one session's journal lines. No
+   URL-decoding: run ids are made of [-a-z0-9] only. *)
+let run_filter query =
+  match
+    List.find_opt (String.starts_with ~prefix:"run=") (String.split_on_char '&' query)
+  with
+  | None -> fun _ -> true
+  | Some kv ->
+      let run = String.sub kv 4 (String.length kv - 4) in
+      fun (ev : Events.t) -> String.equal ev.Events.run_id run
+
+(* The response to a request line ["GET <path>[?query] ..."]. *)
+let http_answer t request =
+  let target = match String.split_on_char ' ' request with _ :: p :: _ -> p | _ -> "/" in
+  let path, query =
+    match String.index_opt target '?' with
+    | Some i -> (String.sub target 0 i, String.sub target (i + 1) (String.length target - i - 1))
+    | None -> (target, "")
+  in
+  match path with
+  | "/metrics" ->
+      http_response ~content_type:"text/plain; version=0.0.4; charset=utf-8" (metrics t)
+  | "/healthz" -> http_response ~content_type:"text/plain; charset=utf-8" "ok\n"
+  | "/events" ->
+      (* No Content-Length: the close ends the body. The ring holds
+         records only while Obs is on and no journal sink is set. *)
+      String.concat ""
+        ("HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson; charset=utf-8\r\n\
+          Connection: close\r\n\r\n"
+        :: List.map
+             (fun ev -> Events.line ev ^ "\n")
+             (List.filter (run_filter query) (Events.recent ())))
+  | _ ->
+      http_response ~status:"404 Not Found" ~content_type:"text/plain; charset=utf-8"
+        "not found\n"
+
 let with_id id (r : Report.t) =
   { r with Report.provenance = { r.Report.provenance with Report.id = id } }
 
@@ -112,8 +198,8 @@ let rec close_session t (s : Session.t) reason =
     let was_queued = s.Session.phase = Session.Queued in
     s.Session.phase <- Session.Closed reason;
     if s.Session.run_id <> "" then begin
-      Sessions.set_state ~run_id:s.Session.run_id
-        (Sessions.Closed (Session.reason_label reason));
+      Queue.push (session_labels s ("closed:" ^ Session.reason_label reason)) t.closed;
+      if Queue.length t.closed > recent_closed then ignore (Queue.pop t.closed);
       Events.with_run_id s.Session.run_id (fun () ->
           Events.emit
             ~kv:
@@ -133,16 +219,11 @@ let rec close_session t (s : Session.t) reason =
     if was_streaming then Atomic.decr t.g_active;
     if was_queued then Atomic.decr t.g_queued;
     (match reason with
-    | Session.Completed ->
-        Atomic.incr t.c_completed;
-        Obs.incr obs_completed
-    | Session.Shed ->
-        Atomic.incr t.c_shed;
-        Obs.incr obs_shed
+    | Session.Completed -> Atomic.incr t.c_completed
+    | Session.Shed -> Atomic.incr t.c_shed
     | Session.Protocol_error _ -> Atomic.incr t.c_failed
     | Session.Disconnected -> Atomic.incr t.c_disconnected
-    | Session.Daemon_shutdown -> ());
-    Obs.set_gauge obs_active (float_of_int (Atomic.get t.g_active));
+    | Session.Answered | Session.Daemon_shutdown -> ());
     if was_streaming then promote_queued t
   end
 
@@ -166,10 +247,6 @@ and admit t (s : Session.t) (h : Protocol.hello) =
   s.Session.phase <- Session.Streaming;
   Atomic.incr t.g_active;
   Atomic.incr t.c_admitted;
-  Obs.incr obs_admitted;
-  Obs.set_gauge obs_active (float_of_int (Atomic.get t.g_active));
-  Sessions.register ~run_id:s.Session.run_id ~session:h.Protocol.session
-    ~state:Sessions.Active;
   Events.with_run_id s.Session.run_id (fun () ->
       Events.emit
         ~kv:
@@ -192,26 +269,31 @@ and promote_queued t =
     | _ -> ()
 
 and on_hello t (s : Session.t) line =
-  match Protocol.parse_hello ~base:t.session_base line with
-  | Error reason ->
-      reject t s reason
-  | Ok h ->
-      s.Session.hello <- Some h;
-      if Atomic.get t.g_active < t.cfg.max_sessions then admit t s h
-      else if Atomic.get t.g_queued < t.cfg.accept_queue then begin
-        s.Session.phase <- Session.Queued;
-        Atomic.incr t.g_queued;
-        ignore
-          (send t s
-             (Protocol.queued ~session:h.Protocol.session ~position:(Atomic.get t.g_queued)))
-      end
-      else begin
-        ignore
-          (send t s
-             (Protocol.load_shed ~session:h.Protocol.session ~active:(Atomic.get t.g_active)
-                ~queued:(Atomic.get t.g_queued) ()));
-        close_session t s Session.Shed
-      end
+  if String.starts_with ~prefix:"GET " line then begin
+    (try write_all s.Session.fd (http_answer t line) with Unix.Unix_error _ -> ());
+    close_session t s Session.Answered
+  end
+  else
+    match Protocol.parse_hello ~base:t.session_base line with
+    | Error reason ->
+        reject t s reason
+    | Ok h ->
+        s.Session.hello <- Some h;
+        if Atomic.get t.g_active < t.cfg.max_sessions then admit t s h
+        else if Atomic.get t.g_queued < t.cfg.accept_queue then begin
+          s.Session.phase <- Session.Queued;
+          Atomic.incr t.g_queued;
+          ignore
+            (send t s
+               (Protocol.queued ~session:h.Protocol.session ~position:(Atomic.get t.g_queued)))
+        end
+        else begin
+          ignore
+            (send t s
+               (Protocol.load_shed ~session:h.Protocol.session ~active:(Atomic.get t.g_active)
+                  ~queued:(Atomic.get t.g_queued) ()));
+          close_session t s Session.Shed
+        end
 
 (* A read of a sharded tool is a barrier, so a session reads its races
    only where the analyzer has just run one, at each Epoch_closed (the
@@ -239,10 +321,7 @@ and flush_races t (s : Session.t) tool =
                  index is exactly the id the offline export's
                  renumbering would assign. *)
               let r = with_id (s.Session.races_streamed + i + 1) r in
-              if send t s (Protocol.race r) then begin
-                Atomic.incr t.c_races;
-                Obs.incr obs_races
-              end
+              if send t s (Protocol.race r) then Atomic.incr t.c_races
             end)
           fresh;
         s.Session.races_streamed <- n
@@ -284,7 +363,6 @@ and feed_line t (s : Session.t) line =
       | Ok (Codec.Incremental.Event ev) -> (
           s.Session.events_fed <- s.Session.events_fed + 1;
           Atomic.incr t.c_events;
-          Obs.incr obs_events;
           match ev with Mpi_sim.Event.Epoch_closed _ -> flush_races t s tool | _ -> ())
       | Ok (Codec.Incremental.Complete n) -> finish_session t s tool n
       | Error reason -> reject t s reason)
@@ -323,8 +401,7 @@ let accept_new t =
         in
         (try write_all fd (line ^ "\n") with Unix.Unix_error _ -> ());
         graceful_close fd;
-        Atomic.incr t.c_shed;
-        Obs.incr obs_shed
+        Atomic.incr t.c_shed
       end
       else begin
         let id = t.next_id in
@@ -391,8 +468,7 @@ let create ?(config = default_config) ?(run = Run_config.default) () =
         let p =
           match Unix.getsockname s with Unix.ADDR_INET (_, p) -> p | _ -> requested
         in
-        (* Same contract as the obs endpoint's ephemeral bind: scripts
-           scrape the resolved port from one stable stderr line. *)
+        (* Scripts read the resolved port from one stable stderr line. *)
         if requested = 0 then Printf.eprintf "serve-port: %d\n%!" p;
         (s, Tcp p)
     | Unix_path path ->
@@ -415,6 +491,7 @@ let create ?(config = default_config) ?(run = Run_config.default) () =
       bound;
       daemon_run_id = Events.run_id ();
       sessions = [];
+      closed = Queue.create ();
       next_id = 1;
       rotate = 0;
       rbuf = Bytes.create 8192;

@@ -16,8 +16,7 @@
     configuration from its hello and gets its own detector tool
     (stores, budget, shard engine and a {!Rma_fault.t} schedule of its
     own) and its own run_id (["<daemon>-s<n>"], labelling journal
-    records and the [rma_session_info] metric via
-    {!Rma_obs.Sessions}). No fault state is shared, so interleaving
+    records and the session's [rma_session_info] series). No fault state is shared, so interleaving
     sessions cannot perturb each other's deterministic fault ordinals
     (DESIGN.md §20). Verdicts are
     byte-identical to the offline [analyze] path by construction — the
@@ -36,9 +35,22 @@
     mid-epoch; its tool (with its fault schedule) and socket are
     released and a
     queued session is promoted. Nothing session-scoped survives the
-    close — {!Rma_obs.Sessions.registered_count} and
+    close — a [/metrics] scrape with no [state="active"] series and
     {!Rma_par.pool_size} are the leak-check surfaces the churn test
-    pins. *)
+    pins.
+
+    {b HTTP.} A connection whose first line starts with [GET ] is one
+    HTTP request, answered by the loop thread and then closed:
+    [/metrics] (Prometheus text: [rma_run_info]; one
+    [rma_session_info{run_id,session,state}] series per streaming
+    session, sorted by run id, then the last 64 closures oldest first;
+    the [rma_serve_*] series from {!stats}; and, while {!Rma_obs.Obs}
+    is enabled, the registry's families with the telemetry gauges
+    refreshed), [/healthz] ([ok]), [/events] (the journal ring as
+    NDJSON, body ended by the close; [?run=<run_id>] keeps one
+    session's records) and 404 for anything else. A request is not a
+    session: it gets no run id and no journal record, and counts in
+    [accepted] only. *)
 
 type addr =
   | Tcp of int  (** Loopback TCP; [0] binds an ephemeral port. *)
@@ -62,7 +74,7 @@ val create : ?config:config -> ?run:Rma_config.Run_config.t -> unit -> t
     count, predictive mode and budget of sessions whose hello omits
     them; a session's fault plan comes from its hello only. An
     ephemeral TCP request prints [serve-port: <port>] on stderr — the
-    line scripted callers scrape, mirroring [obs-serve-port]. The loop
+    line scripted callers scrape. The loop
     does not run yet: call {!run} (blocking) or {!start}. *)
 
 val run : t -> unit
@@ -92,7 +104,9 @@ val address : t -> addr
 (** The bound address with any ephemeral port resolved. *)
 
 type stats = {
-  accepted : int;  (** Connections accepted (including later-shed ones). *)
+  accepted : int;
+      (** Connections accepted, including later-shed ones and HTTP
+          requests. *)
   admitted : int;  (** Sessions that reached streaming. *)
   completed : int;  (** Sessions that received their summary. *)
   shed : int;  (** Connections refused by admission control. *)
@@ -106,4 +120,4 @@ type stats = {
 
 val stats : t -> stats
 (** Live counters, readable from any thread (atomics). The same
-    numbers feed the [serve.*] Obs metrics on [/metrics]. *)
+    numbers feed the [rma_serve_*] series on [/metrics]. *)

@@ -6,6 +6,7 @@ type close_reason =
   | Shed
   | Protocol_error of string
   | Disconnected
+  | Answered
   | Daemon_shutdown
 
 let reason_label = function
@@ -13,6 +14,7 @@ let reason_label = function
   | Shed -> "shed"
   | Protocol_error _ -> "protocol_error"
   | Disconnected -> "disconnected"
+  | Answered -> "answered"
   | Daemon_shutdown -> "daemon_shutdown"
 
 type phase = Handshaking | Queued | Streaming | Closed of close_reason

@@ -13,18 +13,20 @@
           │            │           (queue full)        │
           ▼            ▼                ▼              ▼
         Closed of Protocol_error | Shed | Disconnected | Completed
-                                       | Daemon_shutdown
+                                 | Answered | Daemon_shutdown
     v} *)
 
 (** Why a session ended: [Completed] (footer seen, summary sent),
     [Shed] (admission refused), [Protocol_error] (bad handshake or
     undecodable trace line, reason attached), [Disconnected] (client
-    vanished mid-stream), [Daemon_shutdown] (daemon stopped first). *)
+    vanished mid-stream), [Answered] (the first line was an HTTP [GET],
+    answered on the spot), [Daemon_shutdown] (daemon stopped first). *)
 type close_reason =
   | Completed
   | Shed
   | Protocol_error of string
   | Disconnected
+  | Answered
   | Daemon_shutdown
 
 val reason_label : close_reason -> string

@@ -1,5 +1,6 @@
 open Rma_access
 module Event = Mpi_sim.Event
+module Lines = Rma_util.Lines
 
 let header = "rma-trace 2"
 let footer_prefix = "rma-trace-end"
@@ -225,17 +226,6 @@ let encode_event event =
 
 exception Bad_field of string
 
-(* Input named in an error keeps its first [max_quoted] bytes, then "…"
-   and its byte length, so no error grows with the line it names. *)
-let max_quoted = 64
-
-let clipped fmt s =
-  let n = String.length s in
-  if n <= max_quoted then Printf.sprintf fmt s
-  else Printf.sprintf fmt (String.sub s 0 max_quoted) ^ Printf.sprintf "… (%d bytes)" n
-
-let clip s = clipped "%s" s
-let quote s = clipped "%S" s
 
 (* One string field's previous raw text and its decoded value. *)
 type memo = { mutable raw : string; mutable decoded : string }
@@ -259,8 +249,8 @@ type decoder = {
 let no_thread = { Access.tid = -1; tstamp = 0; tview = [] }
 
 (* An issuer at or past this bound gets a fresh default thread per
-   access, so hostile input cannot make a decoder hold a large table. A
-   negative issuer has no default thread: its line fails to decode. *)
+   access, so hostile input cannot make a decoder hold a large table.
+   [decode_access] rejects a negative issuer before it gets here. *)
 let max_threads = 4096
 
 let decoder () =
@@ -274,7 +264,7 @@ let decoder () =
   }
 
 let default_thread d issuer =
-  if issuer < 0 || issuer >= max_threads then Access.default_thread ~issuer
+  if issuer >= max_threads then Access.default_thread ~issuer
   else begin
     let n = Array.length d.threads in
     if issuer >= n then begin
@@ -327,7 +317,7 @@ let int_slice s a b =
     let text = String.sub s a (b - a) in
     match int_of_string_opt text with
     | Some i -> i
-    | None -> raise (Bad_field ("bad int " ^ clip text))
+    | None -> raise (Bad_field ("bad int " ^ Lines.clip text))
 
 (* [-?[0-9]+\.[0-9]{9}] with at most 15 digits in all, the shape
    [%.9f] writes: the digits form an int [m] below 2^53, so
@@ -349,7 +339,7 @@ let float_slice s a b =
     let text = String.sub s a (b - a) in
     match float_of_string_opt text with
     | Some f -> f
-    | None -> raise (Bad_field ("bad float " ^ clip text))
+    | None -> raise (Bad_field ("bad float " ^ Lines.clip text))
 
 let int_field d =
   let a = d.pos in
@@ -370,7 +360,7 @@ let bool_field d =
   match if b - a = 1 then String.unsafe_get d.line a else ' ' with
   | '1' -> true
   | '0' -> false
-  | _ -> raise (Bad_field ("bad bool " ^ clip (String.sub d.line a (b - a))))
+  | _ -> raise (Bad_field ("bad bool " ^ Lines.clip (String.sub d.line a (b - a))))
 
 let rec slice_equal s a b t i =
   a >= b || (String.unsafe_get s a = String.unsafe_get t i && slice_equal s (a + 1) b t (i + 1))
@@ -387,7 +377,7 @@ let kind_field d =
   else if is "RR" then Access_kind.Rma_read
   else if is "RW" then Access_kind.Rma_write
   else if is "RA" then Access_kind.Rma_accumulate
-  else raise (Bad_field ("unknown access kind " ^ quote (String.sub d.line a (b - a))))
+  else raise (Bad_field ("unknown access kind " ^ Lines.quote (String.sub d.line a (b - a))))
 
 (* A string field: the memo's decoded string when the bytes match its
    raw text, else one [String.sub] (plus [unescape] if it holds a [%])
@@ -409,7 +399,7 @@ let collective_field d =
   if is "barrier" then Event.Barrier
   else if is "allreduce" then Event.Allreduce
   else if is "fence" then Event.Fence
-  else raise (Bad_field ("unknown collective " ^ clip (String.sub d.line a (b - a))))
+  else raise (Bad_field ("unknown collective " ^ Lines.clip (String.sub d.line a (b - a))))
 
 (* [c:v] pairs separated by commas, each component an int. *)
 let tview_field d =
@@ -418,7 +408,7 @@ let tview_field d =
   let b = next_field d in
   let pair pa pb =
     let bad () =
-      raise (Bad_field ("bad thread-view pair " ^ clip (String.sub s pa (pb - pa))))
+      raise (Bad_field ("bad thread-view pair " ^ Lines.clip (String.sub s pa (pb - pa))))
     in
     let c = index_in s pa pb ':' in
     if c = pb || index_in s (c + 1) pb ':' < pb then bad ()
@@ -452,6 +442,7 @@ let decode_access d nfields =
     raise
       (Bad_field
          (Printf.sprintf "inverted interval [%s...%s]" (string_of_int lo) (string_of_int hi)));
+  if issuer < 0 then raise (Bad_field (Printf.sprintf "negative issuer %d" issuer));
   let prev = d.debug in
   let debug =
     if
@@ -513,7 +504,7 @@ let decode_fields d =
       let rank = int_field d in
       let sim_time = float_field d in
       Event.Finished { rank; sim_time }
-  | _ -> raise (Bad_field ("malformed trace line " ^ quote s))
+  | _ -> raise (Bad_field ("malformed trace line " ^ Lines.quote s))
 
 (* The grammar is total over well-formed OCaml strings, but "never
    raises" is a contract the fuzz suite enforces against arbitrary
@@ -617,10 +608,10 @@ let parse_footer line =
 let bad_header line =
   let reason =
     match String.split_on_char ' ' line with
-    | [ "rma-trace"; v ] when String.length line <= max_quoted ->
+    | [ "rma-trace"; v ] when String.length line <= Lines.max_quoted ->
         Printf.sprintf "bad header %S: trace format %S is unsupported (only format 2 is read)" line
           v
-    | _ -> "bad header " ^ quote line
+    | _ -> "bad header " ^ Lines.quote line
   in
   { at_line = 1; reason }
 
@@ -701,7 +692,7 @@ let fold (type e) ic (step : Incremental.t -> string -> (Incremental.step, e) re
     | Ok (Incremental.Event _ | Incremental.Skip) -> ()
     | Error e -> raise_notrace (Stop (Error e))
   in
-  match Rma_util.Lines.iter_channel ic emit with
+  match Lines.iter_channel ic emit with
   | true -> Result.map_error error (Incremental.finish dec)
   | false -> Result.map_error error (fail { at_line = dec.lineno; reason = "line too long" })
   | exception Stop r -> r

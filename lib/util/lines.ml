@@ -5,6 +5,16 @@
    reader hold. *)
 let max_line_bytes = 65_536
 
+let max_quoted = 64
+
+let clipped fmt s =
+  let n = String.length s in
+  if n <= max_quoted then Printf.sprintf fmt s
+  else Printf.sprintf fmt (String.sub s 0 max_quoted) ^ Printf.sprintf "… (%d bytes)" n
+
+let clip s = clipped "%s" s
+let quote s = clipped "%S" s
+
 (* The first '\n' in [b.[i..len-1]], or [len]. *)
 let rec newline_in b i len =
   if i >= len || Bytes.unsafe_get b i = '\n' then i else newline_in b (i + 1) len

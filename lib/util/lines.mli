@@ -12,6 +12,17 @@ val split_lines : Buffer.t -> bytes -> int -> (string -> unit) -> bool
     grows past {!max_line_bytes}, holding nothing of it past that cap;
     the lines before it were emitted. *)
 
+val max_quoted : int
+(** Bytes of an input that an error message names (64). *)
+
+val clip : string -> string
+(** The input as is up to {!max_quoted} bytes; a longer one is cut
+    there and followed by ["… (N bytes)"], N its full length. So no
+    error grows with the input it names. *)
+
+val quote : string -> string
+(** {!clip} with the kept bytes quoted as by [%S]. *)
+
 val iter_channel : in_channel -> (string -> unit) -> bool
 (** Every line of the channel to [emit], read in 64 KiB chunks through
     {!split_lines}; a last line needs no newline, as with [input_line].

@@ -6,9 +6,10 @@
 #   1. record a racy and a clean kernel trace offline,
 #   2. analyze both offline and keep their verdict digests,
 #   3. boot `rma_race serve` on an ephemeral port with the event
-#      journal and the /metrics endpoint on,
+#      journal on,
 #   4. run two client sessions (racy, clean) plus one that hangs up
-#      mid-stream, scraping /metrics while the daemon is live,
+#      mid-stream, then scrape /healthz and /metrics from the daemon's
+#      own port while it is live,
 #   5. assert the streamed digests byte-equal the offline ones,
 #   6. check that a trace cut before its footer fails analyze (exit 2,
 #      no digest) and that a fail-fast budget ends analyze and a session
@@ -39,7 +40,7 @@ test -n "$RACY_DIGEST" && test -n "$CLEAN_DIGEST"
 
 # --- 3: boot the daemon -----------------------------------------------------
 $DUNE exec bin/rma_race_cli.exe -- serve --port 0 --max-sessions 4 \
-  --obs-events "$WORK/serve-events.jsonl" --obs-serve 0 \
+  --obs-events "$WORK/serve-events.jsonl" \
   >"$WORK/serve-stdout.log" 2>"$WORK/serve-stderr.log" &
 SERVE_PID=$!
 trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
@@ -62,16 +63,27 @@ $DUNE exec examples/serve_client.exe -- --port "$PORT" \
 $DUNE exec examples/serve_client.exe -- --port "$PORT" \
   --trace "$WORK/racy.rma" --session churn-smoke --abort-after 7
 
-# Scrape the coexisting telemetry endpoint while the daemon is live: the
-# per-session run ids must be labelled, not clobbered.
-OBS_PORT=$(sed -n 's/^obs-serve-port: //p' "$WORK/serve-stderr.log" | head -n 1)
-if [ -n "$OBS_PORT" ] && command -v curl >/dev/null 2>&1; then
-  curl -fsS "http://127.0.0.1:$OBS_PORT/metrics" >"$WORK/metrics.txt"
-  grep -q '^rma_session_info{' "$WORK/metrics.txt"
-  grep -q 'session="racy-smoke"' "$WORK/metrics.txt"
-  grep -q 'state="closed:completed"' "$WORK/metrics.txt"
-  echo "serve_smoke: /metrics labels sessions by run_id"
-fi
+# Scrape the daemon's own port while it is live (bash /dev/tcp, so no
+# curl is needed): the per-session run ids must be labelled, and the
+# registry's families are there because the journal turned Obs on.
+http_get() {
+  exec 3<>"/dev/tcp/127.0.0.1/$PORT"
+  printf 'GET %s HTTP/1.1\r\nHost: localhost\r\n\r\n' "$1" >&3
+  cat <&3
+  exec 3<&-
+}
+http_get /healthz >"$WORK/healthz.txt"
+grep -q '^HTTP/1.1 200 OK' "$WORK/healthz.txt"
+http_get /metrics >"$WORK/metrics.txt"
+grep -q '^HTTP/1.1 200 OK' "$WORK/metrics.txt"
+grep -q '^rma_run_info{run_id=' "$WORK/metrics.txt"
+grep -q '^rma_session_info{' "$WORK/metrics.txt"
+grep -q 'session="racy-smoke"' "$WORK/metrics.txt"
+grep -q 'state="closed:completed"' "$WORK/metrics.txt"
+grep -q '^rma_serve_sessions_completed 2' "$WORK/metrics.txt"
+grep -q '^rma_telemetry_peak_rss_bytes' "$WORK/metrics.txt"
+grep -q '^rma_slo_epoch_close_burn_total' "$WORK/metrics.txt"
+echo "serve_smoke: /metrics on the daemon's port labels sessions by run_id"
 
 # --- 5: verdict assertions ---------------------------------------------------
 grep -q '"type":"race"' "$WORK/racy.session.txt"

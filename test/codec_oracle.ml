@@ -193,6 +193,7 @@ let decode_event_exn line =
       let* sim_time = float_field time in
       let* line_number = int_field lnum in
       if lo > hi then Error (Printf.sprintf "inverted interval [%s...%s]" (string_of_int lo) (string_of_int hi))
+      else if issuer < 0 then Error (Printf.sprintf "negative issuer %d" issuer)
       else begin
         let debug =
           Debug_info.make ~file:(unescape file) ~line:line_number ~operation:(unescape op)

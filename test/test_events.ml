@@ -3,13 +3,13 @@ open Rma_store
 
 (* Rma_obs.Events: the structured JSON-lines journal — level filtering,
    the in-memory ring, sink files, golden stability of a seeded fault
-   run, the Json round-trip of every emitted line, the telemetry
-   collector, and the /metrics endpoint smoke test. *)
+   run, the Json round-trip of every emitted line and the telemetry
+   collector. The HTTP endpoint is tested on the serve daemon's port
+   (test_serve.ml). *)
 
 module Obs = Rma_obs.Obs
 module Events = Rma_obs.Events
 module Telemetry = Rma_obs.Telemetry
-module Serve = Rma_obs.Serve
 module Json = Rma_util.Json
 module Plan = Rma_fault.Plan
 module Budget = Rma_fault.Budget
@@ -221,61 +221,6 @@ let test_telemetry_collector () =
   Alcotest.(check bool) "telemetry.gc_live_words gauge set" true
     (gauge "telemetry.gc_live_words" > 0.0)
 
-(* --- serve smoke ----------------------------------------------------- *)
-
-let http_get port path =
-  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
-    (fun () ->
-      Unix.connect sock addr;
-      let req = Printf.sprintf "GET %s HTTP/1.1\r\nHost: localhost\r\n\r\n" path in
-      ignore (Unix.write_substring sock req 0 (String.length req));
-      let buf = Buffer.create 1024 in
-      let chunk = Bytes.create 1024 in
-      let rec drain () =
-        match Unix.read sock chunk 0 1024 with
-        | 0 -> ()
-        | n ->
-            Buffer.add_subbytes buf chunk 0 n;
-            drain ()
-      in
-      drain ();
-      Buffer.contents buf)
-
-let contains ~sub s =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
-
-let test_serve_endpoint () =
-  with_events @@ fun () ->
-  Events.emit ~kv:[ ("event", "probe") ] Events.Info "test";
-  let srv = Serve.start ~port:0 in
-  Fun.protect
-    ~finally:(fun () -> Serve.stop srv)
-    (fun () ->
-      let port = Serve.port srv in
-      Alcotest.(check bool) "ephemeral port resolved" true (port > 0);
-      let metrics = http_get port "/metrics" in
-      Alcotest.(check bool) "/metrics is 200" true (contains ~sub:"200 OK" metrics);
-      Alcotest.(check bool) "/metrics carries the run id" true
-        (contains ~sub:{|rma_run_info{run_id="run-test"} 1|} metrics);
-      Alcotest.(check bool) "/metrics refreshes telemetry gauges" true
-        (contains ~sub:"rma_telemetry_peak_rss_bytes" metrics);
-      let health = http_get port "/healthz" in
-      Alcotest.(check bool) "/healthz ok" true (contains ~sub:"ok" health);
-      let events = http_get port "/events" in
-      Alcotest.(check bool) "/events serves the ring" true
-        (contains ~sub:{|"event":"probe"|} events);
-      let missing = http_get port "/nope" in
-      Alcotest.(check bool) "unknown path is 404" true (contains ~sub:"404" missing));
-  (* stop is idempotent and frees the port for a new server. *)
-  Serve.stop srv;
-  let srv2 = Serve.start ~port:0 in
-  Serve.stop srv2
-
 let suite =
   [
     Alcotest.test_case "levels parse and order" `Quick test_levels;
@@ -285,5 +230,4 @@ let suite =
       test_journal_correlation;
     QCheck_alcotest.to_alcotest prop_line_roundtrips;
     Alcotest.test_case "telemetry collector feeds the gauges" `Quick test_telemetry_collector;
-    Alcotest.test_case "telemetry endpoint serves metrics live" `Quick test_serve_endpoint;
   ]

@@ -120,6 +120,29 @@ let prop_bit_flip =
       | Some e -> n = target && e.Journal.at_line = target + 1
       | None -> n = List.length evs)
 
+(* An unknown level or an ill-typed kv value names at most 64 bytes of
+   the level or key, then "…" and its length. *)
+let test_long_field_errors_are_bounded () =
+  let long = String.make 100_000 'k' in
+  let line ~level ~kv =
+    Printf.sprintf
+      {|{"ts":0.0,"level":"%s","component":"c","run_id":"r","shard":-1,"span_id":0,"kv":{%s}}|}
+      level kv
+  in
+  List.iter
+    (fun (what, text, expected) ->
+      match Journal.parse_line text with
+      | Ok _ -> Alcotest.failf "%s: accepted" what
+      | Error msg -> Alcotest.(check string) what expected msg)
+    [
+      ( "unknown level",
+        line ~level:long ~kv:"",
+        Printf.sprintf "unknown level %S… (100000 bytes)" (String.make 64 'k') );
+      ( "ill-typed kv value",
+        line ~level:"info" ~kv:(Printf.sprintf {|"%s":1|} long),
+        Printf.sprintf "ill-typed kv value for %S… (100000 bytes)" (String.make 64 'k') );
+    ]
+
 let test_unreadable_file () =
   let r = Journal.read_file "/nonexistent/journal.jsonl" in
   Alcotest.(check int) "no events" 0 (List.length r.Journal.events);
@@ -366,6 +389,8 @@ let suite =
     Alcotest.test_case "unopenable path is a line-0 error" `Quick test_unreadable_file;
     Alcotest.test_case "a 20 MiB journal line grows the heap by under 1 MiB" `Quick
       test_long_journal_line_is_bounded;
+    Alcotest.test_case "level and kv-key errors quote at most 64 bytes" `Quick
+      test_long_field_errors_are_bounded;
     Alcotest.test_case "obs stats matches the golden report" `Quick test_stats_golden;
     Alcotest.test_case "stats aggregate the seeded drill" `Quick test_stats_counts;
     Alcotest.test_case "journaled drill replays byte-identically" `Quick test_replay_roundtrip;

@@ -10,12 +10,10 @@ module Histogram = Rma_obs.Histogram
 let with_obs f =
   Obs.enable ();
   Obs.reset ();
-  Obs.set_sampling ~keep_one_in:1;
   Fun.protect
     ~finally:(fun () ->
       Obs.disable ();
-      Obs.reset ();
-      Obs.set_sampling ~keep_one_in:1)
+      Obs.reset ())
     f
 
 let test_histogram_percentiles () =
@@ -135,22 +133,16 @@ let test_disabled_is_noop () =
   Alcotest.(check bool) "duration measured" true (dt >= 0.0);
   Alcotest.(check int) "still no spans" 0 (List.length (Obs.all_spans ()))
 
-let test_span_sampling_and_cap () =
+let test_span_cap () =
   with_obs @@ fun () ->
-  Obs.set_sampling ~keep_one_in:2;
-  for i = 1 to 6 do
-    let sp = Obs.start_span ~pid:Obs.wall_pid ~tid:0 (Printf.sprintf "s%d" i) in
-    Obs.finish_span sp
-  done;
-  Alcotest.(check int) "half the spans kept" 3 (List.length (Obs.all_spans ()));
-  Obs.set_sampling ~keep_one_in:1;
-  Obs.reset ();
   Obs.set_span_cap 2;
   for i = 1 to 5 do
     Obs.emit_span ~pid:Obs.wall_pid ~tid:0 ~t0:(float_of_int i) ~t1:(float_of_int i +. 0.5)
       (Printf.sprintf "c%d" i)
   done;
   Alcotest.(check int) "cap enforced" 2 (List.length (Obs.all_spans ()));
+  Alcotest.(check bool) "start_span over the cap yields None" true
+    (Obs.start_span ~pid:Obs.wall_pid ~tid:0 "over" = None);
   Obs.set_span_cap 1_000_000
 
 let test_time_span_categories () =
@@ -224,7 +216,7 @@ let suite =
     Alcotest.test_case "chrome trace histogram metadata" `Quick
       test_chrome_trace_histogram_metadata;
     Alcotest.test_case "disabled registry is a no-op" `Quick test_disabled_is_noop;
-    Alcotest.test_case "span sampling and cap" `Quick test_span_sampling_and_cap;
+    Alcotest.test_case "span cap" `Quick test_span_cap;
     Alcotest.test_case "time_span feeds category accumulators" `Quick test_time_span_categories;
     Alcotest.test_case "prometheus + summary exporters" `Quick test_prometheus_and_summary;
     Alcotest.test_case "prometheus exposition escaping (golden)" `Quick test_prometheus_escaping;

@@ -92,6 +92,33 @@ let test_env_malformed_rejected () =
       ("RMA_SLO_EPOCH_CLOSE_MS", "-5");
     ]
 
+(* A spec error names at most 64 bytes of the value, then "…" and its
+   length, on every layer that quotes it: the run configuration's
+   [bad NAME "value"] and the fault-plan or budget reason inside it. *)
+let test_long_value_errors_are_bounded () =
+  let long = String.make 60_000 'x' in
+  List.iter
+    (fun (name, value) ->
+      match Run_config.of_fields [ (name, value) ] with
+      | Ok _ -> Alcotest.failf "%s: accepted a 60 KB value" name
+      | Error msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %d bytes, under 300" name (String.length msg))
+            true
+            (String.length msg < 300);
+          Alcotest.(check bool) (name ^ ": names the length") true
+            (Astring.String.is_infix ~affix:(Printf.sprintf "… (%d bytes)" (String.length value)) msg))
+    [
+      ("fault", "seed=" ^ long);
+      ("fault", long);
+      ("fault", long ^ "=1");
+      ("fault", "worker_crash=" ^ long);
+      ("budget", "nodes=" ^ long);
+      ("budget", "policy=" ^ long);
+      ("budget", long ^ "=1");
+      ("jobs", long);
+    ]
+
 (* --- the string codec ------------------------------------------------ *)
 
 let test_fields_roundtrip () =
@@ -236,6 +263,8 @@ let suite =
     Alcotest.test_case "a malformed environment value is an error" `Quick
       test_env_malformed_rejected;
     Alcotest.test_case "to_fields/of_fields round-trip" `Quick test_fields_roundtrip;
+    Alcotest.test_case "a 60 KB spec value gives a short error" `Quick
+      test_long_value_errors_are_bounded;
     Alcotest.test_case "every configuration axis reproduces the default run" `Quick
       test_sweep_reproduces_default;
   ]

@@ -3,7 +3,8 @@
    and the churn soak — seeded clients that connect, abort or complete
    while the test pins byte-identical verdicts against the offline
    replay path and zero leaked sessions or pool domains; sessions with
-   firing fault plans keep their own schedules when interleaved. *)
+   firing fault plans keep their own schedules when interleaved; and
+   the HTTP routes (/metrics, /healthz, /events) on the daemon's port. *)
 
 module Daemon = Rma_serve.Daemon
 module Protocol = Rma_serve.Protocol
@@ -17,7 +18,6 @@ module Toolbox = Rma_analysis.Toolbox
 module Tool = Rma_analysis.Tool
 module Report = Rma_analysis.Report
 module Race_export = Rma_report.Race_export
-module Sessions = Rma_obs.Sessions
 
 (* --- trace material ------------------------------------------------- *)
 
@@ -145,13 +145,36 @@ let await ?(deadline = 5.0) what cond =
   go deadline
 
 let with_daemon ?(max_sessions = 4) ?(accept_queue = 8) f =
-  Sessions.reset ();
   let d =
     Daemon.create ~config:{ Daemon.addr = Daemon.Tcp 0; max_sessions; accept_queue } ()
   in
   Daemon.start d;
   Fun.protect ~finally:(fun () -> Daemon.stop d) (fun () -> f d (Daemon.port d));
   Daemon.stats d
+
+(* One HTTP request on the daemon's port: the whole response, read up
+   to the daemon's close. *)
+let http_get port path =
+  let fd = connect port in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ()) @@ fun () ->
+  write_all fd (Printf.sprintf "GET %s HTTP/1.1\r\nHost: localhost\r\n\r\n" path);
+  let buf = Buffer.create 1024 and chunk = Bytes.create 1024 in
+  let rec drain () =
+    match Unix.read fd chunk 0 1024 with
+    | 0 -> ()
+    | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        drain ()
+  in
+  drain ();
+  Buffer.contents buf
+
+let contains affix s = Astring.String.is_infix ~affix s
+
+(* The leak check: a scrape shows no session still streaming. *)
+let check_no_active port =
+  Alcotest.(check bool) "no sessions leaked" false
+    (contains "state=\"active\"" (http_get port "/metrics"))
 
 (* --- tests ----------------------------------------------------------- *)
 
@@ -176,11 +199,11 @@ let test_byte_identical_verdicts () =
             Alcotest.(check (option int)) "race count" (Some (List.length expected_races))
               (int_field "races" summary)
         | other -> Alcotest.failf "expected one summary line, got %d" (List.length other))
-    | [] -> Alcotest.fail "no server lines")
+    | [] -> Alcotest.fail "no server lines");
+    check_no_active port
   in
   Alcotest.(check int) "one admitted" 1 stats.Daemon.admitted;
-  Alcotest.(check int) "one completed" 1 stats.Daemon.completed;
-  Alcotest.(check int) "no sessions leaked" 0 (Sessions.registered_count ())
+  Alcotest.(check int) "one completed" 1 stats.Daemon.completed
 
 let test_format1_and_errors () =
   let nprocs, events = record_kernel clean_kernel in
@@ -214,11 +237,11 @@ let test_format1_and_errors () =
     let lines = recv_all fd in
     Alcotest.(check bool) "error after bad event" true
       (List.exists (fun l -> line_type l = "error") lines);
-    Unix.close fd
+    Unix.close fd;
+    check_no_active port
   in
   Alcotest.(check int) "nothing completed" 0 stats.Daemon.completed;
-  Alcotest.(check int) "three protocol failures" 3 stats.Daemon.failed;
-  Alcotest.(check int) "no sessions leaked" 0 (Sessions.registered_count ())
+  Alcotest.(check int) "three protocol failures" 3 stats.Daemon.failed
 
 (* A client that never sends a newline cannot grow the daemon's line
    buffer past [Rma_util.Lines.max_line_bytes]: the session is closed as
@@ -272,11 +295,11 @@ let test_unterminated_line_is_bounded () =
     let lines = recv_all good in
     Unix.close good;
     Alcotest.(check (option string)) "good session digest" (Some expected_digest)
-      (str_field "digest" (List.nth lines (List.length lines - 1)))
+      (str_field "digest" (List.nth lines (List.length lines - 1)));
+    check_no_active port
   in
   Alcotest.(check int) "good session completed" 1 stats.Daemon.completed;
-  Alcotest.(check int) "hostile session failed" 1 stats.Daemon.failed;
-  Alcotest.(check int) "no sessions leaked" 0 (Sessions.registered_count ())
+  Alcotest.(check int) "hostile session failed" 1 stats.Daemon.failed
 
 (* Handshake fields the daemon no longer knows — here the removed
    "batch_inserts" knob — are ignored: the session is admitted and its
@@ -341,12 +364,12 @@ let test_admission_queue_and_shed () =
     let b_rest = recv_all b in
     Alcotest.(check string) "b summary"
       "summary" (line_type (List.nth b_rest (List.length b_rest - 1)));
-    Unix.close b
+    Unix.close b;
+    check_no_active port
   in
   Alcotest.(check int) "two admitted" 2 stats.Daemon.admitted;
   Alcotest.(check int) "two completed" 2 stats.Daemon.completed;
-  Alcotest.(check int) "one shed" 1 stats.Daemon.shed;
-  Alcotest.(check int) "no sessions leaked" 0 (Sessions.registered_count ())
+  Alcotest.(check int) "one shed" 1 stats.Daemon.shed
 
 (* One line to [a], one line to [b], until both streams are done. *)
 let rec send_interleaved a b xs ys =
@@ -553,15 +576,16 @@ let test_session_churn_soak () =
     (* The last aborts race the shutdown below: give the loop a round to
        see their EOFs, or they would close as daemon_shutdown instead. *)
     await "abort EOFs to be noticed" (fun () ->
-        (Daemon.stats d).Daemon.disconnected = !aborted)
+        (Daemon.stats d).Daemon.disconnected = !aborted);
+    check_no_active port
   in
   Alcotest.(check int) "every completing client got its summary" !completed
     stats.Daemon.completed;
   Alcotest.(check int) "every abort was seen as a disconnect" !aborted
     stats.Daemon.disconnected;
-  Alcotest.(check int) "accepted = completed + aborted" (!completed + !aborted)
+  (* The leak check's scrape is the one more connection. *)
+  Alcotest.(check int) "accepted = completed + aborted + 1 scrape" (!completed + !aborted + 1)
     stats.Daemon.accepted;
-  Alcotest.(check int) "no live sessions after the churn" 0 (Sessions.registered_count ());
   Alcotest.(check int) "no worker domains leaked" pool_before (Rma_par.pool_size ());
   (* The offline reference, recomputed after all that churn, is
      unchanged — per-session budgets and fault plans never escaped. *)
@@ -573,15 +597,132 @@ let test_metrics_label_sessions () =
   let _ =
     with_daemon @@ fun _d port ->
     ignore (run_session ~port ~session:"metrics-probe" ~nprocs (trace_lines events));
-    let text = Rma_obs.Prometheus.to_text ~filter:(fun n -> n = "session_info") () in
+    let text = http_get port "/metrics" in
     Alcotest.(check bool) "rma_session_info series present" true
-      (Astring.String.is_infix ~affix:"rma_session_info{" text);
+      (contains "\nrma_session_info{" text);
     Alcotest.(check bool) "series carries the session name" true
-      (Astring.String.is_infix ~affix:"session=\"metrics-probe\"" text);
+      (contains "session=\"metrics-probe\"" text);
     Alcotest.(check bool) "closed session labelled with its reason" true
-      (Astring.String.is_infix ~affix:"state=\"closed:completed\"" text)
+      (contains "state=\"closed:completed\"" text);
+    (* The daemon's own series are exact with Obs off; the registry's
+       families, which would all read 0, are left out. *)
+    Alcotest.(check bool) "completed count from the daemon's stats" true
+      (contains "\nrma_serve_sessions_completed 1\n" text);
+    Alcotest.(check bool) "no registry family while Obs is off" false
+      (contains "rma_telemetry_" text)
   in
   ()
+
+(* The HTTP routes on the daemon's port, with Obs on and the journal in
+   its ring: /metrics carries the run id and refreshed telemetry,
+   /events the ring (all of it, or one run's records), anything else
+   404. A request is not a session: no run id, no journal record. *)
+let test_serve_endpoint () =
+  Rma_obs.Obs.enable ();
+  Rma_obs.Obs.reset ();
+  Rma_obs.Events.close ();
+  Rma_obs.Events.clear ();
+  Rma_obs.Events.set_level Rma_obs.Events.Info;
+  let saved_run_id = Rma_obs.Events.run_id () in
+  Rma_obs.Events.set_run_id "run-test";
+  Fun.protect
+    ~finally:(fun () ->
+      Rma_obs.Events.clear ();
+      Rma_obs.Events.set_run_id saved_run_id;
+      Rma_obs.Obs.disable ();
+      Rma_obs.Obs.reset ())
+  @@ fun () ->
+  Rma_obs.Events.emit ~kv:[ ("event", "probe") ] Rma_obs.Events.Info "test";
+  let nprocs, events = record_kernel clean_kernel in
+  let stats =
+    with_daemon @@ fun _d port ->
+    Alcotest.(check bool) "ephemeral port resolved" true (port > 0);
+    let metrics = http_get port "/metrics" in
+    Alcotest.(check bool) "/metrics is 200" true (contains "HTTP/1.1 200 OK\r\n" metrics);
+    Alcotest.(check bool) "/metrics carries the run id" true
+      (contains {|rma_run_info{run_id="run-test"} 1|} metrics);
+    Alcotest.(check bool) "/metrics refreshes telemetry gauges" true
+      (contains "rma_telemetry_peak_rss_bytes" metrics);
+    Alcotest.(check bool) "a scrape is no session" false (contains "rma_session_info" metrics);
+    let health = http_get port "/healthz" in
+    Alcotest.(check bool) "/healthz ok" true (contains "\r\n\r\nok\n" health);
+    let lines = run_session ~port ~session:"journaled" ~nprocs (trace_lines events) in
+    let run_id = Option.value ~default:"?" (str_field "run_id" (List.hd lines)) in
+    let ring = http_get port "/events" in
+    Alcotest.(check bool) "/events serves the ring" true (contains {|"event":"probe"|} ring);
+    Alcotest.(check bool) "/events has the session's records" true
+      (contains {|"event":"session_summary"|} ring);
+    let one_run = http_get port ("/events?run=" ^ run_id) in
+    Alcotest.(check bool) "?run= keeps the session's records" true
+      (contains {|"event":"session_summary"|} one_run);
+    Alcotest.(check bool) "?run= drops other runs' records" false
+      (contains {|"event":"probe"|} one_run);
+    let missing = http_get port "/nope" in
+    Alcotest.(check bool) "unknown path is 404" true
+      (String.starts_with ~prefix:"HTTP/1.1 404 Not Found\r\n" missing)
+  in
+  Alcotest.(check int) "one session admitted" 1 stats.Daemon.admitted;
+  Alcotest.(check int) "six connections accepted" 6 stats.Daemon.accepted;
+  Alcotest.(check int) "no request failed" 0 stats.Daemon.failed;
+  let journaled_runs =
+    List.sort_uniq String.compare
+      (List.map (fun (e : Rma_obs.Events.t) -> e.Rma_obs.Events.run_id) (Rma_obs.Events.recent ()))
+  in
+  Alcotest.(check int) "records under the test's and the session's run ids only" 2
+    (List.length journaled_runs)
+
+(* A scrape in the middle of a session's stream sees it active and
+   leaves its verdicts alone. *)
+let test_scrape_mid_stream () =
+  let nprocs, events = record_kernel racy_kernel in
+  let _, expected_digest = offline ~nprocs events in
+  let trace = trace_lines events in
+  let half = List.length trace / 2 in
+  let _ =
+    with_daemon @@ fun _d port ->
+    let fd = connect port in
+    send_lines fd [ hello ~session:"mid" ~nprocs () ];
+    Alcotest.(check (option string)) "admitted" (Some "admitted")
+      (Option.map line_type (recv_line fd));
+    send_lines fd (List.filteri (fun i _ -> i < half) trace);
+    let text = http_get port "/metrics" in
+    Alcotest.(check bool) "the session is active" true
+      (contains "session=\"mid\",state=\"active\"" text);
+    Alcotest.(check bool) "one session streaming" true
+      (contains "\nrma_serve_active_sessions 1\n" text);
+    send_lines fd (List.filteri (fun i _ -> i >= half) trace);
+    (try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
+    let lines = recv_all fd in
+    Unix.close fd;
+    Alcotest.(check (option string)) "digest matches offline analyze" (Some expected_digest)
+      (str_field "digest" (List.nth lines (List.length lines - 1)));
+    check_no_active port
+  in
+  ()
+
+(* A spec error quotes at most 64 bytes of the value: a 60 KiB fault
+   plan in a hello comes back as a short error line, and the daemon
+   goes on serving. *)
+let test_long_hello_error_is_bounded () =
+  let nprocs, events = record_kernel clean_kernel in
+  let _, expected_digest = offline ~nprocs events in
+  let stats =
+    with_daemon @@ fun _d port ->
+    let fault = "seed=" ^ String.make (60 * 1024) 'x' in
+    let lines = run_session ~fault ~port ~session:"long" ~nprocs [] in
+    (match lines with
+    | [ l ] ->
+        Alcotest.(check string) "an error line" "error" (line_type l);
+        Alcotest.(check bool)
+          (Printf.sprintf "%d bytes, under 1 KiB" (String.length l))
+          true
+          (String.length l < 1024)
+    | other -> Alcotest.failf "expected one error line, got %d" (List.length other));
+    let after = run_session ~port ~session:"after" ~nprocs (trace_lines events) in
+    Alcotest.(check (option string)) "the next session completes" (Some expected_digest)
+      (str_field "digest" (List.nth after (List.length after - 1)))
+  in
+  Alcotest.(check int) "one protocol failure" 1 stats.Daemon.failed
 
 (* A fail-fast budget ends a session and the offline ingestion of the
    same trace with the same reason: sequentially, where the observer
@@ -678,6 +819,11 @@ let suite =
       test_interleaved_sessions_isolated;
     Alcotest.test_case "session churn soak leaks nothing" `Quick test_session_churn_soak;
     Alcotest.test_case "/metrics labels sessions by run id" `Quick test_metrics_label_sessions;
+    Alcotest.test_case "telemetry endpoint serves metrics live" `Quick test_serve_endpoint;
+    Alcotest.test_case "a scrape mid-stream leaves the verdicts alone" `Quick
+      test_scrape_mid_stream;
+    Alcotest.test_case "a 60 KiB fault plan gets a short error" `Quick
+      test_long_hello_error_is_bounded;
     Alcotest.test_case "interleaved sessions keep their own fault schedules" `Quick
       test_interleaved_faults_isolated;
     Alcotest.test_case "budget exhausted: same reason offline and served" `Quick

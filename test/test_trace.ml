@@ -688,6 +688,7 @@ let broken_traces () =
   let body = List.map Codec.encode_event events in
   let lines ls = String.concat "" (List.map (fun l -> l ^ "\n") ls) in
   let corrupt_at = 5 in
+  let negative_issuer = "A\t0\tLR\t0\t3\t-1\t1\t-\t1\t0\t0.0\tf.c\t1\top" in
   [
     ("empty file", "", "line 1: empty trace", false);
     ( "bad header",
@@ -704,6 +705,22 @@ let broken_traces () =
         ((Codec.header :: List.mapi (fun i l -> if i = corrupt_at then "A\t0\tLR\tbogus" else l) body)
         @ [ Codec.footer n ]),
       Printf.sprintf "line %d: malformed trace line \"A\\t0\\tLR\\tbogus\"" (corrupt_at + 2),
+      true );
+    ( "negative issuer, plain access",
+      lines
+        ((Codec.header
+         :: List.mapi (fun i l -> if i = corrupt_at then negative_issuer else l) body)
+        @ [ Codec.footer n ]),
+      Printf.sprintf "line %d: negative issuer -1" (corrupt_at + 2),
+      true );
+    ( "negative issuer, threaded access",
+      lines
+        ((Codec.header
+         :: List.mapi
+              (fun i l -> if i = corrupt_at then negative_issuer ^ "\t0\t0\t" else l)
+              body)
+        @ [ Codec.footer n ]),
+      Printf.sprintf "line %d: negative issuer -1" (corrupt_at + 2),
       true );
     ( "line over the cap mid-file",
       lines
@@ -928,7 +945,7 @@ let test_bad_header_quotes_version () =
 (* One decoder shares one default thread per issuer, however the
    issuers interleave; an issuer past the table's bound still decodes
    to its default thread. A negative issuer has none (its clock key is
-   undefined), so its line is an error, as it always was. *)
+   undefined), so its line is an error that names it. *)
 let test_decoder_thread_table () =
   let access ~issuer ~seq =
     Event.Access
@@ -981,10 +998,10 @@ let test_decoder_thread_table () =
       in
       match Codec.Incremental.feed dec line with
       | Error e ->
-          Alcotest.(check bool)
-            (Printf.sprintf "issuer %d is a decode failure" issuer)
-            true
-            (String.starts_with ~prefix:"decode failure" e.Codec.reason)
+          Alcotest.(check string)
+            (Printf.sprintf "issuer %d is rejected" issuer)
+            (Printf.sprintf "negative issuer %d" issuer)
+            e.Codec.reason
       | Ok _ -> Alcotest.failf "issuer %d decoded" issuer)
     [ -1; min_int ]
 
