@@ -10,7 +10,6 @@
      dune exec bench/main.exe -- --ranks 8,16 table4
      dune exec bench/main.exe -- --counts counts.txt table3
                                               -- exact counts, one per line
-     dune exec bench/main.exe -- --fault-plan seed=7,worker_crash=0.05 --jobs 4 fig10
      dune exec bench/main.exe -- --budget 4096:spill fig11
      dune exec bench/main.exe -- --obs-events events.jsonl --obs-level debug fig10
 
@@ -35,9 +34,9 @@ let section title = Printf.printf "\n=== %s ===\n\n%!" title
 
 let metric_key parts = String.concat "_" parts
 
-let run_table2 ~run ~faults =
+let run_table2 ~run =
   section "Table 2";
-  let rows, rendered = Experiments.table2 ~run ?faults () in
+  let rows, rendered = Experiments.table2 ~run () in
   print_string rendered;
   List.concat_map
     (fun (r : Experiments.verdict_row) ->
@@ -48,9 +47,9 @@ let run_table2 ~run ~faults =
       ])
     rows
 
-let run_table3 ~run ~faults =
+let run_table3 ~run =
   section "Table 3";
-  let rows, rendered = Experiments.table3 ~run ?faults () in
+  let rows, rendered = Experiments.table3 ~run () in
   print_string rendered;
   print_endline
     "Note: the paper prints TP=41/TN=107 for RMA-Analyzer next to FP=6/FN=0, which cannot all\n\
@@ -66,9 +65,9 @@ let run_table3 ~run ~faults =
       ])
     rows
 
-let run_table4 ~scale ~ranks ~run ~faults =
+let run_table4 ~scale ~ranks ~run =
   section "Table 4";
-  let rows, rendered = Experiments.table4 ~scale ?ranks ~run ?faults () in
+  let rows, rendered = Experiments.table4 ~scale ?ranks ~run () in
   print_string rendered;
   List.concat_map
     (fun (r : Experiments.table4_row) ->
@@ -95,9 +94,9 @@ let run_fig8 () =
     ("contribution_nodes", r.Experiments.contribution_nodes);
   ]
 
-let run_fig9 ~run ~faults =
+let run_fig9 ~run =
   section "Figure 9";
-  print_string (Experiments.fig9 ~run ?faults ());
+  print_string (Experiments.fig9 ~run ());
   []
 
 let perf_metrics rows =
@@ -112,41 +111,31 @@ let perf_metrics rows =
       ])
     rows
 
-let run_fig10 ~run ~faults =
+let run_fig10 ~run =
   section "Figure 10";
-  let rows, rendered = Experiments.fig10 ~run ?faults () in
+  let rows, rendered = Experiments.fig10 ~run () in
   print_string rendered;
   perf_metrics rows
 
-let run_fig11 ~scale ~ranks ~run ~faults =
+let run_fig11 ~scale ~ranks ~run =
   section "Figure 11";
-  let rows, rendered = Experiments.fig11 ~scale ?ranks ~run ?faults () in
+  let rows, rendered = Experiments.fig11 ~scale ?ranks ~run () in
   print_string rendered;
   perf_metrics rows
 
-let run_fig12 ~scale ~ranks ~run ~faults =
+let run_fig12 ~scale ~ranks ~run =
   section "Figure 12";
-  let rows, rendered = Experiments.fig12 ~scale ?ranks ~run ?faults () in
+  let rows, rendered = Experiments.fig12 ~scale ?ranks ~run () in
   print_string rendered;
   perf_metrics rows
 
-let run_ablation ~run ~faults =
+let run_ablation ~run =
   section "Ablations";
-  let rows, rendered = Experiments.ablation ~run ?faults () in
+  let rows, rendered = Experiments.ablation ~run () in
   print_string rendered;
   List.concat_map
     (fun (r : Experiments.ablation_row) ->
       [ (metric_key [ r.variant; "nodes" ], r.nodes); (metric_key [ r.variant; "races" ], r.races) ])
-    rows
-
-let run_par ~scale ~run ~faults =
-  section "Parallel sharded engine";
-  let rows, rendered = Experiments.par ~scale ~run ?faults () in
-  print_string rendered;
-  List.concat_map
-    (fun (r : Experiments.par_row) ->
-      let pre = Printf.sprintf "par_j%d" r.p_jobs in
-      [ (metric_key [ pre; "races" ], r.p_races); (metric_key [ pre; "nodes" ], r.p_nodes) ])
     rows
 
 (* Insert fast path: two access streams through the disjoint store with
@@ -343,7 +332,7 @@ let run_micro () =
 (* Hybrid MPI+threads kernel sweep: accuracy of the contribution
    analyzer over the hyb_* corpus across two interleave seeds, plus the
    end-to-end wall cost of the threaded simulation. *)
-let run_hybrid ~run ~faults =
+let run_hybrid ~run =
   section "Hybrid MPI+threads kernels";
   let module Scenario = Rma_microbench.Scenario in
   let module Runner = Rma_microbench.Runner in
@@ -356,7 +345,7 @@ let run_hybrid ~run ~faults =
       List.iter
         (fun interleave_seed ->
           let tool =
-            Harness.make_tool ~run ?faults Rma_analysis.Toolbox.Contribution
+            Harness.make_tool ~run Rma_analysis.Toolbox.Contribution
               ~nprocs:k.Scenario.Kernel.k_nprocs ~config:Mpi_sim.Config.default
           in
           let v = Runner.run_kernel ~interleave_seed ~tool k in
@@ -380,7 +369,7 @@ let run_hybrid ~run ~faults =
    analysis) and returns the race counts, including the extra races
    predictive mode surfaces at a schedule where the observed analysis
    misses them. *)
-let run_predictive ~run ~faults =
+let run_predictive ~run =
   section "Predictive mode (weak-order analysis)";
   let module Scenario = Rma_microbench.Scenario in
   let module Runner = Rma_microbench.Runner in
@@ -394,7 +383,7 @@ let run_predictive ~run ~faults =
         List.iter
           (fun interleave_seed ->
             let tool =
-              Harness.make_tool ~run:{ run with Run_config.predictive } ?faults
+              Harness.make_tool ~run:{ run with Run_config.predictive }
                 Rma_analysis.Toolbox.Contribution ~nprocs:k.Scenario.Kernel.k_nprocs
                 ~config:Mpi_sim.Config.default
             in
@@ -602,12 +591,6 @@ let () =
     | "--counts" :: v :: rest ->
         counts_out := Some v;
         parse rest
-    | "--jobs" :: v :: rest ->
-        diag := { !diag with Diag.jobs = Some (int_of_string v) };
-        parse rest
-    | "--fault-plan" :: v :: rest ->
-        diag := { !diag with Diag.fault_plan = Some v };
-        parse rest
     | "--budget" :: v :: rest ->
         diag := { !diag with Diag.budget = Some v };
         parse rest
@@ -619,40 +602,38 @@ let () =
   let selected = if !selected = [] then [ "all" ] else List.rev !selected in
   let scale = !scale and ranks = !ranks in
   let run = Diag.run_config ~prog:"bench" !diag in
-  let faults = Run_config.faults run in
   if !obs_out <> None || !obs_summary || run.Run_config.obs_events <> None then
     Rma_obs.Obs.enable ();
   Rma_obs.Events.set_level run.Run_config.obs_level;
   Option.iter Rma_obs.Events.set_sink run.Run_config.obs_events;
   Rma_obs.Telemetry.set_slo_epoch_close_ms run.Run_config.slo_epoch_close_ms;
   let dispatch = function
-    | "table2" -> run_table2 ~run ~faults
-    | "table3" -> run_table3 ~run ~faults
-    | "table4" -> run_table4 ~scale ~ranks ~run ~faults
+    | "table2" -> run_table2 ~run
+    | "table3" -> run_table3 ~run
+    | "table4" -> run_table4 ~scale ~ranks ~run
     | "fig5" -> run_fig5 ()
     | "fig8" -> run_fig8 ()
-    | "fig9" -> run_fig9 ~run ~faults
-    | "fig10" -> run_fig10 ~run ~faults
-    | "fig11" -> run_fig11 ~scale ~ranks ~run ~faults
-    | "fig12" -> run_fig12 ~scale ~ranks ~run ~faults
-    | "ablation" -> run_ablation ~run ~faults
-    | "par" -> run_par ~scale ~run ~faults
+    | "fig9" -> run_fig9 ~run
+    | "fig10" -> run_fig10 ~run
+    | "fig11" -> run_fig11 ~scale ~ranks ~run
+    | "fig12" -> run_fig12 ~scale ~ranks ~run
+    | "ablation" -> run_ablation ~run
     | "fastpath" -> run_fastpath ()
     | "micro" -> run_micro ()
-    | "hybrid" -> run_hybrid ~run ~faults
-    | "predictive" -> run_predictive ~run ~faults
+    | "hybrid" -> run_hybrid ~run
+    | "predictive" -> run_predictive ~run
     | "serve" -> run_serve ~run
     | "all" -> []
     | other ->
         Printf.eprintf
           "unknown experiment %S (expected table2 table3 table4 fig5 fig8 fig9 fig10 fig11 fig12 \
-           ablation par fastpath micro hybrid predictive serve all)\n"
+           ablation fastpath micro hybrid predictive serve all)\n"
           other;
         exit 2
   in
   let all_names =
     [ "table2"; "table3"; "table4"; "fig5"; "fig8"; "fig9"; "fig10"; "fig11"; "fig12";
-      "ablation"; "par"; "fastpath"; "micro"; "hybrid"; "predictive"; "serve" ]
+      "ablation"; "fastpath"; "micro"; "hybrid"; "predictive"; "serve" ]
   in
   let selected = List.concat_map (function "all" -> all_names | n -> [ n ]) selected in
   (* Each experiment becomes a top-level phase span so a trace of the

@@ -49,9 +49,8 @@ let diag_term =
       & opt (some string) None
       & info [ "obs-events" ] ~docv:"FILE"
           ~doc:
-            "Write the structured event journal (epoch opens/closes, shard crashes and \
-             recoveries, budget degradations, codec errors) as JSON lines to $(docv). Same as \
-             setting $(b,RMA_OBS_EVENTS).")
+            "Write the structured event journal (epoch opens/closes, budget degradations, codec \
+             errors) as JSON lines to $(docv). Same as setting $(b,RMA_OBS_EVENTS).")
   in
   let level =
     Arg.(
@@ -81,28 +80,15 @@ let diag_term =
             "Write the race reports of the run as SARIF 2.1.0 to $(docv), one result per race \
              with every contributing source location. Enables the flight recorder.")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Shard the analyzer's (rank, window) interval trees over $(docv) worker domains \
-             (sharded parallel engine; verdicts, reports and exports are byte-identical to the \
-             sequential analyzer). 1 = sequential. Same as setting $(b,RMA_JOBS). Baseline and \
-             MUST ignore it.")
-  in
   let fault_plan =
     Arg.(
       value
       & opt (some string) None
       & info [ "fault-plan" ] ~docv:"SPEC"
           ~doc:
-            "Install a deterministic fault-injection plan for the run, e.g. \
-             $(b,seed=42,worker_crash=0.05,queue_overflow=0.02). Sites: trace_corrupt, \
-             trace_truncate, worker_crash, queue_overflow; worker crashes are recovered by \
-             replaying the shard journal at the next epoch barrier. Same as setting \
-             $(b,RMA_FAULT).")
+            "Install a deterministic fault-injection plan for the trace $(b,record) writes, e.g. \
+             $(b,seed=42,trace_corrupt=0.05). Sites: trace_corrupt (flip one bit of a line), \
+             trace_truncate (stop the write mid-stream). Same as setting $(b,RMA_FAULT).")
   in
   let budget =
     Arg.(
@@ -126,8 +112,8 @@ let diag_term =
              JSON/SARIF exports, with a witness reordering rendered by $(b,explain)), even when \
              the observed schedule kept them apart. Same as setting $(b,RMA_PREDICTIVE=1).")
   in
-  let mk obs_out obs_summary obs_prometheus obs_events obs_level races_json races_sarif jobs
-      fault_plan budget predictive =
+  let mk obs_out obs_summary obs_prometheus obs_events obs_level races_json races_sarif fault_plan
+      budget predictive =
     {
       Diag.obs_out;
       obs_summary;
@@ -136,7 +122,6 @@ let diag_term =
       obs_level;
       races_json;
       races_sarif;
-      jobs;
       fault_plan;
       budget;
       predictive;
@@ -144,8 +129,8 @@ let diag_term =
     }
   in
   Term.(
-    const mk $ out $ summary $ prometheus $ events $ level $ races_json $ races_sarif $ jobs
-    $ fault_plan $ budget $ predictive)
+    const mk $ out $ summary $ prometheus $ events $ level $ races_json $ races_sarif $ fault_plan
+    $ budget $ predictive)
 
 let generator = "rma_race"
 
@@ -167,9 +152,7 @@ let ranks_arg default =
 
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Scheduler seed.")
 
-let base_config = { Mpi_sim.Config.default with Mpi_sim.Config.analysis_overhead_scale = 2.0 }
-
-let config run = Run_config.sim_config run base_config
+let config = { Mpi_sim.Config.default with Mpi_sim.Config.analysis_overhead_scale = 2.0 }
 
 let print_tool_outcome tool =
   let total = tool.Tool.race_count () in
@@ -195,8 +178,8 @@ let print_tool_outcome tool =
 
 let suite_cmd =
   let run obs tool_choice =
-    with_diag obs @@ fun run faults ->
-    let tool = Harness.make_tool ~run ?faults tool_choice ~nprocs:3 ~config:(config run) in
+    with_diag obs @@ fun run ->
+    let tool = Harness.make_tool ~run tool_choice ~nprocs:3 ~config in
     match tool_choice with
     | Toolbox.Baseline ->
         print_endline "the baseline detects nothing; pick a real tool";
@@ -229,13 +212,13 @@ let code_cmd =
   in
   let run obs tool_choice name =
     with_diag ~workload:("code", [ ("tool", Toolbox.slug tool_choice); ("code", name) ]) obs
-    @@ fun run faults ->
+    @@ fun run ->
     match Rma_microbench.Scenario.find name with
     | None ->
         Printf.eprintf "unknown code %S\n" name;
         exit 2
     | Some s ->
-        let tool = Harness.make_tool ~run ?faults tool_choice ~nprocs:3 ~config:(config run) in
+        let tool = Harness.make_tool ~run tool_choice ~nprocs:3 ~config in
         let v = Rma_microbench.Runner.run ~tool s in
         Printf.printf "%s: ground truth %s; %s says %s [%s]\n" name
           (if s.Rma_microbench.Scenario.racy then "RACE" else "safe")
@@ -271,15 +254,15 @@ let kernel_cmd =
     with_diag
       ~workload:("kernel", [ ("tool", Toolbox.slug tool_choice); ("kernel", name) ])
       { obs with Diag.interleave_seed }
-    @@ fun run faults ->
+    @@ fun run ->
     match Rma_microbench.Scenario.Kernel.find name with
     | None ->
         Printf.eprintf "unknown kernel %S\n" name;
         exit 2
     | Some k ->
         let tool =
-          Harness.make_tool ~run ?faults tool_choice
-            ~nprocs:k.Rma_microbench.Scenario.Kernel.k_nprocs ~config:(config run)
+          Harness.make_tool ~run tool_choice
+            ~nprocs:k.Rma_microbench.Scenario.Kernel.k_nprocs ~config
         in
         let v =
           Rma_microbench.Runner.run_kernel ~seed ?interleave_seed:run.Run_config.interleave_seed
@@ -322,8 +305,7 @@ let minivite_cmd =
             ("inject", string_of_bool inject);
           ] )
       obs
-    @@ fun run faults ->
-    let config = config run in
+    @@ fun run ->
     let params =
       {
         Minivite.Louvain.default_params with
@@ -332,7 +314,7 @@ let minivite_cmd =
         inject_race = inject;
       }
     in
-    let tool = Harness.make_tool ~run ?faults tool_choice ~nprocs ~config in
+    let tool = Harness.make_tool ~run tool_choice ~nprocs ~config in
     let observer = match tool_choice with Toolbox.Baseline -> None | _ -> Some tool.Tool.observer in
     let result, summary = Minivite.Louvain.run params ~nprocs ~seed ~config ?observer () in
     Printf.printf
@@ -370,12 +352,11 @@ let cfd_cmd =
             ("cells", string_of_int cells);
           ] )
       obs
-    @@ fun run faults ->
-    let config = config run in
+    @@ fun run ->
     let params =
       { Cfd_proxy.Halo.default_params with Cfd_proxy.Halo.iterations; cells_per_chunk = cells }
     in
-    let tool = Harness.make_tool ~run ?faults tool_choice ~nprocs ~config in
+    let tool = Harness.make_tool ~run tool_choice ~nprocs ~config in
     let observer = match tool_choice with Toolbox.Baseline -> None | _ -> Some tool.Tool.observer in
     let result, summary = Cfd_proxy.Halo.run params ~nprocs ~seed ~config ?observer () in
     Printf.printf "cfd-proxy: %d ranks, %d iterations — checksum %.6g, %d puts\n" nprocs iterations
@@ -407,8 +388,8 @@ let export_cmd =
     Arg.(value & opt float 0.1 & info [ "scale" ] ~docv:"S" ~doc:"MiniVite input scale factor.")
   in
   let run obs dir experiments scale =
-    with_diag obs @@ fun run faults ->
-    Rma_report.Experiments.export ~dir ~scale ~run ?faults experiments;
+    with_diag obs @@ fun run ->
+    Rma_report.Experiments.export ~dir ~scale ~run experiments;
     Printf.printf "exported %s to %s/\n" (String.concat ", " experiments) dir;
     []
   in
@@ -436,7 +417,7 @@ let record_cmd =
     with_diag
       ~workload:("record", [ ("workload", name); ("out", out) ])
       { obs with Diag.interleave_seed }
-    @@ fun run faults ->
+    @@ fun run ->
     let nprocs, program =
       match Rma_microbench.Scenario.find name with
       | Some s -> (3, Rma_microbench.Runner.program s)
@@ -453,7 +434,7 @@ let record_cmd =
     let config = { Mpi_sim.Config.default with Mpi_sim.Config.analysis_overhead_scale = 0.0 } in
     let w =
       Out_channel.with_open_text out (fun oc ->
-          let w = Codec.Writer.create ?faults oc in
+          let w = Codec.Writer.create ?faults:(Run_config.faults run) oc in
           let observer e =
             Codec.Writer.add w e;
             0.0
@@ -493,12 +474,12 @@ let analyze_cmd =
   in
   let run obs tool_choice file ranks =
     with_diag ~workload:("analyze", [ ("tool", Toolbox.slug tool_choice); ("trace", file) ]) obs
-    @@ fun run faults ->
-    (* Default simulator config, not [config run]: replay charges no
+    @@ fun run ->
+    (* Default simulator config, not [config]: replay charges no
        observer cost, and the serve daemon builds its per-session tools
        the same way — the byte-identical-verdict contract hangs on it. *)
     let make_tool ~nprocs =
-      Harness.make_tool ~run ?faults tool_choice ~nprocs ~config:Mpi_sim.Config.default
+      Harness.make_tool ~run tool_choice ~nprocs ~config:Mpi_sim.Config.default
     in
     match Rma_trace.Ingest.file ?nprocs:ranks ~make_tool file with
     | Error msg ->
@@ -561,7 +542,7 @@ let serve_cmd =
              answered with a $(b,load_shed) line and closed.")
   in
   let run obs port socket max_sessions accept_queue =
-    with_diag ~workload:("serve", []) obs @@ fun run _ ->
+    with_diag ~workload:("serve", []) obs @@ fun run ->
     let module D = Rma_serve.Daemon in
     let addr =
       match (socket, port) with
@@ -591,13 +572,13 @@ let serve_cmd =
        ~doc:
          "Run the always-on analysis daemon: accept concurrent trace sessions over TCP or a \
           Unix-domain socket (one handshake line, then a Codec stream each), analyse them \
-          incrementally under per-session budgets and fault plans, and stream race verdicts back \
+          incrementally under per-session budgets, and stream race verdicts back \
           as JSON lines. SIGINT/SIGTERM drain and stop it. Wire protocol and operations guide: \
           OPERATIONS.md.")
     Term.(
       const run $ diag_term $ port_arg $ socket_arg $ max_sessions_arg $ accept_queue_arg)
 
-(* --- obs: journal analytics and crash replay --- *)
+(* --- obs: journal analytics and replay --- *)
 
 module Journal = Rma_obs.Journal
 module Replay = Rma_report.Replay
@@ -632,7 +613,7 @@ let obs_query_cmd =
       value
       & opt (some string) None
       & info [ "component"; "c" ] ~docv:"NAME"
-          ~doc:"Keep only events from this component (analyzer, par, governor, diag, codec...).")
+          ~doc:"Keep only events from this component (analyzer, governor, diag, codec...).")
   in
   let level_arg =
     Arg.(
@@ -640,12 +621,6 @@ let obs_query_cmd =
       & opt (some string) None
       & info [ "level"; "l" ] ~docv:"LEVEL"
           ~doc:"Keep only events at or above $(docv): debug, info, warn or error.")
-  in
-  let shard_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "shard" ] ~docv:"N" ~doc:"Keep only events of shard $(docv) (-1 = main thread).")
   in
   let run_arg =
     Arg.(
@@ -665,7 +640,7 @@ let obs_query_cmd =
       & opt (some float) None
       & info [ "until" ] ~docv:"SECONDS" ~doc:"Keep only events with ts <= $(docv).")
   in
-  let run path component level shard run_id since until =
+  let run path component level run_id since until =
     let f_min_level =
       Option.map
         (fun s ->
@@ -680,7 +655,6 @@ let obs_query_cmd =
       {
         Journal.f_component = component;
         f_min_level;
-        f_shard = shard;
         f_run_id = run_id;
         f_since = since;
         f_until = until;
@@ -694,11 +668,10 @@ let obs_query_cmd =
   Cmd.v
     (Cmd.info "query"
        ~doc:
-         "Filter a journal by component, level, shard, run id and time window; matching events \
+         "Filter a journal by component, level, run id and time window; matching events \
           are reprinted as JSON lines (pipe into jq or back into $(b,obs stats)).")
     Term.(
-      const run $ journal_arg $ component_arg $ level_arg $ shard_arg $ run_arg $ since_arg
-      $ until_arg)
+      const run $ journal_arg $ component_arg $ level_arg $ run_arg $ since_arg $ until_arg)
 
 let obs_stats_cmd =
   let run path =
@@ -709,9 +682,9 @@ let obs_stats_cmd =
   Cmd.v
     (Cmd.info "stats"
        ~doc:
-         "Aggregate a journal: event counts by component/level/shard, epoch-duration percentiles \
-          (p50/p95/p99) overall and per rank, fault and degradation counts, the critical-path \
-          total, and an events-per-second timeline.")
+         "Aggregate a journal: event counts by component and level, epoch-duration percentiles \
+          (p50/p95/p99) overall and per rank, degradation and read-error counts, and an \
+          events-per-second timeline.")
     Term.(const run $ journal_arg)
 
 let obs_replay_cmd =
@@ -735,14 +708,14 @@ let obs_replay_cmd =
               exit 2
           | Ok outcome ->
               print_string (Replay.render plan outcome);
-              if not (Replay.verdict plan outcome) then exit 1)
+              if not (Replay.verdict outcome) then exit 1)
   in
   Cmd.v
     (Cmd.info "replay"
        ~doc:
-         "Re-run the drill a journal records — same workload, parameters, shard count, fault \
-          plan and budget — and check the re-run crashes at the identical (site, ordinal, seed) \
-          coordinates and produces byte-identical verdicts. Exit 1 on mismatch.")
+         "Re-run the drill a journal records — same workload, parameters, predictive mode and \
+          budget — and check the re-run produces the journaled race count and byte-identical \
+          verdicts. Exit 1 on mismatch.")
     Term.(const run $ journal_arg $ dry_arg)
 
 let obs_cmd =
@@ -750,7 +723,7 @@ let obs_cmd =
     (Cmd.info "obs"
        ~doc:
          "Post-mortem analytics over the structured event journal: query (filter), stats \
-          (aggregate) and replay (deterministically re-run a crashed drill).")
+          (aggregate) and replay (re-run a drill and compare its verdicts).")
     [ obs_query_cmd; obs_stats_cmd; obs_replay_cmd ]
 
 (* --- explain --- *)
@@ -775,7 +748,7 @@ let explain_cmd =
       & info [ "journal" ] ~docv:"FILE"
           ~doc:
             "Correlate the race with the event journal of the run that produced it: prints the \
-             journal events sharing the export's run id (crashes, recoveries, degradations) \
+             journal events sharing the export's run id (degradations, read errors) \
              after the timeline. Requires a v2 export (written with diagnostics on).")
   in
   (* The export's run_id header is the correlation key; a v1 export (or

@@ -11,7 +11,6 @@
      dune exec examples/fault_drill.exe
      dune exec examples/fault_drill.exe -- --ranks 8 --iterations 30
      dune exec examples/fault_drill.exe -- --obs-events drill.jsonl --obs-level debug
-     dune exec examples/fault_drill.exe -- --jobs 4 --fault-plan seed=7,worker_crash=0.05
 *)
 
 open Rma_analysis
@@ -23,7 +22,7 @@ let () =
   let diag = ref Diag.default in
   (* The same diagnostics knobs as the CLI subcommands (a subset with
      the journal/telemetry flags spelled out), so a drill run can emit
-     an event journal or serve /metrics like any rma_race invocation. *)
+     an event journal like any rma_race invocation. *)
   let rec parse = function
     | "--ranks" :: v :: rest ->
         ranks := int_of_string v;
@@ -46,18 +45,12 @@ let () =
     | "--obs-level" :: v :: rest ->
         diag := { !diag with Diag.obs_level = Some v };
         parse rest
-    | "--jobs" :: v :: rest ->
-        diag := { !diag with Diag.jobs = Some (int_of_string v) };
-        parse rest
-    | "--fault-plan" :: v :: rest ->
-        diag := { !diag with Diag.fault_plan = Some v };
-        parse rest
     | _ :: rest -> parse rest
     | [] -> ()
   in
   parse (List.tl (Array.to_list Sys.argv));
   let nprocs = !ranks in
-  Diag.with_diag ~prog:"fault_drill" ~generator:"fault_drill" !diag @@ fun run faults ->
+  Diag.with_diag ~prog:"fault_drill" ~generator:"fault_drill" !diag @@ fun run ->
   let params =
     {
       Cfd_proxy.Halo.default_params with
@@ -90,8 +83,7 @@ let () =
     (fun (label, budget) ->
       let tool =
         Rma_analyzer.create ~nprocs ~config ~mode:Tool.Collect
-          ~jobs:run.Rma_config.Run_config.jobs ~predictive:run.Rma_config.Run_config.predictive
-          ?budget ?faults Rma_analyzer.Contribution
+          ~predictive:run.Rma_config.Run_config.predictive ?budget Rma_analyzer.Contribution
       in
       let _result, summary = Cfd_proxy.Halo.run params ~nprocs ~config ~observer:tool.Tool.observer () in
       let checksum = summary.Cfd_proxy.Halo.checksum in

@@ -13,7 +13,7 @@
      --session NAME              display name (default: trace basename)
      --tool SLUG                 detector slug (default contribution)
      --nprocs N                  rank count (default: inferred from the trace)
-     --jobs N --budget SPEC --fault SPEC --predictive
+     --budget SPEC --predictive
      --abort-after N             disconnect after N trace lines (churn demo)
 
    Exit status: 0 after a summary line, 3 on error/load_shed, 2 on usage. *)
@@ -28,9 +28,7 @@ let trace = ref None
 let session = ref None
 let tool = ref None
 let nprocs = ref None
-let jobs = ref None
 let budget = ref None
-let fault = ref None
 let predictive = ref false
 let abort_after = ref None
 
@@ -42,9 +40,7 @@ let spec =
     ("--session", Arg.String (fun v -> session := Some v), "NAME  session display name");
     ("--tool", Arg.String (fun v -> tool := Some v), "SLUG  detector (default contribution)");
     ("--nprocs", Arg.Int (fun v -> nprocs := Some v), "N  rank count (default: from the trace)");
-    ("--jobs", Arg.Int (fun v -> jobs := Some v), "N  shard the session over N worker domains");
     ("--budget", Arg.String (fun v -> budget := Some v), "SPEC  per-session store budget");
-    ("--fault", Arg.String (fun v -> fault := Some v), "SPEC  per-session fault plan");
     ("--predictive", Arg.Set predictive, " run the predictive analysis too");
     ("--abort-after", Arg.Int (fun v -> abort_after := Some v), "N  disconnect after N lines");
   ]
@@ -68,9 +64,7 @@ let hello_line ~session ~nprocs =
     (Json.Obj
        ([ ("hello", Json.Int 1); ("session", Json.String session); ("nprocs", Json.Int nprocs) ]
        @ opt "tool" (fun s -> Json.String s) !tool
-       @ opt "jobs" (fun j -> Json.Int j) !jobs
        @ opt "budget" (fun s -> Json.String s) !budget
-       @ opt "fault" (fun s -> Json.String s) !fault
        @ flag "predictive" !predictive))
 
 let () =

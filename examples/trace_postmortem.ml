@@ -43,7 +43,6 @@ let () =
         Printf.eprintf "trace_postmortem: %s\n" msg;
         exit 124
   in
-  let faults = Rma_config.Run_config.faults run in
   let path =
     match Array.to_list Sys.argv with
     | _ :: p :: _ -> p
@@ -51,7 +50,7 @@ let () =
   in
   let recorder = Recorder.create () in
   let _ = Runtime.run ~nprocs:2 ~seed:3 ~observer:(Recorder.observer recorder) program in
-  Recorder.save ?faults recorder ~path;
+  Recorder.save ?faults:(Rma_config.Run_config.faults run) recorder ~path;
   Printf.printf "recorded %d events to %s\n\n" (Recorder.length recorder) path;
 
   (match Recorder.load ~path with
@@ -60,9 +59,8 @@ let () =
       Printf.printf "1. On-the-fly tool on the replayed trace (stops at the first conflict):\n";
       let tool =
         Rma_analysis.Rma_analyzer.create ~nprocs:2 ~mode:Rma_analysis.Tool.Collect
-          ~jobs:run.Rma_config.Run_config.jobs ?budget:run.Rma_config.Run_config.budget
-          ~predictive:run.Rma_config.Run_config.predictive ?faults
-          Rma_analysis.Rma_analyzer.Contribution
+          ?budget:run.Rma_config.Run_config.budget
+          ~predictive:run.Rma_config.Run_config.predictive Rma_analysis.Rma_analyzer.Contribution
       in
       let races = Recorder.replay events ~tool in
       List.iteri

@@ -48,10 +48,6 @@ let store_clear = function
   | L s -> Legacy_store.clear s
   | D s -> Disjoint_store.clear s
   | S s -> Strided_store.clear s
-let store_to_list = function
-  | L s -> Legacy_store.to_list s
-  | D s -> Disjoint_store.to_list s
-  | S s -> Strided_store.to_list s
 
 (* Flight-recorder hooks: only the disjoint store keeps interval
    history. The legacy store never merges (every access stays its own
@@ -94,25 +90,6 @@ type tree = {
   mutable epoch_span : Obs.span option;  (* open Epoch_opened..Epoch_closed trace span *)
 }
 
-(* A race detected on a worker domain, parked until the next barrier.
-   Everything the sequential [record_race] needs is captured at
-   detection time — in particular the flight-recorder histories, which
-   must be read before later inserts evolve the recorder's ring — except
-   the race id, which is globally ordered and therefore assigned on the
-   caller thread during the merge. *)
-type pending_race = {
-  p_tag : int;  (** Global submission index — the sequential insert order. *)
-  p_space : int;
-  p_win : Event.win_id;
-  p_existing : Access.t;
-  p_incoming : Access.t;
-  p_sim_time : float;
-  p_prov : Report.provenance;  (** [id = 0]; patched during the merge. *)
-  p_predicted : bool;
-      (** Fired in a weak (synchronization-only) tree: replayed through
-          the predictive classifier, not [record_race]. *)
-}
-
 (* Canonical source-site pair of a conflict, the dedup key between the
    observed and the weak analysis: the same pair of source lines must
    not be reported both as an observed and as a predicted race, and a
@@ -128,16 +105,6 @@ let site_of (a : Access.t) =
 let pair_key_of a b : site * site =
   let sa = site_of a and sb = site_of b in
   if Debug_info.compare a.Access.debug b.Access.debug <= 0 then (sa, sb) else (sb, sa)
-
-(* Parallel half of the analyzer: the engine plus per-shard race
-   buffers. A buffer is written only by its shard's worker domain and
-   drained by the caller right after a barrier, so no locking beyond the
-   engine's own is needed. *)
-type par = {
-  engine : Rma_par.t;
-  mutable next_tag : int;
-  shard_races : pending_race list ref array;  (** Newest first, per shard. *)
-}
 
 (* Predictive half of the analyzer (DESIGN.md §15): a second set of
    (space, window) trees sharing the store machinery but cleared only at
@@ -190,7 +157,6 @@ type state = {
   policy : policy;
   name : string;
   max_reports : int;
-  par : par option;  (** [None] = today's sequential path, byte for byte. *)
   trees : tree Tree_table.t;  (* (space, window) *)
   routes : ((int * Event.win_id) * tree) list option array;
       (* rank -> the trees of [trees] a windowless local access of the
@@ -268,27 +234,11 @@ let record_race st ~space ~win ~existing ~incoming ~sim_time ~provenance =
   | Tool.Abort_on_race -> raise (Report.Race_abort report)
   | Tool.Collect -> ()
 
-(* Provenance of a conflict inside one tree: the next race id, plus —
-   when the flight recorder is on — the tree's epoch and the original
-   accesses behind each side's byte range. *)
-let provenance_of st tree ~existing ~incoming =
-  let id = st.race_count + 1 in
-  let degraded = store_degraded tree.store in
-  match store_recorder tree.store with
-  | None -> { Report.empty_provenance with Report.id; degraded }
-  | Some r ->
-      {
-        Report.empty_provenance with
-        Report.id;
-        epoch = Some (Flight_recorder.current_epoch r);
-        existing_history = Flight_recorder.history r existing.Access.interval;
-        incoming_history = Flight_recorder.history r incoming.Access.interval;
-        degraded;
-      }
-
-(* Worker-side provenance: like [provenance_of] minus the race id,
-   which only exists once races are merged back into global order. *)
-let worker_provenance tree ~existing ~incoming =
+(* Provenance of a conflict inside one tree, without its race id: when
+   the flight recorder is on, the tree's epoch and the original accesses
+   behind each side's byte range. A predicted report gets its id only
+   when races are read. *)
+let conflict_provenance tree ~existing ~incoming =
   let degraded = store_degraded tree.store in
   match store_recorder tree.store with
   | None -> { Report.empty_provenance with Report.degraded = degraded }
@@ -372,126 +322,27 @@ let consider_predicted st p ~space ~win ~existing ~incoming ~sim_time ~prov_base
       end
 
 let insert_into st key tree access ~sim_time =
-  match st.par with
-  | None -> (
-      match store_insert tree.store access with
-      | Store_intf.Inserted -> ()
-      | Store_intf.Race_detected { existing; incoming } ->
-          let space, win = key in
-          let provenance = provenance_of st tree ~existing ~incoming in
-          record_race st ~space ~win:(Some win) ~existing ~incoming ~sim_time ~provenance)
-  | Some p ->
-      (* The tree is resolved (and created) here on the caller thread;
-         the worker only runs the store operation. The tag is the global
-         submission index: sorting merged races by it reproduces the
-         exact sequential detection order, so ids, the [max_reports]
-         truncation point and the report list are all byte-identical. *)
+  match store_insert tree.store access with
+  | Store_intf.Inserted -> ()
+  | Store_intf.Race_detected { existing; incoming } ->
       let space, win = key in
-      let tag = p.next_tag in
-      p.next_tag <- tag + 1;
-      let shard = Rma_par.shard_of p.engine ~space ~win in
-      let buf = p.shard_races.(shard) in
-      Rma_par.submit p.engine ~shard (fun () ->
-          match store_insert tree.store access with
-          | Store_intf.Inserted -> ()
-          | Store_intf.Race_detected { existing; incoming } ->
-              let p_prov = worker_provenance tree ~existing ~incoming in
-              buf :=
-                {
-                  p_tag = tag;
-                  p_space = space;
-                  p_win = win;
-                  p_existing = existing;
-                  p_incoming = incoming;
-                  p_sim_time = sim_time;
-                  p_prov;
-                  p_predicted = false;
-                }
-                :: !buf)
+      let provenance =
+        { (conflict_provenance tree ~existing ~incoming) with Report.id = st.race_count + 1 }
+      in
+      record_race st ~space ~win:(Some win) ~existing ~incoming ~sim_time ~provenance
 
-(* Weak-tree counterpart of [insert_into]: same store machinery, same
-   shard (the weak tree of a (space, win) key hashes identically, so its
-   operations are FIFO-ordered after the observed insert of the same
-   access — the observed race of a pair always merges before the weak
-   conflict, which the dedup in [consider_predicted] relies on). *)
+(* Weak-tree counterpart of [insert_into]: same store machinery, run
+   right after the observed insert of the same access, so the observed
+   race of a pair is always recorded before the weak conflict — the
+   dedup in [consider_predicted] relies on that. *)
 let weak_insert_into st p key access ~sim_time =
   let tree = tree_in st p.weak_trees key in
-  match st.par with
-  | None -> (
-      match store_insert tree.store access with
-      | Store_intf.Inserted -> ()
-      | Store_intf.Race_detected { existing; incoming } ->
-          let space, win = key in
-          let prov_base = worker_provenance tree ~existing ~incoming in
-          consider_predicted st p ~space ~win ~existing ~incoming ~sim_time ~prov_base)
-  | Some par ->
+  match store_insert tree.store access with
+  | Store_intf.Inserted -> ()
+  | Store_intf.Race_detected { existing; incoming } ->
       let space, win = key in
-      let tag = par.next_tag in
-      par.next_tag <- tag + 1;
-      let shard = Rma_par.shard_of par.engine ~space ~win in
-      let buf = par.shard_races.(shard) in
-      Rma_par.submit par.engine ~shard (fun () ->
-          match store_insert tree.store access with
-          | Store_intf.Inserted -> ()
-          | Store_intf.Race_detected { existing; incoming } ->
-              let p_prov = worker_provenance tree ~existing ~incoming in
-              buf :=
-                {
-                  p_tag = tag;
-                  p_space = space;
-                  p_win = win;
-                  p_existing = existing;
-                  p_incoming = incoming;
-                  p_sim_time = sim_time;
-                  p_prov;
-                  p_predicted = true;
-                }
-                :: !buf)
-
-(* Drain the shard race buffers (caller thread, after a barrier) and
-   replay them through [record_race] in submission order. *)
-let merge_pending st p =
-  let pending =
-    Array.fold_left
-      (fun acc buf ->
-        let races = !buf in
-        buf := [];
-        List.rev_append races acc)
-      [] p.shard_races
-  in
-  match pending with
-  | [] -> ()
-  | pending ->
-      let pending = List.sort (fun a b -> Int.compare a.p_tag b.p_tag) pending in
-      List.iter
-        (fun pr ->
-          if pr.p_predicted then
-            match st.predictive with
-            | Some p ->
-                consider_predicted st p ~space:pr.p_space ~win:pr.p_win ~existing:pr.p_existing
-                  ~incoming:pr.p_incoming ~sim_time:pr.p_sim_time ~prov_base:pr.p_prov
-            | None -> ()
-          else
-            let provenance = { pr.p_prov with Report.id = st.race_count + 1 } in
-            record_race st ~space:pr.p_space ~win:(Some pr.p_win) ~existing:pr.p_existing
-              ~incoming:pr.p_incoming ~sim_time:pr.p_sim_time ~provenance)
-        pending
-
-(* Epoch barrier: wait for every in-flight store operation, restore the
-   sequential race order, and — when the config says the analyzer times
-   itself — return the critical-path cost model's simulated seconds:
-   the busiest shard's measured work since the last barrier, scaled
-   exactly like the runtime scales inline observer time. *)
-let sync st =
-  match st.par with
-  | None -> 0.0
-  | Some p ->
-      Rma_par.barrier p.engine;
-      merge_pending st p;
-      let work = Rma_par.take_work_seconds p.engine in
-      if st.config.Config.analysis_self_timed then
-        work *. st.config.Config.analysis_overhead_scale
-      else 0.0
+      let prov_base = conflict_provenance tree ~existing ~incoming in
+      consider_predicted st p ~space ~win ~existing ~incoming ~sim_time ~prov_base
 
 (* [insert_into], then the weak-tree counterpart under predictive mode. *)
 let insert_both st key tree access ~sim_time =
@@ -606,22 +457,6 @@ let predictive_collective st p ~kind ~rank =
       end
 
 let observer st event =
-  (* Parallel engines synchronise exactly where the sequential analyzer
-     touches whole trees: epoch boundaries (note_epoch / finger flush /
-     size sampling / window clears) and the flush-clears ablation. The
-     barrier drains every shard queue first, so the main-thread code
-     below always sees the same store states a sequential run would. *)
-  let barrier_cost =
-    match (st.par, event) with
-    | Some _, (Event.Epoch_opened _ | Event.Epoch_closed _) -> sync st
-    | Some _, Event.Flushed _ when st.flush_clears -> sync st
-    (* Weak clears at collectives touch whole weak trees; drain in-flight
-       shard operations first, exactly like epoch boundaries do. *)
-    | Some _, Event.Collective _ when st.predictive <> None -> sync st
-    | _ -> 0.0
-  in
-  barrier_cost
-  +.
   match event with
   | Event.Access a -> on_access st a
   | Event.Epoch_opened { win; rank; sim_time } ->
@@ -743,23 +578,7 @@ let bst_summary st () =
     st.trees Tool.empty_bst_summary
 
 let make_state ~nprocs ?(config = Config.default) ?(mode = Tool.Abort_on_race)
-    ?(flush_clears = false) ?(max_reports = 1000) ?(jobs = 1) ?queue_capacity ?budget
-    ?(predictive = false) ?faults policy =
-  (* Abort_on_race must raise from inside the racing insert's event —
-     mid-stream, before later events run — which an asynchronous engine
-     cannot reproduce; it stays on the sequential path regardless of
-     [jobs]. *)
-  let jobs = match mode with Tool.Abort_on_race -> 1 | Tool.Collect -> Int.max 1 jobs in
-  let par =
-    if jobs <= 1 then None
-    else
-      Some
-        {
-          engine = Rma_par.create ~jobs ?queue_capacity ?faults ();
-          next_tag = 0;
-          shard_races = Array.init jobs (fun _ -> ref []);
-        }
-  in
+    ?(flush_clears = false) ?(max_reports = 1000) ?budget ?(predictive = false) policy =
   {
     nprocs;
     config;
@@ -769,7 +588,6 @@ let make_state ~nprocs ?(config = Config.default) ?(mode = Tool.Abort_on_race)
     policy;
     name = policy_name policy;
     max_reports;
-    par;
     trees = Tree_table.create 16;
     routes = Array.make nprocs None;
     epoch_closers = Hashtbl.create 4;
@@ -809,29 +627,15 @@ let predicted_reports st =
       |> List.mapi (fun i r ->
              { r with Report.provenance = { r.Report.provenance with Report.id = st.race_count + i + 1 } })
 
-(* Every externally observable read syncs first: a caller sampling races
-   or tree statistics mid-stream must see exactly the sequential state. *)
 let tool_of_state st =
-  let settle () = ignore (sync st) in
   {
     Tool.name = st.name;
     observer = observer st;
-    races =
-      (fun () ->
-        settle ();
-        List.rev st.races @ predicted_reports st);
-    race_count =
-      (fun () ->
-        settle ();
-        st.race_count + List.length (predicted_reports st));
-    bst_summary =
-      (fun () ->
-        settle ();
-        bst_summary st ());
+    races = (fun () -> List.rev st.races @ predicted_reports st);
+    race_count = (fun () -> st.race_count + List.length (predicted_reports st));
+    bst_summary = bst_summary st;
     reset =
       (fun () ->
-        settle ();
-        (match st.par with Some p -> p.next_tag <- 0 | None -> ());
         Tree_table.reset st.trees;
         drop_routes st;
         Hashtbl.reset st.epoch_closers;
@@ -853,22 +657,6 @@ let tool_of_state st =
             p.predicted_count <- 0);
   }
 
-let create ~nprocs ?config ?mode ?flush_clears ?max_reports ?jobs ?queue_capacity
-    ?budget ?predictive ?faults policy =
+let create ~nprocs ?config ?mode ?flush_clears ?max_reports ?budget ?predictive policy =
   tool_of_state
-    (make_state ~nprocs ?config ?mode ?flush_clears ?max_reports ?jobs
-       ?queue_capacity ?budget ?predictive ?faults policy)
-
-let create_inspectable ~nprocs ?config ?mode ?flush_clears ?max_reports ?jobs
-    ?queue_capacity ?budget ?predictive ?faults policy =
-  let st =
-    make_state ~nprocs ?config ?mode ?flush_clears ?max_reports ?jobs
-      ?queue_capacity ?budget ?predictive ?faults policy
-  in
-  let dump () =
-    ignore (sync st);
-    Tree_table.fold (fun key tree acc -> (key, store_to_list tree.store) :: acc) st.trees []
-    |> List.sort (fun ((s, w), _) ((s', w'), _) ->
-           match Int.compare s s' with 0 -> Int.compare w w' | c -> c)
-  in
-  (tool_of_state st, dump)
+    (make_state ~nprocs ?config ?mode ?flush_clears ?max_reports ?budget ?predictive policy)

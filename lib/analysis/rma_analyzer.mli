@@ -35,19 +35,15 @@ val create :
   ?mode:Tool.mode ->
   ?flush_clears:bool ->
   ?max_reports:int ->
-  ?jobs:int ->
-  ?queue_capacity:int ->
   ?budget:Rma_fault.Budget.t ->
   ?predictive:bool ->
-  ?faults:Rma_fault.t ->
   policy ->
   Tool.t
 (** Defaults: [config = Mpi_sim.Config.default], [mode = Abort_on_race],
-    [flush_clears = false], [max_reports = 1000], [jobs = 1], no
-    [budget], [predictive = false], no [faults]. The CLI's [--jobs],
-    [--budget], [--predictive] and [--fault-plan] (and their
-    environment twins) reach here only as these arguments (DESIGN.md
-    §20).
+    [flush_clears = false], [max_reports = 1000], no [budget],
+    [predictive = false]. The CLI's [--budget] and [--predictive] (and
+    their environment twins) reach here only as these arguments
+    (DESIGN.md §20).
 
     A bounded [budget] applies to every (rank, window) store the
     analyzer creates; when governance drops or coarsens nodes, the sum
@@ -57,21 +53,6 @@ val create :
     Under [Fail_fast] the racing insert raises
     {!Rma_fault.Budget.Exhausted} through the observer. See DESIGN.md
     §11.
-
-    [jobs > 1] runs every store operation on a sharded
-    {!Rma_par} engine: (rank, window) trees are partitioned over [jobs]
-    worker domains, inserts stream to their shard's bounded FIFO queue
-    ([queue_capacity], default 1024), and epoch events act as barriers.
-    Race reports are merged back into the exact sequential order (see
-    DESIGN.md §10), so verdicts, statistics, report ids and serialized
-    exports are byte-identical to [jobs = 1]. [Abort_on_race] forces
-    [jobs = 1]: aborting mid-stream inside the racing event cannot be
-    reproduced asynchronously. [faults] is the run's fault schedule,
-    handed to the engine: its worker-crash and queue-overflow sites
-    fire at submits (DESIGN.md §11). When
-    [config.analysis_self_timed] is set, the observer returns the
-    engine's critical-path cost model (busiest shard per barrier
-    interval) as simulated protocol seconds.
 
     [max_reports] bounds the reports kept for {!Tool.t.races}; counting
     ({!Tool.t.race_count}) is never truncated, and
@@ -97,22 +78,3 @@ val create :
     {!Tool.t.race_count}, never aborting even under [Abort_on_race].
     With [predictive:false] every observable output is byte-identical to
     a build without the feature. *)
-
-val create_inspectable :
-  nprocs:int ->
-  ?config:Mpi_sim.Config.t ->
-  ?mode:Tool.mode ->
-  ?flush_clears:bool ->
-  ?max_reports:int ->
-  ?jobs:int ->
-  ?queue_capacity:int ->
-  ?budget:Rma_fault.Budget.t ->
-  ?predictive:bool ->
-  ?faults:Rma_fault.t ->
-  policy ->
-  Tool.t * (unit -> ((int * Mpi_sim.Event.win_id) * Rma_access.Access.t list) list)
-(** {!create} plus a dump of the analyzer's interval state: for each
-    (rank, window) tree, the stored accesses in store order, keys
-    sorted. The dump synchronises the parallel engine first, so it is
-    safe mid-stream. Built for the differential determinism tests, which
-    assert interval sets equal across [jobs] values. *)

@@ -29,15 +29,13 @@ val make :
   ?jobs:int ->
   ?budget:Rma_fault.Budget.t ->
   ?predictive:bool ->
-  ?faults:Rma_fault.t ->
   unit ->
   Tool.t
 (** Defaults: [config = Mpi_sim.Config.default], [mode = Collect], and
-    the constants of {!Rma_analyzer.create} for the rest. [jobs] and
-    [faults] affect the analyzer family ([Baseline] and [Must] ignore
-    them), [budget] every store-backed tool, and [predictive] the
-    analyzer family (the weak-order schedulable-race analysis of
-    DESIGN.md §15).
+    the constants of {!Rma_analyzer.create} for the rest. [budget]
+    affects every store-backed tool, and [predictive] the analyzer
+    family (the weak-order schedulable-race analysis of DESIGN.md §15).
 
-    [batch_inserts] is ignored; the coalescing buffer was removed and
-    never changed a verdict. *)
+    [batch_inserts] and [jobs] are ignored: the coalescing buffer and
+    the sharded parallel engine were removed, and neither ever changed
+    a verdict. *)

@@ -3,7 +3,6 @@ module Budget = Rma_fault.Budget
 module Events = Rma_obs.Events
 
 type t = {
-  jobs : int;
   predictive : bool;
   interleave_seed : int option;
   fault : Plan.t option;
@@ -15,7 +14,6 @@ type t = {
 
 let default =
   {
-    jobs = 1;
     predictive = false;
     interleave_seed = None;
     fault = None;
@@ -30,9 +28,6 @@ let int s = parsed "an integer" (int_of_string_opt (String.trim s))
 
 (* Setters shared by the environment and the string codec, so a value
    means the same in both. *)
-let set_jobs t v =
-  Result.map (fun j -> { t with jobs = Int.max 1 (Int.min Rma_par.max_jobs j) }) (int v)
-
 let set_predictive t v =
   match String.lowercase_ascii (String.trim v) with
   | "1" | "true" | "yes" | "on" -> Ok { t with predictive = true }
@@ -54,7 +49,6 @@ let set_slo t v =
 
 let fields =
   [
-    ("jobs", set_jobs);
     ("predictive", set_predictive);
     ("interleave_seed", set_interleave);
     ("fault", set_fault);
@@ -65,7 +59,6 @@ let keys = List.map fst fields
 
 let env =
   [
-    ("RMA_JOBS", set_jobs);
     ("RMA_PREDICTIVE", set_predictive);
     ("RMA_INTERLEAVE_SEED", set_interleave);
     ("RMA_FAULT", set_fault);
@@ -95,12 +88,9 @@ let of_env () =
 let of_fields ?(base = default) ?label kv = apply ?label (fun k -> List.assoc_opt k kv) fields base
 
 let to_fields t =
-  [ ("jobs", string_of_int t.jobs); ("predictive", string_of_bool t.predictive) ]
+  [ ("predictive", string_of_bool t.predictive) ]
   @ Option.fold ~none:[] ~some:(fun s -> [ ("interleave_seed", string_of_int s) ]) t.interleave_seed
   @ Option.fold ~none:[] ~some:(fun p -> [ ("fault", Plan.to_spec p) ]) t.fault
   @ Option.fold ~none:[] ~some:(fun b -> [ ("budget", Budget.to_spec b) ]) t.budget
 
 let faults t = Option.map Rma_fault.create t.fault
-
-let sim_config t config =
-  if t.jobs > 1 then { config with Mpi_sim.Config.analysis_self_timed = true } else config

@@ -1,7 +1,7 @@
 (** One run's configuration, as one value.
 
     Every setting that changes what a run computes or where its journal
-    goes lives here: shard count, predictive mode, interleave seed,
+    goes lives here: predictive mode, interleave seed,
     fault plan, budget, journal sink and level, and the epoch-close
     SLO. The edges (the CLI, the bench driver, the examples, a [serve]
     hello, a journal's [run_start] record) build one value and pass its
@@ -10,7 +10,6 @@
     in one process cannot see each other's settings (DESIGN.md §20). *)
 
 type t = {
-  jobs : int;  (** Shard count, [1 .. Rma_par.max_jobs] when parsed. Default 1. *)
   predictive : bool;  (** Weak-order predictive analysis. Default off. *)
   interleave_seed : int option;
       (** Fiber-interleaving seed of a kernel run; [None] draws from the
@@ -25,16 +24,16 @@ type t = {
 val default : t
 
 val of_env : unit -> (t, string) result
-(** {!default} overridden by the [RMA_JOBS], [RMA_PREDICTIVE]
+(** {!default} overridden by the [RMA_PREDICTIVE]
     ([1|true|yes|on] or [0|false|no|off]), [RMA_INTERLEAVE_SEED],
     [RMA_FAULT], [RMA_BUDGET], [RMA_OBS_EVENTS], [RMA_OBS_LEVEL] and
     [RMA_SLO_EPOCH_CLOSE_MS] environment variables. Empty variables
-    count as unset; [RMA_JOBS] is clamped like [--jobs]. [Error] reads
+    count as unset. [Error] reads
     [bad VAR "value": reason] for the first malformed variable; the
     edges treat it as a bad flag (exit 124 in the CLI). *)
 
 val to_fields : t -> (string * string) list
-(** The fields that decide a run's verdicts, as string pairs: [jobs],
+(** The fields that decide a run's verdicts, as string pairs:
     [predictive], and [interleave_seed], [fault], [budget] when set
     (specs in canonical form). The journal's [run_start] record carries
     exactly these. *)
@@ -52,9 +51,5 @@ val of_fields :
 
 val faults : t -> Rma_fault.t option
 (** A fresh fault schedule for the plan, if any. Call it once per run
-    and hand the result to every tool and writer of that run. *)
-
-val sim_config : t -> Mpi_sim.Config.t -> Mpi_sim.Config.t
-(** The simulator configuration a detector run uses: a sharded
-    analyzer ([jobs > 1]) times itself, so the runtime must not also
-    charge its inline wall time ([analysis_self_timed]). *)
+    and hand the result to the trace writer of that run
+    ({!Rma_trace.Codec.Writer.create}); no detector takes one. *)

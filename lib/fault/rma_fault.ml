@@ -2,50 +2,18 @@ module Obs = Rma_obs.Obs
 module Prng = Rma_util.Prng
 module Lines = Rma_util.Lines
 
-type site = Trace_corrupt | Trace_truncate | Worker_crash | Queue_overflow
+type site = Trace_corrupt | Trace_truncate
 
-let site_name = function
-  | Trace_corrupt -> "trace_corrupt"
-  | Trace_truncate -> "trace_truncate"
-  | Worker_crash -> "worker_crash"
-  | Queue_overflow -> "queue_overflow"
-
-let site_index = function
-  | Trace_corrupt -> 0
-  | Trace_truncate -> 1
-  | Worker_crash -> 2
-  | Queue_overflow -> 3
-
-let all_sites = [ Trace_corrupt; Trace_truncate; Worker_crash; Queue_overflow ]
+let site_name = function Trace_corrupt -> "trace_corrupt" | Trace_truncate -> "trace_truncate"
+let site_index = function Trace_corrupt -> 0 | Trace_truncate -> 1
+let all_sites = [ Trace_corrupt; Trace_truncate ]
 let n_sites = List.length all_sites
 
 module Plan = struct
-  type t = {
-    seed : int;
-    trace_corrupt : float;
-    trace_truncate : float;
-    worker_crash : float;
-    queue_overflow : float;
-    max_retries : int;
-    backoff : float;
-  }
+  type t = { seed : int; trace_corrupt : float; trace_truncate : float }
 
-  let default =
-    {
-      seed = 1;
-      trace_corrupt = 0.0;
-      trace_truncate = 0.0;
-      worker_crash = 0.0;
-      queue_overflow = 0.0;
-      max_retries = 3;
-      backoff = 0.0;
-    }
-
-  let rate t = function
-    | Trace_corrupt -> t.trace_corrupt
-    | Trace_truncate -> t.trace_truncate
-    | Worker_crash -> t.worker_crash
-    | Queue_overflow -> t.queue_overflow
+  let default = { seed = 1; trace_corrupt = 0.0; trace_truncate = 0.0 }
+  let rate t = function Trace_corrupt -> t.trace_corrupt | Trace_truncate -> t.trace_truncate
 
   let parse_rate key v =
     match float_of_string_opt v with
@@ -77,27 +45,13 @@ module Plan = struct
                   Result.map (fun r -> { t with trace_corrupt = r }) (parse_rate key v)
               | "trace_truncate" ->
                   Result.map (fun r -> { t with trace_truncate = r }) (parse_rate key v)
-              | "worker_crash" ->
-                  Result.map (fun r -> { t with worker_crash = r }) (parse_rate key v)
-              | "queue_overflow" ->
-                  Result.map (fun r -> { t with queue_overflow = r }) (parse_rate key v)
-              | "max_retries" -> (
-                  match int_of_string_opt v with
-                  | Some r when r >= 0 -> Ok { t with max_retries = r }
-                  | _ -> Error (Printf.sprintf "max_retries: expected non-negative integer, got %s" (Lines.quote v)))
-              | "backoff" -> (
-                  match float_of_string_opt v with
-                  | Some b when b >= 0.0 -> Ok { t with backoff = b }
-                  | _ -> Error (Printf.sprintf "backoff: expected non-negative seconds, got %s" (Lines.quote v)))
               | _ -> Error (Printf.sprintf "unknown fault-plan key %s" (Lines.quote key))))
     in
     List.fold_left parse_field (Ok default) fields
 
   let to_spec t =
-    Printf.sprintf
-      "seed=%d,trace_corrupt=%g,trace_truncate=%g,worker_crash=%g,queue_overflow=%g,max_retries=%d,backoff=%g"
-      t.seed t.trace_corrupt t.trace_truncate t.worker_crash t.queue_overflow t.max_retries
-      t.backoff
+    Printf.sprintf "seed=%d,trace_corrupt=%g,trace_truncate=%g" t.seed t.trace_corrupt
+      t.trace_truncate
 
   let pp fmt t = Format.pp_print_string fmt (to_spec t)
 end

@@ -1,7 +1,7 @@
 (** Deterministic fault injection and resource governance.
 
     Long-running HPC jobs hand the analyzer hostile conditions — bounded
-    memory, truncated or corrupted traces, failing workers — and a race
+    memory, truncated or corrupted traces — and a race
     detector's verdicts are only trustworthy when its behaviour under
     those conditions is explicit. This module is the single point of
     truth for both halves of that story:
@@ -18,17 +18,13 @@
       failure or a {e reported} degradation — never a silent one.
 
     Both are values, not process state: a run builds one {!t} from its
-    plan ({!create}) and hands it to every writer and engine it
-    creates; a run without one injects nothing and pays one option
-    match per site visit. Two runs in one process (two [serve]
-    sessions, a replay next to its caller) each own their schedule, so
-    neither can move the other's ordinals (DESIGN.md §20).
+    plan ({!create}) and hands it to the trace writer it creates; a run
+    without one injects nothing and pays one option match per site
+    visit. Two runs in one process each own their schedule, so neither
+    can move the other's ordinals (DESIGN.md §20).
 
     {b Thread safety}: {!fire} must be called from the thread that owns
-    the run (the caller thread). Worker domains never draw from the
-    plan — the parallel engine decides worker-crash and queue-overflow
-    faults on the submitting thread, which is what makes the schedule
-    deterministic under any interleaving. *)
+    the run. *)
 
 (** {1 Injection sites} *)
 
@@ -37,16 +33,8 @@
     - [Trace_corrupt] — flip one bit of an encoded trace line as
       {!Rma_trace.Codec.write_all} emits it.
     - [Trace_truncate] — stop a trace write mid-stream (possibly
-      mid-line), losing the footer.
-    - [Worker_crash] — kill a {!Rma_par} shard at a task boundary; the
-      engine journals and replays its queued work (DESIGN.md §11).
-    - [Queue_overflow] — overflow a shard's submit queue, forcing the
-      engine to degrade that task to inline execution. *)
-type site = Trace_corrupt | Trace_truncate | Worker_crash | Queue_overflow
-
-val site_name : site -> string
-(** Stable lowercase name, as used in {!Plan} specs and Obs counters
-    ([fault.injected.<site>]). *)
+      mid-line), losing the footer. *)
+type site = Trace_corrupt | Trace_truncate
 
 (** {1 Fault plans} *)
 
@@ -54,30 +42,22 @@ module Plan : sig
   (** A seeded schedule of failure probabilities.
 
       The per-site rates are probabilities in [\[0, 1\]] applied
-      independently at each visit of the site. [max_retries] and
-      [backoff] parameterise {!Rma_par} shard recovery: a crashed shard
-      is restarted and its journal replayed up to [max_retries] times
-      (sleeping [backoff] seconds between attempts) before the engine
-      degrades the remaining work to sequential inline execution. *)
+      independently at each visit of the site. *)
   type t = {
     seed : int;  (** Root of every random draw; same seed = same faults. *)
     trace_corrupt : float;  (** Bit-flip probability per encoded trace line. *)
     trace_truncate : float;  (** Truncation probability per encoded trace line. *)
-    worker_crash : float;  (** Crash probability per submitted shard task. *)
-    queue_overflow : float;  (** Overflow probability per submitted shard task. *)
-    max_retries : int;  (** Shard restarts before sequential fallback. Default 3. *)
-    backoff : float;  (** Seconds between shard restart attempts. Default 0. *)
   }
 
   val default : t
-  (** Seed 1, every rate [0.0], [max_retries = 3], [backoff = 0.0] — a
-      schedule built from the default plan injects nothing. *)
+  (** Seed 1, every rate [0.0] — a schedule built from the default plan
+      injects nothing. *)
 
   val rate : t -> site -> float
 
   val of_spec : string -> (t, string) result
   (** Parse a comma-separated [key=value] spec over {!default}, e.g.
-      ["seed=42,worker_crash=0.05,trace_truncate=0.1"]. Keys are the
+      ["seed=42,trace_corrupt=0.05,trace_truncate=0.1"]. Keys are the
       field names above; unknown keys, malformed numbers and rates
       outside [\[0, 1\]] yield [Error]. The empty string is
       {!default}. *)

@@ -87,8 +87,7 @@ val find : string -> t option
     complete three-rank MPI programs (not access-pair combinations like
     the 154-code suite above) covering remote/local conflicts, race and
     no-race variants, and lock/fence/flush synchronisation. Ground-truth
-    labels let tests assert that a detector — sequential or sharded over
-    worker domains — reproduces every verdict. *)
+    labels let tests assert that a detector reproduces every verdict. *)
 module Kernel : sig
   type sync = Fence | Lock_all | Flush_only
 

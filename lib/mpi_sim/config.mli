@@ -28,12 +28,7 @@ type t = {
           to the triggering rank. When true the runtime charges only the
           observer's returned protocol cost, and the observer is
           responsible for folding its own modelled analysis seconds into
-          that return value — the contract the sharded parallel analyzer
-          uses: on a single simulator process the inline wall clock
-          would bill one rank for work that conceptually ran
-          concurrently on [jobs] domains, so the analyzer instead
-          reports the critical-path maximum over shards at each epoch
-          barrier (see {!Rma_par.take_work_seconds}). *)
+          that return value. No bundled detector sets it. *)
   memory_size : int;
       (** Initial capacity in bytes of each rank's address space (4096 in
           {!default}), not a limit: it doubles whenever an allocation needs room. *)

@@ -230,9 +230,9 @@ let obs_rma_ops = Obs.counter ~help:"One-sided operations issued (put/get/accumu
    triggering rank's simulated clock (scaled), together with whatever
    simulated protocol cost the observer reports. This is how detector
    overhead becomes visible in the Figure 10-12 metrics. Self-timed
-   observers (the sharded parallel analyzer) fold their own modelled
-   analysis seconds into [protocol_cost]; charging the inline wall time
-   too would double-bill them. When neither Obs nor the charge needs the
+   observers ([analysis_self_timed]) fold their own modelled analysis
+   seconds into [protocol_cost]; charging the inline wall time too would
+   double-bill them. When neither Obs nor the charge needs the
    wall time, it is not read: a [+. 0.0] charge changes no clock. *)
 let dispatch s ~charge_to event =
   s.events_emitted <- s.events_emitted + 1;

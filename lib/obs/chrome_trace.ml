@@ -50,25 +50,6 @@ let span_event (sp : Obs.span) =
       @ if sp.Obs.sp_args = [] then [] else [ "\"args\":" ^ args_obj sp.Obs.sp_args ])
     ()
 
-(* Causal flows: a span with [sp_trace_id] originates arrow id
-   [sp_trace_id] (flow start "s"), a span with [sp_parent_id] terminates
-   that arrow (flow finish "f", bound to the enclosing slice). Both are
-   timestamped at the span midpoint so the binding slice is
-   unambiguous. Name and category must match across the pair for
-   Perfetto to draw the arrow. *)
-let flow_events (sp : Obs.span) =
-  let mid =
-    let t1 = if Float.is_finite sp.Obs.sp_t1 then sp.Obs.sp_t1 else sp.Obs.sp_t0 in
-    (sp.Obs.sp_t0 +. t1) /. 2.0 *. 1e6
-  in
-  let flow ph id extra =
-    event ~name:"sched" ~ph ~pid:sp.Obs.sp_pid ~tid:sp.Obs.sp_tid ~cat:"flow" ~ts:mid
-      ~extra:(Printf.sprintf "\"id\":%d" id :: extra)
-      ()
-  in
-  (if sp.Obs.sp_trace_id > 0 then [ flow "s" sp.Obs.sp_trace_id [] ] else [])
-  @ if sp.Obs.sp_parent_id > 0 then [ flow "f" sp.Obs.sp_parent_id [ "\"bp\":\"e\"" ] ] else []
-
 let histogram_event h =
   let q p = num (Histogram.quantile h p) in
   event
@@ -120,22 +101,10 @@ let metadata_events spans =
          spans)
   in
   let sim_pids = List.sort_uniq compare (List.map fst sim_tracks) in
-  (* Wall-clock tracks: tid 0 is the harness main thread; higher tids
-     are parallel shards (tid = shard index + 1, see Rma_par). *)
-  let wall_tids =
-    List.sort_uniq compare
-      (List.filter_map
-         (fun (sp : Obs.span) ->
-           if sp.Obs.sp_pid = Obs.wall_pid && sp.Obs.sp_tid > 0 then Some sp.Obs.sp_tid else None)
-         spans)
-  in
   (name_proc Obs.wall_pid "harness (wall clock)"
   :: List.map
        (fun pid -> name_proc pid (Printf.sprintf "simulated run %d (sim clock)" (pid - 1)))
        sim_pids)
-  @ List.map
-      (fun tid -> name_thread Obs.wall_pid tid (Printf.sprintf "shard %d" (tid - 1)))
-      wall_tids
   @ List.map (fun (pid, tid) -> name_thread pid tid (Printf.sprintf "rank %d" tid)) sim_tracks
 
 let to_json () =
@@ -143,7 +112,6 @@ let to_json () =
   let events =
     metadata_events spans
     @ List.map span_event spans
-    @ List.concat_map flow_events spans
     @ List.map histogram_event (List.filter (fun h -> Histogram.count h > 0) (Obs.all_histograms ()))
     @ List.map counter_event (Obs.all_counters ())
     @ List.map gauge_event (Obs.all_gauges ())

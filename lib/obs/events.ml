@@ -24,15 +24,13 @@ type t = {
   level : level;
   component : string;
   run_id : string;
-  shard : int;
   span_id : int;
   kv : (string * string) list;
 }
 
-(* One mutex serialises everything below: worker domains emit
-   concurrently (crash/recovery events come from inside Rma_par worker
-   loops) and a serve daemon on a background domain reads the ring for
-   /events. *)
+(* One mutex serialises everything below: a serve daemon on a
+   background domain emits and reads the ring for /events while its
+   caller may emit too. *)
 let mu = Mutex.create ()
 
 let min_level = ref Info
@@ -42,13 +40,6 @@ let ring : t option array ref = ref (Array.make 4096 None)
 let ring_len = ref 0
 let ring_next = ref 0
 let run_id_ref = ref ""
-
-(* Shard identity is domain-local: worker domains stamp it once per
-   spawn (Rma_par), so Governor degradation fired from inside a worker
-   lands on the right shard without threading ids through the stores. *)
-let shard_key = Domain.DLS.new_key (fun () -> -1)
-let set_current_shard s = Domain.DLS.set shard_key s
-let current_shard () = Domain.DLS.get shard_key
 
 let set_level l = min_level := l
 let level () = !min_level
@@ -105,7 +96,7 @@ let clear () =
       ring_next := 0)
 
 (* Field order is part of the journal contract (golden tests diff raw
-   lines): ts, level, component, run_id, shard, span_id, kv. *)
+   lines): ts, level, component, run_id, span_id, kv. *)
 let to_json ev =
   Json.Obj
     [
@@ -113,7 +104,6 @@ let to_json ev =
       ("level", Json.String (level_to_string ev.level));
       ("component", Json.String ev.component);
       ("run_id", Json.String ev.run_id);
-      ("shard", Json.Int ev.shard);
       ("span_id", Json.Int ev.span_id);
       ("kv", Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) ev.kv));
     ]
@@ -126,12 +116,11 @@ let push_ring_locked ev =
   ring_next := (!ring_next + 1) mod Array.length a;
   if !ring_len < Array.length a then ring_len := !ring_len + 1
 
-let emit ?shard ?(span_id = 0) ?(kv = []) lvl component =
+let emit ?(span_id = 0) ?(kv = []) lvl component =
   if Obs.is_enabled () && severity lvl >= severity !min_level then begin
     let ts = Obs.rel_time (Timer.now ()) in
-    let shard = match shard with Some s -> s | None -> current_shard () in
     locked (fun () ->
-        let ev = { ts; level = lvl; component; run_id = run_id_locked (); shard; span_id; kv } in
+        let ev = { ts; level = lvl; component; run_id = run_id_locked (); span_id; kv } in
         match !sink with
         | Some oc ->
             output_string oc (line ev);

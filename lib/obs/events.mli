@@ -1,15 +1,13 @@
 (** Structured event journal: JSON-lines lifecycle records from the
     runtime's load-bearing seams — analyzer epoch open/close, governor
-    budget degradation, parallel-shard spawn/crash/recovery/overflow,
-    and codec read errors.
+    budget degradation, and codec read errors.
 
     Each record is one minified JSON object with a {e stable field
-    order}: [{ts; level; component; run_id; shard; span_id; kv}].
+    order}: [{ts; level; component; run_id; span_id; kv}].
     [ts] is trace-relative seconds (same clock as {!Obs} spans),
-    [run_id] correlates every event of one process run, [shard] is the
-    parallel shard the event concerns (-1 when not shard-scoped),
-    [span_id] links the event to the {!Obs.span} covering it (0 when
-    none), and [kv] carries event-specific string pairs.
+    [run_id] correlates every event of one process run, [span_id]
+    links the event to the {!Obs.span} covering it (0 when none), and
+    [kv] carries event-specific string pairs.
 
     Like the rest of {!Obs}, emission is a no-op until {!Obs.enable}
     runs; below that gate a per-event level filter applies. With a file
@@ -29,7 +27,6 @@ type t = {
   level : level;
   component : string;
   run_id : string;
-  shard : int;
   span_id : int;
   kv : (string * string) list;
 }
@@ -62,21 +59,13 @@ val with_run_id : string -> (unit -> 'a) -> 'a
 (** Run the thunk with the given run id current, restoring the previous
     one afterwards (exception-safe). The serve daemon brackets each
     session's processing slice with this so interleaved sessions label
-    their journal records correctly; events emitted by worker domains
-    mid-slice pick up the slice's id, which is the intended attribution
-    (workers only run work submitted by the current slice). *)
+    their journal records correctly. *)
 
 val run_id : unit -> string
 (** The current run id, generating one on first use. *)
 
-val set_current_shard : int -> unit
-(** Stamp the calling domain's shard identity ([Rma_par] workers call
-    this once per spawn); -1 = not a shard. *)
-
-val emit :
-  ?shard:int -> ?span_id:int -> ?kv:(string * string) list -> level -> string -> unit
-(** [emit lvl component] records one event; [shard] defaults to the
-    calling domain's, as set by {!set_current_shard}. No-op when
+val emit : ?span_id:int -> ?kv:(string * string) list -> level -> string -> unit
+(** [emit lvl component] records one event. No-op when
     {!Obs.is_enabled} is false or [lvl] is below {!level}. *)
 
 val recent : unit -> t list

@@ -26,7 +26,6 @@ let parse_line line =
   in
   let* component = field "component" Json.to_str j in
   let* run_id = field "run_id" Json.to_str j in
-  let* shard = field "shard" Json.to_int j in
   let* span_id = field "span_id" Json.to_int j in
   let* kv_obj = field "kv" Json.to_obj j in
   let* kv =
@@ -38,7 +37,7 @@ let parse_line line =
         | None -> Error (Printf.sprintf "ill-typed kv value for %s" (Lines.quote k)))
       (Ok []) kv_obj
   in
-  Ok { Events.ts; level; component; run_id; shard; span_id; kv = List.rev kv }
+  Ok { Events.ts; level; component; run_id; span_id; kv = List.rev kv }
 
 let read_channel ic =
   let events = ref [] and lineno = ref 0 in
@@ -71,21 +70,18 @@ let read_file path =
 type filter = {
   f_component : string option;
   f_min_level : Events.level option;
-  f_shard : int option;
   f_run_id : string option;
   f_since : float option;
   f_until : float option;
 }
 
 let no_filter =
-  { f_component = None; f_min_level = None; f_shard = None; f_run_id = None;
-    f_since = None; f_until = None }
+  { f_component = None; f_min_level = None; f_run_id = None; f_since = None; f_until = None }
 
 let matches f (ev : Events.t) =
   let opt cond = function None -> true | Some v -> cond v in
   opt (String.equal ev.Events.component) f.f_component
   && opt (fun l -> Events.severity ev.Events.level >= Events.severity l) f.f_min_level
-  && opt (Int.equal ev.Events.shard) f.f_shard
   && opt (String.equal ev.Events.run_id) f.f_run_id
   && opt (fun t -> ev.Events.ts >= t) f.f_since
   && opt (fun t -> ev.Events.ts <= t) f.f_until
@@ -117,17 +113,10 @@ type stats = {
   t_max : float;
   by_component : (string * int) list;
   by_level : (Events.level * int) list;
-  by_shard : (int * int) list;
   epoch_overall : percentiles option;
   epoch_by_rank : (int * percentiles) list;
-  crashes : int;
-  recoveries : int;
-  fallbacks : int;
-  overflows : int;
   degradations : int;
   read_errors : int;
-  barriers : int;
-  critical_path_ms : float;
   timeline : (int * int) list;
 }
 
@@ -143,7 +132,6 @@ let sorted_bindings tbl cmp =
 let stats_of events =
   let by_component = Hashtbl.create 8 in
   let by_level = Hashtbl.create 4 in
-  let by_shard = Hashtbl.create 8 in
   let timeline = Hashtbl.create 16 in
   let run_ids = ref [] in
   let t_min = ref infinity and t_max = ref neg_infinity in
@@ -153,14 +141,11 @@ let stats_of events =
   let open_epochs : (int, float * int) Hashtbl.t = Hashtbl.create 32 in
   let durations = ref [] in
   let durations_by_rank : (int, float list ref) Hashtbl.t = Hashtbl.create 8 in
-  let crashes = ref 0 and recoveries = ref 0 and fallbacks = ref 0 in
-  let overflows = ref 0 and degradations = ref 0 and read_errors = ref 0 in
-  let barriers = ref 0 and critical_ms = ref 0.0 in
+  let degradations = ref 0 and read_errors = ref 0 in
   List.iter
     (fun (ev : Events.t) ->
       bump by_component ev.Events.component 1;
       bump by_level ev.Events.level 1;
-      bump by_shard ev.Events.shard 1;
       bump timeline (int_of_float (Float.max 0.0 ev.Events.ts)) 1;
       if not (List.mem ev.Events.run_id !run_ids) then run_ids := ev.Events.run_id :: !run_ids;
       if ev.Events.ts < !t_min then t_min := ev.Events.ts;
@@ -186,17 +171,8 @@ let stats_of events =
                     l
               in
               per := d :: !per)
-      | Some "worker_crash" -> incr crashes
-      | Some "shard_recovery" -> incr recoveries
-      | Some "sequential_fallback" -> incr fallbacks
-      | Some "queue_overflow" -> incr overflows
       | Some "budget_degradation" -> incr degradations
       | Some "read_error" -> incr read_errors
-      | Some "barrier" ->
-          incr barriers;
-          (match Option.bind (kv_find ev "critical_path_ms") float_of_string_opt with
-          | Some ms -> critical_ms := !critical_ms +. ms
-          | None -> ())
       | _ -> ()))
     events;
   {
@@ -206,20 +182,13 @@ let stats_of events =
     t_max = (if !t_max = neg_infinity then 0.0 else !t_max);
     by_component = sorted_bindings by_component String.compare;
     by_level = sorted_bindings by_level (fun a b -> compare (Events.severity a) (Events.severity b));
-    by_shard = sorted_bindings by_shard Int.compare;
     epoch_overall = percentiles_of !durations;
     epoch_by_rank =
       sorted_bindings durations_by_rank Int.compare
       |> List.filter_map (fun (rank, l) ->
              Option.map (fun p -> (rank, p)) (percentiles_of !l));
-    crashes = !crashes;
-    recoveries = !recoveries;
-    fallbacks = !fallbacks;
-    overflows = !overflows;
     degradations = !degradations;
     read_errors = !read_errors;
-    barriers = !barriers;
-    critical_path_ms = !critical_ms;
     timeline = sorted_bindings timeline Int.compare;
   }
 
@@ -245,15 +214,6 @@ let render_stats ?source ?error s =
         ()
     in
     List.iter (fun (c, n) -> Table.add_row t [ c; string_of_int n ]) s.by_component;
-    Buffer.add_string buf (Table.render t)
-  end;
-  if s.by_shard <> [] then begin
-    let t =
-      Table.create ~title:"Events by shard (-1 = main thread)"
-        ~columns:[ ("Shard", Table.Right); ("Events", Table.Right) ]
-        ()
-    in
-    List.iter (fun (sh, n) -> Table.add_row t [ string_of_int sh; string_of_int n ]) s.by_shard;
     Buffer.add_string buf (Table.render t)
   end;
   let pct_row label p =
@@ -286,17 +246,8 @@ let render_stats ?source ?error s =
   in
   List.iter
     (fun (k, n) -> Table.add_row t [ k; string_of_int n ])
-    [
-      ("worker crashes", s.crashes); ("shard recoveries", s.recoveries);
-      ("sequential fallbacks", s.fallbacks); ("queue overflows", s.overflows);
-      ("budget degradations", s.degradations); ("codec read errors", s.read_errors);
-    ];
+    [ ("budget degradations", s.degradations); ("codec read errors", s.read_errors) ];
   Buffer.add_string buf (Table.render t);
-  if s.barriers > 0 then
-    say "  critical path: %.3f ms over %d epoch barriers (longest shard chain per epoch, \
-         DESIGN.md \xc2\xa713)"
-      s.critical_path_ms s.barriers
-  else say "  critical path: no barrier events (sequential run, or journal above debug level)";
   if s.timeline <> [] then begin
     let t =
       Table.create ~title:"Throughput timeline (events per journal second)"

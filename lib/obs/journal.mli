@@ -28,7 +28,9 @@ type read = {
 
 val parse_line : string -> (Events.t, string) result
 (** Decode one journal line. Total: malformed JSON, missing fields,
-    unknown levels and ill-typed [kv] values all come back as [Error]. *)
+    unknown levels and ill-typed [kv] values all come back as [Error].
+    Fields outside the record, such as the [shard] key older journals
+    carry, are ignored. *)
 
 val read_file : string -> read
 (** Total: an unopenable path yields [{ events = []; lines = 0;
@@ -39,7 +41,6 @@ val read_file : string -> read
 type filter = {
   f_component : string option;
   f_min_level : Events.level option;
-  f_shard : int option;
   f_run_id : string option;
   f_since : float option;  (** Inclusive lower bound on [ts]. *)
   f_until : float option;  (** Inclusive upper bound on [ts]. *)
@@ -65,24 +66,13 @@ type stats = {
   t_max : float;
   by_component : (string * int) list;  (** Sorted by component name. *)
   by_level : (Events.level * int) list;
-  by_shard : (int * int) list;  (** Sorted by shard; -1 = main. *)
   epoch_overall : percentiles option;
       (** Wall-clock epoch handling durations reconstructed by pairing
           [epoch_open]/[epoch_close] events through their shared
           [span_id] (seconds). *)
   epoch_by_rank : (int * percentiles) list;
-  crashes : int;
-  recoveries : int;
-  fallbacks : int;
-  overflows : int;
   degradations : int;
   read_errors : int;
-  barriers : int;
-  critical_path_ms : float;
-      (** Sum of the per-epoch [critical_path_ms] values the parallel
-          engine journals at each barrier (see DESIGN.md §13); 0 when
-          the run was sequential or the journal predates barrier
-          events. *)
   timeline : (int * int) list;
       (** Events per whole second of journal time, sparse, sorted. *)
 }

@@ -12,8 +12,6 @@ type span = {
   sp_t0 : float;
   mutable sp_t1 : float;
   mutable sp_args : (string * string) list;
-  mutable sp_trace_id : int;
-  mutable sp_parent_id : int;
 }
 
 let enabled = ref false
@@ -40,8 +38,7 @@ let next_id = ref 0
 let sim_pid_current = ref 2
 let sim_runs = ref 0
 
-(* Span/trace ids share one sequence so a flow id can never collide
-   with a span id; 0 is reserved for "none". *)
+(* Span ids; 0 is reserved for "none". *)
 let fresh_id () =
   next_id := !next_id + 1;
   !next_id
@@ -124,13 +121,12 @@ let record_span sp =
     span_count := !span_count + 1
   end
 
-let start_span ?(cat = "span") ?(args = []) ?(trace_id = 0) ?(parent_id = 0) ~pid ~tid ?at name =
+let start_span ?(cat = "span") ?(args = []) ~pid ~tid ?at name =
   if (not !enabled) || !span_count >= !span_cap then None
   else begin
     let t0 = match at with Some t -> t | None -> rel_time (Timer.now ()) in
     Some { sp_id = fresh_id (); sp_name = name; sp_cat = cat; sp_pid = pid; sp_tid = tid;
-           sp_t0 = t0; sp_t1 = Float.nan; sp_args = args; sp_trace_id = trace_id;
-           sp_parent_id = parent_id }
+           sp_t0 = t0; sp_t1 = Float.nan; sp_args = args }
   end
 
 let finish_span ?at ?(args = []) = function
@@ -140,11 +136,10 @@ let finish_span ?at ?(args = []) = function
       if args <> [] then sp.sp_args <- sp.sp_args @ args;
       record_span sp
 
-let emit_span ?(cat = "span") ?(args = []) ?(trace_id = 0) ?(parent_id = 0) ~pid ~tid ~t0 ~t1 name =
+let emit_span ?(cat = "span") ?(args = []) ~pid ~tid ~t0 ~t1 name =
   if !enabled then
     record_span { sp_id = fresh_id (); sp_name = name; sp_cat = cat; sp_pid = pid; sp_tid = tid;
-                  sp_t0 = t0; sp_t1 = t1; sp_args = args; sp_trace_id = trace_id;
-                  sp_parent_id = parent_id }
+                  sp_t0 = t0; sp_t1 = t1; sp_args = args }
 
 let span_id = function None -> 0 | Some sp -> sp.sp_id
 
@@ -166,8 +161,7 @@ let time_span ?(cat = "phase") ?(args = []) ?(pid = wall_pid) ?(tid = 0) name f 
     if !enabled then begin
       Timer.add (category_acc cat) (t1 -. t0);
       record_span { sp_id = fresh_id (); sp_name = name; sp_cat = cat; sp_pid = pid; sp_tid = tid;
-                    sp_t0 = rel_time t0; sp_t1 = rel_time t1; sp_args = args; sp_trace_id = 0;
-                    sp_parent_id = 0 }
+                    sp_t0 = rel_time t0; sp_t1 = rel_time t1; sp_args = args }
     end;
     t1 -. t0
   in

@@ -56,12 +56,6 @@ type span = {
   sp_t0 : float;  (** Seconds in the track's time domain. *)
   mutable sp_t1 : float;
   mutable sp_args : (string * string) list;
-  mutable sp_trace_id : int;
-      (** Causal id this span {e originates} (a barrier span scheduling
-          shard work); 0 = none. Rendered as a Chrome-trace flow start. *)
-  mutable sp_parent_id : int;
-      (** Causal id this span {e binds to} (the trace_id of the span
-          that scheduled it); 0 = none. Rendered as a flow finish. *)
 }
 
 val wall_pid : int
@@ -83,28 +77,22 @@ val set_span_cap : int -> unit
 (** Hard bound on stored spans (default 1_000_000); beyond it new spans
     are dropped. *)
 
-val fresh_id : unit -> int
-(** Next id from the shared span/trace-id sequence (never 0). Use to
-    mint a trace id ahead of the span that will originate it. *)
-
 val span_id : span option -> int
 (** The span's unique id, or 0 for [None] (disabled or over the cap). *)
 
 val start_span :
-  ?cat:string -> ?args:(string * string) list -> ?trace_id:int -> ?parent_id:int -> pid:int ->
-  tid:int -> ?at:float -> string -> span option
+  ?cat:string -> ?args:(string * string) list -> pid:int -> tid:int -> ?at:float -> string ->
+  span option
 (** Open a span; [None] when disabled or over the cap.
     [at] gives an explicit domain timestamp (e.g. simulated time);
     without it the trace-relative wall clock is read. The span is only
-    stored once {!finish_span} runs. [trace_id] marks the span as the
-    origin of a causal flow; [parent_id] binds it to one (0 = none for
-    both, the default). *)
+    stored once {!finish_span} runs. *)
 
 val finish_span : ?at:float -> ?args:(string * string) list -> span option -> unit
 
 val emit_span :
-  ?cat:string -> ?args:(string * string) list -> ?trace_id:int -> ?parent_id:int -> pid:int ->
-  tid:int -> t0:float -> t1:float -> string -> unit
+  ?cat:string -> ?args:(string * string) list -> pid:int -> tid:int -> t0:float -> t1:float ->
+  string -> unit
 (** Record an already-measured span (e.g. a per-rank simulated-time
     interval reconstructed after a run). *)
 

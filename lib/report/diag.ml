@@ -10,7 +10,6 @@ type opts = {
   obs_level : string option;
   races_json : string option;
   races_sarif : string option;
-  jobs : int option;
   fault_plan : string option;
   budget : string option;
   predictive : bool;
@@ -26,7 +25,6 @@ let default =
     obs_level = None;
     races_json = None;
     races_sarif = None;
-    jobs = None;
     fault_plan = None;
     budget = None;
     predictive = false;
@@ -51,8 +49,7 @@ let usage_error ~prog msg =
    twin because it is applied last, through the same parser. *)
 let run_config ~prog opts =
   let flags =
-    (match opts.jobs with Some j -> [ ("jobs", string_of_int j) ] | None -> [])
-    @ (if opts.predictive then [ ("predictive", "true") ] else [])
+    (if opts.predictive then [ ("predictive", "true") ] else [])
     @ (match opts.interleave_seed with
       | Some s -> [ ("interleave_seed", string_of_int s) ]
       | None -> [])
@@ -82,8 +79,7 @@ let run_config ~prog opts =
   in
   match opts.obs_events with Some _ as p -> { run with Run_config.obs_events = p } | None -> run
 
-(* [f] gets the run's configuration and its one fault schedule, and
-   returns the run's race reports; exports happen afterwards, the obs
+(* [f] gets the run's configuration and returns the run's race reports; exports happen afterwards, the obs
    ones even if [f] raises. The flight recorder is process-wide and
    snapshotted at store creation, so it is switched on before [f]. *)
 let with_diag ?(prog = "rma_race") ?(generator = "rma_race") ?workload opts f =
@@ -95,7 +91,6 @@ let with_diag ?(prog = "rma_race") ?(generator = "rma_race") ?workload opts f =
   Option.iter Events.set_sink opts.obs_events;
   Rma_obs.Telemetry.set_slo_epoch_close_ms run.Run_config.slo_epoch_close_ms;
   if wants_races opts then Rma_store.Flight_recorder.enable ();
-  let faults = Run_config.faults run in
   (* Journal the run's identity: what [rma_race obs replay] rebuilds the
      run from — workload name and parameters, then the whole run
      configuration in canonical form (so the journal, not the command
@@ -139,7 +134,7 @@ let with_diag ?(prog = "rma_race") ?(generator = "rma_race") ?workload opts f =
   let run_id = if active then Some (Events.run_id ()) else None in
   let finished = ref None in
   Fun.protect ~finally:obs_export (fun () ->
-      let reports = renumber (f run faults) in
+      let reports = renumber (f run) in
       (* The journal's verdict record: what [obs replay] compares a
          re-run against. A thunk that raises leaves no run_summary —
          exactly right, the original run has no verdict either. *)

@@ -1,11 +1,12 @@
 (** Shared diagnostics plumbing for the CLI subcommands and the example
     drills: one options record covering the observability,
-    event-journal, race-export, parallelism and fault/budget flags, and one bracket ({!with_diag}) around a run.
+    event-journal, race-export and fault/budget flags, and one bracket
+    ({!with_diag}) around a run.
 
     The bracket reads the environment once
     ({!Rma_config.Run_config.of_env}), lays the flags over it, and hands
-    the resulting configuration and the run's one fault schedule to the
-    thunk, which passes them to every tool and writer it creates. The
+    the resulting configuration to the thunk, which passes it to every
+    tool and writer it creates. The
     exporters (Chrome trace, Prometheus dump, event journal, summary,
     race JSON/SARIF) run after the thunk — the obs ones even when it
     raises. *)
@@ -20,7 +21,6 @@ type opts = {
           usage error. *)
   races_json : string option;
   races_sarif : string option;
-  jobs : int option;
   fault_plan : string option;  (** {!Rma_fault.Plan.of_spec} syntax. *)
   budget : string option;  (** {!Rma_fault.Budget.of_spec} syntax. *)
   predictive : bool;
@@ -31,7 +31,7 @@ type opts = {
 }
 
 val default : opts
-(** Everything off: no exports, sequential, no plan, no budget. *)
+(** Everything off: no exports, no plan, no budget. *)
 
 val wants_races : opts -> bool
 
@@ -45,12 +45,12 @@ val with_diag :
   ?generator:string ->
   ?workload:string * (string * string) list ->
   opts ->
-  (Rma_config.Run_config.t -> Rma_fault.t option -> Rma_analysis.Report.t list) ->
+  (Rma_config.Run_config.t -> Rma_analysis.Report.t list) ->
   unit
 (** Run the thunk under the configured diagnostics and export
-    afterwards. The thunk receives {!run_config} and the run's fault
-    schedule ([None] without a plan); it must hand both to every tool
-    and writer it creates. [prog] names the binary in usage-error
+    afterwards. The thunk receives {!run_config}; it must hand it to
+    every tool it creates, and a trace writer takes its fault schedule
+    from {!Rma_config.Run_config.faults}. [prog] names the binary in usage-error
     messages; [generator] is stamped into race exports. Report ids are
     renumbered 1..n before export; when observability is on, the
     journal's run id is threaded into the race JSON/SARIF headers.

@@ -21,13 +21,13 @@ let table2_codes =
     "ll_load_get_inwindow_origin_safe";
   ]
 
-let suite_tool ?run ?faults kind =
-  Harness.make_tool ?run ?faults kind ~nprocs:3 ~config:Mpi_sim.Config.default
+let suite_tool ?run kind =
+  Harness.make_tool ?run kind ~nprocs:3 ~config:Mpi_sim.Config.default
 
-let table2 ?run ?faults () =
-  let legacy = suite_tool ?run ?faults Toolbox.Legacy in
-  let must = suite_tool ?run ?faults Toolbox.Must in
-  let contribution = suite_tool ?run ?faults Toolbox.Contribution in
+let table2 ?run () =
+  let legacy = suite_tool ?run Toolbox.Legacy in
+  let must = suite_tool ?run Toolbox.Must in
+  let contribution = suite_tool ?run Toolbox.Contribution in
   let rows =
     List.map
       (fun code ->
@@ -62,7 +62,7 @@ let table2 ?run ?faults () =
 
 type confusion_row = { tool : string; fp : int; fn : int; tp : int; tn : int; dropped : int }
 
-let table3 ?run ?faults () =
+let table3 ?run () =
   let score name tool =
     let c = Runner.score ~tool Scenario.all in
     { tool = name; fp = c.Runner.fp; fn = c.Runner.fn; tp = c.Runner.tp; tn = c.Runner.tn;
@@ -70,9 +70,9 @@ let table3 ?run ?faults () =
   in
   let rows =
     [
-      score "RMA-Analyzer" (suite_tool ?run ?faults Toolbox.Legacy);
-      score "MUST-RMA" (suite_tool ?run ?faults Toolbox.Must);
-      score "Our Contribution" (suite_tool ?run ?faults Toolbox.Contribution);
+      score "RMA-Analyzer" (suite_tool ?run Toolbox.Legacy);
+      score "MUST-RMA" (suite_tool ?run Toolbox.Must);
+      score "Our Contribution" (suite_tool ?run Toolbox.Contribution);
     ]
   in
   let t =
@@ -133,7 +133,7 @@ type table4_row = {
 
 let default_rank_sweep = [ 32; 64; 128; 256 ]
 
-let table4 ?(scale = 0.1) ?(ranks = default_rank_sweep) ?run ?faults () =
+let table4 ?(scale = 0.1) ?(ranks = default_rank_sweep) ?run () =
   let rows =
     List.concat_map
       (fun vertices_base ->
@@ -141,7 +141,7 @@ let table4 ?(scale = 0.1) ?(ranks = default_rank_sweep) ?run ?faults () =
           (fun nprocs ->
             let params = minivite_params ~scale ~vertices_base in
             let workload ~config ~observer = minivite_workload params ~nprocs ~config ~observer in
-            let measure = Harness.measure ~nprocs ~config:perf_config ?run ?faults ~workload in
+            let measure = Harness.measure ~nprocs ~config:perf_config ?run ~workload in
             let legacy = measure Toolbox.Legacy in
             let contribution = measure Toolbox.Contribution in
             let nl = legacy.Harness.nodes_final and nc = contribution.Harness.nodes_final in
@@ -299,7 +299,7 @@ let fig8 () =
 (* Figure 9                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let fig9 ?run ?faults () =
+let fig9 ?run () =
   let nprocs = 4 in
   let params =
     {
@@ -308,7 +308,7 @@ let fig9 ?run ?faults () =
     }
   in
   let tool =
-    Harness.make_tool ?run ?faults Toolbox.Contribution ~nprocs ~config:Mpi_sim.Config.default
+    Harness.make_tool ?run Toolbox.Contribution ~nprocs ~config:Mpi_sim.Config.default
   in
   let _ = Minivite.Louvain.run params ~nprocs ~observer:tool.Tool.observer () in
   let buf = Buffer.create 512 in
@@ -366,7 +366,7 @@ let cell_reports r =
   in
   if r.degraded > 0 then Printf.sprintf "%s [degraded:%d]" base r.degraded else base
 
-let fig10 ?(nprocs = 12) ?(repeats = 2) ?run ?faults () =
+let fig10 ?(nprocs = 12) ?(repeats = 2) ?run () =
   let params = Cfd_proxy.Halo.default_params in
   let workload ~config ~observer =
     let result, _ = Cfd_proxy.Halo.run params ~nprocs ~config ?observer () in
@@ -380,7 +380,7 @@ let fig10 ?(nprocs = 12) ?(repeats = 2) ?run ?faults () =
         let runs =
           List.init (max 1 repeats) (fun _ ->
               perf_row_of_metrics
-                (Harness.measure ~nprocs ~config:perf_config ?run ?faults ~workload kind))
+                (Harness.measure ~nprocs ~config:perf_config ?run ~workload kind))
         in
         List.fold_left
           (fun best r -> if r.epoch_time < best.epoch_time then r else best)
@@ -412,8 +412,7 @@ let fig10 ?(nprocs = 12) ?(repeats = 2) ?run ?faults () =
   in
   (rows, Table.render t ^ "\n" ^ chart)
 
-let minivite_figure ~figure ~vertices_base ?(scale = 0.1) ?(ranks = default_rank_sweep) ?run
-    ?faults () =
+let minivite_figure ~figure ~vertices_base ?(scale = 0.1) ?(ranks = default_rank_sweep) ?run () =
   let rows =
     List.concat_map
       (fun nprocs ->
@@ -422,7 +421,7 @@ let minivite_figure ~figure ~vertices_base ?(scale = 0.1) ?(ranks = default_rank
         List.map
           (fun kind ->
             perf_row_of_metrics
-              (Harness.measure ~nprocs ~config:perf_config ?run ?faults ~workload kind))
+              (Harness.measure ~nprocs ~config:perf_config ?run ~workload kind))
           Harness.all_paper_tools)
       ranks
   in
@@ -465,111 +464,11 @@ let minivite_figure ~figure ~vertices_base ?(scale = 0.1) ?(ranks = default_rank
   in
   (rows, Table.render t ^ "\n" ^ chart)
 
-let fig11 ?scale ?ranks ?run ?faults () =
-  minivite_figure ~figure:11 ~vertices_base:640_000 ?scale ?ranks ?run ?faults ()
+let fig11 ?scale ?ranks ?run () =
+  minivite_figure ~figure:11 ~vertices_base:640_000 ?scale ?ranks ?run ()
 
-let fig12 ?scale ?ranks ?run ?faults () =
-  minivite_figure ~figure:12 ~vertices_base:1_280_000 ?scale ?ranks ?run ?faults ()
-
-(* ------------------------------------------------------------------ *)
-(* Parallel sharded engine                                              *)
-(* ------------------------------------------------------------------ *)
-
-type par_row = {
-  p_jobs : int;
-  p_epoch_time : float;
-  p_exec_time : float;
-  p_wall : float;
-  p_races : int;
-  p_nodes : int;
-  p_speedup : float;
-  p_critical_path : float;
-}
-
-let par ?(scale = 0.02) ?(nprocs = 8) ?(jobs = [ 1; 2; 4 ]) ?(run = Rma_config.Run_config.default)
-    ?faults () =
-  let params = minivite_params ~scale ~vertices_base:640_000 in
-  let workload ~config ~observer = minivite_workload params ~nprocs ~config ~observer in
-  (* A heavier analysis tax than [perf_config]'s: at scale 2.0 the fixed
-     protocol cost of the workload (~0.31 s of simulated epoch time)
-     drowns the analysis share (~0.05 s), so no amount of shard
-     parallelism can move the total by more than ~15%. Amdahl applies
-     to the model as much as to real machines; both the sequential and
-     the sharded leg pay the same scale, so the comparison stays fair. *)
-  let par_config =
-    { perf_config with Mpi_sim.Config.analysis_overhead_scale = 24.0 }
-  in
-  let measures =
-    List.map
-      (fun j ->
-        let run = { run with Rma_config.Run_config.jobs = j } in
-        (j, Harness.measure ~nprocs ~config:par_config ~run ?faults ~workload Toolbox.Contribution))
-      jobs
-  in
-  (* The engine's whole claim is byte-identical analysis: any divergence
-     in verdicts or tree population across shard counts is a bug, not a
-     data point. *)
-  (match measures with
-  | (_, base) :: rest ->
-      List.iter
-        (fun (j, m) ->
-          if
-            m.Harness.races <> base.Harness.races
-            || m.Harness.nodes_final <> base.Harness.nodes_final
-            || m.Harness.inserts <> base.Harness.inserts
-          then
-            failwith
-              (Printf.sprintf
-                 "Experiments.par: jobs=%d diverged from jobs=%d (races %d vs %d, nodes %d vs %d, \
-                  inserts %d vs %d)"
-                 j (List.hd jobs) m.Harness.races base.Harness.races m.Harness.nodes_final
-                 base.Harness.nodes_final m.Harness.inserts base.Harness.inserts))
-        rest
-  | [] -> ());
-  let base_epoch =
-    match measures with (_, m) :: _ -> m.Harness.epoch_time_mean | [] -> 0.0
-  in
-  let rows =
-    List.map
-      (fun (j, (m : Harness.metrics)) ->
-        {
-          p_jobs = j;
-          p_epoch_time = m.Harness.epoch_time_mean;
-          p_exec_time = m.Harness.makespan;
-          p_wall = m.Harness.wall_seconds;
-          p_races = m.Harness.races;
-          p_nodes = m.Harness.nodes_final;
-          p_speedup = (if m.Harness.epoch_time_mean > 0.0 then base_epoch /. m.Harness.epoch_time_mean else 1.0);
-          p_critical_path = m.Harness.critical_path_seconds;
-        })
-      measures
-  in
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Parallel sharded engine — MiniVite (%d vertices, %d ranks), Our Contribution: \
-            simulated epoch time under the critical-path cost model vs shard count (verdicts \
-            asserted identical)"
-           params.Minivite.Louvain.graph.Minivite.Graph.n_vertices nprocs)
-      ~columns:
-        [ ("Jobs", Table.Right); ("Epoch time (s)", Table.Right); ("Exec time (ms)", Table.Right);
-          ("Speedup", Table.Right); ("Reports", Table.Right); ("BST nodes", Table.Right);
-          ("Wall (s)", Table.Right); ("Crit path (ms)", Table.Right) ]
-      ()
-  in
-  List.iter
-    (fun r ->
-      Table.add_row t
-        [
-          string_of_int r.p_jobs; Table.cell_float ~decimals:4 r.p_epoch_time;
-          Table.cell_float ~decimals:1 (r.p_exec_time *. 1000.0);
-          Printf.sprintf "%.2fx" r.p_speedup; string_of_int r.p_races; string_of_int r.p_nodes;
-          Table.cell_float ~decimals:2 r.p_wall;
-          Table.cell_float ~decimals:3 (r.p_critical_path *. 1000.0);
-        ])
-    rows;
-  (rows, Table.render t)
+let fig12 ?scale ?ranks ?run () =
+  minivite_figure ~figure:12 ~vertices_base:1_280_000 ?scale ?ranks ?run ()
 
 (* ------------------------------------------------------------------ *)
 (* Ablations                                                            *)
@@ -577,7 +476,7 @@ let par ?(scale = 0.02) ?(nprocs = 8) ?(jobs = [ 1; 2; 4 ]) ?(run = Rma_config.R
 
 type ablation_row = { variant : string; nodes : int; races : int; wall : float }
 
-let ablation ?run ?faults () =
+let ablation ?run () =
   (* (1) Code 2 loop under the three store variants: merging is what
      keeps the tree small; (2) the order-blind rule re-creates the
      legacy false positives on the suite. *)
@@ -622,7 +521,7 @@ let ablation ?run ?faults () =
        ])
   in
   let suite_variant name kind =
-    let tool = suite_tool ?run ?faults kind in
+    let tool = suite_tool ?run kind in
     let t0 = Rma_util.Timer.now () in
     let c = Runner.score ~tool Scenario.all in
     let wall = Rma_util.Timer.now () -. t0 in
@@ -654,7 +553,7 @@ let ablation ?run ?faults () =
 (* CSV export                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let export ~dir ?scale ?ranks ?run ?faults experiments =
+let export ~dir ?scale ?ranks ?run experiments =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let path name = Filename.concat dir (name ^ ".csv") in
   let b = string_of_bool in
@@ -662,12 +561,12 @@ let export ~dir ?scale ?ranks ?run ?faults experiments =
     (fun experiment ->
       match experiment with
       | "table2" ->
-          let rows, _ = table2 ?run ?faults () in
+          let rows, _ = table2 ?run () in
           Csv.write ~path:(path "table2")
             ~header:[ "code"; "rma_analyzer"; "must_rma"; "contribution" ]
             (List.map (fun r -> [ r.code; b r.legacy; b r.must; b r.contribution ]) rows)
       | "table3" ->
-          let rows, _ = table3 ?run ?faults () in
+          let rows, _ = table3 ?run () in
           Csv.write ~path:(path "table3")
             ~header:[ "tool"; "fp"; "fn"; "tp"; "tn"; "dropped_reports" ]
             (List.map
@@ -676,7 +575,7 @@ let export ~dir ?scale ?ranks ?run ?faults experiments =
                    string_of_int r.tn; string_of_int r.dropped ])
                rows)
       | "table4" ->
-          let rows, _ = table4 ?scale ?ranks ?run ?faults () in
+          let rows, _ = table4 ?scale ?ranks ?run () in
           Csv.write ~path:(path "table4")
             ~header:
               [ "ranks"; "vertices"; "legacy_nodes"; "contribution_nodes"; "legacy_peak";
@@ -690,9 +589,9 @@ let export ~dir ?scale ?ranks ?run ?faults experiments =
       | "fig10" | "fig11" | "fig12" ->
           let rows, _ =
             match experiment with
-            | "fig10" -> fig10 ?run ?faults ()
-            | "fig11" -> fig11 ?scale ?ranks ?run ?faults ()
-            | _ -> fig12 ?scale ?ranks ?run ?faults ()
+            | "fig10" -> fig10 ?run ()
+            | "fig11" -> fig11 ?scale ?ranks ?run ()
+            | _ -> fig12 ?scale ?ranks ?run ()
           in
           Csv.write ~path:(path experiment)
             ~header:
@@ -704,21 +603,8 @@ let export ~dir ?scale ?ranks ?run ?faults experiments =
                    Printf.sprintf "%.6f" r.exec_time; string_of_int r.nodes;
                    string_of_int r.nodes_peak; string_of_int r.races; string_of_int r.dropped ])
                rows)
-      | "par" ->
-          let rows, _ = par ?scale ?run ?faults () in
-          Csv.write ~path:(path "par")
-            ~header:
-              [ "jobs"; "epoch_time_s"; "exec_time_s"; "speedup"; "reports"; "nodes"; "wall_s";
-                "critical_path_s" ]
-            (List.map
-               (fun (r : par_row) ->
-                 [ string_of_int r.p_jobs; Printf.sprintf "%.6f" r.p_epoch_time;
-                   Printf.sprintf "%.6f" r.p_exec_time; Printf.sprintf "%.3f" r.p_speedup;
-                   string_of_int r.p_races; string_of_int r.p_nodes;
-                   Printf.sprintf "%.6f" r.p_wall; Printf.sprintf "%.6f" r.p_critical_path ])
-               rows)
       | "ablation" ->
-          let rows, _ = ablation ?run ?faults () in
+          let rows, _ = ablation ?run () in
           Csv.write ~path:(path "ablation")
             ~header:[ "variant"; "nodes"; "false_positives"; "wall_s" ]
             (List.map

@@ -7,16 +7,15 @@
     [~scale:1.0] for paper-size runs.
 
     The experiments that build detectors take the run's configuration
-    and fault schedule ([?run], default
-    {!Rma_config.Run_config.default}; [?faults]) and hand them to every
-    tool they create ({!Harness.make_tool}); [par] overrides only the
-    shard count. The store-level figures ({!fig5}, {!fig8} and the
-    store loops of {!ablation}) measure bare, unbounded stores. *)
+    ([?run], default {!Rma_config.Run_config.default}) and hand it to
+    every tool they create ({!Harness.make_tool}). The store-level
+    figures ({!fig5}, {!fig8} and the store loops of {!ablation})
+    measure bare, unbounded stores. *)
 
 type verdict_row = { code : string; legacy : bool; must : bool; contribution : bool }
 
 val table2 :
-  ?run:Rma_config.Run_config.t -> ?faults:Rma_fault.t -> unit -> verdict_row list * string
+  ?run:Rma_config.Run_config.t -> unit -> verdict_row list * string
 (** Verdicts of the three tools on the four §5.2 example codes. *)
 
 type confusion_row = {
@@ -29,7 +28,7 @@ type confusion_row = {
 }
 
 val table3 :
-  ?run:Rma_config.Run_config.t -> ?faults:Rma_fault.t -> unit -> confusion_row list * string
+  ?run:Rma_config.Run_config.t -> unit -> confusion_row list * string
 (** Confusion matrices over the full 154-code suite. *)
 
 type table4_row = {
@@ -43,8 +42,8 @@ type table4_row = {
 }
 
 val table4 :
-  ?scale:float -> ?ranks:int list -> ?run:Rma_config.Run_config.t -> ?faults:Rma_fault.t ->
-  unit -> table4_row list * string
+  ?scale:float -> ?ranks:int list -> ?run:Rma_config.Run_config.t -> unit ->
+  table4_row list * string
 (** MiniVite BST node counts, 32–256 ranks, two input sizes
     (scale × 640 000 and scale × 1 280 000 vertices). *)
 
@@ -62,7 +61,7 @@ val fig8 : unit -> fig8_result * string
 (** Code 2: the 1000-iteration Get loop — node explosion versus merged
     tree, plus the verdict on the trailing duplicated Get. *)
 
-val fig9 : ?run:Rma_config.Run_config.t -> ?faults:Rma_fault.t -> unit -> string
+val fig9 : ?run:Rma_config.Run_config.t -> unit -> string
 (** The MiniVite fault injection and the report our tool prints. *)
 
 type perf_row = {
@@ -81,60 +80,32 @@ type perf_row = {
 }
 
 val fig10 :
-  ?nprocs:int -> ?repeats:int -> ?run:Rma_config.Run_config.t -> ?faults:Rma_fault.t ->
-  unit -> perf_row list * string
+  ?nprocs:int -> ?repeats:int -> ?run:Rma_config.Run_config.t -> unit ->
+  perf_row list * string
 (** CFD-Proxy cumulative epoch time, 12 ranks, 50 iterations, the four
     methods; includes the 90k-to-dozens node collapse. *)
 
 val fig11 :
-  ?scale:float -> ?ranks:int list -> ?run:Rma_config.Run_config.t -> ?faults:Rma_fault.t ->
-  unit -> perf_row list * string
+  ?scale:float -> ?ranks:int list -> ?run:Rma_config.Run_config.t -> unit ->
+  perf_row list * string
 (** MiniVite execution time, 32–256 ranks, scale × 640 000 vertices. *)
 
 val fig12 :
-  ?scale:float -> ?ranks:int list -> ?run:Rma_config.Run_config.t -> ?faults:Rma_fault.t ->
-  unit -> perf_row list * string
+  ?scale:float -> ?ranks:int list -> ?run:Rma_config.Run_config.t -> unit ->
+  perf_row list * string
 (** Same with scale × 1 280 000 vertices. *)
-
-type par_row = {
-  p_jobs : int;
-  p_epoch_time : float;  (** Mean simulated per-rank epoch time (s). *)
-  p_exec_time : float;  (** Simulated makespan (s). *)
-  p_wall : float;
-  p_races : int;
-  p_nodes : int;
-  p_speedup : float;  (** Epoch-time speedup relative to the first jobs value. *)
-  p_critical_path : float;
-      (** Wall seconds of accumulated {!Rma_par} critical path — the
-          longest shard chain plus barrier overhead per epoch
-          (DESIGN.md §13). The number that explains the speedup ceiling:
-          overhead-dominated epochs cannot parallelise. *)
-}
-
-val par :
-  ?scale:float -> ?nprocs:int -> ?jobs:int list -> ?run:Rma_config.Run_config.t ->
-  ?faults:Rma_fault.t -> unit -> par_row list * string
-(** The sharded parallel engine on MiniVite (Our Contribution,
-    scale × 640 000 vertices, default 8 ranks) at each shard count
-    (default [[1; 2; 4]]). [jobs = 1] is the sequential analyzer with
-    inline wall-time charging; [jobs > 1] runs on the {!Rma_par} engine
-    under the critical-path cost model
-    ({!Mpi_sim.Config.t.analysis_self_timed}). Raises [Failure] if any
-    shard count changes race counts, tree population or insert counts —
-    determinism is asserted, not sampled. *)
 
 type ablation_row = { variant : string; nodes : int; races : int; wall : float }
 
-val ablation :
-  ?run:Rma_config.Run_config.t -> ?faults:Rma_fault.t -> unit -> ablation_row list * string
+val ablation : ?run:Rma_config.Run_config.t -> unit -> ablation_row list * string
 (** Design-choice ablations: fragmentation without merging (node
     explosion), order-blind conflict rule (false positives back), and
     the full contribution, on the Code 2 loop and the microbenchmark
     suite. *)
 
 val export :
-  dir:string -> ?scale:float -> ?ranks:int list -> ?run:Rma_config.Run_config.t ->
-  ?faults:Rma_fault.t -> string list -> unit
+  dir:string -> ?scale:float -> ?ranks:int list -> ?run:Rma_config.Run_config.t -> string list ->
+  unit
 (** [export ~dir experiments] regenerates the named experiments
     ("table2" ... "fig12", "ablation") and writes one CSV per experiment
     into [dir] (created if missing), plus the generated C sources of the

@@ -3,9 +3,10 @@ module Run_config = Rma_config.Run_config
 
 let all_paper_tools = Toolbox.[ Baseline; Legacy; Must; Contribution ]
 
-let make_tool ?(run = Run_config.default) ?faults kind ~nprocs ~config =
-  Toolbox.make kind ~nprocs ~config ~jobs:run.Run_config.jobs
-    ?budget:run.Run_config.budget ~predictive:run.Run_config.predictive ?faults ()
+let make_tool ?(run = Run_config.default) kind ~nprocs ~config =
+  Toolbox.make kind ~nprocs ~config ?budget:run.Run_config.budget
+    ~predictive:run.Run_config.predictive ()
+
 type metrics = {
   tool : string;
   nprocs : int;
@@ -23,21 +24,12 @@ type metrics = {
   fragments : int;
   merges : int;
   accesses : int;
-  critical_path_seconds : float;
 }
 
-let measure ~nprocs ?(config = Mpi_sim.Config.default) ?(run = Run_config.default) ?faults
-    ~workload kind =
-  (* Tools that ignore [jobs] (Baseline, MUST) keep inline charging. *)
-  let config =
-    match kind with Toolbox.Baseline | Must -> config | _ -> Run_config.sim_config run config
-  in
-  let tool = make_tool ~run ?faults kind ~nprocs ~config in
+let measure ~nprocs ?(config = Mpi_sim.Config.default) ?(run = Run_config.default) ~workload kind
+    =
+  let tool = make_tool ~run kind ~nprocs ~config in
   let observer = match kind with Toolbox.Baseline -> None | _ -> Some tool.Tool.observer in
-  (* Critical path by delta of the process-wide accumulator: the tool
-     creates its engines internally, so this is the only seam that sees
-     them all. *)
-  let crit0 = Rma_par.critical_path_total () in
   (* The measurement IS the span: the wall time reported in tables and
      the one exported to the Chrome trace come from the same
      Obs.time_span reading, so they cannot disagree. *)
@@ -69,5 +61,4 @@ let measure ~nprocs ?(config = Mpi_sim.Config.default) ?(run = Run_config.defaul
     fragments = b.Tool.fragments_total;
     merges = b.Tool.merges_total;
     accesses = result.Mpi_sim.Runtime.accesses_emitted;
-    critical_path_seconds = Rma_par.critical_path_total () -. crit0;
   }

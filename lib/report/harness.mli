@@ -8,16 +8,14 @@ val all_paper_tools : Rma_analysis.Toolbox.kind list
 
 val make_tool :
   ?run:Rma_config.Run_config.t ->
-  ?faults:Rma_fault.t ->
   Rma_analysis.Toolbox.kind ->
   nprocs:int ->
   config:Mpi_sim.Config.t ->
   Rma_analysis.Tool.t
 (** A detector in [Collect] mode (complete runs, like the paper's
-    performance experiments) with [run]'s shard count, budget and
-    predictive mode (default {!Rma_config.Run_config.default}) and the
-    run's fault schedule [faults]. The CLI, the bench and the journal
-    replay build their detectors here too. *)
+    performance experiments) with [run]'s budget and predictive mode
+    (default {!Rma_config.Run_config.default}). The CLI, the bench, the
+    daemon and the journal replay build their detectors here too. *)
 
 type metrics = {
   tool : string;
@@ -44,29 +42,17 @@ type metrics = {
   fragments : int;
   merges : int;
   accesses : int;  (** Instrumented accesses emitted by the run. *)
-  critical_path_seconds : float;
-      (** Accumulated {!Rma_par} critical path over the run (longest
-          shard chain + barrier overhead per epoch, DESIGN.md §13);
-          0 for sequential tools. *)
 }
 
 val measure :
   nprocs:int ->
   ?config:Mpi_sim.Config.t ->
   ?run:Rma_config.Run_config.t ->
-  ?faults:Rma_fault.t ->
   workload:
     (config:Mpi_sim.Config.t -> observer:Mpi_sim.Event.observer option -> Mpi_sim.Runtime.result) ->
   Rma_analysis.Toolbox.kind ->
   metrics
 (** Runs the workload once under the given tool and collects metrics.
     The workload receives [None] for the baseline so it costs exactly
-    nothing, and must run its simulation under the config it is given —
-    [measure] owns the config so tool-dependent switches (the
-    self-timing flip below) reach the runtime's cost charging. The tool
-    is {!make_tool}'s. A [run] with [jobs > 1] runs analyzer-family
-    tools on the sharded {!Rma_par} engine and switches the config to
-    [analysis_self_timed] ({!Rma_config.Run_config.sim_config}) so
-    detector cost is charged by the engine's critical-path model
-    instead of inline wall time — the bench [par] experiment's
-    epoch-time comparison. *)
+    nothing, and must run its simulation under the config it is given.
+    The tool is {!make_tool}'s. *)

@@ -1,18 +1,13 @@
 module Events = Rma_obs.Events
-module Obs = Rma_obs.Obs
-module Journal = Rma_obs.Journal
 module Tool = Rma_analysis.Tool
 module Toolbox = Rma_analysis.Toolbox
 module Run_config = Rma_config.Run_config
-
-type crash = { c_site : string; c_ordinal : int; c_seed : int }
 
 type plan = {
   r_run_id : string;
   r_workload : string;
   r_params : (string * string) list;
   r_config : Run_config.t;
-  r_crashes : crash list;
   r_races : int option;
   r_digest : string option;
 }
@@ -21,23 +16,6 @@ let ( let* ) = Result.bind
 let kv_find k e = List.assoc_opt k e.Events.kv
 let is_event name e = kv_find "event" e = Some name
 
-(* A crash record missing its coordinates (hand-edited journal) is
-   dropped rather than invented: the sequence comparison will then fail
-   loudly instead of matching against a guess. *)
-let crashes_of_events events =
-  List.filter_map
-    (fun e ->
-      if is_event "worker_crash" e then
-        match (kv_find "site" e, Option.bind (kv_find "ordinal" e) int_of_string_opt) with
-        | Some site, Some ord ->
-            let seed =
-              Option.value ~default:0 (Option.bind (kv_find "seed" e) int_of_string_opt)
-            in
-            Some { c_site = site; c_ordinal = ord; c_seed = seed }
-        | _ -> None
-      else None)
-    events
-
 let extract events =
   match List.find_opt (fun e -> e.Events.component = "diag" && is_event "run_start" e) events with
   | None ->
@@ -45,7 +23,10 @@ let extract events =
         "journal has no run_start record — not a diagnosed single-workload run, or truncated \
          before the header landed"
   | Some start -> (
-      let reserved = "event" :: "workload" :: Run_config.keys in
+      (* A run_start written while the analyzer still had a sharded
+         engine carries a [jobs] key: neither a setting nor a workload
+         parameter any more. *)
+      let reserved = "event" :: "workload" :: "jobs" :: Run_config.keys in
       match (kv_find "workload" start, Run_config.of_fields start.Events.kv) with
       | None, _ -> Error "run_start record lacks a workload name"
       | _, Error msg -> Error ("run_start record: " ^ msg)
@@ -60,43 +41,29 @@ let extract events =
               r_params =
                 List.filter (fun (k, _) -> not (List.mem k reserved)) start.Events.kv;
               r_config = config;
-              r_crashes = crashes_of_events events;
               r_races = Option.bind summary (fun e -> Option.bind (kv_find "races" e) int_of_string_opt);
               r_digest = Option.bind summary (kv_find "digest");
             })
 
 let describe p =
-  let plural n = if n = 1 then "" else "es" in
   let c = p.r_config in
-  Printf.sprintf
-    "replay of run %s: workload %s%s, jobs %d%s, fault %s, budget %s\noriginal run: %d worker \
-     crash%s, %s\n"
+  Printf.sprintf "replay of run %s: workload %s%s%s, fault %s, budget %s\noriginal run: %s\n"
     p.r_run_id p.r_workload
     (match p.r_params with
     | [] -> ""
     | ps -> " (" ^ String.concat ", " (List.map (fun (k, v) -> k ^ "=" ^ v) ps) ^ ")")
-    c.Run_config.jobs
     (if c.Run_config.predictive then ", predictive" else "")
     (Option.fold ~none:"none" ~some:Rma_fault.Plan.to_spec c.Run_config.fault)
     (Option.fold ~none:"none" ~some:Rma_fault.Budget.to_spec c.Run_config.budget)
-    (List.length p.r_crashes)
-    (plural (List.length p.r_crashes))
     (match (p.r_races, p.r_digest) with
     | Some n, Some d -> Printf.sprintf "%d race report%s, digest %s" n (if n = 1 then "" else "s") d
     | _ -> "no run_summary (the run did not finish)")
 
-type outcome = {
-  o_races : int;
-  o_digest : string;
-  o_crashes : crash list;
-  o_digest_match : bool option;
-  o_crash_match : bool;
-}
+type outcome = { o_races : int; o_digest : string; o_match : bool option }
 
 (* Mirror of the CLI's tool construction: every diagnosed workload run
    is built from the same base config (overhead scale 2.0, Figure 10's
-   operating point) and the journaled run configuration, with one fresh
-   fault schedule for the whole re-run. *)
+   operating point) and the journaled run configuration. *)
 let build_thunk p =
   let run = p.r_config in
   let param k = List.assoc_opt k p.r_params in
@@ -116,12 +83,8 @@ let build_thunk p =
         | Some k -> Ok k
         | None -> Error (Printf.sprintf "run_start names unknown tool %S" s))
   in
-  let config =
-    Run_config.sim_config run
-      { Mpi_sim.Config.default with Mpi_sim.Config.analysis_overhead_scale = 2.0 }
-  in
-  let faults = Run_config.faults run in
-  let make_tool ~nprocs = Harness.make_tool ~run ?faults tool_kind ~nprocs ~config in
+  let config = { Mpi_sim.Config.default with Mpi_sim.Config.analysis_overhead_scale = 2.0 } in
+  let make_tool ~nprocs = Harness.make_tool ~run tool_kind ~nprocs ~config in
   let observer tool =
     match tool_kind with Toolbox.Baseline -> None | _ -> Some tool.Tool.observer
   in
@@ -181,43 +144,18 @@ let renumber reports =
       { r with Report.provenance = { r.Report.provenance with Report.id = i + 1 } })
     reports
 
-let coordinates crashes = List.map (fun c -> (c.c_site, c.c_ordinal)) crashes
-
 let run p =
   let* thunk = build_thunk p in
-  (* The re-run journals to a throwaway sink so its crash coordinates
-     can be read back with the same reader the analytics use. The
-     journal sink and level are process-wide and restored on the way
-     out; an already-open sink is closed (not truncated by re-opening),
-     so replay and [--obs-events] do not compose in one process. *)
-  let prev_level = Events.level () in
-  let was_enabled = Obs.is_enabled () in
-  let tmp = Filename.temp_file "rma_replay" ".jsonl" in
-  let restore () =
-    Events.close ();
-    Events.set_level prev_level;
-    if not was_enabled then Obs.disable ();
-    try Sys.remove tmp with Sys_error _ -> ()
+  let reports = renumber (thunk ()) in
+  let races = List.length reports and digest = Race_export.verdict_digest reports in
+  let o_match =
+    match (p.r_races, p.r_digest) with
+    | Some n, Some d -> Some (Int.equal n races && String.equal d digest)
+    | _ -> None
   in
-  Fun.protect ~finally:restore (fun () ->
-      Obs.enable ();
-      Events.set_level Events.Info;
-      Events.set_sink tmp;
-      let reports = renumber (thunk ()) in
-      Events.close ();
-      let crashes = crashes_of_events (Journal.read_file tmp).Journal.events in
-      let digest = Race_export.verdict_digest reports in
-      Ok
-        {
-          o_races = List.length reports;
-          o_digest = digest;
-          o_crashes = crashes;
-          o_digest_match = Option.map (String.equal digest) p.r_digest;
-          o_crash_match = coordinates crashes = coordinates p.r_crashes;
-        })
+  Ok { o_races = races; o_digest = digest; o_match }
 
-let verdict _p o =
-  o.o_crash_match && match o.o_digest_match with Some ok -> ok | None -> true
+let verdict o = Option.value o.o_match ~default:true
 
 let render p o =
   let b = Buffer.create 512 in
@@ -225,14 +163,13 @@ let render p o =
   Printf.bprintf b "re-run: %d race report%s, digest %s\n" o.o_races
     (if o.o_races = 1 then "" else "s")
     o.o_digest;
-  Printf.bprintf b "crashes: %s (%d replayed vs %d journaled)\n"
-    (if o.o_crash_match then "match" else "MISMATCH")
-    (List.length o.o_crashes) (List.length p.r_crashes);
-  (match o.o_digest_match with
+  (match o.o_match with
   | Some true -> Printf.bprintf b "verdicts: byte-identical\n"
   | Some false ->
-      Printf.bprintf b "verdicts: MISMATCH — journal recorded %s\n"
+      Printf.bprintf b "verdicts: MISMATCH — journal recorded %s race report%s, digest %s\n"
+        (Option.fold ~none:"?" ~some:string_of_int p.r_races)
+        (if p.r_races = Some 1 then "" else "s")
         (Option.value ~default:"?" p.r_digest)
   | None -> Printf.bprintf b "verdicts: original run recorded no run_summary; nothing to compare\n");
-  Buffer.add_string b (if verdict p o then "REPLAY OK\n" else "REPLAY MISMATCH\n");
+  Buffer.add_string b (if verdict o then "REPLAY OK\n" else "REPLAY MISMATCH\n");
   Buffer.contents b

@@ -236,13 +236,10 @@ and send t (s : Session.t) line =
 
 and admit t (s : Session.t) (h : Protocol.hello) =
   s.Session.run_id <- Printf.sprintf "%s-s%d" t.daemon_run_id s.Session.id;
-  (* The tool owns the session's fault schedule, starting at ordinal 0:
-     no other session draws from it. *)
-  let run = h.Protocol.run in
   s.Session.tool <-
     Some
-      (Rma_report.Harness.make_tool ~run ?faults:(Run_config.faults run) h.Protocol.tool
-         ~nprocs:h.Protocol.nprocs ~config:Mpi_sim.Config.default);
+      (Rma_report.Harness.make_tool ~run:h.Protocol.run h.Protocol.tool ~nprocs:h.Protocol.nprocs
+         ~config:Mpi_sim.Config.default);
   if s.Session.phase = Session.Queued then Atomic.decr t.g_queued;
   s.Session.phase <- Session.Streaming;
   Atomic.incr t.g_active;
@@ -295,38 +292,34 @@ and on_hello t (s : Session.t) line =
           close_session t s Session.Shed
         end
 
-(* A read of a sharded tool is a barrier, so a session reads its races
-   only where the analyzer has just run one, at each Epoch_closed (the
-   read's own barrier then has nothing to wait for and is skipped), and
-   at the footer. Those points depend only on the trace, never on how
-   its bytes were split across reads, so a session's fault schedule is
-   the same alone or interleaved. *)
+(* A session reads its races at each Epoch_closed and at the footer:
+   points that depend only on the trace, never on how its bytes were
+   split across reads. *)
 and flush_races t (s : Session.t) tool =
   (* race_count is a cheap int; only rebuild the stored list when it
      moved (it also moves for reports dropped past the tool's cap, in
      which case the stored list is simply unchanged). *)
-  match Ingest.race_count tool with
-  | Error reason -> reject t s reason
-  | Ok rc when rc <> s.Session.last_race_count ->
-      s.Session.last_race_count <- rc;
-      let stored = tool.Tool.races () in
-      let n = List.length stored in
-      if n > s.Session.races_streamed then begin
-        let fresh = drop s.Session.races_streamed stored in
-        List.iteri
-          (fun i r ->
-            if Session.is_open s then begin
-              (* Stream order is final order (the stored list is
-                 chronological and append-only), so the 1-based stream
-                 index is exactly the id the offline export's
-                 renumbering would assign. *)
-              let r = with_id (s.Session.races_streamed + i + 1) r in
-              if send t s (Protocol.race r) then Atomic.incr t.c_races
-            end)
-          fresh;
-        s.Session.races_streamed <- n
-      end
-  | Ok _ -> ()
+  let rc = tool.Tool.race_count () in
+  if not (Int.equal rc s.Session.last_race_count) then begin
+    s.Session.last_race_count <- rc;
+    let stored = tool.Tool.races () in
+    let n = List.length stored in
+    if n > s.Session.races_streamed then begin
+      let fresh = drop s.Session.races_streamed stored in
+      List.iteri
+        (fun i r ->
+          if Session.is_open s then begin
+            (* Stream order is final order (the stored list is
+               chronological and append-only), so the 1-based stream
+               index is exactly the id the offline export's
+               renumbering would assign. *)
+            let r = with_id (s.Session.races_streamed + i + 1) r in
+            if send t s (Protocol.race r) then Atomic.incr t.c_races
+          end)
+        fresh;
+      s.Session.races_streamed <- n
+    end
+  end
 
 and finish_session t (s : Session.t) tool n_events =
   flush_races t s tool;
@@ -485,8 +478,7 @@ let create ?(config = default_config) ?(run = Run_config.default) () =
   let t =
     {
       cfg = config;
-      (* A session's fault plan comes from its own hello only. *)
-      session_base = { run with Run_config.fault = None };
+      session_base = run;
       lsock;
       bound;
       daemon_run_id = Events.run_id ();

@@ -5,20 +5,16 @@
     serviced round-robin from a rotating offset (fairness), decoding
     Codec streams incrementally, driving each session's detector, and
     streaming {!Protocol} verdict lines back. Single-threadedness is
-    load-bearing: fault draws, the {!Rma_obs.Obs} registry and
-    {!Rma_par} submission are all caller-thread disciplines, and one
-    loop thread satisfies them for every session at once. Worker domains still parallelise the analysis itself —
-    sessions that ask for [jobs > 1] shard their stores over the shared
-    process-global {!Rma_par} pool, which is reused across sessions and
-    never grows past the largest request ({!Rma_par.pool_size}).
+    load-bearing: the detectors and the {!Rma_obs.Obs} registry are
+    caller-thread disciplines, and one loop thread satisfies them for
+    every session at once.
 
     {b Isolation.} Each admitted session builds its own run
     configuration from its hello and gets its own detector tool
-    (stores, budget, shard engine and a {!Rma_fault.t} schedule of its
-    own) and its own run_id (["<daemon>-s<n>"], labelling journal
-    records and the session's [rma_session_info] series). No fault state is shared, so interleaving
-    sessions cannot perturb each other's deterministic fault ordinals
-    (DESIGN.md §20). Verdicts are
+    (stores and budget of its own) and its own run_id
+    (["<daemon>-s<n>"], labelling journal records and the session's
+    [rma_session_info] series), so interleaving sessions cannot perturb
+    each other (DESIGN.md §20). Verdicts are
     byte-identical to the offline [analyze] path by construction — the
     same tool, fed the same events in the same order, with races
     renumbered to stream order exactly as the offline export renumbers.
@@ -32,12 +28,10 @@
     handshake.
 
     {b Churn.} A session may disconnect at any point, including
-    mid-epoch; its tool (with its fault schedule) and socket are
-    released and a
-    queued session is promoted. Nothing session-scoped survives the
-    close — a [/metrics] scrape with no [state="active"] series and
-    {!Rma_par.pool_size} are the leak-check surfaces the churn test
-    pins.
+    mid-epoch; its tool and socket are released and a queued session
+    is promoted. Nothing session-scoped survives the close — a
+    [/metrics] scrape with no [state="active"] series is the leak-check
+    surface the churn test pins.
 
     {b HTTP.} A connection whose first line starts with [GET ] is one
     HTTP request, answered by the loop thread and then closed:
@@ -70,9 +64,8 @@ type t
 val create : ?config:config -> ?run:Rma_config.Run_config.t -> unit -> t
 (** Bind and listen (raising [Unix.Unix_error] if the address is
     taken), ignore SIGPIPE, and journal a [serve_start] record. [run]
-    (default {!Rma_config.Run_config.default}) supplies the shard
-    count, predictive mode and budget of sessions whose hello omits
-    them; a session's fault plan comes from its hello only. An
+    (default {!Rma_config.Run_config.default}) supplies the
+    predictive mode and budget of sessions whose hello omits them. An
     ephemeral TCP request prints [serve-port: <port>] on stderr — the
     line scripted callers scrape. The loop
     does not run yet: call {!run} (blocking) or {!start}. *)

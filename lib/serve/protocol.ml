@@ -24,11 +24,17 @@ let config_fields j =
         | Some s -> Ok [ (name, s) ]
         | None -> Error (Printf.sprintf "ill-typed hello field %S" name))
   in
-  let* jobs = as_string "jobs" (fun v -> Option.map string_of_int (Json.to_int v)) in
+  (* Clients written for the sharded engine still send a shard count;
+     only the sequential one still means what it meant then. *)
+  let* () =
+    match Json.member "jobs" j with
+    | None | Some Json.Null | Some (Json.Int 1) -> Ok ()
+    | Some _ -> Error "hello field \"jobs\" must be 1 (the analyzer is sequential)"
+  in
   let* predictive = as_string "predictive" (fun v -> Option.map string_of_bool (Json.to_bool v)) in
   let* budget = as_string "budget" Json.to_str in
   let* fault = as_string "fault" Json.to_str in
-  Ok (jobs @ predictive @ budget @ fault)
+  Ok (predictive @ budget @ fault)
 
 let parse_hello ?(base = Run_config.default) line =
   let* j = Result.map_error (fun e -> "malformed hello: " ^ e) (Json.of_string line) in

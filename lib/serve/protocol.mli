@@ -20,13 +20,15 @@ val version : int
     detector; [nprocs] is the simulated rank count the trace was
     recorded with (required — detector state is sized before the first
     event arrives). [run] is the session's own run configuration: the
-    optional fields [jobs] (JSON int), [predictive] (bool), [budget] (a
+    optional fields [predictive] (bool), [budget] (a
     {!Rma_fault.Budget.of_spec} string) and [fault] (a
     {!Rma_fault.Plan.of_spec} string) mirror the offline CLI flags and
     are parsed by {!Rma_config.Run_config.of_fields}; an omitted one
-    keeps the daemon's default. Fields the daemon does not know are
-    ignored, so older clients that still send them are admitted
-    unchanged. *)
+    keeps the daemon's default. A session writes no trace, so its fault
+    plan injects nothing. Fields the daemon does not know are ignored,
+    so older clients that still send them are admitted unchanged; the
+    one exception is [jobs], the shard count of an older protocol,
+    which must be [1] when present. *)
 type hello = {
   session : string;
   tool : Rma_analysis.Toolbox.kind;
@@ -39,7 +41,7 @@ val parse_hello : ?base:Rma_config.Run_config.t -> string -> (hello, string) res
     [error] reply. [base] (default {!Rma_config.Run_config.default})
     supplies the fields the hello omits. Example accepted line:
     [{"hello":1,"session":"job-42","tool":"contribution","nprocs":4,
-      "budget":"4096:spill","fault":"seed=7,worker_crash=0.05"}]. *)
+      "budget":"4096:spill","predictive":true}]. *)
 
 (** {1 Server lines}
 

@@ -2,8 +2,7 @@
 
     The daemon owns every transition; this module just names the state
     machine and keeps the per-session mutable record — socket, receive
-    buffer, handshake, detector tool, incremental decoder, and the
-    session's private {!Rma_fault} schedule position.
+    buffer, handshake, detector tool and incremental decoder.
 
     {v
       Handshaking ──hello, slot free──────────────▶ Streaming
@@ -51,8 +50,8 @@ type t = {
   mutable run_id : string;  (** ["<daemon run id>-s<id>"] once admitted. *)
   mutable tool : Rma_analysis.Tool.t option;
       (** Built at admission from the hello's run configuration; owns
-          the session's stores, shard engine and fault schedule, so
-          nothing about them is shared with another session. *)
+          the session's stores, so nothing about them is shared with
+          another session. *)
   decoder : Rma_trace.Codec.Incremental.t;
   mutable races_streamed : int;
   mutable last_race_count : int;

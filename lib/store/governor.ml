@@ -78,9 +78,7 @@ let record_drops t n =
     t.drops <- t.drops + n;
     Obs.add obs_drops n;
     (* Degradation is exactly what an operator must not miss: journal
-       every batch of drops with the policy that caused it. Runs on
-       whichever domain the store insert ran on; the event carries that
-       domain's shard stamp. *)
+       every batch of drops with the policy that caused it. *)
     Rma_obs.Events.emit
       ~kv:
         [

@@ -1,17 +1,10 @@
 module Tool = Rma_analysis.Tool
 module Incremental = Codec.Incremental
 
-let exhausted msg = Error ("budget exhausted: " ^ msg)
-
 let event (tool : Tool.t) e =
   match tool.Tool.observer e with
   | _ | (exception Rma_analysis.Report.Race_abort _) -> Ok ()
-  | exception Rma_fault.Budget.Exhausted msg -> exhausted msg
-
-let race_count (tool : Tool.t) =
-  match tool.Tool.race_count () with
-  | n -> Ok n
-  | exception Rma_fault.Budget.Exhausted msg -> exhausted msg
+  | exception Rma_fault.Budget.Exhausted msg -> Error ("budget exhausted: " ^ msg)
 
 let line tool dec l =
   match Incremental.feed dec l with
@@ -39,5 +32,4 @@ let file ?nprocs ~make_tool path =
   let nprocs = match nprocs with Some n -> Ok n | None -> ranks path in
   Result.bind nprocs (fun nprocs ->
       let tool = make_tool ~nprocs in
-      Result.bind (fold_file path tool) (fun events ->
-          Result.map (fun _ -> { tool; nprocs; events }) (race_count tool)))
+      Result.map (fun events -> { tool; nprocs; events }) (fold_file path tool))

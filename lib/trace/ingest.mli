@@ -7,10 +7,6 @@ val event : Rma_analysis.Tool.t -> Mpi_sim.Event.event -> (unit, string) result
 (** Feed one event. A [Race_abort] is absorbed; a fail-fast budget's
     [Exhausted msg] is [Error "budget exhausted: msg"]. *)
 
-val race_count : Rma_analysis.Tool.t -> (int, string) result
-(** Reading it settles a sharded tool, whose workers park a budget
-    failure until the next barrier: the same [Error] as {!event}'s. *)
-
 val line :
   Rma_analysis.Tool.t -> Codec.Incremental.t -> string -> (Codec.Incremental.step, string) result
 (** Decode one line and feed its event, if any. A decoding error is its
@@ -25,6 +21,6 @@ type run = { tool : Rma_analysis.Tool.t; nprocs : int; events : int }
 val file :
   ?nprocs:int -> make_tool:(nprocs:int -> Rma_analysis.Tool.t) -> string -> (run, string) result
 (** {!ranks} unless [nprocs] is given, then {!line} over the file into
-    [make_tool ~nprocs] and {!race_count}. The first error is the
+    [make_tool ~nprocs]. The first error is the
     result, so a trace that fails after events were fed yields no
     verdicts. *)

@@ -9,7 +9,6 @@
 # experiments, fails. Timings are not gated here; perfbench owns timing.
 #
 # Usage: scripts/check_bench_counts.sh [--update] [bench flags...]
-#   scripts/check_bench_counts.sh --jobs 4     -- must match the same baseline
 #   scripts/check_bench_counts.sh --update     -- rewrite bench/counts.txt
 # Extra flags follow the defaults, so `--scale 0.05` overrides the scale.
 # DUNE overrides the dune command (e.g. DUNE="opam exec -- dune").
@@ -30,7 +29,7 @@ out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 
 $DUNE exec bench/main.exe -- --scale 0.02 --ranks 8,16 "$@" --counts "$out" \
-  table2 table3 table4 fig8 fig10 fig11 fig12 ablation par fastpath hybrid predictive serve
+  table2 table3 table4 fig8 fig10 fig11 fig12 ablation fastpath hybrid predictive serve
 
 if [ "$update" = 1 ]; then
   cp "$out" "$BASELINE"

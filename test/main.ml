@@ -17,7 +17,6 @@ let () =
       ("trace", Test_trace.suite);
       ("fuzz", Test_fuzz.suite);
       ("differential", Test_differential.suite);
-      ("par", Test_par.suite);
       ("oracle", Test_oracle.suite);
       ("memory", Test_memory.suite);
       ("obs", Test_obs.suite);

@@ -282,124 +282,11 @@ let prop_legacy_agreement =
         accesses;
       true)
 
-(* --- analyzer determinism across shard counts --- *)
-
-(* Seeded event streams straight into the observer (no runtime): random
-   interleavings of accesses on 3 ranks × 2 windows with epoch cycling
-   and flushes, some local accesses naming no window, replayed on the
-   sequential analyzer and on the sharded engine at jobs ∈ {2, 4}. The
-   engine's claim is byte-identity, so the comparison is total: race
-   count, every report (via the serialized JSON and SARIF exports, which
-   carry ids, provenance and flight-recorder histories), the Algorithm 1
-   statistics, and the full per-tree interval state. *)
-
-let par_nprocs = 3
-let par_wins = 2
-
-let decode_events raw =
-  let events = ref [] in
-  let push e = events := e :: !events in
-  for w = 0 to par_wins - 1 do
-    push
-      (Mpi_sim.Event.Win_created { win = w; rank = 0; base = 0; size = 4096; sim_time = 0.0 });
-    for r = 0 to par_nprocs - 1 do
-      push (Mpi_sim.Event.Epoch_opened { win = w; rank = r; sim_time = 0.0 })
-    done
-  done;
-  List.iteri
-    (fun i (t, lo, len, k, x) ->
-      let rank = x mod par_nprocs and win = k mod par_wins in
-      let sim_time = float_of_int (i + 1) in
-      match t mod 10 with
-      | 8 ->
-          push (Mpi_sim.Event.Epoch_closed { win; rank; sim_time });
-          push (Mpi_sim.Event.Epoch_opened { win; rank; sim_time })
-      | 9 -> push (Mpi_sim.Event.Flushed { win; rank; target = None; sim_time })
-      | _ ->
-          let kind = List.nth Access_kind.all (k mod 5) in
-          let issuer = if Access_kind.is_local kind then rank else x mod par_nprocs in
-          let a = acc ~issuer ~seq:(i + 1) ~line:(1 + (t mod 6)) ~lo ~hi:(lo + len - 1) kind in
-          (* A third of the local accesses name no window: they land in
-             every open epoch of their rank. *)
-          let win = if Access_kind.is_local kind && t / 10 mod 3 = 0 then None else Some win in
-          push
-            (Mpi_sim.Event.Access
-               { space = rank; access = a; win; relevant = true; on_stack = false; sim_time }))
-    raw;
-  for w = 0 to par_wins - 1 do
-    for r = 0 to par_nprocs - 1 do
-      push (Mpi_sim.Event.Epoch_closed { win = w; rank = r; sim_time = 1e6 })
-    done;
-    push (Mpi_sim.Event.Win_freed { win = w; rank = 0; sim_time = 1e6 })
-  done;
-  List.rev !events
-
-type analyzer_snapshot = {
-  s_count : int;
-  s_summary : Rma_analysis.Tool.bst_summary;
-  s_trees : ((int * Mpi_sim.Event.win_id) * Access.t list) list;
-  s_json : string;
-  s_sarif : string;
-}
-
-let analyzer_replay ~jobs events =
-  let tool, dump =
-    Rma_analysis.Rma_analyzer.create_inspectable ~nprocs:par_nprocs
-      ~mode:Rma_analysis.Tool.Collect ~jobs ~queue_capacity:4
-      Rma_analysis.Rma_analyzer.Contribution
-  in
-  List.iter (fun e -> ignore (tool.Rma_analysis.Tool.observer e)) events;
-  let races = tool.Rma_analysis.Tool.races () in
-  {
-    s_count = tool.Rma_analysis.Tool.race_count ();
-    s_summary = tool.Rma_analysis.Tool.bst_summary ();
-    s_trees = dump ();
-    s_json = Rma_util.Json.to_string (Rma_report.Race_export.to_json ~generator:"diff" races);
-    s_sarif = Rma_util.Json.to_string (Rma_report.Race_export.to_sarif ~generator:"diff" races);
-  }
-
-let check_snapshot_equal ~name reference got =
-  if got.s_count <> reference.s_count then
-    QCheck.Test.fail_reportf "%s: race count differs: jobs=1 %d, got %d" name reference.s_count
-      got.s_count;
-  if got.s_summary <> reference.s_summary then
-    QCheck.Test.fail_reportf "%s: bst_summary differs (nodes %d vs %d, inserts %d vs %d)" name
-      reference.s_summary.Rma_analysis.Tool.nodes_final_total
-      got.s_summary.Rma_analysis.Tool.nodes_final_total
-      reference.s_summary.Rma_analysis.Tool.inserts_total
-      got.s_summary.Rma_analysis.Tool.inserts_total;
-  let trees_equal =
-    List.equal
-      (fun (k1, l1) (k2, l2) -> k1 = k2 && List.equal Access.equal l1 l2)
-      reference.s_trees got.s_trees
-  in
-  if not trees_equal then
-    QCheck.Test.fail_reportf "%s: interval state differs (%d vs %d trees)" name
-      (List.length reference.s_trees) (List.length got.s_trees);
-  if not (String.equal reference.s_json got.s_json) then
-    QCheck.Test.fail_reportf "%s: JSON export not byte-identical:@.%s@.vs@.%s" name
-      reference.s_json got.s_json;
-  if not (String.equal reference.s_sarif got.s_sarif) then
-    QCheck.Test.fail_reportf "%s: SARIF export not byte-identical" name
-
-let prop_analyzer_jobs_deterministic =
-  QCheck.Test.make ~name:"differential: analyzer byte-identical at jobs 1/2/4" ~count:150
-    arb_stream (fun raw ->
-      let events = decode_events raw in
-      let reference = analyzer_replay ~jobs:1 events in
-      List.iter
-        (fun jobs ->
-          check_snapshot_equal ~name:(Printf.sprintf "jobs=%d" jobs) reference
-            (analyzer_replay ~jobs events))
-        [ 2; 4 ];
-      true)
-
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_finger_equals_slow_path;
     QCheck_alcotest.to_alcotest prop_finger_equals_slow_path_on_runs;
     QCheck_alcotest.to_alcotest prop_legacy_agreement;
-    QCheck_alcotest.to_alcotest prop_analyzer_jobs_deterministic;
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -410,40 +297,12 @@ let suite =
 module Scenario = Rma_microbench.Scenario
 module Runner = Rma_microbench.Runner
 
-let hybrid_verdict ~interleave_seed ~jobs (k : Scenario.Kernel.t) =
+let hybrid_flagged ~interleave_seed (k : Scenario.Kernel.t) =
   let tool =
     Rma_analysis.Rma_analyzer.create ~nprocs:k.Scenario.Kernel.k_nprocs
-      ~mode:Rma_analysis.Tool.Collect ~jobs
-      Rma_analysis.Rma_analyzer.Contribution
+      ~mode:Rma_analysis.Tool.Collect Rma_analysis.Rma_analyzer.Contribution
   in
-  let v = Runner.run_kernel ~interleave_seed ~tool k in
-  let reports = v.Runner.k_reports in
-  ( v.Runner.k_flagged,
-    Rma_report.Race_export.verdict_digest reports,
-    Rma_util.Json.to_string (Rma_report.Race_export.to_json ~generator:"diff" reports) )
-
-(* Same interleave seed => byte-identical verdicts, digests and JSON
-   exports whether the analyzer shards across 1, 2 or 4 workers. *)
-let test_interleave_determinism_across_jobs () =
-  List.iter
-    (fun (k : Scenario.Kernel.t) ->
-      List.iter
-        (fun interleave_seed ->
-          let reference = hybrid_verdict ~interleave_seed ~jobs:1 k in
-          List.iter
-            (fun jobs ->
-              let flagged_r, digest_r, json_r = reference in
-              let flagged, digest, json = hybrid_verdict ~interleave_seed ~jobs k in
-              let label =
-                Printf.sprintf "%s interleave=%d jobs=%d" k.Scenario.Kernel.k_name
-                  interleave_seed jobs
-              in
-              Alcotest.(check bool) (label ^ " flagged") flagged_r flagged;
-              Alcotest.(check string) (label ^ " digest") digest_r digest;
-              Alcotest.(check string) (label ^ " json") json_r json)
-            [ 2; 4 ])
-        [ 13; 29 ])
-    Scenario.Kernel.hybrid
+  (Runner.run_kernel ~interleave_seed ~tool k).Runner.k_flagged
 
 (* Ground-truth labels survive a 50-seed interleaving sweep: no hybrid
    kernel's verdict depends on the schedule. *)
@@ -451,7 +310,7 @@ let test_interleave_label_stable_across_seeds () =
   List.iter
     (fun (k : Scenario.Kernel.t) ->
       for interleave_seed = 1 to 50 do
-        let flagged, _, _ = hybrid_verdict ~interleave_seed ~jobs:1 k in
+        let flagged = hybrid_flagged ~interleave_seed k in
         Alcotest.(check bool)
           (Printf.sprintf "%s interleave=%d" k.Scenario.Kernel.k_name interleave_seed)
           k.Scenario.Kernel.k_racy flagged
@@ -464,15 +323,13 @@ let test_interleave_label_stable_across_seeds () =
 let test_interleave_preserves_single_thread_verdicts () =
   List.iter
     (fun (k : Scenario.Kernel.t) ->
-      let reference, _, _ = hybrid_verdict ~interleave_seed:13 ~jobs:1 k in
+      let reference = hybrid_flagged ~interleave_seed:13 k in
       Alcotest.(check bool) k.Scenario.Kernel.k_name k.Scenario.Kernel.k_racy reference)
     Scenario.Kernel.all
 
 let suite =
   suite
   @ [
-      Alcotest.test_case "interleave: same seed byte-identical across jobs" `Slow
-        test_interleave_determinism_across_jobs;
       Alcotest.test_case "interleave: hybrid labels stable over 50 seeds" `Slow
         test_interleave_label_stable_across_seeds;
       Alcotest.test_case "interleave: single-thread kernels keep verdicts" `Slow
@@ -495,13 +352,15 @@ let suite =
 
 type route_step = Ev of Mpi_sim.Event.event | Reset
 
+let route_wins = 2
+
 let route_stream ~seed ~nprocs ~steps =
   let rng = Rma_util.Prng.create ~seed in
   let pick n = Rma_util.Prng.int rng ~bound:n in
-  let opened = Array.make_matrix nprocs par_wins false in
+  let opened = Array.make_matrix nprocs route_wins false in
   let out = ref [] in
   let ev e = out := Ev e :: !out in
-  for w = 0 to par_wins - 1 do
+  for w = 0 to route_wins - 1 do
     ev (Mpi_sim.Event.Win_created { win = w; rank = 0; base = 0; size = 4096; sim_time = 0.0 })
   done;
   (* Window 1's trees are first created mid-stream. *)
@@ -513,9 +372,9 @@ let route_stream ~seed ~nprocs ~steps =
     let sim_time = float_of_int i in
     if i = steps / 2 then begin
       out := Reset :: !out;
-      Array.iter (fun row -> Array.fill row 0 par_wins false) opened
+      Array.iter (fun row -> Array.fill row 0 route_wins false) opened
     end;
-    let rank = pick nprocs and win = pick par_wins in
+    let rank = pick nprocs and win = pick route_wins in
     let lo = pick 32 in
     let hi = lo + pick 8 in
     let line = 1 + pick 4 in
@@ -548,9 +407,9 @@ let route_stream ~seed ~nprocs ~steps =
 (* The race count and verdict digest at the reset and at the end, plus
    a digest of the JSON export (race ids and provenance), as one hex
    digest. *)
-let route_digest ~predictive ~jobs ~nprocs steps =
+let route_digest ~predictive ~nprocs steps =
   let tool =
-    Rma_analysis.Rma_analyzer.create ~nprocs ~mode:Rma_analysis.Tool.Collect ~jobs ~predictive
+    Rma_analysis.Rma_analyzer.create ~nprocs ~mode:Rma_analysis.Tool.Collect ~predictive
       Rma_analysis.Rma_analyzer.Contribution
   in
   let phases = ref [] in
@@ -591,14 +450,10 @@ let test_windowless_digests_pinned () =
       let steps = route_stream ~seed ~nprocs ~steps:400 in
       List.iter
         (fun (predictive, pinned) ->
-          List.iter
-            (fun jobs ->
-              Alcotest.(check string)
-                (Printf.sprintf "seed %d ranks %d predictive %b jobs %d" seed nprocs predictive
-                   jobs)
-                pinned
-                (route_digest ~predictive ~jobs ~nprocs steps))
-            [ 1; 2 ])
+          Alcotest.(check string)
+            (Printf.sprintf "seed %d ranks %d predictive %b" seed nprocs predictive)
+            pinned
+            (route_digest ~predictive ~nprocs steps))
         [ (false, observed); (true, predicted) ])
     route_pins
 

@@ -2,7 +2,7 @@ open Rma_access
 open Rma_store
 
 (* Rma_obs.Events: the structured JSON-lines journal — level filtering,
-   the in-memory ring, sink files, golden stability of a seeded fault
+   the in-memory ring, sink files, golden stability of a budgeted
    run, the Json round-trip of every emitted line and the telemetry
    collector. The HTTP endpoint is tested on the serve daemon's port
    (test_serve.ml). *)
@@ -11,7 +11,6 @@ module Obs = Rma_obs.Obs
 module Events = Rma_obs.Events
 module Telemetry = Rma_obs.Telemetry
 module Json = Rma_util.Json
-module Plan = Rma_fault.Plan
 module Budget = Rma_fault.Budget
 
 (* Events shares Obs's process-global registry: pin a run id and a clean
@@ -60,7 +59,6 @@ let test_ring_and_filter () =
   | [ ev ] ->
       Alcotest.(check string) "component" "test" ev.Events.component;
       Alcotest.(check string) "run id pinned" "run-test" ev.Events.run_id;
-      Alcotest.(check int) "main domain is not a shard" (-1) ev.Events.shard;
       Alcotest.(check int) "no covering span" 0 ev.Events.span_id;
       Alcotest.(check (list (pair string string))) "kv" [ ("event", "kept") ] ev.Events.kv
   | l -> Alcotest.failf "expected one buffered event, got %d" (List.length l));
@@ -78,7 +76,7 @@ let test_ring_and_filter () =
   Alcotest.(check int) "disabled emits nothing" 0 (List.length (Events.recent ()));
   Obs.enable ()
 
-(* --- golden journal from a seeded fault run -------------------------- *)
+(* --- golden journal from a budgeted run -------------------------------- *)
 
 let disjoint_access ~seq lo hi =
   Access.make
@@ -105,22 +103,14 @@ let read_lines path =
       in
       go [])
 
-(* A worker-crash fault plan at jobs=4 plus a budgeted store: the
-   journal must contain the crash, the recovery, and the degradation,
-   all correlated by the pinned run id, in a deterministic order (all
-   of these events are emitted from the submitting thread; worker
-   domains only emit Debug spawn events, filtered at Info). *)
+(* A store over its node budget: the journal must contain one
+   degradation per spilled insert, correlated by the pinned run id, in
+   insert order. *)
 let journal_of_seeded_run () =
   let path = Filename.temp_file "rma_events" ".jsonl" in
   with_events @@ fun () ->
   Events.set_run_id "run-golden";
   Events.set_sink path;
-  let plan = { Plan.default with Plan.seed = 7; worker_crash = 0.3; max_retries = 2 } in
-  let engine = Rma_par.create ~jobs:4 ~faults:(Rma_fault.create plan) () in
-  for i = 0 to 15 do
-    Rma_par.submit engine ~shard:(i mod 4) (fun () -> ())
-  done;
-  Rma_par.barrier engine;
   let budget = { Budget.max_nodes = Some 4; max_bytes = None; policy = Budget.Spill_oldest_epoch } in
   let store = Disjoint_store.create ~budget () in
   List.iteri
@@ -151,26 +141,22 @@ let test_journal_correlation () =
   in
   let kv name j = Option.bind (Json.member "kv" j) (Json.member name) in
   let of_kind k = List.filter (fun j -> kv "event" j = Some (Json.String k)) events in
-  let crashes = of_kind "worker_crash" in
-  Alcotest.(check bool) "crash journaled" true (crashes <> []);
-  Alcotest.(check bool) "crash resolved" true
-    (of_kind "shard_recovery" <> [] || of_kind "sequential_fallback" <> []);
-  Alcotest.(check bool) "degradation journaled" true (of_kind "budget_degradation" <> []);
-  (* One run id across the whole journal, and crash events carry the
-     shard plus the replayable fault coordinates. *)
+  let degradations = of_kind "budget_degradation" in
+  Alcotest.(check int) "every spilled insert journaled" 4 (List.length degradations);
+  (* One run id across the whole journal, and each degradation names
+     its policy, its cap and the running drop total. *)
   List.iter
     (fun j ->
       Alcotest.(check (option string)) "run id correlates" (Some "run-golden")
         (Option.bind (Json.member "run_id" j) Json.to_str))
     events;
-  List.iter
-    (fun j ->
-      let shard = Option.bind (Json.member "shard" j) Json.to_int in
-      Alcotest.(check bool) "crash names its shard" true
-        (match shard with Some s -> s >= 0 && s < 4 | None -> false);
-      Alcotest.(check bool) "crash carries site+ordinal" true
-        (kv "site" j <> None && kv "ordinal" j <> None))
-    crashes
+  List.iteri
+    (fun i j ->
+      Alcotest.(check bool) "policy and cap named" true
+        (kv "policy" j = Some (Json.String "spill_oldest_epoch") && kv "cap" j = Some (Json.String "4"));
+      Alcotest.(check bool) "drop total counts up" true
+        (kv "total_drops" j = Some (Json.String (string_of_int (i + 1)))))
+    degradations
 
 (* --- every line round-trips through Json ----------------------------- *)
 
@@ -184,10 +170,9 @@ let arb_event =
       let* level = level_gen in
       let* component = str_gen in
       let* run_id = str_gen in
-      let* shard = int_range (-1) 64 in
       let* span_id = int_range 0 1000 in
       let* kv = list_size (int_range 0 4) (pair str_gen str_gen) in
-      return { Events.ts = 0.25; level; component; run_id; shard; span_id; kv })
+      return { Events.ts = 0.25; level; component; run_id; span_id; kv })
 
 let prop_line_roundtrips =
   QCheck.Test.make ~name:"journal lines round-trip through Rma_util.Json" ~count:500 arb_event
@@ -200,7 +185,6 @@ let prop_line_roundtrips =
           str "level" = Some (Events.level_to_string ev.Events.level)
           && str "component" = Some ev.Events.component
           && str "run_id" = Some ev.Events.run_id
-          && int "shard" = Some ev.Events.shard
           && int "span_id" = Some ev.Events.span_id
           && Option.bind (Json.member "kv" j) Json.to_obj
              = Some (List.map (fun (k, v) -> (k, Json.String v)) ev.Events.kv))
@@ -226,7 +210,7 @@ let suite =
     Alcotest.test_case "levels parse and order" `Quick test_levels;
     Alcotest.test_case "ring buffering and level filter" `Quick test_ring_and_filter;
     Alcotest.test_case "seeded fault run matches the golden journal" `Quick test_golden_journal;
-    Alcotest.test_case "crash/recovery/degradation correlate by run id" `Quick
+    Alcotest.test_case "budget degradations correlate by run id" `Quick
       test_journal_correlation;
     QCheck_alcotest.to_alcotest prop_line_roundtrips;
     Alcotest.test_case "telemetry collector feeds the gauges" `Quick test_telemetry_collector;

@@ -21,9 +21,12 @@ let with_recorder f =
 (* Figure 5's Code 1 against the contribution tool: Load(4) is dominated
    by the Put's fragment (Table 1) and every piece merges back into one
    [2..12] node carrying only the Put's debug info, then Store(7) races
-   against it. The canonical provenance-loss case. *)
-let code1_race_reports () =
-  let tool = Rma_analyzer.create ~nprocs:2 ~mode:Tool.Collect Rma_analyzer.Contribution in
+   against it. The canonical provenance-loss case. [predictive] is the
+   run-configuration sweep's axis. *)
+let code1_race_reports ?predictive () =
+  let tool =
+    Rma_analyzer.create ~nprocs:2 ~mode:Tool.Collect ?predictive Rma_analyzer.Contribution
+  in
   let feed e = ignore (tool.Tool.observer e) in
   let access ~seq ~line ~op lo hi kind =
     Event.Access
@@ -232,6 +235,15 @@ let test_explain_names_merged_source () =
   Alcotest.(check bool) "explain shows the matrix cell" true
     (Astring.String.is_infix ~affix:"Figure 3 cell" text)
 
+let test_explain_matches_golden () =
+  let reports = with_recorder code1_race_reports in
+  Alcotest.(check int) "one race" 1 (List.length reports);
+  (* GOLDEN_OUT_EXPLAIN=/abs/path (or GOLDEN_OUT_DIR, see
+     test/golden_regen.ml) regenerates the golden file instead of
+     comparing (after an intentional format change). *)
+  Golden_regen.check ~name:"explain.txt" ~what:"explain matches the golden file"
+    (Race_export.explain (List.hd reports) ^ "\n")
+
 let suite =
   [
     Alcotest.test_case "disabled recorder is a no-op" `Quick test_recorder_disabled_noop;
@@ -253,6 +265,8 @@ let suite =
       test_sarif_lists_all_locations;
     Alcotest.test_case "explain renders the merged-away source" `Quick
       test_explain_names_merged_source;
+    Alcotest.test_case "explain output matches the golden file" `Quick
+      test_explain_matches_golden;
   ]
 
 (* --- Hybrid thread fields in race exports (PR 8) --- *)
@@ -311,7 +325,7 @@ let test_threaded_json_round_trip () =
 
 (* End-to-end golden: the canonical unordered-sibling-store hybrid race
    exported as JSON. GOLDEN_OUT_HYBRID=/abs/path regenerates. *)
-let hybrid_race_reports ?jobs ?predictive ?faults () =
+let hybrid_race_reports ?predictive () =
   let k =
     match
       Rma_microbench.Scenario.Kernel.find "hyb_lockall_local_tstore_put_unordered_race"
@@ -321,7 +335,7 @@ let hybrid_race_reports ?jobs ?predictive ?faults () =
   in
   let tool =
     Rma_analyzer.create ~nprocs:k.Rma_microbench.Scenario.Kernel.k_nprocs ~mode:Tool.Collect
-      ?jobs ?predictive ?faults Rma_analyzer.Contribution
+      ?predictive Rma_analyzer.Contribution
   in
   let v = Rma_microbench.Runner.run_kernel ~interleave_seed:13 ~tool k in
   v.Rma_microbench.Runner.k_reports

@@ -1,8 +1,8 @@
 (* Rma_obs.Journal + Rma_report.Replay: totality of the journal reader
    under truncation and bit flips, the prefix-stop contract, the
-   [obs stats] golden report over the seeded-drill journal, and the
-   replay round trip — re-running a journaled crash drill reproduces
-   the identical crash coordinates and byte-identical verdicts. *)
+   [obs stats] golden report over the budgeted-run journal, and the
+   replay round trip — re-running a journaled budget drill reproduces
+   its race count and byte-identical verdicts. *)
 
 module Obs = Rma_obs.Obs
 module Events = Rma_obs.Events
@@ -24,11 +24,10 @@ let arb_event =
       let* level = level_gen in
       let* component = str_gen in
       let* run_id = str_gen in
-      let* shard = int_range (-1) 64 in
       let* span_id = int_range 0 1000 in
       let* ts = Gen.map (fun i -> float_of_int i *. 0.125) (int_range 0 100) in
       let* kv = list_size (int_range 0 4) (pair str_gen str_gen) in
-      return { Events.ts; level; component; run_id; shard; span_id; kv })
+      return { Events.ts; level; component; run_id; span_id; kv })
 
 let prop_parse_line_total =
   QCheck.Test.make ~name:"parse_line is total under single bit flips" ~count:500
@@ -51,7 +50,6 @@ let prop_parse_line_roundtrip =
           got.Events.level = ev.Events.level
           && got.Events.component = ev.Events.component
           && got.Events.run_id = ev.Events.run_id
-          && got.Events.shard = ev.Events.shard
           && got.Events.span_id = ev.Events.span_id
           && got.Events.kv = ev.Events.kv)
 
@@ -156,8 +154,7 @@ let test_unreadable_file () =
    still decodes. *)
 let test_long_journal_line_is_bounded () =
   let ev =
-    { Events.ts = 1.0; level = Events.Info; component = "test"; run_id = "r"; shard = 0;
-      span_id = 0; kv = [] }
+    { Events.ts = 1.0; level = Events.Info; component = "test"; run_id = "r"; span_id = 0; kv = [] }
   in
   let path = Filename.temp_file "rma_journal_long" ".jsonl" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
@@ -184,11 +181,11 @@ let test_long_journal_line_is_bounded () =
   Alcotest.(check bool) "under 1 MiB allocated in the major heap" true
     (after.Gc.major_words -. before.Gc.major_words < float_of_int mib_words)
 
-(* --- stats golden over the seeded-drill journal ----------------------- *)
+(* --- stats golden over the budgeted-run journal ----------------------- *)
 
-(* The same golden journal test_events pins (run-golden, plan seed 7,
-   jobs 4, budget 4:spill — timestamps scrubbed to 0), aggregated into
-   the [obs stats] report. GOLDEN_OUT_STATS=/abs/path regenerates. *)
+(* The same golden journal test_events pins (run-golden, budget
+   4:spill — timestamps scrubbed to 0), aggregated into the [obs stats]
+   report. GOLDEN_OUT_STATS=/abs/path regenerates. *)
 let test_stats_golden () =
   let r = Journal.read_file "golden/events_journal.jsonl" in
   Alcotest.(check bool) "golden journal reads clean" true (r.Journal.error = None);
@@ -203,24 +200,18 @@ let test_stats_counts () =
   let s = Journal.stats_of r.Journal.events in
   Alcotest.(check int) "every event counted" (List.length r.Journal.events) s.Journal.total;
   Alcotest.(check (list string)) "one run id" [ "run-golden" ] s.Journal.run_ids;
-  Alcotest.(check bool) "crashes surface" true (s.Journal.crashes > 0);
-  Alcotest.(check bool) "crash resolution surfaces" true
-    (s.Journal.recoveries > 0 || s.Journal.fallbacks > 0);
-  Alcotest.(check bool) "budget degradations surface" true (s.Journal.degradations > 0)
+  Alcotest.(check int) "budget degradations surface" 4 s.Journal.degradations
 
 (* --- replay round trip ------------------------------------------------ *)
 
-(* A small injected-race MiniVite drill under a crashy fault plan,
+(* A small injected-race MiniVite drill under a spilling budget,
    journaled through the same Diag bracket the CLI uses; the journal
-   alone must then reproduce the run: same (site, ordinal, seed) crash
-   sequence, byte-identical verdict digest. *)
+   alone must then reproduce the run: the same race count and a
+   byte-identical verdict digest. *)
 let drill_params = [ ("tool", "contribution"); ("ranks", "4"); ("seed", "5"); ("vertices", "2000"); ("inject", "true") ]
 
-let run_drill run faults =
-  let config =
-    Rma_config.Run_config.sim_config run
-      { Mpi_sim.Config.default with Mpi_sim.Config.analysis_overhead_scale = 2.0 }
-  in
+let run_drill run =
+  let config = { Mpi_sim.Config.default with Mpi_sim.Config.analysis_overhead_scale = 2.0 } in
   let params =
     {
       Minivite.Louvain.default_params with
@@ -229,10 +220,7 @@ let run_drill run faults =
       inject_race = true;
     }
   in
-  let tool =
-    Toolbox.make Toolbox.Contribution ~nprocs:4 ~config ~jobs:run.Rma_config.Run_config.jobs
-      ?faults ()
-  in
+  let tool = Rma_report.Harness.make_tool ~run Toolbox.Contribution ~nprocs:4 ~config in
   let _ = Minivite.Louvain.run params ~nprocs:4 ~seed:5 ~config ~observer:tool.Tool.observer () in
   tool.Tool.races ()
 
@@ -249,46 +237,46 @@ let test_replay_roundtrip () =
   Fun.protect ~finally:restore @@ fun () ->
   Diag.with_diag ~prog:"test" ~generator:"test"
     ~workload:("minivite", drill_params)
-    {
-      Diag.default with
-      Diag.obs_events = Some journal;
-      jobs = Some 2;
-      fault_plan = Some "seed=11,worker_crash=0.2";
-    }
+    { Diag.default with Diag.obs_events = Some journal; budget = Some "4:spill" }
     run_drill;
   let r = Journal.read_file journal in
   Alcotest.(check bool) "drill journal reads clean" true (r.Journal.error = None);
+  Alcotest.(check bool) "the drill degraded" true
+    (List.exists
+       (fun e -> List.assoc_opt "event" e.Events.kv = Some "budget_degradation")
+       r.Journal.events);
   let plan =
     match Replay.extract r.Journal.events with
     | Ok p -> p
     | Error msg -> Alcotest.failf "extract failed: %s" msg
   in
   Alcotest.(check string) "workload recovered" "minivite" plan.Replay.r_workload;
-  Alcotest.(check int) "jobs recovered" 2 plan.Replay.r_config.Rma_config.Run_config.jobs;
-  Alcotest.(check bool) "fault spec recovered" true
-    (plan.Replay.r_config.Rma_config.Run_config.fault <> None);
-  Alcotest.(check bool) "the drill crashed at least once" true (plan.Replay.r_crashes <> []);
+  Alcotest.(check (option string)) "budget recovered" (Some "nodes=4,policy=spill_oldest_epoch")
+    (Option.map Rma_fault.Budget.to_spec plan.Replay.r_config.Rma_config.Run_config.budget);
   Alcotest.(check bool) "run_summary landed" true (plan.Replay.r_digest <> None);
-  List.iter
-    (fun c -> Alcotest.(check int) "crash carries the plan seed" 11 c.Replay.c_seed)
-    plan.Replay.r_crashes;
-  let outcome =
+  let replay plan =
     match Replay.run plan with
     | Ok o -> o
     | Error msg -> Alcotest.failf "replay failed: %s" msg
   in
-  Alcotest.(check bool) "crash coordinates replay identically" true outcome.Replay.o_crash_match;
-  Alcotest.(check (option bool)) "verdicts are byte-identical" (Some true)
-    outcome.Replay.o_digest_match;
+  let outcome = replay plan in
+  Alcotest.(check (option bool)) "race count and verdicts match" (Some true)
+    outcome.Replay.o_match;
   Alcotest.(check bool) "races reproduce" true
     (Some outcome.Replay.o_races = plan.Replay.r_races && outcome.Replay.o_races > 0);
-  Alcotest.(check bool) "replay verdict holds" true (Replay.verdict plan outcome);
-  (* The contract is falsifiable: a journal claiming a different digest
-     or crash schedule must fail the verdict. *)
-  Alcotest.(check bool) "tampered digest fails" false
-    (Replay.verdict plan { outcome with Replay.o_digest_match = Some false });
-  Alcotest.(check bool) "tampered crash sequence fails" false
-    (Replay.verdict plan { outcome with Replay.o_crash_match = false })
+  Alcotest.(check bool) "replay verdict holds" true (Replay.verdict outcome);
+  (* The contract is falsifiable: a journal claiming a different race
+     count or digest must fail the verdict. *)
+  let tampered =
+    [
+      ("race count", { plan with Replay.r_races = Option.map succ plan.Replay.r_races });
+      ("digest", { plan with Replay.r_digest = Some "0" });
+    ]
+  in
+  List.iter
+    (fun (what, p) ->
+      Alcotest.(check bool) ("tampered " ^ what ^ " fails") false (Replay.verdict (replay p)))
+    tampered
 
 (* The run_start record carries the whole run configuration: a
    predictive code run journals predictive=true and replays under it. A
@@ -308,10 +296,10 @@ let test_journal_records_run_config () =
   Diag.with_diag ~prog:"test" ~generator:"test"
     ~workload:("code", [ ("tool", "contribution"); ("code", code) ])
     { Diag.default with Diag.obs_events = Some journal; predictive = true }
-    (fun run faults ->
+    (fun run ->
       let tool =
-        Toolbox.make Toolbox.Contribution ~nprocs:3 ~jobs:run.Rma_config.Run_config.jobs
-          ~predictive:run.Rma_config.Run_config.predictive ?faults ()
+        Toolbox.make Toolbox.Contribution ~nprocs:3
+          ~predictive:run.Rma_config.Run_config.predictive ()
       in
       (Rma_microbench.Runner.run ~tool (Option.get (Rma_microbench.Scenario.find code)))
         .Rma_microbench.Runner.reports);
@@ -326,29 +314,48 @@ let test_journal_records_run_config () =
     [ ("tool", "contribution"); ("code", code) ]
     plan.Replay.r_params;
   (match Replay.run plan with
-  | Ok o -> Alcotest.(check bool) "the predictive run replays" true (Replay.verdict plan o)
+  | Ok o -> Alcotest.(check bool) "the predictive run replays" true (Replay.verdict o)
   | Error msg -> Alcotest.failf "replay failed: %s" msg);
-  let old_start =
-    {
-      Events.ts = 0.0;
-      level = Events.Info;
-      component = "diag";
-      run_id = "run-old";
-      shard = -1;
-      span_id = 0;
-      kv =
-        [ ("event", "run_start"); ("workload", "code"); ("tool", "contribution"); ("code", code);
-          ("jobs", "2") ];
-    }
+  (* A run_start line as older versions wrote it: a [shard] key on the
+     record and a [jobs] key in the configuration. The reader ignores
+     the first; extract keeps the second out of the workload parameters. *)
+  let old_line fault =
+    Printf.sprintf
+      {|{"ts":0.5,"level":"info","component":"diag","run_id":"run-old","shard":-1,"span_id":0,"kv":{"event":"run_start","workload":"code","tool":"contribution","code":"%s","jobs":"2"%s}}|}
+      code
+      (match fault with Some spec -> Printf.sprintf {|,"fault":"%s"|} spec | None -> "")
   in
-  match Replay.extract [ old_start ] with
+  let old_start fault =
+    match Journal.parse_line (old_line fault) with
+    | Ok ev -> ev
+    | Error msg -> Alcotest.failf "an older journal line no longer reads: %s" msg
+  in
+  let ev = old_start None in
+  Alcotest.(check string) "old line: run id" "run-old" ev.Events.run_id;
+  Alcotest.(check (float 0.0)) "old line: ts" 0.5 ev.Events.ts;
+  (match Replay.extract [ ev ] with
   | Error msg -> Alcotest.failf "an older journal no longer extracts: %s" msg
   | Ok p ->
       let c = p.Replay.r_config in
-      Alcotest.(check int) "old journal: jobs" 2 c.Rma_config.Run_config.jobs;
+      Alcotest.(check (list (pair string string))) "old journal: jobs is no workload parameter"
+        [ ("tool", "contribution"); ("code", code) ]
+        p.Replay.r_params;
       Alcotest.(check bool) "old journal: predictive off" false c.Rma_config.Run_config.predictive;
       Alcotest.(check (option int)) "old journal: no interleave seed" None
-        c.Rma_config.Run_config.interleave_seed
+        c.Rma_config.Run_config.interleave_seed);
+  (* Every canonical fault spec an older run journaled names the removed
+     engine keys, so such a journal no longer replays: extract fails on
+     the first unknown key, quoting a clipped spec. *)
+  let old_spec =
+    "seed=7,trace_corrupt=0,trace_truncate=0,worker_crash=0.2,queue_overflow=0,max_retries=3,backoff=0"
+  in
+  match Replay.extract [ old_start (Some old_spec) ] with
+  | Ok _ -> Alcotest.fail "a spec naming worker_crash extracted"
+  | Error msg ->
+      Alcotest.(check string) "old fault spec: unknown key, clipped"
+        (Printf.sprintf "run_start record: bad fault %S… (%d bytes): unknown fault-plan key \"worker_crash\""
+           (String.sub old_spec 0 64) (String.length old_spec))
+        msg
 
 let test_extract_requires_header () =
   match Replay.extract [] with
@@ -366,7 +373,6 @@ let test_replay_refuses_unknown_workload () =
       level = Events.Info;
       component = "diag";
       run_id = "run-bfs";
-      shard = -1;
       span_id = 0;
       kv = [ ("event", "run_start"); ("workload", "bfs"); ("ranks", "8") ];
     }

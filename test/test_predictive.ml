@@ -26,8 +26,8 @@ open Rma_report
 open Rma_microbench
 module Json = Rma_util.Json
 
-let mk_tool ~nprocs ?jobs ~predictive () =
-  Rma_analyzer.create ~nprocs ~mode:Tool.Collect ?jobs ~predictive Rma_analyzer.Contribution
+let mk_tool ~nprocs ~predictive () =
+  Rma_analyzer.create ~nprocs ~mode:Tool.Collect ~predictive Rma_analyzer.Contribution
 
 let with_recorder f =
   Flight_recorder.enable ();
@@ -79,8 +79,8 @@ let test_prd_corpus_shape () =
 (* --- satellite: the 27-kernel label matrix under --predictive --------- *)
 
 (* Predictive mode must not cost a single label on the schedule-stable
-   corpus: every base and hybrid kernel keeps its ground-truth verdict at
-   jobs 1, 2 and 4, and produces no predicted pairs at all — their
+   corpus: every base and hybrid kernel keeps its ground-truth verdict
+   and produces no predicted pairs at all — their
    conflicts live inside one epoch, where the weak trees hold exactly
    the observed content and every conflict dedups against the observed
    report. *)
@@ -89,21 +89,17 @@ let test_matrix_labels_under_predictive () =
   Alcotest.(check int) "base+hybrid kernel matrix has 27 kernels" 27 (List.length kernels);
   List.iter
     (fun (k : Scenario.Kernel.t) ->
+      let tool = mk_tool ~nprocs:k.Scenario.Kernel.k_nprocs ~predictive:true () in
+      let v = Runner.run_kernel ~tool k in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s (predictive)" k.Scenario.Kernel.k_name)
+        k.Scenario.Kernel.k_racy v.Runner.k_flagged;
       List.iter
-        (fun jobs ->
-          let tool = mk_tool ~nprocs:k.Scenario.Kernel.k_nprocs ~jobs ~predictive:true () in
-          let v = Runner.run_kernel ~tool k in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s (predictive, jobs=%d)" k.Scenario.Kernel.k_name jobs)
-            k.Scenario.Kernel.k_racy v.Runner.k_flagged;
-          List.iter
-            (fun p ->
-              if p.Runner.pair_predicted then
-                Alcotest.failf "%s (predictive, jobs=%d): unexpected predicted pair %s"
-                  k.Scenario.Kernel.k_name jobs
-                  (pair_str (Runner.pair_sites p)))
-            v.Runner.k_pairs)
-        [ 1; 2; 4 ])
+        (fun p ->
+          if p.Runner.pair_predicted then
+            Alcotest.failf "%s (predictive): unexpected predicted pair %s" k.Scenario.Kernel.k_name
+              (pair_str (Runner.pair_sites p)))
+        v.Runner.k_pairs)
     kernels
 
 (* --- prd_ labels ------------------------------------------------------ *)
@@ -301,7 +297,7 @@ let test_predicted_json_matches_golden () =
 let suite =
   [
     Alcotest.test_case "prd corpus shape" `Quick test_prd_corpus_shape;
-    Alcotest.test_case "27-kernel matrix labels under predictive (jobs 1/2/4)" `Slow
+    Alcotest.test_case "27-kernel matrix labels under predictive" `Slow
       test_matrix_labels_under_predictive;
     Alcotest.test_case "prd labels at seed 0: predictive closes the observed gap" `Quick
       test_prd_labels_seed0;

@@ -41,10 +41,9 @@ let test_env_values_parse () =
         (Run_config.of_env () = Ok Run_config.default));
   with_env
     [
-      ("RMA_JOBS", "4");
       ("RMA_PREDICTIVE", "on");
       ("RMA_INTERLEAVE_SEED", "13");
-      ("RMA_FAULT", "seed=7,worker_crash=0.05");
+      ("RMA_FAULT", "seed=7,trace_corrupt=0.05");
       ("RMA_BUDGET", "4096:spill");
       ("RMA_OBS_EVENTS", "events.jsonl");
       ("RMA_OBS_LEVEL", "debug");
@@ -54,19 +53,23 @@ let test_env_values_parse () =
       match Run_config.of_env () with
       | Error e -> Alcotest.failf "well-formed environment rejected: %s" e
       | Ok r ->
-          Alcotest.(check int) "jobs" 4 r.Run_config.jobs;
           Alcotest.(check bool) "predictive" true r.Run_config.predictive;
           Alcotest.(check (option int)) "interleave seed" (Some 13) r.Run_config.interleave_seed;
           Alcotest.(check bool) "fault plan" true
-            (r.Run_config.fault = Result.to_option (Plan.of_spec "seed=7,worker_crash=0.05"));
+            (r.Run_config.fault = Result.to_option (Plan.of_spec "seed=7,trace_corrupt=0.05"));
           Alcotest.(check bool) "budget" true
             (r.Run_config.budget = Result.to_option (Budget.of_spec "4096:spill"));
           Alcotest.(check (option string)) "journal" (Some "events.jsonl") r.Run_config.obs_events;
           Alcotest.(check bool) "level" true (r.Run_config.obs_level = Rma_obs.Events.Debug);
           Alcotest.(check (float 0.0)) "slo" 250.0 r.Run_config.slo_epoch_close_ms);
-  with_env [ ("RMA_JOBS", "999") ] (fun () ->
-      Alcotest.(check bool) "jobs clamp like --jobs" true
-        (Result.map (fun r -> r.Run_config.jobs) (Run_config.of_env ()) = Ok Rma_par.max_jobs))
+  (* The shard count of the removed parallel engine is no setting any
+     more: a leftover RMA_JOBS, even a malformed one, changes nothing. *)
+  List.iter
+    (fun v ->
+      with_env [ ("RMA_JOBS", v) ] (fun () ->
+          Alcotest.(check bool) ("RMA_JOBS=" ^ v ^ " is ignored") true
+            (Run_config.of_env () = Ok Run_config.default)))
+    [ "4"; "four" ]
 
 (* One malformed value per variable: each is an [Error] naming the
    variable — never a silent fallback to the default. RMA_OBS_EVENTS is
@@ -83,10 +86,9 @@ let test_env_malformed_rejected () =
                 true
                 (Astring.String.is_infix ~affix:var msg)))
     [
-      ("RMA_JOBS", "four");
       ("RMA_PREDICTIVE", "2");
       ("RMA_INTERLEAVE_SEED", "thirteen");
-      ("RMA_FAULT", "seed=1,worker_crash=2.0");
+      ("RMA_FAULT", "seed=1,trace_corrupt=2.0");
       ("RMA_BUDGET", "nodes=0");
       ("RMA_OBS_LEVEL", "loud");
       ("RMA_SLO_EPOCH_CLOSE_MS", "-5");
@@ -112,11 +114,11 @@ let test_long_value_errors_are_bounded () =
       ("fault", "seed=" ^ long);
       ("fault", long);
       ("fault", long ^ "=1");
-      ("fault", "worker_crash=" ^ long);
+      ("fault", "trace_corrupt=" ^ long);
       ("budget", "nodes=" ^ long);
       ("budget", "policy=" ^ long);
       ("budget", long ^ "=1");
-      ("jobs", long);
+      ("interleave_seed", long);
     ]
 
 (* --- the string codec ------------------------------------------------ *)
@@ -125,10 +127,9 @@ let test_fields_roundtrip () =
   let full =
     {
       Run_config.default with
-      Run_config.jobs = 4;
-      predictive = true;
+      Run_config.predictive = true;
       interleave_seed = Some 29;
-      fault = Result.to_option (Plan.of_spec "seed=7,worker_crash=0.05,queue_overflow=0.02");
+      fault = Result.to_option (Plan.of_spec "seed=7,trace_corrupt=0.05,trace_truncate=0.02");
       budget = Result.to_option (Budget.of_spec "nodes=64,policy=coarsen");
     }
   in
@@ -142,9 +143,11 @@ let test_fields_roundtrip () =
     (List.filter (fun k -> List.mem_assoc k (Run_config.to_fields full)) Run_config.keys);
   (* A journal written before a key existed keeps the default for it. *)
   Alcotest.(check bool) "missing keys keep the base" true
-    (Run_config.of_fields ~base:full [ ("jobs", "2") ] = Ok { full with Run_config.jobs = 2 });
+    (Run_config.of_fields ~base:full [ ("predictive", "false") ]
+    = Ok { full with Run_config.predictive = false });
   Alcotest.(check bool) "unknown keys are ignored" true
-    (Run_config.of_fields [ ("workload", "cfd"); ("ranks", "8") ] = Ok Run_config.default);
+    (Run_config.of_fields [ ("workload", "cfd"); ("ranks", "8"); ("jobs", "4") ]
+    = Ok Run_config.default);
   Alcotest.(check bool) "a malformed value is an error" true
     (Result.is_error (Run_config.of_fields [ ("predictive", "maybe") ]))
 
@@ -152,23 +155,16 @@ let test_fields_roundtrip () =
 
 (* Each axis one CI step used to set through the environment for a
    whole [dune runtest]. *)
-let fault_plan = Result.get_ok (Plan.of_spec "seed=7,worker_crash=0.05,queue_overflow=0.02")
-
 let axes =
   let d = Run_config.default in
   [
-    ("jobs 4", { d with Run_config.jobs = 4 });
     ("interleave 13", { d with Run_config.interleave_seed = Some 13 });
-    ("interleave 13, jobs 4", { d with Run_config.interleave_seed = Some 13; jobs = 4 });
     ("interleave 29", { d with Run_config.interleave_seed = Some 29 });
-    ("interleave 29, jobs 4", { d with Run_config.interleave_seed = Some 29; jobs = 4 });
     ("predictive", { d with Run_config.predictive = true });
-    ("fault plan, jobs 4", { d with Run_config.fault = Some fault_plan; jobs = 4 });
   ]
 
-let contribution run faults ~nprocs =
-  Rma_report.Harness.make_tool ~run ?faults Toolbox.Contribution ~nprocs
-    ~config:Mpi_sim.Config.default
+let contribution run ~nprocs =
+  Rma_report.Harness.make_tool ~run Toolbox.Contribution ~nprocs ~config:Mpi_sim.Config.default
 
 (* What one configured run produces, as comparable strings. *)
 type outcome = {
@@ -182,8 +178,7 @@ type outcome = {
 }
 
 let outcome_of run =
-  let faults = Run_config.faults run in
-  let rows, _ = Rma_report.Experiments.table3 ~run ?faults () in
+  let rows, _ = Rma_report.Experiments.table3 ~run () in
   let table3 =
     String.concat ";"
       (List.map
@@ -191,7 +186,7 @@ let outcome_of run =
            Printf.sprintf "%s fp=%d fn=%d tp=%d tn=%d" r.tool r.fp r.fn r.tp r.tn)
          rows)
   in
-  let tool = contribution run faults ~nprocs:3 in
+  let tool = contribution run ~nprocs:3 in
   let digests =
     List.map
       (fun sc ->
@@ -201,19 +196,15 @@ let outcome_of run =
   let hybrid_labels =
     List.filter_map
       (fun k ->
-        let tool = contribution run faults ~nprocs:k.Scenario.Kernel.k_nprocs in
+        let tool = contribution run ~nprocs:k.Scenario.Kernel.k_nprocs in
         let v = Runner.run_kernel ?interleave_seed:run.Run_config.interleave_seed ~tool k in
         if Bool.equal v.Runner.k_flagged k.Scenario.Kernel.k_racy then None
         else Some (k.Scenario.Kernel.k_name, v.Runner.k_flagged))
       Scenario.Kernel.hybrid
   in
-  let jobs = run.Run_config.jobs and predictive = run.Run_config.predictive in
-  let recorded f =
-    Rma_store.Flight_recorder.enable ();
-    Fun.protect ~finally:Rma_store.Flight_recorder.disable f
-  in
-  let code1 = recorded (Test_par.code1_reports ~jobs ~predictive ?faults) in
-  let hybrid = recorded (Test_export.hybrid_race_reports ~jobs ~predictive ?faults) in
+  let predictive = run.Run_config.predictive in
+  let code1 = Test_export.with_recorder (Test_export.code1_race_reports ~predictive) in
+  let hybrid = Test_export.with_recorder (Test_export.hybrid_race_reports ~predictive) in
   {
     table3;
     digests;
@@ -223,7 +214,7 @@ let outcome_of run =
     explain = Race_export.explain (List.hd code1) ^ "\n";
     trace =
       String.concat ""
-        (List.map (fun es -> fst (Test_trace.save_and_load ?faults es)) (Test_trace.pinned_traces ()));
+        (List.map (fun es -> fst (Test_trace.save_and_load es)) (Test_trace.pinned_traces ()));
   }
 
 let test_sweep_reproduces_default () =
@@ -259,7 +250,8 @@ let test_sweep_reproduces_default () =
 
 let suite =
   [
-    Alcotest.test_case "environment values parse once, jobs clamp" `Quick test_env_values_parse;
+    Alcotest.test_case "environment values parse once, jobs ignored" `Quick
+      test_env_values_parse;
     Alcotest.test_case "a malformed environment value is an error" `Quick
       test_env_malformed_rejected;
     Alcotest.test_case "to_fields/of_fields round-trip" `Quick test_fields_roundtrip;

@@ -2,9 +2,8 @@
    (queue then shed), per-session isolation under interleaved streams,
    and the churn soak — seeded clients that connect, abort or complete
    while the test pins byte-identical verdicts against the offline
-   replay path and zero leaked sessions or pool domains; sessions with
-   firing fault plans keep their own schedules when interleaved; and
-   the HTTP routes (/metrics, /healthz, /events) on the daemon's port. *)
+   replay path and zero leaked sessions; and the HTTP routes (/metrics,
+   /healthz, /events) on the daemon's port. *)
 
 module Daemon = Rma_serve.Daemon
 module Protocol = Rma_serve.Protocol
@@ -50,8 +49,8 @@ let with_id id (r : Report.t) =
 (* The offline reference the daemon must match byte-for-byte: replay
    through the same tool construction, renumber to stream order, render
    with the same protocol constructor. *)
-let offline ?jobs ?budget ~nprocs events =
-  let tool = Toolbox.make Toolbox.Contribution ~nprocs ?jobs ?budget () in
+let offline ?budget ~nprocs events =
+  let tool = Toolbox.make Toolbox.Contribution ~nprocs ?budget () in
   let reports = List.mapi (fun i r -> with_id (i + 1) r) (Recorder.replay events ~tool) in
   (List.map Protocol.race reports, Race_export.verdict_digest reports)
 
@@ -104,23 +103,22 @@ let int_field name line =
   | Ok j -> Option.bind (Json.member name j) Json.to_int
   | Error _ -> None
 
-let hello ?tool ?jobs ?budget ?fault ~session ~nprocs () =
+let hello ?tool ?budget ?fault ~session ~nprocs () =
   let opt name f = function None -> [] | Some v -> [ (name, f v) ] in
   Json.to_string ~minify:true
     (Json.Obj
        ([ ("hello", Json.Int Protocol.version); ("session", Json.String session);
           ("nprocs", Json.Int nprocs) ]
        @ opt "tool" (fun s -> Json.String s) tool
-       @ opt "jobs" (fun j -> Json.Int j) jobs
        @ opt "budget" (fun s -> Json.String s) budget
        @ opt "fault" (fun s -> Json.String s) fault))
 
 (* Run one complete session against a live daemon and return the server
    lines after the admission verdict. *)
-let run_session ?tool ?jobs ?budget ?fault ~port ~session ~nprocs lines =
+let run_session ?tool ?budget ?fault ~port ~session ~nprocs lines =
   let fd = connect port in
   Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ()) @@ fun () ->
-  send_lines fd (hello ?tool ?jobs ?budget ?fault ~session ~nprocs () :: lines);
+  send_lines fd (hello ?tool ?budget ?fault ~session ~nprocs () :: lines);
   (try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
   recv_all fd
 
@@ -385,18 +383,21 @@ let rec send_interleaved a b xs ys =
 (* Two sessions streamed strictly interleaved, one line at a time — the
    round-robin slices alternate between them, so any cross-session
    leakage of detector, budget or fault state would corrupt a verdict. *)
+let clean_spec = "4096:spill"
+let clean_budget = Result.get_ok (Rma_fault.Budget.of_spec clean_spec)
+
 let test_interleaved_sessions_isolated () =
   let nprocs_r, events_r = record_kernel racy_kernel in
   let nprocs_c, events_c = record_kernel clean_kernel in
   let races_r, digest_r = offline ~nprocs:nprocs_r events_r in
-  let _, digest_c = offline ~jobs:2 ~nprocs:nprocs_c events_c in
+  let _, digest_c = offline ~budget:clean_budget ~nprocs:nprocs_c events_c in
   let stats =
     with_daemon @@ fun _d port ->
     let a = connect port in
     let b = connect port in
     send_lines a [ hello ~session:"racy" ~nprocs:nprocs_r () ];
     send_lines b
-      [ hello ~session:"clean" ~jobs:2 ~fault:"seed=7" ~nprocs:nprocs_c () ];
+      [ hello ~session:"clean" ~budget:clean_spec ~fault:"seed=7" ~nprocs:nprocs_c () ];
     Alcotest.(check (option string)) "a admitted" (Some "admitted")
       (Option.map line_type (recv_line a));
     Alcotest.(check (option string)) "b admitted" (Some "admitted")
@@ -412,132 +413,20 @@ let test_interleaved_sessions_isolated () =
     let summary_of lines = List.nth lines (List.length lines - 1) in
     Alcotest.(check (option string)) "racy digest" (Some digest_r)
       (str_field "digest" (summary_of ra));
-    Alcotest.(check (option string)) "clean digest under jobs=2 + fault plan" (Some digest_c)
+    Alcotest.(check (option string)) "clean digest under a budget + fault plan" (Some digest_c)
       (str_field "digest" (summary_of rb))
   in
   Alcotest.(check int) "both completed" 2 stats.Daemon.completed
 
-(* A workload's event stream, through the codec like [record_kernel]. *)
-let record_workload run =
-  let r = Recorder.create () in
-  let config = { Mpi_sim.Config.default with Mpi_sim.Config.analysis_overhead_scale = 0.0 } in
-  let nprocs = run ~config ~observer:(Recorder.observer r) in
-  let events =
-    List.map
-      (fun e -> Result.get_ok (Codec.decode_event (Codec.encode_event e)))
-      (Recorder.events r)
-  in
-  (nprocs, events)
-
-(* Fault isolation with faults that fire: two sharded sessions with
-   different worker-crash plans, first each alone, then strictly
-   interleaved one line at a time. Each session's digest, journaled
-   crash ordinals and recovery count must be those of its solo run —
-   the interleaving must not move either session's fault schedule. *)
-let test_interleaved_faults_isolated () =
-  let nprocs_a, events_a =
-    record_workload (fun ~config ~observer ->
-        let params =
-          {
-            Minivite.Louvain.default_params with
-            Minivite.Louvain.graph =
-              { Minivite.Graph.default_params with Minivite.Graph.n_vertices = 600 };
-            inject_race = true;
-          }
-        in
-        ignore (Minivite.Louvain.run params ~nprocs:4 ~seed:5 ~config ~observer ());
-        4)
-  in
-  let nprocs_b, events_b =
-    record_workload (fun ~config ~observer ->
-        let params =
-          { Cfd_proxy.Halo.default_params with Cfd_proxy.Halo.iterations = 4; cells_per_chunk = 16 }
-        in
-        ignore (Cfd_proxy.Halo.run params ~nprocs:4 ~seed:42 ~config ~observer ());
-        4)
-  in
-  let hello_a = hello ~session:"a" ~jobs:2 ~fault:"seed=3,worker_crash=0.05" ~nprocs:nprocs_a () in
-  let hello_b =
-    hello ~session:"b" ~jobs:2 ~fault:"seed=9,worker_crash=0.08,max_retries=1" ~nprocs:nprocs_b ()
-  in
-  let lines_a = trace_lines events_a and lines_b = trace_lines events_b in
-  let journal = Filename.temp_file "rma_serve_faults" ".jsonl" in
-  Rma_obs.Obs.enable ();
-  Rma_obs.Events.set_level Rma_obs.Events.Info;
-  Rma_obs.Events.set_sink journal;
-  let finish () =
-    Rma_obs.Events.close ();
-    Rma_obs.Obs.disable ();
-    Rma_obs.Obs.reset ();
-    try Sys.remove journal with Sys_error _ -> ()
-  in
-  Fun.protect ~finally:finish @@ fun () ->
-  (* (run id, digest) of a finished session's server lines. *)
-  let outcome lines =
-    ( Option.value ~default:"" (str_field "run_id" (List.hd lines)),
-      str_field "digest" (List.nth lines (List.length lines - 1)) )
-  in
-  let sessions = ref None in
-  let (_ : Daemon.stats) =
-    with_daemon @@ fun _d port ->
-    let solo_a = outcome (run_session_raw ~port hello_a lines_a) in
-    let solo_b = outcome (run_session_raw ~port hello_b lines_b) in
-    let a = connect port and b = connect port in
-    send_lines a [ hello_a ];
-    send_lines b [ hello_b ];
-    let admitted_a = Option.get (recv_line a) and admitted_b = Option.get (recv_line b) in
-    send_interleaved a b lines_a lines_b;
-    (try Unix.shutdown a Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
-    (try Unix.shutdown b Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
-    let mixed_a = outcome (admitted_a :: recv_all a) in
-    let mixed_b = outcome (admitted_b :: recv_all b) in
-    Unix.close a;
-    Unix.close b;
-    sessions := Some (solo_a, solo_b, mixed_a, mixed_b)
-  in
-  let solo_a, solo_b, mixed_a, mixed_b = Option.get !sessions in
-  Rma_obs.Events.close ();
-  let events = (Rma_obs.Journal.read_file journal).Rma_obs.Journal.events in
-  (* Per session: its worker_crash ordinals in journal order and its
-     recovery count (restart-and-replay cycles plus sequential
-     fallbacks). *)
-  let faults_of run_id =
-    let mine = List.filter (fun e -> String.equal e.Rma_obs.Events.run_id run_id) events in
-    let event e = List.assoc_opt "event" e.Rma_obs.Events.kv in
-    ( List.filter_map
-        (fun e ->
-          if event e = Some "worker_crash" then List.assoc_opt "ordinal" e.Rma_obs.Events.kv
-          else None)
-        mine,
-      List.length
-        (List.filter
-           (fun e -> event e = Some "shard_recovery" || event e = Some "sequential_fallback")
-           mine) )
-  in
-  let check name (solo_id, solo_digest) (mixed_id, mixed_digest) =
-    Alcotest.(check bool) (name ^ " has a digest") true (solo_digest <> None);
-    Alcotest.(check (option string)) (name ^ " digest unchanged by interleaving") solo_digest
-      mixed_digest;
-    let solo_crashes, solo_recoveries = faults_of solo_id in
-    let mixed_crashes, mixed_recoveries = faults_of mixed_id in
-    Alcotest.(check bool) (name ^ " crashed when alone") true (solo_crashes <> []);
-    Alcotest.(check (list string)) (name ^ " crash ordinals unchanged") solo_crashes mixed_crashes;
-    Alcotest.(check int) (name ^ " recovery count unchanged") solo_recoveries mixed_recoveries
-  in
-  check "session a" solo_a mixed_a;
-  check "session b" solo_b mixed_b
-
 (* The soak: seeded churn of connect / abort / complete clients, then
-   the leak audit — no live sessions, no extra pool domains, and the
-   offline path still produces the pre-daemon digest (no session state
-   escaped). *)
+   the leak audit — no live sessions, and the offline path still
+   produces the pre-daemon digest (no session state escaped). *)
 let test_session_churn_soak () =
   let nprocs, events_r = record_kernel racy_kernel in
   let _, events_c = record_kernel clean_kernel in
   let racy_lines = trace_lines events_r and clean_lines = trace_lines events_c in
   let races_r, digest_r = offline ~nprocs events_r in
   let _, digest_c = offline ~nprocs events_c in
-  let pool_before = Rma_par.pool_size () in
   let completed = ref 0 and aborted = ref 0 in
   let stats =
     with_daemon ~max_sessions:3 @@ fun d port ->
@@ -586,9 +475,8 @@ let test_session_churn_soak () =
   (* The leak check's scrape is the one more connection. *)
   Alcotest.(check int) "accepted = completed + aborted + 1 scrape" (!completed + !aborted + 1)
     stats.Daemon.accepted;
-  Alcotest.(check int) "no worker domains leaked" pool_before (Rma_par.pool_size ());
   (* The offline reference, recomputed after all that churn, is
-     unchanged — per-session budgets and fault plans never escaped. *)
+     unchanged — per-session budgets never escaped. *)
   let _, digest_after = offline ~nprocs events_r in
   Alcotest.(check string) "offline digest unchanged after the churn" digest_r digest_after
 
@@ -725,9 +613,7 @@ let test_long_hello_error_is_bounded () =
   Alcotest.(check int) "one protocol failure" 1 stats.Daemon.failed
 
 (* A fail-fast budget ends a session and the offline ingestion of the
-   same trace with the same reason: sequentially, where the observer
-   raises, and sharded, where a worker parks the failure until the next
-   barrier. The daemon outlives both sessions. *)
+   same trace with the same reason. The daemon outlives the session. *)
 let test_budget_exhausted_same_reason () =
   let nprocs, events = record_kernel clean_kernel in
   let lines = trace_lines events in
@@ -736,74 +622,68 @@ let test_budget_exhausted_same_reason () =
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   let spec = "nodes=1,policy=fail" in
   let budget = Result.get_ok (Rma_fault.Budget.of_spec spec) in
-  let offline_reason jobs =
-    let make_tool ~nprocs = Toolbox.make Toolbox.Contribution ~nprocs ~jobs ~budget () in
+  let reason =
+    let make_tool ~nprocs = Toolbox.make Toolbox.Contribution ~nprocs ~budget () in
     match Ingest.file ~nprocs ~make_tool path with
-    | Ok _ -> Alcotest.failf "jobs=%d: offline ingestion outlived a one-node budget" jobs
+    | Ok _ -> Alcotest.fail "offline ingestion outlived a one-node budget"
     | Error reason -> reason
   in
+  Alcotest.(check bool) "offline reason names the budget" true
+    (String.starts_with ~prefix:"budget exhausted: " reason);
   let stats =
     with_daemon @@ fun _d port ->
-    List.iter
-      (fun jobs ->
-        let reason = offline_reason jobs in
-        Alcotest.(check bool)
-          (Printf.sprintf "jobs=%d: offline reason names the budget" jobs)
-          true
-          (String.starts_with ~prefix:"budget exhausted: " reason);
-        let served = run_session ~jobs ~budget:spec ~port ~session:"budget" ~nprocs lines in
-        let last = List.nth served (List.length served - 1) in
-        Alcotest.(check string) (Printf.sprintf "jobs=%d: session ends in error" jobs) "error"
-          (line_type last);
-        Alcotest.(check (option string))
-          (Printf.sprintf "jobs=%d: session reason is the offline one" jobs)
-          (Some reason) (str_field "reason" last))
-      [ 1; 2 ];
+    let served = run_session ~budget:spec ~port ~session:"budget" ~nprocs lines in
+    let last = List.nth served (List.length served - 1) in
+    Alcotest.(check string) "session ends in error" "error" (line_type last);
+    Alcotest.(check (option string)) "session reason is the offline one" (Some reason)
+      (str_field "reason" last);
     let after = run_session ~port ~session:"after" ~nprocs lines in
     Alcotest.(check string) "the daemon still completes sessions" "summary"
       (line_type (List.nth after (List.length after - 1)))
   in
-  Alcotest.(check int) "both budget sessions failed" 2 stats.Daemon.failed;
+  Alcotest.(check int) "the budget session failed" 1 stats.Daemon.failed;
   Alcotest.(check int) "the last session completed" 1 stats.Daemon.completed
 
-(* Every read of a sharded tool may run a barrier, so a session must
-   read no more often than [Ingest.file] does. The trace fits the
-   daemon's 8 KiB read, so it arrives in one batch. *)
-let test_served_barriers_match_offline () =
+(* Clients written for the sharded engine send a shard count: the
+   sequential one is admitted and analyzes as before, any other gets a
+   short error line, and the daemon goes on serving. *)
+let test_hello_jobs_must_be_sequential () =
   let nprocs, events = record_kernel racy_kernel in
-  let lines = trace_lines events in
-  let path = Filename.temp_file "rma_serve_barriers" ".rma" in
-  Out_channel.with_open_bin path (fun oc -> List.iter (fun l -> output_string oc (l ^ "\n")) lines);
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  Alcotest.(check bool) "the trace fits one 8 KiB read" true
-    (String.length (String.concat "\n" lines) < 8192);
-  let barriers = Rma_obs.Obs.counter "par.barriers" in
-  let count f =
-    Rma_obs.Obs.reset ();
-    Rma_obs.Obs.enable ();
-    Fun.protect
-      ~finally:(fun () ->
-        Rma_obs.Obs.disable ();
-        Rma_obs.Obs.reset ())
-      (fun () ->
-        f ();
-        barriers.Rma_obs.Obs.c_value)
+  let _, expected_digest = offline ~nprocs events in
+  let hello_with jobs =
+    Json.to_string ~minify:true
+      (Json.Obj
+         [ ("hello", Json.Int Protocol.version); ("session", Json.String "jobs");
+           ("nprocs", Json.Int nprocs); ("jobs", jobs) ])
   in
-  let offline =
-    count (fun () ->
-        let make_tool ~nprocs = Toolbox.make Toolbox.Contribution ~nprocs ~jobs:2 () in
-        ignore (Result.get_ok (Ingest.file ~nprocs ~make_tool path)))
+  let stats =
+    with_daemon @@ fun _d port ->
+    let session jobs lines =
+      let fd = connect port in
+      Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ()) @@ fun () ->
+      send_lines fd (hello_with jobs :: lines);
+      (try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
+      recv_all fd
+    in
+    List.iter
+      (fun (what, jobs) ->
+        match session jobs [] with
+        | [ l ] ->
+            Alcotest.(check string) (what ^ ": an error line") "error" (line_type l);
+            Alcotest.(check (option string)) (what ^ ": reason")
+              (Some "hello field \"jobs\" must be 1 (the analyzer is sequential)")
+              (str_field "reason" l)
+        | other -> Alcotest.failf "%s: expected one error line, got %d" what (List.length other))
+      [ ("jobs 2", Json.Int 2); ("jobs 0", Json.Int 0); ("jobs as a string", Json.String "1") ];
+    let lines = session (Json.Int 1) (trace_lines events) in
+    Alcotest.(check (option string)) "jobs 1 admitted" (Some "admitted")
+      (Option.map line_type (List.nth_opt lines 0));
+    Alcotest.(check (option string)) "jobs 1: digest matches offline analyze"
+      (Some expected_digest)
+      (str_field "digest" (List.nth lines (List.length lines - 1)))
   in
-  let served =
-    count (fun () ->
-        ignore
-          (with_daemon @@ fun _d port ->
-           let out = run_session ~jobs:2 ~port ~session:"barriers" ~nprocs lines in
-           Alcotest.(check string) "session completes" "summary"
-             (line_type (List.nth out (List.length out - 1)))))
-  in
-  Alcotest.(check bool) "the sharded tool ran barriers" true (offline > 0);
-  Alcotest.(check int) "served barriers = Ingest.file's" offline served
+  Alcotest.(check int) "three refused hellos" 3 stats.Daemon.failed;
+  Alcotest.(check int) "the jobs 1 session completed" 1 stats.Daemon.completed
 
 let suite =
   [
@@ -824,10 +704,8 @@ let suite =
       test_scrape_mid_stream;
     Alcotest.test_case "a 60 KiB fault plan gets a short error" `Quick
       test_long_hello_error_is_bounded;
-    Alcotest.test_case "interleaved sessions keep their own fault schedules" `Quick
-      test_interleaved_faults_isolated;
     Alcotest.test_case "budget exhausted: same reason offline and served" `Quick
       test_budget_exhausted_same_reason;
-    Alcotest.test_case "a jobs-2 session runs Ingest.file's barriers" `Quick
-      test_served_barriers_match_offline;
+    Alcotest.test_case "a hello's jobs field admits only the sequential value" `Quick
+      test_hello_jobs_must_be_sequential;
   ]

@@ -327,14 +327,14 @@ let pinned_traces () =
 
 (* [Recorder.save] of [events], returned as the file's bytes together
    with [Recorder.load] of that file. *)
-let save_and_load ?faults events =
+let save_and_load events =
   let recorder = Recorder.create () in
   List.iter (fun e -> ignore (Recorder.observer recorder e)) events;
   let path = Filename.temp_file "rma_golden" ".rma" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Recorder.save ?faults recorder ~path;
+      Recorder.save recorder ~path;
       (In_channel.with_open_bin path In_channel.input_all, Recorder.load ~path))
 
 let test_trace_golden () =
@@ -624,7 +624,7 @@ let plan_gen =
         ( 3,
           return
             (Some
-               { Rma_fault.Plan.default with Rma_fault.Plan.seed; trace_truncate; trace_corrupt })
+               { Rma_fault.Plan.seed; trace_truncate; trace_corrupt })
         );
       ])
 
