@@ -31,10 +31,16 @@ let config_fields j =
     | None | Some Json.Null | Some (Json.Int 1) -> Ok ()
     | Some _ -> Error "hello field \"jobs\" must be 1 (the analyzer is sequential)"
   in
+  (* A fault plan reaches only trace writers, and a session writes no
+     trace. *)
+  let* () =
+    match Json.member "fault" j with
+    | None | Some Json.Null -> Ok ()
+    | Some _ -> Error "hello field \"fault\" is not accepted (a session writes no trace)"
+  in
   let* predictive = as_string "predictive" (fun v -> Option.map string_of_bool (Json.to_bool v)) in
   let* budget = as_string "budget" Json.to_str in
-  let* fault = as_string "fault" Json.to_str in
-  Ok (predictive @ budget @ fault)
+  Ok (predictive @ budget)
 
 let parse_hello ?(base = Run_config.default) line =
   let* j = Result.map_error (fun e -> "malformed hello: " ^ e) (Json.of_string line) in

@@ -20,15 +20,14 @@ val version : int
     detector; [nprocs] is the simulated rank count the trace was
     recorded with (required — detector state is sized before the first
     event arrives). [run] is the session's own run configuration: the
-    optional fields [predictive] (bool), [budget] (a
-    {!Rma_fault.Budget.of_spec} string) and [fault] (a
-    {!Rma_fault.Plan.of_spec} string) mirror the offline CLI flags and
+    optional fields [predictive] (bool) and [budget] (a
+    {!Rma_fault.Budget.of_spec} string) mirror the offline CLI flags and
     are parsed by {!Rma_config.Run_config.of_fields}; an omitted one
-    keeps the daemon's default. A session writes no trace, so its fault
-    plan injects nothing. Fields the daemon does not know are ignored,
-    so older clients that still send them are admitted unchanged; the
-    one exception is [jobs], the shard count of an older protocol,
-    which must be [1] when present. *)
+    keeps the daemon's default. Fields the daemon does not know are
+    ignored, so older clients that still send them are admitted
+    unchanged. Two are refused instead: [fault], because a session
+    writes no trace for a fault plan to act on, and [jobs], the shard
+    count of an older protocol, unless it is [1]. *)
 type hello = {
   session : string;
   tool : Rma_analysis.Toolbox.kind;

@@ -33,6 +33,9 @@ val remove : t -> Access.t -> bool
 (** Removes one occurrence structurally equal to the argument; [false]
     when absent. *)
 
+val splice : t -> Interval.t -> old:Access.t list -> Access.t list -> unit
+(** Algorithm 1's line 8 in place: see {!Interval_tree.Make.splice}. *)
+
 val stab : t -> Interval.t -> Access.t list
 (** Every stored access whose interval overlaps the query, in increasing
     lower-bound order. Uses the max-upper-bound augmentation, so it is
@@ -56,7 +59,7 @@ val clearance : t -> Interval.t -> clearance
 
 val ops : t -> int
 (** Cumulative count of tree operations (descents): [insert], [remove],
-    [stab], [search_path] and [clearance] each count one. *)
+    [stab], [search_path], [clearance] and a [splice] walk count one. *)
 
 val search_path : t -> Access.t -> Access.t list
 (** The accesses on the BST descent from the root towards [query]'s

@@ -163,18 +163,6 @@ let enforce_budget t =
             if Governor.over g ~size:(size t) then spill t g
       end
 
-(* fragment_accesses (line 6, §4.1) and merge_accesses (line 7, §4.2)
-   live in the shared Fragmenter module. *)
-let fragment t ~candidates ~new_acc =
-  let pieces, created = Fragmenter.fragment ~candidates ~new_acc in
-  t.fragments_created <- t.fragments_created + created;
-  pieces
-
-let merge_pieces t pieces =
-  let merged, merges = Fragmenter.merge pieces in
-  t.merges_performed <- t.merges_performed + merges;
-  merged
-
 (* Make [acc] the new finger, claiming the open zone (pred_hi, succ_lo)
    that a clearance descent certified free of tree bytes: at most
    [zone_headroom] bytes each way, and never the bytes of the old finger,
@@ -223,14 +211,21 @@ let slow_insert t access window =
       | Some existing -> Store_intf.Race_detected { existing; incoming = access }
       | None ->
           record_origin t access;
-          let fragments = fragment t ~candidates ~new_acc:access in
-          let final = if t.merge then merge_pieces t fragments else fragments in
-          (* finish_insertion (line 8): replace the old accesses with the
-             new disjoint pieces. *)
-          List.iter (fun old -> ignore (Avl.remove t.tree old)) candidates;
-          (match final with
-          | [ piece ] when t.fast_path -> settle_piece t piece
-          | _ -> List.iter (fun piece -> Avl.insert t.tree piece) final);
+          (* Lines 6-7: fragment_accesses (§4.1), merge_accesses (§4.2). *)
+          let pieces, created = Fragmenter.fragment ~candidates ~new_acc:access in
+          t.fragments_created <- t.fragments_created + created;
+          let final, merges = if t.merge then Fragmenter.merge pieces else (pieces, 0) in
+          t.merges_performed <- t.merges_performed + merges;
+          (* finish_insertion (line 8): splice the new disjoint pieces
+             over the old accesses' nodes. A single piece reaching past
+             the one node it replaces may become the finger instead. *)
+          (match (final, candidates) with
+          | [ piece ], [ old ] when Interval.equal piece.Access.interval old.Access.interval ->
+              Avl.splice t.tree window ~old:candidates final
+          | [ piece ], _ when t.fast_path ->
+              Avl.splice t.tree window ~old:candidates [];
+              settle_piece t piece
+          | _ -> Avl.splice t.tree window ~old:candidates final);
           bump_peak t;
           Store_intf.Inserted)
 

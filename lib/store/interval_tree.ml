@@ -138,6 +138,48 @@ module Make (Elt : ELEMENT) = struct
     t.root <- remove_node t t.root elt;
     t.count < before
 
+  (* The first [n] of sorted [l] with no physical twin in sorted [other]
+     (one merge pass), and the rest of [l]. *)
+  let rec split_fresh n other l =
+    match (l, other) with
+    | x :: _, y :: other when n > 0 && compare_key x y > 0 -> split_fresh n other l
+    | x :: l, y :: _ when n > 0 && x == y ->
+        let fresh, rest = split_fresh n other l in
+        (fresh, x :: rest)
+    | x :: l, _ when n > 0 ->
+        let fresh, rest = split_fresh (n - 1) other l in
+        (x :: fresh, rest)
+    | l, _ -> ([], l)
+
+  (* In a disjoint tree the window's elements are one in-order run, and every
+     piece lies between its neighbours: overwriting it in order keeps the order. *)
+  let splice t window ~old pieces =
+    let k = List.length old and m = List.length pieces in
+    let dead, old = split_fresh (k - m) pieces old in
+    let extra, pieces = split_fresh (m - k) old pieces in
+    List.iter (fun e -> ignore (remove t e)) dead;
+    if not (List.for_all2 ( == ) old pieces) then begin
+      touch t;
+      let rest = ref pieces in
+      let rec walk = function
+        | Node n as node when n.max_hi >= Interval.lo window ->
+            let iv = Elt.interval n.elt in
+            walk n.left;
+            (if Interval.overlaps iv window then
+               match !rest with
+               | p :: tl ->
+                   if p != n.elt then n.elt <- p;
+                   rest := tl
+               | [] -> invalid_arg "Interval_tree.splice: run longer than [old]");
+            if Interval.lo iv <= Interval.hi window then walk n.right;
+            fix node
+        | _ -> ()
+      in
+      walk t.root;
+      if !rest <> [] then invalid_arg "Interval_tree.splice: run shorter than [old]"
+    end;
+    List.iter (insert t) extra
+
   let stab t query =
     touch t;
     let rec go node acc =
@@ -224,30 +266,24 @@ module Make (Elt : ELEMENT) = struct
   let height t = height_of t.root
 
   let invariants_ok t =
-    (* One pass computing (height, max_hi, min_key, max_key) per subtree
-       and validating order, balance and the caches along the way. *)
-    let exception Violated in
-    let rec check = function
-      | Leaf -> (0, min_int, None, None)
-      | Node n ->
-          let hl, ml, min_l, max_l = check n.left in
-          let hr, mr, min_r, max_r = check n.right in
-          let order_ok =
-            (match max_l with None -> true | Some a -> compare_key a n.elt <= 0)
-            && match min_r with None -> true | Some a -> compare_key n.elt a <= 0
-          in
-          if not order_ok then raise Violated;
-          if abs (hl - hr) > 1 then raise Violated;
-          if n.node_height <> 1 + Int.max hl hr then raise Violated;
-          let subtree_hi = Int.max (Interval.hi (Elt.interval n.elt)) (Int.max ml mr) in
-          if n.max_hi <> subtree_hi then raise Violated;
-          let subtree_min = match min_l with Some _ -> min_l | None -> Some n.elt in
-          let subtree_max = match max_r with Some _ -> max_r | None -> Some n.elt in
-          (n.node_height, n.max_hi, subtree_min, subtree_max)
+    (* Each node against its children, and keys sorted in order. *)
+    let prev = ref None and count = ref 0 in
+    let rec ok = function
+      | Leaf -> true
+      | Node n as node ->
+          ok n.left
+          && (match !prev with Some p -> compare_key p n.elt <= 0 | None -> true)
+          && begin
+               prev := Some n.elt;
+               incr count;
+               let children_hi = Int.max (max_hi_of n.left) (max_hi_of n.right) in
+               abs (balance node) <= 1
+               && n.node_height = 1 + Int.max (height_of n.left) (height_of n.right)
+               && n.max_hi = Int.max (Interval.hi (Elt.interval n.elt)) children_hi
+             end
+          && ok n.right
     in
-    match check t.root with
-    | _ -> fold t ~init:0 ~f:(fun acc _ -> acc + 1) = t.count
-    | exception Violated -> false
+    ok t.root && !count = t.count
 
   let pp fmt t =
     let rec go node depth =

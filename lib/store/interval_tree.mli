@@ -40,6 +40,14 @@ module Make (Elt : ELEMENT) : sig
   val remove : t -> Elt.t -> bool
   (** Removes one structurally-equal occurrence; [false] when absent. *)
 
+  val splice : t -> Interval.t -> old:Elt.t list -> Elt.t list -> unit
+  (** [splice t window ~old pieces] replaces [old], the run {!stab}
+      returns for [window] in a disjoint tree, with sorted [pieces]
+      disjoint from each other and the rest: surplus nodes go, one walk
+      overwrites the others (a node already holding its piece is left
+      alone), surplus pieces are inserted. Raises [Invalid_argument] when
+      the window's run is not [old]. *)
+
   val stab : t -> Interval.t -> Elt.t list
   (** Every stored element whose interval overlaps the query, in
       increasing lower-bound order; exact thanks to the max-upper-bound
@@ -62,8 +70,8 @@ module Make (Elt : ELEMENT) : sig
       Used by the disjoint store's finger cache. *)
 
   val ops : t -> int
-  (** Cumulative count of tree operations (descents): [insert],
-      [remove], [stab], [search_path] and [clearance] each count one.
+  (** Cumulative count of tree operations (descents): [insert], [remove],
+      [stab], [search_path], [clearance] and a [splice] walk count one.
       The currency of the fast-path benchmarks. *)
 
   val search_path : t -> Elt.t -> Elt.t list

@@ -21,8 +21,8 @@ let region_covers r iv =
   if not (Interval.overlaps (region_hull r) iv) then false
   else begin
     let lo = Interval.lo iv and hi = Interval.hi iv in
-    let first = max 0 ((lo - r.base - r.len + 1 + r.stride - 1) / r.stride) in
-    let last = min (r.count - 1) ((hi - r.base) / r.stride) in
+    let first = Int.max 0 ((lo - r.base - r.len + 1 + r.stride - 1) / r.stride) in
+    let last = Int.min (r.count - 1) ((hi - r.base) / r.stride) in
     let rec any k =
       k <= last
       &&
@@ -120,7 +120,7 @@ let coarsen t g =
     && b.base = a.base + (a.count * a.stride)
   in
   let join a b =
-    let seq = max a.seq b.seq in
+    let seq = Int.max a.seq b.seq in
     let debug = if b.seq >= a.seq then b.debug else a.debug in
     { a with count = a.count + b.count; seq; debug }
   in
@@ -232,7 +232,10 @@ let insert_unbudgeted t access =
             Tree.stab t.tree
               (Interval.make ~lo:(Interval.lo iv - 4096) ~hi:(Interval.lo iv - 1))
           in
-          let all_candidates = List.sort_uniq compare (near @ behind) in
+          (* Elements stay disjoint, so a base names one region. *)
+          let all_candidates =
+            List.sort_uniq (fun a b -> Int.compare a.base b.base) (near @ behind)
+          in
           List.find_map
             (fun r ->
               match extension_of r access with

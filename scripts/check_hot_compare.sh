@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Hot-path compare lint. Algorithm 1's per-access path (interval
 # arithmetic, access equality, the interval tree, fragmentation, the
-# disjoint store and the analyzer's tree tables) and the simulator's
+# disjoint and strided stores and the analyzer's tree tables) and the simulator's
 # per-access step that feeds it (the scheduler's run queue, event
 # dispatch and access classification in the runtime, and the rank
 # memory's scans), the trace codec and ingestion step that every
@@ -31,6 +31,7 @@ OBJECTS=(
   lib/store/.rma_store.objs/native/rma_store__Avl.o
   lib/store/.rma_store.objs/native/rma_store__Fragmenter.o
   lib/store/.rma_store.objs/native/rma_store__Disjoint_store.o
+  lib/store/.rma_store.objs/native/rma_store__Strided_store.o
   lib/analysis/.rma_analysis.objs/native/rma_analysis__Rma_analyzer.o
   lib/mpi_sim/.mpi_sim.objs/native/mpi_sim__Run_queue.o
   lib/mpi_sim/.mpi_sim.objs/native/mpi_sim__Runtime.o

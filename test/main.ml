@@ -28,5 +28,6 @@ let () =
       ("serve", Test_serve.suite);
       ("sim_step", Test_sim_step.suite);
       ("run_config", Test_run_config.suite);
+      ("splice", Test_splice.suite);
       ("golden_regen", Golden_regen.suite);
     ]

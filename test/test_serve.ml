@@ -382,7 +382,7 @@ let rec send_interleaved a b xs ys =
 
 (* Two sessions streamed strictly interleaved, one line at a time — the
    round-robin slices alternate between them, so any cross-session
-   leakage of detector, budget or fault state would corrupt a verdict. *)
+   leakage of detector or budget state would corrupt a verdict. *)
 let clean_spec = "4096:spill"
 let clean_budget = Result.get_ok (Rma_fault.Budget.of_spec clean_spec)
 
@@ -397,7 +397,7 @@ let test_interleaved_sessions_isolated () =
     let b = connect port in
     send_lines a [ hello ~session:"racy" ~nprocs:nprocs_r () ];
     send_lines b
-      [ hello ~session:"clean" ~budget:clean_spec ~fault:"seed=7" ~nprocs:nprocs_c () ];
+      [ hello ~session:"clean" ~budget:clean_spec ~nprocs:nprocs_c () ];
     Alcotest.(check (option string)) "a admitted" (Some "admitted")
       (Option.map line_type (recv_line a));
     Alcotest.(check (option string)) "b admitted" (Some "admitted")
@@ -413,7 +413,7 @@ let test_interleaved_sessions_isolated () =
     let summary_of lines = List.nth lines (List.length lines - 1) in
     Alcotest.(check (option string)) "racy digest" (Some digest_r)
       (str_field "digest" (summary_of ra));
-    Alcotest.(check (option string)) "clean digest under a budget + fault plan" (Some digest_c)
+    Alcotest.(check (option string)) "clean digest under a budget" (Some digest_c)
       (str_field "digest" (summary_of rb))
   in
   Alcotest.(check int) "both completed" 2 stats.Daemon.completed
@@ -588,16 +588,16 @@ let test_scrape_mid_stream () =
   in
   ()
 
-(* A spec error quotes at most 64 bytes of the value: a 60 KiB fault
-   plan in a hello comes back as a short error line, and the daemon
+(* A spec error quotes at most 64 bytes of the value: a 60 KiB budget
+   spec in a hello comes back as a short error line, and the daemon
    goes on serving. *)
 let test_long_hello_error_is_bounded () =
   let nprocs, events = record_kernel clean_kernel in
   let _, expected_digest = offline ~nprocs events in
   let stats =
     with_daemon @@ fun _d port ->
-    let fault = "seed=" ^ String.make (60 * 1024) 'x' in
-    let lines = run_session ~fault ~port ~session:"long" ~nprocs [] in
+    let budget = "nodes=" ^ String.make (60 * 1024) 'x' in
+    let lines = run_session ~budget ~port ~session:"long" ~nprocs [] in
     (match lines with
     | [ l ] ->
         Alcotest.(check string) "an error line" "error" (line_type l);
@@ -685,6 +685,28 @@ let test_hello_jobs_must_be_sequential () =
   Alcotest.(check int) "three refused hellos" 3 stats.Daemon.failed;
   Alcotest.(check int) "the jobs 1 session completed" 1 stats.Daemon.completed
 
+(* A fault plan reaches only trace writers, and a session writes no
+   trace: a hello naming one gets a short error line instead of an
+   admission that would silently ignore it, and the daemon goes on
+   serving. *)
+let test_hello_fault_refused () =
+  let nprocs, events = record_kernel clean_kernel in
+  let _, expected_digest = offline ~nprocs events in
+  let stats =
+    with_daemon @@ fun _d port ->
+    (match run_session ~fault:"seed=7,trace_corrupt=0.05" ~port ~session:"fault" ~nprocs [] with
+    | [ l ] ->
+        Alcotest.(check string) "an error line" "error" (line_type l);
+        Alcotest.(check (option string)) "reason"
+          (Some "hello field \"fault\" is not accepted (a session writes no trace)")
+          (str_field "reason" l)
+    | other -> Alcotest.failf "expected one error line, got %d" (List.length other));
+    let after = run_session ~port ~session:"after" ~nprocs (trace_lines events) in
+    Alcotest.(check (option string)) "the next session completes" (Some expected_digest)
+      (str_field "digest" (List.nth after (List.length after - 1)))
+  in
+  Alcotest.(check int) "one refused hello" 1 stats.Daemon.failed
+
 let suite =
   [
     Alcotest.test_case "byte-identical verdicts vs offline replay" `Quick
@@ -702,10 +724,11 @@ let suite =
     Alcotest.test_case "telemetry endpoint serves metrics live" `Quick test_serve_endpoint;
     Alcotest.test_case "a scrape mid-stream leaves the verdicts alone" `Quick
       test_scrape_mid_stream;
-    Alcotest.test_case "a 60 KiB fault plan gets a short error" `Quick
+    Alcotest.test_case "a 60 KiB budget spec gets a short error" `Quick
       test_long_hello_error_is_bounded;
     Alcotest.test_case "budget exhausted: same reason offline and served" `Quick
       test_budget_exhausted_same_reason;
     Alcotest.test_case "a hello's jobs field admits only the sequential value" `Quick
       test_hello_jobs_must_be_sequential;
+    Alcotest.test_case "a hello's fault field is refused" `Quick test_hello_fault_refused;
   ]
