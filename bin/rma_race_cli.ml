@@ -80,16 +80,6 @@ let diag_term =
             "Write the race reports of the run as SARIF 2.1.0 to $(docv), one result per race \
              with every contributing source location. Enables the flight recorder.")
   in
-  let fault_plan =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "fault-plan" ] ~docv:"SPEC"
-          ~doc:
-            "Install a deterministic fault-injection plan for the trace $(b,record) writes, e.g. \
-             $(b,seed=42,trace_corrupt=0.05). Sites: trace_corrupt (flip one bit of a line), \
-             trace_truncate (stop the write mid-stream). Same as setting $(b,RMA_FAULT).")
-  in
   let budget =
     Arg.(
       value
@@ -112,8 +102,8 @@ let diag_term =
              JSON/SARIF exports, with a witness reordering rendered by $(b,explain)), even when \
              the observed schedule kept them apart. Same as setting $(b,RMA_PREDICTIVE=1).")
   in
-  let mk obs_out obs_summary obs_prometheus obs_events obs_level races_json races_sarif fault_plan
-      budget predictive =
+  let mk obs_out obs_summary obs_prometheus obs_events obs_level races_json races_sarif budget
+      predictive =
     {
       Diag.obs_out;
       obs_summary;
@@ -122,15 +112,14 @@ let diag_term =
       obs_level;
       races_json;
       races_sarif;
-      fault_plan;
       budget;
       predictive;
       interleave_seed = None;
     }
   in
   Term.(
-    const mk $ out $ summary $ prometheus $ events $ level $ races_json $ races_sarif $ fault_plan
-    $ budget $ predictive)
+    const mk $ out $ summary $ prometheus $ events $ level $ races_json $ races_sarif $ budget
+    $ predictive)
 
 let generator = "rma_race"
 
@@ -434,7 +423,7 @@ let record_cmd =
     let config = { Mpi_sim.Config.default with Mpi_sim.Config.analysis_overhead_scale = 0.0 } in
     let w =
       Out_channel.with_open_text out (fun oc ->
-          let w = Codec.Writer.create ?faults:(Run_config.faults run) oc in
+          let w = Codec.Writer.create oc in
           let observer e =
             Codec.Writer.add w e;
             0.0

@@ -65,7 +65,7 @@ let () =
      Caps apply per (rank, window) store — %d stores here; the table sums them.\n\n"
     nprocs !iterations (2 * nprocs);
   let budget_of_spec spec =
-    match Rma_fault.Budget.of_spec spec with
+    match Rma_store.Budget.of_spec spec with
     | Ok b -> b
     | Error msg -> failwith (Printf.sprintf "bad budget spec %S: %s" spec msg)
   in

@@ -5,7 +5,7 @@
 
      dune exec examples/trace_postmortem.exe
      dune exec examples/trace_postmortem.exe -- /tmp/my_trace.txt
-     RMA_FAULT="seed=1,trace_truncate=1.0" dune exec examples/trace_postmortem.exe
+     RMA_BUDGET=4:spill dune exec examples/trace_postmortem.exe
 *)
 
 open Mpi_sim
@@ -35,7 +35,7 @@ let program () =
 
 let () =
   (* The environment is the only configuration this example reads: a
-     fault plan there damages the trace as it is written. *)
+     budget or predictive mode there shapes the on-the-fly replay. *)
   let run =
     match Rma_config.Run_config.of_env () with
     | Ok run -> run
@@ -50,7 +50,7 @@ let () =
   in
   let recorder = Recorder.create () in
   let _ = Runtime.run ~nprocs:2 ~seed:3 ~observer:(Recorder.observer recorder) program in
-  Recorder.save ?faults:(Rma_config.Run_config.faults run) recorder ~path;
+  Recorder.save recorder ~path;
   Printf.printf "recorded %d events to %s\n\n" (Recorder.length recorder) path;
 
   (match Recorder.load ~path with

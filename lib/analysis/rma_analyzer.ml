@@ -152,7 +152,7 @@ type state = {
   config : Config.t;
   mode : Tool.mode;
   flush_clears : bool;
-  budget : Rma_fault.Budget.t option;
+  budget : Rma_store.Budget.t option;
       (* [None] = unbounded stores (see Governor.create). *)
   policy : policy;
   name : string;

@@ -35,7 +35,7 @@ val create :
   ?mode:Tool.mode ->
   ?flush_clears:bool ->
   ?max_reports:int ->
-  ?budget:Rma_fault.Budget.t ->
+  ?budget:Rma_store.Budget.t ->
   ?predictive:bool ->
   policy ->
   Tool.t
@@ -51,7 +51,7 @@ val create :
     detected on a degraded store carry
     [provenance.degraded = true] (downgraded confidence in SARIF).
     Under [Fail_fast] the racing insert raises
-    {!Rma_fault.Budget.Exhausted} through the observer. See DESIGN.md
+    {!Rma_store.Budget.Exhausted} through the observer. See DESIGN.md
     §11.
 
     [max_reports] bounds the reports kept for {!Tool.t.races}; counting

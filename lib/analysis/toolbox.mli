@@ -27,7 +27,7 @@ val make :
   ?mode:Tool.mode ->
   ?batch_inserts:bool ->
   ?jobs:int ->
-  ?budget:Rma_fault.Budget.t ->
+  ?budget:Rma_store.Budget.t ->
   ?predictive:bool ->
   unit ->
   Tool.t

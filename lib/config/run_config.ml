@@ -1,11 +1,9 @@
-module Plan = Rma_fault.Plan
-module Budget = Rma_fault.Budget
+module Budget = Rma_store.Budget
 module Events = Rma_obs.Events
 
 type t = {
   predictive : bool;
   interleave_seed : int option;
-  fault : Plan.t option;
   budget : Budget.t option;
   obs_events : string option;
   obs_level : Events.level;
@@ -16,7 +14,6 @@ let default =
   {
     predictive = false;
     interleave_seed = None;
-    fault = None;
     budget = None;
     obs_events = None;
     obs_level = Events.Info;
@@ -35,7 +32,6 @@ let set_predictive t v =
   | _ -> Error "expected true or false"
 
 let set_interleave t v = Result.map (fun s -> { t with interleave_seed = Some s }) (int v)
-let set_fault t v = Result.map (fun p -> { t with fault = Some p }) (Plan.of_spec v)
 let set_budget t v = Result.map (fun b -> { t with budget = Some b }) (Budget.of_spec v)
 
 let set_level t v =
@@ -48,12 +44,7 @@ let set_slo t v =
   | _ -> Error "expected a positive number of milliseconds"
 
 let fields =
-  [
-    ("predictive", set_predictive);
-    ("interleave_seed", set_interleave);
-    ("fault", set_fault);
-    ("budget", set_budget);
-  ]
+  [ ("predictive", set_predictive); ("interleave_seed", set_interleave); ("budget", set_budget) ]
 
 let keys = List.map fst fields
 
@@ -61,7 +52,6 @@ let env =
   [
     ("RMA_PREDICTIVE", set_predictive);
     ("RMA_INTERLEAVE_SEED", set_interleave);
-    ("RMA_FAULT", set_fault);
     ("RMA_BUDGET", set_budget);
     ("RMA_OBS_EVENTS", fun t v -> Ok { t with obs_events = Some v });
     ("RMA_OBS_LEVEL", set_level);
@@ -90,7 +80,4 @@ let of_fields ?(base = default) ?label kv = apply ?label (fun k -> List.assoc_op
 let to_fields t =
   [ ("predictive", string_of_bool t.predictive) ]
   @ Option.fold ~none:[] ~some:(fun s -> [ ("interleave_seed", string_of_int s) ]) t.interleave_seed
-  @ Option.fold ~none:[] ~some:(fun p -> [ ("fault", Plan.to_spec p) ]) t.fault
   @ Option.fold ~none:[] ~some:(fun b -> [ ("budget", Budget.to_spec b) ]) t.budget
-
-let faults t = Option.map Rma_fault.create t.fault

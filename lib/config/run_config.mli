@@ -1,12 +1,12 @@
 (** One run's configuration, as one value.
 
     Every setting that changes what a run computes or where its journal
-    goes lives here: predictive mode, interleave seed,
-    fault plan, budget, journal sink and level, and the epoch-close
-    SLO. The edges (the CLI, the bench driver, the examples, a [serve]
-    hello, a journal's [run_start] record) build one value and pass its
-    fields down as explicit arguments; below the edges every default is
-    a constant ({!default}). Nothing here is process state, so two runs
+    goes lives here: predictive mode, interleave seed, budget, journal
+    sink and level, and the epoch-close SLO. The edges (the CLI, the
+    bench driver, the examples, a [serve] hello, a journal's [run_start]
+    record) build one value and pass its fields down as explicit
+    arguments; below the edges every default is a constant
+    ({!default}). Nothing here is process state, so two runs
     in one process cannot see each other's settings (DESIGN.md §20). *)
 
 type t = {
@@ -14,8 +14,7 @@ type t = {
   interleave_seed : int option;
       (** Fiber-interleaving seed of a kernel run; [None] draws from the
           run's [--seed]. *)
-  fault : Rma_fault.Plan.t option;  (** Default: no faults. *)
-  budget : Rma_fault.Budget.t option;  (** Default: unbounded stores. *)
+  budget : Rma_store.Budget.t option;  (** Default: unbounded stores. *)
   obs_events : string option;  (** Event-journal JSON-lines path. *)
   obs_level : Rma_obs.Events.level;  (** Journal emission filter. Default [Info]. *)
   slo_epoch_close_ms : float;  (** Epoch-close SLO threshold. Default 100 ms. *)
@@ -26,7 +25,7 @@ val default : t
 val of_env : unit -> (t, string) result
 (** {!default} overridden by the [RMA_PREDICTIVE]
     ([1|true|yes|on] or [0|false|no|off]), [RMA_INTERLEAVE_SEED],
-    [RMA_FAULT], [RMA_BUDGET], [RMA_OBS_EVENTS], [RMA_OBS_LEVEL] and
+    [RMA_BUDGET], [RMA_OBS_EVENTS], [RMA_OBS_LEVEL] and
     [RMA_SLO_EPOCH_CLOSE_MS] environment variables. Empty variables
     count as unset. [Error] reads
     [bad VAR "value": reason] for the first malformed variable; the
@@ -34,8 +33,8 @@ val of_env : unit -> (t, string) result
 
 val to_fields : t -> (string * string) list
 (** The fields that decide a run's verdicts, as string pairs:
-    [predictive], and [interleave_seed], [fault], [budget] when set
-    (specs in canonical form). The journal's [run_start] record carries
+    [predictive], and [interleave_seed], [budget] when set (the budget
+    spec in canonical form). The journal's [run_start] record carries
     exactly these. *)
 
 val keys : string list
@@ -48,8 +47,3 @@ val of_fields :
     malformed value is an [Error] reading [bad NAME "value": reason],
     where NAME is [label key] (default the key itself; the CLI names
     its flag). *)
-
-val faults : t -> Rma_fault.t option
-(** A fresh fault schedule for the plan, if any. Call it once per run
-    and hand the result to the trace writer of that run
-    ({!Rma_trace.Codec.Writer.create}); no detector takes one. *)

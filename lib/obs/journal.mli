@@ -3,9 +3,9 @@
     This is the consumption half of the journal contract {!Events}
     writes: a {e total} reader in the style of the trace codec's
     ([Ok]/[Error { at_line; reason }], never an exception) that
-    tolerates the two failure shapes a journal from a crashed or
-    fault-injected run actually has — a truncated final line and
-    bit-flipped garbage mid-file — plus the filter and aggregation
+    tolerates the two failure shapes a journal from a crashed run or a
+    damaged disk actually has — a truncated final line and bit-flipped
+    garbage mid-file — plus the filter and aggregation
     passes behind the [rma_race obs query] and [rma_race obs stats]
     subcommands.
 

@@ -10,7 +10,6 @@ type opts = {
   obs_level : string option;
   races_json : string option;
   races_sarif : string option;
-  fault_plan : string option;
   budget : string option;
   predictive : bool;
   interleave_seed : int option;
@@ -25,7 +24,6 @@ let default =
     obs_level = None;
     races_json = None;
     races_sarif = None;
-    fault_plan = None;
     budget = None;
     predictive = false;
     interleave_seed = None;
@@ -53,14 +51,10 @@ let run_config ~prog opts =
     @ (match opts.interleave_seed with
       | Some s -> [ ("interleave_seed", string_of_int s) ]
       | None -> [])
-    @ (match opts.fault_plan with Some spec -> [ ("fault", spec) ] | None -> [])
     @ match opts.budget with Some spec -> [ ("budget", spec) ] | None -> []
   in
   let run =
-    let label = function
-      | "fault" -> "--fault-plan"
-      | key -> "--" ^ String.map (function '_' -> '-' | c -> c) key
-    in
+    let label key = "--" ^ String.map (function '_' -> '-' | c -> c) key in
     let parsed = Run_config.of_env () in
     match Result.bind parsed (fun base -> Run_config.of_fields ~base ~label flags) with
     | Ok run -> run

@@ -1,6 +1,6 @@
 (** Shared diagnostics plumbing for the CLI subcommands and the example
     drills: one options record covering the observability,
-    event-journal, race-export and fault/budget flags, and one bracket
+    event-journal, race-export and budget flags, and one bracket
     ({!with_diag}) around a run.
 
     The bracket reads the environment once
@@ -21,8 +21,7 @@ type opts = {
           usage error. *)
   races_json : string option;
   races_sarif : string option;
-  fault_plan : string option;  (** {!Rma_fault.Plan.of_spec} syntax. *)
-  budget : string option;  (** {!Rma_fault.Budget.of_spec} syntax. *)
+  budget : string option;  (** {!Rma_store.Budget.of_spec} syntax. *)
   predictive : bool;
       (** The [--predictive] flag: [true] turns predictive (weak-order
           schedulable-race) analysis on; [false] leaves
@@ -31,7 +30,7 @@ type opts = {
 }
 
 val default : opts
-(** Everything off: no exports, no plan, no budget. *)
+(** Everything off: no exports, no budget. *)
 
 val wants_races : opts -> bool
 
@@ -49,8 +48,7 @@ val with_diag :
   unit
 (** Run the thunk under the configured diagnostics and export
     afterwards. The thunk receives {!run_config}; it must hand it to
-    every tool it creates, and a trace writer takes its fault schedule
-    from {!Rma_config.Run_config.faults}. [prog] names the binary in usage-error
+    every tool it creates. [prog] names the binary in usage-error
     messages; [generator] is stamped into race exports. Report ids are
     renumbered 1..n before export; when observability is on, the
     journal's run id is threaded into the race JSON/SARIF headers.

@@ -31,7 +31,7 @@ type metrics = {
           visible, satellite of the provenance pipeline). *)
   degraded_drops : int;
       (** Interval nodes spilled or coarsened away by the resource
-          governor ({!Rma_fault.Budget}) across every store the tool
+          governor ({!Rma_store.Budget}) across every store the tool
           created. Nonzero means the run finished in degraded mode: the
           verdict is best-effort, and its races carry
           [provenance.degraded = true] (see DESIGN.md §11). *)

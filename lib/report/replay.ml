@@ -24,9 +24,10 @@ let extract events =
          before the header landed"
   | Some start -> (
       (* A run_start written while the analyzer still had a sharded
-         engine carries a [jobs] key: neither a setting nor a workload
-         parameter any more. *)
-      let reserved = "event" :: "workload" :: "jobs" :: Run_config.keys in
+         engine carries a [jobs] key, and one written while trace writes
+         took a fault plan a [fault] key: neither is a setting or a
+         workload parameter any more. *)
+      let reserved = "event" :: "workload" :: "jobs" :: "fault" :: Run_config.keys in
       match (kv_find "workload" start, Run_config.of_fields start.Events.kv) with
       | None, _ -> Error "run_start record lacks a workload name"
       | _, Error msg -> Error ("run_start record: " ^ msg)
@@ -47,14 +48,13 @@ let extract events =
 
 let describe p =
   let c = p.r_config in
-  Printf.sprintf "replay of run %s: workload %s%s%s, fault %s, budget %s\noriginal run: %s\n"
+  Printf.sprintf "replay of run %s: workload %s%s%s, budget %s\noriginal run: %s\n"
     p.r_run_id p.r_workload
     (match p.r_params with
     | [] -> ""
     | ps -> " (" ^ String.concat ", " (List.map (fun (k, v) -> k ^ "=" ^ v) ps) ^ ")")
     (if c.Run_config.predictive then ", predictive" else "")
-    (Option.fold ~none:"none" ~some:Rma_fault.Plan.to_spec c.Run_config.fault)
-    (Option.fold ~none:"none" ~some:Rma_fault.Budget.to_spec c.Run_config.budget)
+    (Option.fold ~none:"none" ~some:Rma_store.Budget.to_spec c.Run_config.budget)
     (match (p.r_races, p.r_digest) with
     | Some n, Some d -> Printf.sprintf "%d race report%s, digest %s" n (if n = 1 then "" else "s") d
     | _ -> "no run_summary (the run did not finish)")

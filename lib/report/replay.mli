@@ -3,8 +3,8 @@
     A journal written by a diagnosed run (see {!Diag.with_diag}) carries
     everything needed to reproduce it: the [run_start] record names the
     workload, its parameters and the run configuration
-    ({!Rma_config.Run_config.to_fields}: predictive mode, canonical
-    fault-plan/budget specs), and the [run_summary] record carries the
+    ({!Rma_config.Run_config.to_fields}: predictive mode, interleave
+    seed, canonical budget spec), and the [run_summary] record carries the
     race count and {!Race_export.verdict_digest} of the verdicts. This
     module closes the loop: {!extract} pulls those out of a parsed
     journal, {!run} re-executes the drill in-process under the
@@ -27,8 +27,9 @@ val extract : Rma_obs.Events.t list -> (plan, string) result
 (** Pull the replay coordinates out of a decoded journal prefix.
     [Error] when no [run_start] record is present (the run predates the
     journal contract, or the journal was truncated before the header
-    landed) or when it carries a malformed configuration value. A
-    [jobs] key, which journals of older versions carry, is skipped. A
+    landed) or when it carries a malformed configuration value. The
+    [jobs] and [fault] keys, which journals of older versions carry,
+    are skipped. A
     missing [run_summary] leaves [r_races]/[r_digest] as [None] — the
     original run stopped before finishing, and {!run} reports the
     re-run's verdicts without an equality check. *)

@@ -100,7 +100,9 @@ let graceful_close fd =
 
    A connection whose first line starts with [GET ] is one HTTP request
    (a hello is JSON, so the two cannot be confused). The loop answers it
-   from its own state and closes the connection; the request gets no run
+   from its own state at the empty line that ends the headers, then
+   closes the connection: header bytes that reached a closed socket
+   would make TCP reset it and lose the answer. The request gets no run
    id and no journal record. *)
 
 let recent_closed = 64
@@ -266,31 +268,35 @@ and promote_queued t =
     | _ -> ()
 
 and on_hello t (s : Session.t) line =
-  if String.starts_with ~prefix:"GET " line then begin
-    (try write_all s.Session.fd (http_answer t line) with Unix.Unix_error _ -> ());
-    close_session t s Session.Answered
-  end
-  else
-    match Protocol.parse_hello ~base:t.session_base line with
-    | Error reason ->
-        reject t s reason
-    | Ok h ->
-        s.Session.hello <- Some h;
-        if Atomic.get t.g_active < t.cfg.max_sessions then admit t s h
-        else if Atomic.get t.g_queued < t.cfg.accept_queue then begin
-          s.Session.phase <- Session.Queued;
-          Atomic.incr t.g_queued;
-          ignore
-            (send t s
-               (Protocol.queued ~session:h.Protocol.session ~position:(Atomic.get t.g_queued)))
-        end
-        else begin
-          ignore
-            (send t s
-               (Protocol.load_shed ~session:h.Protocol.session ~active:(Atomic.get t.g_active)
-                  ~queued:(Atomic.get t.g_queued) ()));
-          close_session t s Session.Shed
-        end
+  match s.Session.request with
+  | Some request ->
+      (* Header lines are dropped as they are read. *)
+      if line = "" then begin
+        (try write_all s.Session.fd (http_answer t request) with Unix.Unix_error _ -> ());
+        close_session t s Session.Answered
+      end
+  | None when String.starts_with ~prefix:"GET " line -> s.Session.request <- Some line
+  | None -> (
+      match Protocol.parse_hello ~base:t.session_base line with
+      | Error reason ->
+          reject t s reason
+      | Ok h ->
+          s.Session.hello <- Some h;
+          if Atomic.get t.g_active < t.cfg.max_sessions then admit t s h
+          else if Atomic.get t.g_queued < t.cfg.accept_queue then begin
+            s.Session.phase <- Session.Queued;
+            Atomic.incr t.g_queued;
+            ignore
+              (send t s
+                 (Protocol.queued ~session:h.Protocol.session ~position:(Atomic.get t.g_queued)))
+          end
+          else begin
+            ignore
+              (send t s
+                 (Protocol.load_shed ~session:h.Protocol.session ~active:(Atomic.get t.g_active)
+                    ~queued:(Atomic.get t.g_queued) ()));
+            close_session t s Session.Shed
+          end)
 
 (* A session reads its races at each Epoch_closed and at the footer:
    points that depend only on the trace, never on how its bytes were

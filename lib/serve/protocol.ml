@@ -31,12 +31,12 @@ let config_fields j =
     | None | Some Json.Null | Some (Json.Int 1) -> Ok ()
     | Some _ -> Error "hello field \"jobs\" must be 1 (the analyzer is sequential)"
   in
-  (* A fault plan reaches only trace writers, and a session writes no
-     trace. *)
+  (* Clients written while trace writes took a fault plan may still
+     send one; refusing it says the plan no longer exists. *)
   let* () =
     match Json.member "fault" j with
     | None | Some Json.Null -> Ok ()
-    | Some _ -> Error "hello field \"fault\" is not accepted (a session writes no trace)"
+    | Some _ -> Error "hello field \"fault\" is not accepted (fault injection was removed)"
   in
   let* predictive = as_string "predictive" (fun v -> Option.map string_of_bool (Json.to_bool v)) in
   let* budget = as_string "budget" Json.to_str in

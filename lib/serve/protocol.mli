@@ -21,12 +21,12 @@ val version : int
     recorded with (required — detector state is sized before the first
     event arrives). [run] is the session's own run configuration: the
     optional fields [predictive] (bool) and [budget] (a
-    {!Rma_fault.Budget.of_spec} string) mirror the offline CLI flags and
+    {!Rma_store.Budget.of_spec} string) mirror the offline CLI flags and
     are parsed by {!Rma_config.Run_config.of_fields}; an omitted one
     keeps the daemon's default. Fields the daemon does not know are
     ignored, so older clients that still send them are admitted
-    unchanged. Two are refused instead: [fault], because a session
-    writes no trace for a fault plan to act on, and [jobs], the shard
+    unchanged. Two are refused instead: [fault], the fault plan of an
+    older protocol (fault injection was removed), and [jobs], the shard
     count of an older protocol, unless it is [1]. *)
 type hello = {
   session : string;

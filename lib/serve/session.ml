@@ -25,6 +25,7 @@ type t = {
   mutable phase : phase;
   pending : Buffer.t;  (* bytes received but not yet terminated by '\n' *)
   inbox : string Queue.t;  (* complete lines not yet consumed by the state machine *)
+  mutable request : string option;  (* an HTTP request line awaiting the end of its headers *)
   mutable hello : Protocol.hello option;
   mutable run_id : string;
   mutable tool : Tool.t option;
@@ -41,6 +42,7 @@ let create ~id ~fd =
     phase = Handshaking;
     pending = Buffer.create 256;
     inbox = Queue.create ();
+    request = None;
     hello = None;
     run_id = "";
     tool = None;

@@ -19,7 +19,7 @@
     [Shed] (admission refused), [Protocol_error] (bad handshake or
     undecodable trace line, reason attached), [Disconnected] (client
     vanished mid-stream), [Answered] (the first line was an HTTP [GET],
-    answered on the spot), [Daemon_shutdown] (daemon stopped first). *)
+    answered at the end of its headers), [Daemon_shutdown] (daemon stopped first). *)
 type close_reason =
   | Completed
   | Shed
@@ -46,6 +46,9 @@ type t = {
           client that pipelines its handshake and trace in one write
           can land lines while the session is still [Queued]; they wait
           here until admission. *)
+  mutable request : string option;
+      (** The [GET] line of an HTTP request, held until the empty line
+          that ends its headers; the header lines are dropped. *)
   mutable hello : Protocol.hello option;
   mutable run_id : string;  (** ["<daemon run id>-s<id>"] once admitted. *)
   mutable tool : Rma_analysis.Tool.t option;

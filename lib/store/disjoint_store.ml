@@ -155,10 +155,10 @@ let enforce_budget t =
       if Governor.over g ~size:(size t) then begin
         (* Victim selection needs every node in the tree. *)
         flush_finger t;
-        match (Governor.budget g).Rma_fault.Budget.policy with
-        | Rma_fault.Budget.Fail_fast -> Governor.exhausted ~store:"disjoint" ~size:(size t) g
-        | Rma_fault.Budget.Spill_oldest_epoch -> spill t g
-        | Rma_fault.Budget.Coarsen ->
+        match (Governor.budget g).Budget.policy with
+        | Budget.Fail_fast -> Governor.exhausted ~store:"disjoint" ~size:(size t) g
+        | Budget.Spill_oldest_epoch -> spill t g
+        | Budget.Coarsen ->
             coarsen t g;
             if Governor.over g ~size:(size t) then spill t g
       end

@@ -19,7 +19,7 @@
 type t
 
 val create :
-  ?order_aware:bool -> ?merge:bool -> ?fast_path:bool -> ?budget:Rma_fault.Budget.t -> unit -> t
+  ?order_aware:bool -> ?merge:bool -> ?fast_path:bool -> ?budget:Budget.t -> unit -> t
 (** Defaults: [order_aware = true], [merge = true], [fast_path = true]
     — the published contribution plus the finger-cache fast path.
 
@@ -31,7 +31,7 @@ val create :
     [?budget] (default none: unbounded) bounds the store: an insert
     leaving the store over the effective node cap triggers the budget's
     degradation policy —
-    {!Rma_fault.Budget.Exhausted} under [Fail_fast], oldest-first
+    {!Budget.Exhausted} under [Fail_fast], oldest-first
     eviction under [Spill_oldest_epoch], provenance-discarding merging
     under [Coarsen] — with every lost node counted in the
     [degraded_drops] statistic. See {!Governor} and DESIGN.md §11. *)

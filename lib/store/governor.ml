@@ -1,5 +1,4 @@
 open Rma_access
-module Budget = Rma_fault.Budget
 module Obs = Rma_obs.Obs
 
 type t = {

@@ -2,7 +2,7 @@ open Rma_access
 
 (** Budget enforcement shared by the access stores.
 
-    A governor turns an {!Rma_fault.Budget.t} into an effective node
+    A governor turns a {!Budget.t} into an effective node
     cap (translating [max_bytes] through the store's per-node byte
     estimate) and tracks the two pieces of state every degradation
     policy needs: the epoch watermark separating completed-epoch
@@ -15,14 +15,14 @@ open Rma_access
 
 type t
 
-val create : ?budget:Rma_fault.Budget.t -> bytes_per_node:int -> unit -> t option
+val create : ?budget:Budget.t -> bytes_per_node:int -> unit -> t option
 (** [None] when the budget is missing or unbounded — an
     ungoverned store pays one option match per insert. [bytes_per_node]
     is the store's documented per-node memory estimate used to convert
     [max_bytes] into a node cap; the effective cap is the tighter of
     the node and byte caps, never below 1. *)
 
-val budget : t -> Rma_fault.Budget.t
+val budget : t -> Budget.t
 
 val cap : t -> int
 (** Effective node cap. *)
@@ -65,5 +65,5 @@ val degraded : t option -> bool
     on a degraded store carry downgraded confidence in SARIF. *)
 
 val exhausted : store:string -> size:int -> t -> 'a
-(** Raise {!Rma_fault.Budget.Exhausted} naming the store kind, its size
+(** Raise {!Budget.Exhausted} naming the store kind, its size
     and its cap — the [Fail_fast] policy. *)

@@ -15,7 +15,7 @@
 
 type t
 
-val create : ?budget:Rma_fault.Budget.t -> unit -> t
+val create : ?budget:Budget.t -> unit -> t
 (** [?budget] (default none: unbounded) bounds the store
     exactly as on {!Disjoint_store.create}; the legacy store spills and
     coarsens over its plain multiset. *)

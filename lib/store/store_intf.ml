@@ -50,7 +50,7 @@ module type S = sig
       search-path approximation in the legacy store). On a budgeted
       store ({!Governor}) a successful insert may additionally trigger
       the budget's degradation policy; under [Fail_fast] that raises
-      {!Rma_fault.Budget.Exhausted}. *)
+      {!Budget.Exhausted}. *)
 
   val size : t -> int
   (** Current node count. *)

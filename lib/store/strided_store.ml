@@ -143,11 +143,11 @@ let enforce_budget t =
   | None -> ()
   | Some g ->
       if Governor.over g ~size:(Tree.size t.tree) then begin
-        match (Governor.budget g).Rma_fault.Budget.policy with
-        | Rma_fault.Budget.Fail_fast ->
+        match (Governor.budget g).Budget.policy with
+        | Budget.Fail_fast ->
             Governor.exhausted ~store:"strided" ~size:(Tree.size t.tree) g
-        | Rma_fault.Budget.Spill_oldest_epoch -> spill t g
-        | Rma_fault.Budget.Coarsen ->
+        | Budget.Spill_oldest_epoch -> spill t g
+        | Budget.Coarsen ->
             coarsen t g;
             if Governor.over g ~size:(Tree.size t.tree) then spill t g
       end

@@ -46,7 +46,7 @@ val region_covers : region -> Interval.t -> bool
 
 type t
 
-val create : ?order_aware:bool -> ?budget:Rma_fault.Budget.t -> unit -> t
+val create : ?order_aware:bool -> ?budget:Budget.t -> unit -> t
 (** Default [order_aware = true]. [?budget] (default
     none: unbounded) bounds the region count as on
     {!Disjoint_store.create}; [Coarsen] merges perfect stride

@@ -519,21 +519,6 @@ let decode_line d line =
 
 let decode_event line = decode_line (decoder ()) line
 
-(* Mutate one encoded line the way a flaky link or disk would: flip the
-   low bit of the middle byte. Tab-separated printable bytes stay in
-   the printable range, so the corruption never forges a line break —
-   it yields a malformed field (or, rarely, a silently different valid
-   one, which is exactly why framed traces still deserve checksums
-   upstream). *)
-let corrupt_line line =
-  if line = "" then line
-  else begin
-    let b = Bytes.of_string line in
-    let i = Bytes.length b / 2 in
-    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
-    Bytes.to_string b
-  end
-
 (* Lines accumulate in one buffer per stream, handed to the channel
    every [flush_at] bytes. The size is measured: on the repository
    benchmark's cfd_merge workload 64 KiB left peak RSS where the
@@ -541,59 +526,33 @@ let corrupt_line line =
 let flush_at = 65536
 
 module Writer = struct
-  type t = {
-    oc : out_channel;
-    faults : Rma_fault.t option;
-    buf : Buffer.t;
-    mutable count : int;
-    mutable cut : bool;  (* Truncated or closed: nothing more is written. *)
-  }
+  type t = { oc : out_channel; buf : Buffer.t; mutable count : int }
 
-  let create ?faults oc =
+  let create oc =
     let buf = Buffer.create (2 * flush_at) in
     Buffer.add_string buf (header ^ "\n");
-    { oc; faults; buf; count = 0; cut = false }
-
-  let fire t site = match t.faults with Some f -> Rma_fault.fire f site | None -> false
+    { oc; buf; count = 0 }
 
   let add t e =
     t.count <- t.count + 1;
-    if not t.cut then begin
-      let buf = t.buf in
-      let start = Buffer.length buf in
-      encode_into buf e;
-      let len = Buffer.length buf - start in
-      if fire t Rma_fault.Trace_truncate then begin
-        (* Cut mid-line: half the bytes land, the newline and the
-           footer never do. *)
-        Buffer.truncate buf (start + (len / 2));
-        t.cut <- true
-      end
-      else begin
-        if fire t Rma_fault.Trace_corrupt then begin
-          let line = corrupt_line (Buffer.sub buf start len) in
-          Buffer.truncate buf start;
-          Buffer.add_string buf line
-        end;
-        Buffer.add_char buf '\n';
-        if Buffer.length buf >= flush_at then begin
-          Buffer.output_buffer t.oc buf;
-          Buffer.clear buf
-        end
-      end
+    let buf = t.buf in
+    encode_into buf e;
+    Buffer.add_char buf '\n';
+    if Buffer.length buf >= flush_at then begin
+      Buffer.output_buffer t.oc buf;
+      Buffer.clear buf
     end
 
   let count t = t.count
 
   let close t =
-    if not t.cut then Buffer.add_string t.buf (footer t.count ^ "\n");
-    t.cut <- true;
+    Buffer.add_string t.buf (footer t.count ^ "\n");
     Buffer.output_buffer t.oc t.buf;
     Buffer.clear t.buf
 end
 
-let write_all ?faults oc events =
-  let w = Writer.create ?faults oc in
+let write_all oc events =
+  let w = Writer.create oc in
   List.iter (Writer.add w) events;
   Writer.close w
 

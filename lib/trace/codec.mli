@@ -8,19 +8,17 @@
 
     Format 2 frames the stream: the first line is {!header}, each event
     is one line, and the last line is [rma-trace-end <count>]. The
-    footer is what makes truncation — a killed writer, a full disk, an
-    injected [Trace_truncate] fault — detectable even when the cut
-    falls exactly on a line boundary. Format 1 (the same lines without
-    the footer) is no longer read: its header is rejected with a
-    [bad header] error naming the unsupported format.
+    footer is what makes truncation — a killed writer, a full disk —
+    detectable even when the cut falls exactly on a line boundary.
+    Format 1 (the same lines without the footer) is no longer read: its
+    header is rejected with a [bad header] error naming the unsupported
+    format.
 
     Decoding is {e total}: {!decode_event} and {!read_all} return
     [Error] on any malformed, truncated or bit-flipped input and never
     raise or loop — the fuzz suite in [test/test_fuzz.ml] holds them to
-    that. Given a {!Rma_fault} schedule, {!Writer} is the
-    injection point for the [Trace_corrupt] (one flipped bit in an
-    encoded line) and [Trace_truncate] (stream cut mid-line, footer
-    lost) sites.
+    that, and [test/test_trace.ml] feeds them written traces cut short
+    and bit-flipped.
 
     Lines are written and read in place, field by field, with the bytes
     and errors of the split-and-join codec this replaced: a frozen copy
@@ -52,26 +50,22 @@ val decode_event : string -> (Mpi_sim.Event.event, string) result
 (** {1 Writing} *)
 
 (** One stream: the header, a line per {!add}, the footer at {!close}.
-    Lines gather in one 64 KiB buffer handed to the channel as it fills.
-    Under a fault schedule each {!add} passes the [Trace_truncate] site
-    (fires: half the line is kept and nothing more is written or drawn)
-    and then the [Trace_corrupt] site (fires: one bit of the line is
-    flipped). *)
+    Lines gather in one 64 KiB buffer handed to the channel as it fills. *)
 module Writer : sig
   type t
 
-  val create : ?faults:Rma_fault.t -> out_channel -> t
+  val create : out_channel -> t
   val add : t -> Mpi_sim.Event.event -> unit
 
   val count : t -> int
-  (** Events added, including any after a truncation. *)
+  (** Events added. *)
 
   val close : t -> unit
-  (** The footer, unless the stream was cut, then every buffered byte to
-      the channel, which stays open. *)
+  (** The footer, then every buffered byte to the channel, which stays
+      open. Call it once, after the last {!add}. *)
 end
 
-val write_all : ?faults:Rma_fault.t -> out_channel -> Mpi_sim.Event.event list -> unit
+val write_all : out_channel -> Mpi_sim.Event.event list -> unit
 (** One {!Writer} over a list. *)
 
 (** {1 Reading}

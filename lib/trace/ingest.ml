@@ -4,7 +4,7 @@ module Incremental = Codec.Incremental
 let event (tool : Tool.t) e =
   match tool.Tool.observer e with
   | _ | (exception Rma_analysis.Report.Race_abort _) -> Ok ()
-  | exception Rma_fault.Budget.Exhausted msg -> Error ("budget exhausted: " ^ msg)
+  | exception Rma_store.Budget.Exhausted msg -> Error ("budget exhausted: " ^ msg)
 
 let line tool dec l =
   match Incremental.feed dec l with

@@ -18,8 +18,7 @@ let events t = List.rev t.events
 
 let length t = t.count
 
-let save ?faults t ~path =
-  Out_channel.with_open_text path (fun oc -> Codec.write_all ?faults oc (events t))
+let save t ~path = Out_channel.with_open_text path (fun oc -> Codec.write_all oc (events t))
 
 let load ~path =
   In_channel.with_open_text path (fun ic ->

@@ -24,9 +24,8 @@ val events : t -> Mpi_sim.Event.event list
 
 val length : t -> int
 
-val save : ?faults:Rma_fault.t -> t -> path:string -> unit
-(** Write the trace file ({!Codec.write_all}: framed format 2; the
-    [Trace_corrupt]/[Trace_truncate] sites of [faults] fire inside). *)
+val save : t -> path:string -> unit
+(** Write the trace file ({!Codec.write_all}: framed format 2). *)
 
 val load : path:string -> (Mpi_sim.Event.event list, string) result
 (** Read a trace file back; [Error] renders the structured

@@ -11,7 +11,7 @@ module Obs = Rma_obs.Obs
 module Events = Rma_obs.Events
 module Telemetry = Rma_obs.Telemetry
 module Json = Rma_util.Json
-module Budget = Rma_fault.Budget
+module Budget = Rma_store.Budget
 
 (* Events shares Obs's process-global registry: pin a run id and a clean
    ring for the duration, restore the disabled default after. *)

@@ -136,9 +136,9 @@ let test_json_round_trip () =
 let degraded_race_reports () =
   let budget =
     {
-      Rma_fault.Budget.max_nodes = Some 2;
+      Rma_store.Budget.max_nodes = Some 2;
       max_bytes = None;
-      policy = Rma_fault.Budget.Coarsen;
+      policy = Rma_store.Budget.Coarsen;
     }
   in
   let tool = Rma_analyzer.create ~nprocs:2 ~mode:Tool.Collect ~budget Rma_analyzer.Contribution in

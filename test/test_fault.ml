@@ -1,10 +1,9 @@
-(* The fault-injection and resource-governance layer ([Rma_fault],
-   [Rma_store.Governor], [Rma_trace.Codec] injection): spec parsing,
-   deterministic replay of fault schedules, budget enforcement on all
-   three stores under each policy, trace damage detected on read-back,
-   and the 500-budget soak proving a budget either leaves the verdict
-   identical or reports the degradation — never a silent verdict change
-   (DESIGN.md §11). *)
+(* Resource governance ([Rma_store.Budget], [Rma_store.Governor]):
+   spec parsing, budget enforcement on all three stores under each
+   policy, and the 500-budget soak proving a budget either leaves the
+   verdict identical or reports the degradation — never a silent
+   verdict change (DESIGN.md §11). Damaged traces are tested in
+   [test_trace.ml]. *)
 
 open Rma_access
 open Rma_store
@@ -12,8 +11,6 @@ open Rma_analysis
 module Event = Mpi_sim.Event
 module Json = Rma_util.Json
 module Race_export = Rma_report.Race_export
-module Plan = Rma_fault.Plan
-module Budget = Rma_fault.Budget
 
 let mk_access ?(issuer = 0) ?(kind = Access_kind.Rma_read) ~seq ~line lo hi =
   Access.make
@@ -22,32 +19,6 @@ let mk_access ?(issuer = 0) ?(kind = Access_kind.Rma_read) ~seq ~line lo hi =
     ~debug:(Debug_info.make ~file:"fault.c" ~line ~operation:"op")
 
 (* --- spec parsing ---------------------------------------------------- *)
-
-let test_plan_spec () =
-  (match Plan.of_spec "seed=42,trace_corrupt=0.05,trace_truncate=0.1" with
-  | Error e -> Alcotest.failf "spec rejected: %s" e
-  | Ok p ->
-      Alcotest.(check int) "seed parsed" 42 p.Plan.seed;
-      Alcotest.(check (float 0.0)) "trace_corrupt parsed" 0.05 p.Plan.trace_corrupt;
-      Alcotest.(check (float 0.0)) "trace_truncate parsed" 0.1 p.Plan.trace_truncate;
-      (* to_spec/of_spec is a round trip. *)
-      Alcotest.(check bool) "spec round-trips" true (Plan.of_spec (Plan.to_spec p) = Ok p));
-  Alcotest.(check bool) "empty spec is the default plan" true (Plan.of_spec "" = Ok Plan.default);
-  List.iter
-    (fun bad ->
-      match Plan.of_spec bad with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.failf "bad spec %S accepted" bad)
-    [ "bogus=1"; "trace_corrupt=1.5"; "trace_corrupt=-0.1"; "seed=abc"; "trace_corrupt" ];
-  (* The parallel engine's sites and recovery knobs went with it: every
-     canonical spec an older run wrote names them, and each now fails as
-     an unknown key instead of being dropped. *)
-  List.iter
-    (fun key ->
-      Alcotest.(check bool) (key ^ " is an unknown key") true
-        (Plan.of_spec (Printf.sprintf "seed=1,%s=0" key)
-        = Error (Printf.sprintf "unknown fault-plan key %S" key)))
-    [ "worker_crash"; "queue_overflow"; "max_retries"; "backoff" ]
 
 let test_budget_spec () =
   (match Budget.of_spec "nodes=4096,policy=spill" with
@@ -73,49 +44,6 @@ let test_budget_spec () =
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "bad budget %S accepted" bad)
     [ "nodes=0"; "nodes=-5"; "policy=wat"; "0:spill"; "4096:wat"; "stuff=1" ]
-
-(* --- deterministic firing -------------------------------------------- *)
-
-let test_fire_deterministic () =
-  let plan = { Plan.seed = 42; trace_truncate = 0.5; trace_corrupt = 0.25 } in
-  let record f site n = List.init n (fun _ -> Rma_fault.fire f site) in
-  let truncs1, corrupts1, hits1 =
-    let f = Rma_fault.create plan in
-    let c = record f Rma_fault.Trace_truncate 200 in
-    let t = record f Rma_fault.Trace_corrupt 100 in
-    (c, t, Rma_fault.fired f Rma_fault.Trace_truncate)
-  in
-  (* Same plan, opposite interleaving: each site's schedule depends only
-     on its own ordinals, so the answers are identical. *)
-  let truncs2, corrupts2, hits2 =
-    let f = Rma_fault.create plan in
-    let t = record f Rma_fault.Trace_corrupt 100 in
-    let c = record f Rma_fault.Trace_truncate 200 in
-    (c, t, Rma_fault.fired f Rma_fault.Trace_truncate)
-  in
-  Alcotest.(check (list bool)) "truncate schedule replays" truncs1 truncs2;
-  Alcotest.(check (list bool)) "corrupt schedule replays" corrupts1 corrupts2;
-  Alcotest.(check int) "fired counts the trues" hits1
-    (List.length (List.filter Fun.id truncs1));
-  Alcotest.(check int) "fired agrees across runs" hits1 hits2;
-  Alcotest.(check bool) "a 0.5 rate fires sometimes" true (hits1 > 0);
-  Alcotest.(check bool) "a 0.5 rate misses sometimes" true (hits1 < 200);
-  (* A different seed produces a different schedule. *)
-  let truncs3 =
-    record (Rma_fault.create { plan with Plan.seed = 43 }) Rma_fault.Trace_truncate 200
-  in
-  Alcotest.(check bool) "seed changes the schedule" false (truncs1 = truncs3);
-  (* Two schedules of one plan are independent: drawing from one leaves
-     the other at ordinal 0. *)
-  let a = Rma_fault.create plan and b = Rma_fault.create plan in
-  ignore (record a Rma_fault.Trace_truncate 50);
-  Alcotest.(check int) "a sibling schedule's ordinals stay put" 0
-    (Rma_fault.ordinal b Rma_fault.Trace_truncate);
-  Alcotest.(check (list bool)) "and it replays from the start" truncs1
-    (record b Rma_fault.Trace_truncate 200);
-  let none = Rma_fault.create Plan.default in
-  Alcotest.(check bool) "default plan, no faults" false (Rma_fault.fire none Rma_fault.Trace_truncate);
-  Alcotest.(check int) "default plan, no counts" 0 (Rma_fault.fired none Rma_fault.Trace_truncate)
 
 (* --- budget governance on the stores --------------------------------- *)
 
@@ -207,80 +135,7 @@ let test_legacy_and_strided_budgets () =
   Alcotest.(check bool) "strided regions capped" true (st.Store_intf.nodes <= 4);
   Alcotest.(check bool) "strided spills reported" true (st.Store_intf.degraded_drops > 0)
 
-(* --- trace codec injection ------------------------------------------- *)
-
-let sample_events =
-  [
-    Event.Win_created { win = 0; rank = 0; base = 0; size = 256; sim_time = 0.0 };
-    Event.Epoch_opened { win = 0; rank = 0; sim_time = 1.0 };
-    Event.Access
-      {
-        Event.space = 0;
-        access = mk_access ~seq:1 ~line:7 0 7;
-        win = Some 0;
-        relevant = true;
-        on_stack = false;
-        sim_time = 2.0;
-      };
-    Event.Epoch_closed { win = 0; rank = 0; sim_time = 3.0 };
-  ]
-
-let write_trace ?faults events =
-  let path = Filename.temp_file "fault_trace" ".txt" in
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> Rma_trace.Codec.write_all ?faults oc events);
-  let ic = open_in_bin path in
-  let s =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  Sys.remove path;
-  s
-
-let read_trace s =
-  let path = Filename.temp_file "fault_trace" ".txt" in
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s);
-  let ic = open_in path in
-  let r = Fun.protect ~finally:(fun () -> close_in ic) (fun () -> Rma_trace.Codec.read_all ic) in
-  Sys.remove path;
-  r
-
-let test_codec_truncation_detected () =
-  let clean = write_trace sample_events in
-  (match read_trace clean with
-  | Ok evs -> Alcotest.(check int) "clean trace round-trips" 4 (List.length evs)
-  | Error e -> Alcotest.failf "clean trace rejected: %s" (Rma_trace.Codec.error_to_string e));
-  let truncated =
-    let faults = Rma_fault.create { Plan.default with Plan.seed = 9; trace_truncate = 1.0 } in
-    let s = write_trace ~faults sample_events in
-    Alcotest.(check bool) "truncation fired" true (Rma_fault.fired faults Rma_fault.Trace_truncate > 0);
-    s
-  in
-  Alcotest.(check bool) "truncated stream is shorter" true
-    (String.length truncated < String.length clean);
-  match read_trace truncated with
-  | Ok _ -> Alcotest.fail "truncated trace read back as complete"
-  | Error e ->
-      Alcotest.(check bool) "error is structured with a line number" true (e.Rma_trace.Codec.at_line >= 1)
-
-let test_codec_corruption_deterministic_and_total () =
-  let plan = { Plan.default with Plan.seed = 13; trace_corrupt = 1.0 } in
-  let corrupted1 = write_trace ~faults:(Rma_fault.create plan) sample_events in
-  let corrupted2 = write_trace ~faults:(Rma_fault.create plan) sample_events in
-  Alcotest.(check string) "same plan writes identical corruption" corrupted1 corrupted2;
-  let clean = write_trace sample_events in
-  Alcotest.(check bool) "corruption changed the bytes" false (String.equal clean corrupted1);
-  (* Totality: a corrupted stream decodes to Ok or a structured Error —
-     never an exception. *)
-  match read_trace corrupted1 with
-  | Ok evs -> Alcotest.(check bool) "no events invented" true (List.length evs <= 4)
-  | Error _ -> ()
-
-(* --- soak: 500 seeded plans, no silent verdict change ---------------- *)
+(* --- soak: 500 budgets, no silent verdict change ---------------- *)
 
 (* A deterministic event stream (4 ranks x 2 windows keeps 500 runs
    fast) with epoch cycling. *)
@@ -363,20 +218,13 @@ let test_soak_500_budgets_no_silent_change () =
 
 let suite =
   [
-    Alcotest.test_case "fault-plan specs parse and round-trip" `Quick test_plan_spec;
     Alcotest.test_case "budget specs parse and round-trip" `Quick test_budget_spec;
-    Alcotest.test_case "fire replays per-site deterministic schedules" `Quick
-      test_fire_deterministic;
     Alcotest.test_case "disjoint store spills oldest epochs at the cap" `Quick test_disjoint_spill;
     Alcotest.test_case "fail-fast budget raises Exhausted" `Quick test_disjoint_fail_fast;
     Alcotest.test_case "coarsen merges past debug info, coverage-exact" `Quick
       test_disjoint_coarsen;
     Alcotest.test_case "legacy byte cap and strided spill budgets" `Quick
       test_legacy_and_strided_budgets;
-    Alcotest.test_case "trace truncation is detected on read-back" `Quick
-      test_codec_truncation_detected;
-    Alcotest.test_case "trace corruption is deterministic; decoding total" `Quick
-      test_codec_corruption_deterministic_and_total;
     Alcotest.test_case "soak: 500 budgets, zero silent verdict changes" `Quick
       test_soak_500_budgets_no_silent_change;
   ]

@@ -199,9 +199,8 @@ let prop_post_mortem_deterministic_on_trace =
 
 (* --- codec totality under hostile bytes ----------------------------- *)
 
-(* Write a recorded stream through the real framing writer (no fault
-   schedule, so the base bytes are well-formed), then attack the bytes
-   directly. The invariant is totality: [read_all]
+(* Write a recorded stream through the real framing writer, then
+   attack the bytes directly. The invariant is totality: [read_all]
    returns [Ok] or a structured [Error] — it never raises and never
    loops — and a complete parse is only reported for complete streams. *)
 

@@ -252,7 +252,7 @@ let test_replay_roundtrip () =
   in
   Alcotest.(check string) "workload recovered" "minivite" plan.Replay.r_workload;
   Alcotest.(check (option string)) "budget recovered" (Some "nodes=4,policy=spill_oldest_epoch")
-    (Option.map Rma_fault.Budget.to_spec plan.Replay.r_config.Rma_config.Run_config.budget);
+    (Option.map Rma_store.Budget.to_spec plan.Replay.r_config.Rma_config.Run_config.budget);
   Alcotest.(check bool) "run_summary landed" true (plan.Replay.r_digest <> None);
   let replay plan =
     match Replay.run plan with
@@ -319,18 +319,18 @@ let test_journal_records_run_config () =
   (* A run_start line as older versions wrote it: a [shard] key on the
      record and a [jobs] key in the configuration. The reader ignores
      the first; extract keeps the second out of the workload parameters. *)
-  let old_line fault =
-    Printf.sprintf
-      {|{"ts":0.5,"level":"info","component":"diag","run_id":"run-old","shard":-1,"span_id":0,"kv":{"event":"run_start","workload":"code","tool":"contribution","code":"%s","jobs":"2"%s}}|}
-      code
-      (match fault with Some spec -> Printf.sprintf {|,"fault":"%s"|} spec | None -> "")
-  in
-  let old_start fault =
-    match Journal.parse_line (old_line fault) with
+  let old_start ?(extra = []) () =
+    let kv = List.map (fun (k, v) -> Printf.sprintf {|,"%s":"%s"|} k v) extra in
+    let line =
+      Printf.sprintf
+        {|{"ts":0.5,"level":"info","component":"diag","run_id":"run-old","shard":-1,"span_id":0,"kv":{"event":"run_start","workload":"code","tool":"contribution","code":"%s","jobs":"2"%s}}|}
+        code (String.concat "" kv)
+    in
+    match Journal.parse_line line with
     | Ok ev -> ev
     | Error msg -> Alcotest.failf "an older journal line no longer reads: %s" msg
   in
-  let ev = old_start None in
+  let ev = old_start () in
   Alcotest.(check string) "old line: run id" "run-old" ev.Events.run_id;
   Alcotest.(check (float 0.0)) "old line: ts" 0.5 ev.Events.ts;
   (match Replay.extract [ ev ] with
@@ -343,18 +343,30 @@ let test_journal_records_run_config () =
       Alcotest.(check bool) "old journal: predictive off" false c.Rma_config.Run_config.predictive;
       Alcotest.(check (option int)) "old journal: no interleave seed" None
         c.Rma_config.Run_config.interleave_seed);
-  (* Every canonical fault spec an older run journaled names the removed
-     engine keys, so such a journal no longer replays: extract fails on
-     the first unknown key, quoting a clipped spec. *)
+  (* A run that still had trace-write fault injection journaled its
+     plan as [fault]. The plan never touched a verdict, so such a
+     journal extracts, and [fault] is no workload parameter. *)
   let old_spec =
     "seed=7,trace_corrupt=0,trace_truncate=0,worker_crash=0.2,queue_overflow=0,max_retries=3,backoff=0"
   in
-  match Replay.extract [ old_start (Some old_spec) ] with
-  | Ok _ -> Alcotest.fail "a spec naming worker_crash extracted"
+  (match Replay.extract [ old_start ~extra:[ ("fault", old_spec) ] () ] with
+  | Error msg -> Alcotest.failf "a journal naming a fault plan no longer extracts: %s" msg
+  | Ok p ->
+      Alcotest.(check (list (pair string string))) "old journal: fault is no workload parameter"
+        [ ("tool", "contribution"); ("code", code) ]
+        p.Replay.r_params;
+      Alcotest.(check bool) "old journal: default configuration" true
+        (p.Replay.r_config = Rma_config.Run_config.default));
+  (* A malformed setting is quoted clipped: a 60 KiB budget names its
+     first 64 bytes and its length. *)
+  let long = String.make (60 * 1024) 'x' in
+  match Replay.extract [ old_start ~extra:[ ("budget", long) ] () ] with
+  | Ok _ -> Alcotest.fail "a 60 KiB budget extracted"
   | Error msg ->
-      Alcotest.(check string) "old fault spec: unknown key, clipped"
-        (Printf.sprintf "run_start record: bad fault %S… (%d bytes): unknown fault-plan key \"worker_crash\""
-           (String.sub old_spec 0 64) (String.length old_spec))
+      let clipped = Printf.sprintf "%S… (%d bytes)" (String.sub long 0 64) (String.length long) in
+      Alcotest.(check string) "long budget: clipped twice"
+        (Printf.sprintf "run_start record: bad budget %s: expected key=value, got %s" clipped
+           clipped)
         msg
 
 let test_extract_requires_header () =

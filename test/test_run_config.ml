@@ -8,8 +8,7 @@
 open Rma_analysis
 open Rma_microbench
 module Run_config = Rma_config.Run_config
-module Plan = Rma_fault.Plan
-module Budget = Rma_fault.Budget
+module Budget = Rma_store.Budget
 module Json = Rma_util.Json
 module Race_export = Rma_report.Race_export
 
@@ -43,7 +42,6 @@ let test_env_values_parse () =
     [
       ("RMA_PREDICTIVE", "on");
       ("RMA_INTERLEAVE_SEED", "13");
-      ("RMA_FAULT", "seed=7,trace_corrupt=0.05");
       ("RMA_BUDGET", "4096:spill");
       ("RMA_OBS_EVENTS", "events.jsonl");
       ("RMA_OBS_LEVEL", "debug");
@@ -55,21 +53,26 @@ let test_env_values_parse () =
       | Ok r ->
           Alcotest.(check bool) "predictive" true r.Run_config.predictive;
           Alcotest.(check (option int)) "interleave seed" (Some 13) r.Run_config.interleave_seed;
-          Alcotest.(check bool) "fault plan" true
-            (r.Run_config.fault = Result.to_option (Plan.of_spec "seed=7,trace_corrupt=0.05"));
           Alcotest.(check bool) "budget" true
             (r.Run_config.budget = Result.to_option (Budget.of_spec "4096:spill"));
           Alcotest.(check (option string)) "journal" (Some "events.jsonl") r.Run_config.obs_events;
           Alcotest.(check bool) "level" true (r.Run_config.obs_level = Rma_obs.Events.Debug);
           Alcotest.(check (float 0.0)) "slo" 250.0 r.Run_config.slo_epoch_close_ms);
-  (* The shard count of the removed parallel engine is no setting any
-     more: a leftover RMA_JOBS, even a malformed one, changes nothing. *)
+  (* The shard count of the removed parallel engine and the fault plan
+     of the removed trace-write fault injection are no settings any
+     more: a leftover RMA_JOBS or RMA_FAULT, even a malformed one,
+     changes nothing. *)
   List.iter
-    (fun v ->
-      with_env [ ("RMA_JOBS", v) ] (fun () ->
-          Alcotest.(check bool) ("RMA_JOBS=" ^ v ^ " is ignored") true
+    (fun (var, v) ->
+      with_env [ (var, v) ] (fun () ->
+          Alcotest.(check bool) (var ^ "=" ^ v ^ " is ignored") true
             (Run_config.of_env () = Ok Run_config.default)))
-    [ "4"; "four" ]
+    [
+      ("RMA_JOBS", "4");
+      ("RMA_JOBS", "four");
+      ("RMA_FAULT", "seed=7,trace_corrupt=0.05");
+      ("RMA_FAULT", "seed=1,trace_corrupt=2.0");
+    ]
 
 (* One malformed value per variable: each is an [Error] naming the
    variable — never a silent fallback to the default. RMA_OBS_EVENTS is
@@ -88,7 +91,6 @@ let test_env_malformed_rejected () =
     [
       ("RMA_PREDICTIVE", "2");
       ("RMA_INTERLEAVE_SEED", "thirteen");
-      ("RMA_FAULT", "seed=1,trace_corrupt=2.0");
       ("RMA_BUDGET", "nodes=0");
       ("RMA_OBS_LEVEL", "loud");
       ("RMA_SLO_EPOCH_CLOSE_MS", "-5");
@@ -96,7 +98,7 @@ let test_env_malformed_rejected () =
 
 (* A spec error names at most 64 bytes of the value, then "…" and its
    length, on every layer that quotes it: the run configuration's
-   [bad NAME "value"] and the fault-plan or budget reason inside it. *)
+   [bad NAME "value"] and the budget reason inside it. *)
 let test_long_value_errors_are_bounded () =
   let long = String.make 60_000 'x' in
   List.iter
@@ -111,10 +113,6 @@ let test_long_value_errors_are_bounded () =
           Alcotest.(check bool) (name ^ ": names the length") true
             (Astring.String.is_infix ~affix:(Printf.sprintf "… (%d bytes)" (String.length value)) msg))
     [
-      ("fault", "seed=" ^ long);
-      ("fault", long);
-      ("fault", long ^ "=1");
-      ("fault", "trace_corrupt=" ^ long);
       ("budget", "nodes=" ^ long);
       ("budget", "policy=" ^ long);
       ("budget", long ^ "=1");
@@ -129,7 +127,6 @@ let test_fields_roundtrip () =
       Run_config.default with
       Run_config.predictive = true;
       interleave_seed = Some 29;
-      fault = Result.to_option (Plan.of_spec "seed=7,trace_corrupt=0.05,trace_truncate=0.02");
       budget = Result.to_option (Budget.of_spec "nodes=64,policy=coarsen");
     }
   in
@@ -146,7 +143,8 @@ let test_fields_roundtrip () =
     (Run_config.of_fields ~base:full [ ("predictive", "false") ]
     = Ok { full with Run_config.predictive = false });
   Alcotest.(check bool) "unknown keys are ignored" true
-    (Run_config.of_fields [ ("workload", "cfd"); ("ranks", "8"); ("jobs", "4") ]
+    (Run_config.of_fields
+       [ ("workload", "cfd"); ("ranks", "8"); ("jobs", "4"); ("fault", "seed=7") ]
     = Ok Run_config.default);
   Alcotest.(check bool) "a malformed value is an error" true
     (Result.is_error (Run_config.of_fields [ ("predictive", "maybe") ]))

@@ -384,7 +384,7 @@ let rec send_interleaved a b xs ys =
    round-robin slices alternate between them, so any cross-session
    leakage of detector or budget state would corrupt a verdict. *)
 let clean_spec = "4096:spill"
-let clean_budget = Result.get_ok (Rma_fault.Budget.of_spec clean_spec)
+let clean_budget = Result.get_ok (Rma_store.Budget.of_spec clean_spec)
 
 let test_interleaved_sessions_isolated () =
   let nprocs_r, events_r = record_kernel racy_kernel in
@@ -621,7 +621,7 @@ let test_budget_exhausted_same_reason () =
   Out_channel.with_open_bin path (fun oc -> List.iter (fun l -> output_string oc (l ^ "\n")) lines);
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   let spec = "nodes=1,policy=fail" in
-  let budget = Result.get_ok (Rma_fault.Budget.of_spec spec) in
+  let budget = Result.get_ok (Rma_store.Budget.of_spec spec) in
   let reason =
     let make_tool ~nprocs = Toolbox.make Toolbox.Contribution ~nprocs ~budget () in
     match Ingest.file ~nprocs ~make_tool path with
@@ -685,10 +685,9 @@ let test_hello_jobs_must_be_sequential () =
   Alcotest.(check int) "three refused hellos" 3 stats.Daemon.failed;
   Alcotest.(check int) "the jobs 1 session completed" 1 stats.Daemon.completed
 
-(* A fault plan reaches only trace writers, and a session writes no
-   trace: a hello naming one gets a short error line instead of an
-   admission that would silently ignore it, and the daemon goes on
-   serving. *)
+(* Fault injection was removed: a hello naming a fault plan gets a
+   short error line instead of an admission that would silently ignore
+   it, and the daemon goes on serving. *)
 let test_hello_fault_refused () =
   let nprocs, events = record_kernel clean_kernel in
   let _, expected_digest = offline ~nprocs events in
@@ -698,7 +697,7 @@ let test_hello_fault_refused () =
     | [ l ] ->
         Alcotest.(check string) "an error line" "error" (line_type l);
         Alcotest.(check (option string)) "reason"
-          (Some "hello field \"fault\" is not accepted (a session writes no trace)")
+          (Some "hello field \"fault\" is not accepted (fault injection was removed)")
           (str_field "reason" l)
     | other -> Alcotest.failf "expected one error line, got %d" (List.length other));
     let after = run_session ~port ~session:"after" ~nprocs (trace_lines events) in
@@ -706,6 +705,29 @@ let test_hello_fault_refused () =
       (str_field "digest" (List.nth after (List.length after - 1)))
   in
   Alcotest.(check int) "one refused hello" 1 stats.Daemon.failed
+
+(* A client may write an HTTP request a line at a time (bash's printf
+   into /dev/tcp does). The daemon answers only at the empty line that
+   ends the headers: an answer after the request line alone would close
+   the socket under the header bytes still to come, and TCP would reset
+   the connection. *)
+let test_http_request_in_two_writes () =
+  let stats =
+    with_daemon @@ fun _d port ->
+    let fd = connect port in
+    Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ()) @@ fun () ->
+    write_all fd "GET /healthz HTTP/1.1\r\n";
+    (* The daemon's step: half a second to read the request line. *)
+    let early, _, _ = Unix.select [ fd ] [] [] 0.5 in
+    Alcotest.(check bool) "no answer before the headers end" true (early = []);
+    write_all fd "Host: localhost\r\n\r\n";
+    let response = In_channel.input_all (Unix.in_channel_of_descr fd) in
+    Alcotest.(check string) "a full 200 OK"
+      "HTTP/1.1 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\nContent-Length: 3\r\n\
+       Connection: close\r\n\r\nok\n"
+      response
+  in
+  Alcotest.(check int) "an answered request is no failure" 0 stats.Daemon.failed
 
 let suite =
   [
@@ -731,4 +753,6 @@ let suite =
     Alcotest.test_case "a hello's jobs field admits only the sequential value" `Quick
       test_hello_jobs_must_be_sequential;
     Alcotest.test_case "a hello's fault field is refused" `Quick test_hello_fault_refused;
+    Alcotest.test_case "an HTTP request written in two parts gets one answer" `Quick
+      test_http_request_in_two_writes;
   ]

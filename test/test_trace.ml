@@ -613,38 +613,19 @@ let written_by write_all events =
       Out_channel.with_open_bin path (fun oc -> write_all oc events);
       In_channel.with_open_bin path In_channel.input_all)
 
-let plan_gen =
-  Gen.(
-    let* seed = nat in
-    let* trace_truncate = oneofl [ 0.0; 0.002; 0.02; 0.2 ] in
-    let* trace_corrupt = oneofl [ 0.0; 0.05; 0.5; 1.0 ] in
-    frequency
-      [
-        (1, return None);
-        ( 3,
-          return
-            (Some
-               { Rma_fault.Plan.seed; trace_truncate; trace_corrupt })
-        );
-      ])
+(* Events the oracle can encode, in streams long enough that some cross
+   the writer's 64 KiB hand-off to the channel. *)
+let stream_gen =
+  Gen.map
+    (fun chunks ->
+      List.filter (fun e -> Result.is_ok (outcome Codec_oracle.encode_event e)) (List.concat chunks))
+    Gen.(list_size (int_range 1 80) events_gen)
 
-(* [write_all] writes the oracle's bytes, through its one buffer, with
-   or without a fault plan: the truncate and corrupt sites fire on the
-   same lines in the same order. The longer streams cross the buffer's
-   64 KiB hand-off to the channel. *)
+(* [write_all] writes the oracle's bytes through its one buffer. *)
 let prop_write_all_matches_oracle =
   QCheck.Test.make ~name:"codec write_all writes the reference oracle's bytes" ~count:100
-    (QCheck.make Gen.(pair plan_gen (list_size (int_range 1 80) events_gen)))
-    (fun (plan, chunks) ->
-      let events =
-        List.filter
-          (fun e -> Result.is_ok (outcome Codec_oracle.encode_event e))
-          (List.concat chunks)
-      in
-      let faults () = Option.map Rma_fault.create plan in
-      let ours = written_by (Codec.write_all ?faults:(faults ())) events in
-      let theirs = written_by (Codec_oracle.write_all ?faults:(faults ())) events in
-      String.equal ours theirs)
+    (QCheck.make stream_gen) (fun events ->
+      String.equal (written_by Codec.write_all events) (written_by Codec_oracle.write_all events))
 
 (* One decoder across a whole stream: the strings, debug records and
    threads it reuses from line to line must not change what any line
@@ -1014,3 +995,49 @@ let suite =
       Alcotest.test_case "decoder shares one default thread per issuer" `Quick
         test_decoder_thread_table;
     ]
+
+(* --- Damaged traces ---
+
+   The writer writes whole traces; the damage a killed writer or a
+   flaky disk does is made here, over the written bytes. *)
+
+let read_bytes bytes =
+  let path = Filename.temp_file "rma_damaged" ".rma" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+  In_channel.with_open_bin path Codec.read_all
+
+(* A prefix that stops before the footer line is complete is an error
+   with a line number, wherever the cut falls: in the header, inside an
+   event line, on a line boundary, or inside the footer itself. Only
+   the footer's own newline carries no data. *)
+let prop_truncated_prefix_is_error =
+  QCheck.Test.make ~name:"a trace cut before its footer is a structured error" ~count:300
+    (QCheck.make Gen.(pair stream_gen nat))
+    (fun (events, cut) ->
+      let bytes = written_by Codec.write_all events in
+      let cut = cut mod (String.length bytes - 1) in
+      match read_bytes (String.sub bytes 0 cut) with
+      | Ok _ -> QCheck.Test.fail_reportf "a %d-byte prefix read back as complete" cut
+      | Error e -> e.Codec.at_line >= 1)
+
+(* One line's middle byte with its low bit flipped ([corrupt_line]),
+   in any line, header and footer included: the reader answers [Ok]
+   with the written event count or a structured error, never raises. *)
+let prop_corrupted_line_is_total =
+  QCheck.Test.make ~name:"a trace with one corrupted line decodes totally" ~count:300
+    (QCheck.make Gen.(pair stream_gen nat))
+    (fun (events, at) ->
+      let lines = String.split_on_char '\n' (written_by Codec.write_all events) in
+      let at = at mod (List.length lines - 1) in
+      let damaged =
+        List.mapi (fun i l -> if i = at then Codec_oracle.corrupt_line l else l) lines
+      in
+      match read_bytes (String.concat "\n" damaged) with
+      | Ok read -> List.length read = List.length events
+      | Error e -> e.Codec.at_line >= 1)
+
+let suite =
+  suite
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_truncated_prefix_is_error; prop_corrupted_line_is_total ]
