@@ -563,8 +563,6 @@ let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let scale = ref 0.1 in
   let ranks = ref None in
-  let obs_out = ref None in
-  let obs_summary = ref false in
   let counts_out = ref None in
   let selected = ref [] in
   let diag = ref Diag.default in
@@ -577,10 +575,10 @@ let () =
         ranks := Some (List.map int_of_string (String.split_on_char ',' v));
         parse rest
     | "--obs-out" :: v :: rest ->
-        obs_out := Some v;
+        diag := { !diag with Diag.obs_out = Some v };
         parse rest
     | "--obs-summary" :: rest ->
-        obs_summary := true;
+        diag := { !diag with Diag.obs_summary = true };
         parse rest
     | "--obs-events" :: v :: rest ->
         diag := { !diag with Diag.obs_events = Some v };
@@ -602,11 +600,6 @@ let () =
   let selected = if !selected = [] then [ "all" ] else List.rev !selected in
   let scale = !scale and ranks = !ranks in
   let run = Diag.run_config ~prog:"bench" !diag in
-  if !obs_out <> None || !obs_summary || run.Run_config.obs_events <> None then
-    Rma_obs.Obs.enable ();
-  Rma_obs.Events.set_level run.Run_config.obs_level;
-  Option.iter Rma_obs.Events.set_sink run.Run_config.obs_events;
-  Rma_obs.Telemetry.set_slo_epoch_close_ms run.Run_config.slo_epoch_close_ms;
   let dispatch = function
     | "table2" -> run_table2 ~run
     | "table3" -> run_table3 ~run
@@ -639,6 +632,7 @@ let () =
   (* Each experiment becomes a top-level phase span so a trace of the
      full sweep shows where the wall time went. *)
   let counts =
+    Diag.with_obs !diag run @@ fun () ->
     List.concat_map
       (fun name ->
         let counts, _wall = Rma_obs.Obs.time_span ~cat:"phase" name (fun () -> dispatch name) in
@@ -647,7 +641,7 @@ let () =
         List.map (fun (metric, v) -> Printf.sprintf "%s %s %d" name (field metric) v) counts)
       selected
   in
-  (match !counts_out with
+  match !counts_out with
   | Some path ->
       (* The header pins the inputs: counts from another scale, rank
          list or experiment list are not comparable line by line. *)
@@ -662,11 +656,4 @@ let () =
       List.iter (fun l -> output_string oc (l ^ "\n")) (List.sort String.compare counts);
       close_out oc;
       Printf.eprintf "bench: wrote %d counts to %s\n%!" (List.length counts) path
-  | None -> ());
-  (match !obs_out with
-  | Some path ->
-      Rma_obs.Chrome_trace.write ~path ();
-      Printf.eprintf "obs: wrote Chrome trace to %s\n%!" path
-  | None -> ());
-  if !obs_summary then print_string (Rma_obs.Summary.to_string ());
-  Rma_obs.Events.close ()
+  | None -> ()

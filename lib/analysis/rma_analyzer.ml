@@ -4,21 +4,7 @@ module Event = Mpi_sim.Event
 module Config = Mpi_sim.Config
 module Obs = Rma_obs.Obs
 module Events = Rma_obs.Events
-module Telemetry = Rma_obs.Telemetry
 module Vclock = Rma_vclock.Vclock
-
-(* Telemetry sampling rides the epoch-close path (the natural heartbeat
-   of a run) but is rate-limited so epoch-dense workloads don't pay a
-   /proc read per epoch. *)
-let telemetry_interval = 0.25
-let last_telemetry = ref 0.0
-
-let sample_telemetry () =
-  let now = Rma_util.Timer.now () in
-  if now -. !last_telemetry >= telemetry_interval then begin
-    last_telemetry := now;
-    Telemetry.sample ()
-  end
 
 type policy = Legacy | Contribution | Fragmentation_only | Order_blind | Strided_extension
 
@@ -214,10 +200,9 @@ let obs_nodes_at_close =
   Obs.histogram ~unit_:"nodes" ~help:"Tree size sampled at each epoch close (Table 4 metric)"
     "analyzer.nodes_at_close"
 
-let obs_tree_nodes =
-  Obs.gauge ~help:"Tree size at the most recent epoch close" "analyzer.tree_nodes"
-
-let obs_epoch_closes = Obs.counter ~help:"Epoch close events observed" "analyzer.epoch_closes"
+let obs_epoch_close_ns =
+  Obs.histogram ~unit_:"ns" ~help:"Wall time the analyzer spent handling each epoch close"
+    "analyzer.epoch_close_ns"
 
 let obs_window_clears =
   Obs.counter ~help:"Global window clears (all ranks closed)" "analyzer.window_clears"
@@ -476,8 +461,8 @@ let observer st event =
       0.0
   | Event.Epoch_closed { win; rank; sim_time } ->
       (* Wall time of the whole close handling (finger flush, journal,
-         window clear) feeds the epoch-close latency SLO; timed only
-         under Obs so the sequential hot path stays clock-free. *)
+         window clear); timed only under Obs so the hot path stays
+         clock-free. *)
       let close_t0 = if Obs.is_enabled () then Rma_util.Timer.now () else 0.0 in
       let tree = tree_for st (rank, win) in
       set_epoch_open st ~rank tree false;
@@ -497,10 +482,7 @@ let observer st event =
           Events.Debug "analyzer";
         Obs.finish_span ~at:sim_time ~args:[ ("nodes", string_of_int nodes) ] tree.epoch_span;
         tree.epoch_span <- None;
-        Obs.observe_int obs_nodes_at_close nodes;
-        Obs.set_gauge obs_tree_nodes (float_of_int nodes);
-        Obs.incr obs_epoch_closes;
-        sample_telemetry ()
+        Obs.observe_int obs_nodes_at_close nodes
       end;
       let closers =
         match Hashtbl.find_opt st.epoch_closers win with
@@ -530,7 +512,8 @@ let observer st event =
       | None -> ());
       (* The end-of-epoch MPI_Reduce counting remote accesses (§5.1). *)
       let cost = Config.collective_cost st.config ~nprocs:st.nprocs ~bytes_count:8 in
-      if close_t0 > 0.0 then Telemetry.note_epoch_close (Rma_util.Timer.now () -. close_t0);
+      if close_t0 > 0.0 then
+        Obs.observe obs_epoch_close_ns ((Rma_util.Timer.now () -. close_t0) *. 1e9);
       cost
   | Event.Flushed { win; rank; _ } ->
       (* Deliberately untreated by default: MPI_Win_flush only orders the

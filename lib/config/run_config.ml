@@ -7,7 +7,6 @@ type t = {
   budget : Budget.t option;
   obs_events : string option;
   obs_level : Events.level;
-  slo_epoch_close_ms : float;
 }
 
 let default =
@@ -17,7 +16,6 @@ let default =
     budget = None;
     obs_events = None;
     obs_level = Events.Info;
-    slo_epoch_close_ms = 100.0;
   }
 
 let parsed what = function Some v -> Ok v | None -> Error ("expected " ^ what)
@@ -38,11 +36,6 @@ let set_level t v =
   parsed "debug, info, warn or error" (Events.level_of_string (String.trim v))
   |> Result.map (fun obs_level -> { t with obs_level })
 
-let set_slo t v =
-  match float_of_string_opt (String.trim v) with
-  | Some ms when ms > 0.0 -> Ok { t with slo_epoch_close_ms = ms }
-  | _ -> Error "expected a positive number of milliseconds"
-
 let fields =
   [ ("predictive", set_predictive); ("interleave_seed", set_interleave); ("budget", set_budget) ]
 
@@ -55,7 +48,6 @@ let env =
     ("RMA_BUDGET", set_budget);
     ("RMA_OBS_EVENTS", fun t v -> Ok { t with obs_events = Some v });
     ("RMA_OBS_LEVEL", set_level);
-    ("RMA_SLO_EPOCH_CLOSE_MS", set_slo);
   ]
 
 let apply ?(label = Fun.id) lookup setters base =

@@ -1,8 +1,8 @@
 (** One run's configuration, as one value.
 
     Every setting that changes what a run computes or where its journal
-    goes lives here: predictive mode, interleave seed, budget, journal
-    sink and level, and the epoch-close SLO. The edges (the CLI, the
+    goes lives here: predictive mode, interleave seed, budget, and the
+    journal's sink and level. The edges (the CLI, the
     bench driver, the examples, a [serve] hello, a journal's [run_start]
     record) build one value and pass its fields down as explicit
     arguments; below the edges every default is a constant
@@ -17,7 +17,6 @@ type t = {
   budget : Rma_store.Budget.t option;  (** Default: unbounded stores. *)
   obs_events : string option;  (** Event-journal JSON-lines path. *)
   obs_level : Rma_obs.Events.level;  (** Journal emission filter. Default [Info]. *)
-  slo_epoch_close_ms : float;  (** Epoch-close SLO threshold. Default 100 ms. *)
 }
 
 val default : t
@@ -25,8 +24,8 @@ val default : t
 val of_env : unit -> (t, string) result
 (** {!default} overridden by the [RMA_PREDICTIVE]
     ([1|true|yes|on] or [0|false|no|off]), [RMA_INTERLEAVE_SEED],
-    [RMA_BUDGET], [RMA_OBS_EVENTS], [RMA_OBS_LEVEL] and
-    [RMA_SLO_EPOCH_CLOSE_MS] environment variables. Empty variables
+    [RMA_BUDGET], [RMA_OBS_EVENTS] and [RMA_OBS_LEVEL] environment
+    variables. Other variables are not read. Empty variables
     count as unset. [Error] reads
     [bad VAR "value": reason] for the first malformed variable; the
     edges treat it as a bad flag (exit 124 in the CLI). *)

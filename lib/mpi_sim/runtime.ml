@@ -209,8 +209,6 @@ let fresh_gather () = { arrived = [] }
 (* Event emission                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let obs_events = Obs.counter ~help:"Events dispatched to the observer" "sim.events_dispatched"
-
 let obs_observer_seconds =
   Obs.histogram ~help:"Wall time of one observer call (detector work per event)"
     "sim.observer_seconds"
@@ -245,7 +243,6 @@ let dispatch s ~charge_to event =
     let t0 = Rma_util.Timer.now () in
     let protocol_cost = s.observer event in
     let wall = Rma_util.Timer.now () -. t0 in
-    Obs.incr obs_events;
     Obs.observe obs_observer_seconds wall;
     Obs.observe obs_protocol_cost protocol_cost;
     let wall_charge = if charges_wall then wall *. cfg.Config.analysis_overhead_scale else 0.0 in

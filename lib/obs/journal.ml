@@ -228,7 +228,7 @@ let render_stats ?source ?error s =
   | None -> say "  epochs:   none reconstructed (journal below debug level, or span ids absent)"
   | Some overall ->
       let t =
-        Table.create ~title:"Epoch handling durations from span-id-paired open/close (ms)"
+        Table.create ~title:"Wall time each epoch stayed open, epoch_open to epoch_close (ms)"
           ~columns:
             [ ("Rank", Table.Left); ("Epochs", Table.Right); ("p50", Table.Right);
               ("p95", Table.Right); ("p99", Table.Right) ]

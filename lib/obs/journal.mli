@@ -67,9 +67,10 @@ type stats = {
   by_component : (string * int) list;  (** Sorted by component name. *)
   by_level : (Events.level * int) list;
   epoch_overall : percentiles option;
-      (** Wall-clock epoch handling durations reconstructed by pairing
-          [epoch_open]/[epoch_close] events through their shared
-          [span_id] (seconds). *)
+      (** Wall time each epoch stayed open: from its [epoch_open]
+          record to the [epoch_close] record sharing its [span_id]
+          (seconds). The simulator runs the other ranks meanwhile, so
+          this is not the analyzer's handling time. *)
   epoch_by_rank : (int * percentiles) list;
   degradations : int;
   read_errors : int;

@@ -151,9 +151,6 @@ let category_acc cat =
       Hashtbl.replace categories cat acc;
       acc
 
-let category_seconds cat =
-  match Hashtbl.find_opt categories cat with Some acc -> Timer.elapsed acc | None -> 0.0
-
 let time_span ?(cat = "phase") ?(args = []) ?(pid = wall_pid) ?(tid = 0) name f =
   let t0 = Timer.now () in
   let finish () =

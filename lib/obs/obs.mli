@@ -103,12 +103,8 @@ val time_span :
     when enabled — record the interval as a span. The duration is
     always measured so callers (e.g. {!Report.Harness.measure}) can use
     the {e same} number in tables and in the exported trace. Also feeds
-    the span's category accumulator (see {!category_seconds}). Re-raises
+    the span's category accumulator (see {!all_categories}). Re-raises
     the thunk's exception after recording the partial span. *)
-
-val category_seconds : string -> float
-(** Total wall seconds accumulated by {!time_span} under a category
-    (backed by {!Rma_util.Timer.accumulator}). *)
 
 (** {1 Snapshots for exporters} *)
 

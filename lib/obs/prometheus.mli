@@ -12,8 +12,5 @@ val to_text : ?filter:(string -> bool) -> unit -> string
 
 val write : path:string -> unit -> unit
 
-val escape_help : string -> string
-(** Escape backslash and newline for [# HELP] lines. *)
-
 val escape_label_value : string -> string
 (** Escape backslash, newline and double quote for label values. *)

@@ -33,40 +33,11 @@ let g_major_words = Obs.gauge ~help:"GC major words allocated" "telemetry.gc_maj
 let g_live_words = Obs.gauge ~help:"GC live words at last sample" "telemetry.gc_live_words"
 let g_peak_rss = Obs.gauge ~help:"peak resident set size in bytes" "telemetry.peak_rss_bytes"
 
-(* ------------------------------------------------------------------ *)
-(* Epoch-close latency SLO                                             *)
-(* ------------------------------------------------------------------ *)
-
-let h_epoch_close_ns =
-  Obs.histogram ~unit_:"ns" ~help:"Wall time the analyzer spent handling each epoch close"
-    "analyzer.epoch_close_ns"
-
-let g_slo_p99 =
-  Obs.gauge ~help:"p99 epoch-close handling latency at last sample (ms)"
-    "slo.epoch_close_p99_ms"
-
-let c_slo_burn =
-  Obs.counter ~help:"Epoch closes slower than the RMA_SLO_EPOCH_CLOSE_MS threshold"
-    "slo.epoch_close_burn_total"
-
-let slo_threshold_ms = ref 100.0
-
-let set_slo_epoch_close_ms ms = if ms > 0.0 then slo_threshold_ms := ms
-let slo_epoch_close_ms () = !slo_threshold_ms
-
-let note_epoch_close seconds =
-  if Obs.is_enabled () then begin
-    Obs.observe h_epoch_close_ns (seconds *. 1e9);
-    if seconds *. 1000.0 > !slo_threshold_ms then Obs.incr c_slo_burn
-  end
-
 let sample () =
   if Obs.is_enabled () then begin
     let st = Gc.quick_stat () in
     Obs.set_gauge g_minor_words st.Gc.minor_words;
     Obs.set_gauge g_major_words st.Gc.major_words;
     Obs.set_gauge g_live_words (float_of_int st.Gc.live_words);
-    Obs.set_gauge g_peak_rss (float_of_int (peak_rss_bytes ()));
-    if Histogram.count h_epoch_close_ns > 0 then
-      Obs.set_gauge g_slo_p99 (Histogram.quantile h_epoch_close_ns 0.99 /. 1e6)
+    Obs.set_gauge g_peak_rss (float_of_int (peak_rss_bytes ()))
   end

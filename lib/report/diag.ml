@@ -32,10 +32,11 @@ let default =
 let wants_races opts = opts.races_json <> None || opts.races_sarif <> None
 
 (* Any observability output (trace, summary, Prometheus, journal)
-   requested: the condition under which [with_diag] enables Obs. *)
-let wants_obs opts =
+   requested: the condition under which [with_obs] enables Obs. The
+   journal path is the run's, where the environment may have set it. *)
+let wants_obs opts run =
   opts.obs_out <> None || opts.obs_summary || opts.obs_prometheus <> None
-  || opts.obs_events <> None
+  || run.Run_config.obs_events <> None
 
 (* A bad value is a usage error, not a crash mid-run: report and exit
    with the code the CLI has always used for spec errors. *)
@@ -73,29 +74,16 @@ let run_config ~prog opts =
   in
   match opts.obs_events with Some _ as p -> { run with Run_config.obs_events = p } | None -> run
 
-(* [f] gets the run's configuration and returns the run's race reports; exports happen afterwards, the obs
-   ones even if [f] raises. The flight recorder is process-wide and
-   snapshotted at store creation, so it is switched on before [f]. *)
-let with_diag ?(prog = "rma_race") ?(generator = "rma_race") ?workload opts f =
-  let run = run_config ~prog opts in
-  let opts = { opts with obs_events = run.Run_config.obs_events } in
-  let active = wants_obs opts in
+(* The obs half of the bracket. Telemetry is sampled here, where the
+   metrics are read, so every tool's run exports its GC/RSS gauges. *)
+let with_obs opts run f =
+  let active = wants_obs opts run in
   if active then Obs.enable ();
   Events.set_level run.Run_config.obs_level;
-  Option.iter Events.set_sink opts.obs_events;
-  Rma_obs.Telemetry.set_slo_epoch_close_ms run.Run_config.slo_epoch_close_ms;
-  if wants_races opts then Rma_store.Flight_recorder.enable ();
-  (* Journal the run's identity: what [rma_race obs replay] rebuilds the
-     run from — workload name and parameters, then the whole run
-     configuration in canonical form (so the journal, not the command
-     line, is the source of truth for the seed). *)
-  (match workload with
-  | Some (name, params) ->
-      let kv = [ ("event", "run_start"); ("workload", name) ] @ params @ Run_config.to_fields run in
-      Events.emit ~kv Events.Info "diag"
-  | None -> ());
-  let obs_export () =
+  Option.iter Events.set_sink run.Run_config.obs_events;
+  let export () =
     if active then begin
+      Rma_obs.Telemetry.sample ();
       let write_file what write path =
         try
           write ~path ();
@@ -106,42 +94,62 @@ let with_diag ?(prog = "rma_race") ?(generator = "rma_race") ?workload opts f =
       Option.iter (write_file "Prometheus metrics" Rma_obs.Prometheus.write) opts.obs_prometheus;
       Option.iter
         (fun path -> Printf.eprintf "obs: wrote event journal to %s\n%!" path)
-        opts.obs_events;
+        run.Run_config.obs_events;
       Events.close ();
       if opts.obs_summary then print_string (Rma_obs.Summary.to_string ())
     end
   in
-  (* The run id exported with the races must be the journal's, and the
-     run_summary record must land before the finally closes the sink —
-     hence both live inside the protected thunk, after renumbering.
-     Ids are per tool run; a subcommand aggregating several runs (suite)
-     would export duplicates, so renumber to the export's own 1..n —
-     identity for single-run subcommands, whose stored reports are
-     already sequential. *)
-  let renumber reports =
-    List.mapi
-      (fun i r ->
-        let module Report = Rma_analysis.Report in
-        { r with Report.provenance = { r.Report.provenance with Report.id = i + 1 } })
-      reports
+  Fun.protect ~finally:export f
+
+(* Ids are per tool run; a subcommand aggregating several runs (suite)
+   would export duplicates, so renumber to the export's own 1..n —
+   identity for single-run subcommands, whose stored reports are
+   already sequential. *)
+let renumber reports =
+  List.mapi
+    (fun i r ->
+      let module Report = Rma_analysis.Report in
+      { r with Report.provenance = { r.Report.provenance with Report.id = i + 1 } })
+    reports
+
+(* [f] gets the run's configuration and returns the run's race reports;
+   exports happen afterwards, the obs ones even if [f] raises. The
+   flight recorder is process-wide and snapshotted at store creation,
+   so it is switched on before [f]. *)
+let with_diag ?(prog = "rma_race") ?(generator = "rma_race") ?workload opts f =
+  let run = run_config ~prog opts in
+  if wants_races opts then Rma_store.Flight_recorder.enable ();
+  let run_id = if wants_obs opts run then Some (Events.run_id ()) else None in
+  (* The run_summary record must land before the export closes the
+     sink, hence inside the bracket, after renumbering. *)
+  let reports =
+    with_obs opts run (fun () ->
+        (* Journal the run's identity: what [rma_race obs replay]
+           rebuilds the run from — workload name and parameters, then
+           the whole run configuration in canonical form (so the
+           journal, not the command line, is the source of truth for
+           the seed). *)
+        (match workload with
+        | Some (name, params) ->
+            let kv =
+              [ ("event", "run_start"); ("workload", name) ] @ params @ Run_config.to_fields run
+            in
+            Events.emit ~kv Events.Info "diag"
+        | None -> ());
+        let reports = renumber (f run) in
+        (* The journal's verdict record: what [obs replay] compares a
+           re-run against. A thunk that raises leaves no run_summary —
+           exactly right, the original run has no verdict either. *)
+        Events.emit
+          ~kv:
+            [
+              ("event", "run_summary");
+              ("races", string_of_int (List.length reports));
+              ("digest", Race_export.verdict_digest reports);
+            ]
+          Events.Info "diag";
+        reports)
   in
-  let run_id = if active then Some (Events.run_id ()) else None in
-  let finished = ref None in
-  Fun.protect ~finally:obs_export (fun () ->
-      let reports = renumber (f run) in
-      (* The journal's verdict record: what [obs replay] compares a
-         re-run against. A thunk that raises leaves no run_summary —
-         exactly right, the original run has no verdict either. *)
-      Events.emit
-        ~kv:
-          [
-            ("event", "run_summary");
-            ("races", string_of_int (List.length reports));
-            ("digest", Race_export.verdict_digest reports);
-          ]
-        Events.Info "diag";
-      finished := Some reports);
-  let reports = match !finished with Some r -> r | None -> [] in
   let write_races what write path =
     try
       write ~path ?run_id ~generator reports;

@@ -39,6 +39,16 @@ val run_config : prog:string -> opts -> Rma_config.Run_config.t
     it. A malformed environment variable or flag value prints
     [prog: bad NAME "value": reason] and exits 124. *)
 
+val with_obs : opts -> Rma_config.Run_config.t -> (unit -> 'a) -> 'a
+(** The observability half of {!with_diag}, for drivers that journal no
+    single run (the bench): when an obs output is requested
+    ([obs_out], [obs_summary], [obs_prometheus], or the run's
+    [obs_events]), enable {!Rma_obs.Obs}; set the journal level and
+    sink from the run; run the thunk; then — even if it raises — take
+    one {!Rma_obs.Telemetry.sample} and write the Chrome trace, the
+    Prometheus dump and the summary, and close the journal. The
+    race-export fields of [opts] are not consulted. *)
+
 val with_diag :
   ?prog:string ->
   ?generator:string ->

@@ -38,10 +38,6 @@ let measure ~nprocs ?(config = Mpi_sim.Config.default) ?(run = Run_config.defaul
       (Printf.sprintf "measure %s (%d ranks)" (Toolbox.name kind) nprocs)
       (fun () -> workload ~config ~observer)
   in
-  (* One telemetry sample per measurement keeps the GC/RSS gauges
-     fresh even for workloads whose epochs are too sparse to hit
-     the analyzer's rate-limited sampler. *)
-  Rma_obs.Telemetry.sample ();
   let b = tool.Tool.bst_summary () in
   let epoch_total = Array.fold_left ( +. ) 0.0 result.Mpi_sim.Runtime.epoch_times in
   {

@@ -82,7 +82,7 @@ grep -q 'session="racy-smoke"' "$WORK/metrics.txt"
 grep -q 'state="closed:completed"' "$WORK/metrics.txt"
 grep -q '^rma_serve_sessions_completed 2' "$WORK/metrics.txt"
 grep -q '^rma_telemetry_peak_rss_bytes' "$WORK/metrics.txt"
-grep -q '^rma_slo_epoch_close_burn_total' "$WORK/metrics.txt"
+grep -q '^rma_analyzer_epoch_close_ns_count' "$WORK/metrics.txt"
 echo "serve_smoke: /metrics on the daemon's port labels sessions by run_id"
 
 # --- 5: verdict assertions ---------------------------------------------------

@@ -205,6 +205,41 @@ let test_telemetry_collector () =
   Alcotest.(check bool) "telemetry.gc_live_words gauge set" true
     (gauge "telemetry.gc_live_words" > 0.0)
 
+(* Diag's export bracket takes the one telemetry sample, so a tool that
+   never reaches the analyzer's epoch close (Must-RMA here) still
+   exports a real peak RSS. *)
+let test_diag_export_samples_telemetry () =
+  let prom = Filename.temp_file "rma_telemetry" ".prom" in
+  let restore () =
+    Events.close ();
+    Events.clear ();
+    Obs.disable ();
+    Obs.reset ();
+    try Sys.remove prom with Sys_error _ -> ()
+  in
+  Fun.protect ~finally:restore @@ fun () ->
+  Obs.reset ();
+  let scenario = Option.get (Rma_microbench.Scenario.find "ll_get_get_inwindow_origin_race") in
+  Rma_report.Diag.with_diag ~prog:"test" ~generator:"test"
+    { Rma_report.Diag.default with Rma_report.Diag.obs_prometheus = Some prom }
+    (fun _run ->
+      let tool = Rma_analysis.Toolbox.make Rma_analysis.Toolbox.Must ~nprocs:3 () in
+      (Rma_microbench.Runner.run ~tool scenario).Rma_microbench.Runner.reports);
+  let text = In_channel.with_open_bin prom In_channel.input_all in
+  let prefix = "rma_telemetry_peak_rss_bytes " in
+  let value =
+    List.find_map
+      (fun line ->
+        if String.starts_with ~prefix line then
+          float_of_string_opt
+            (String.sub line (String.length prefix) (String.length line - String.length prefix))
+        else None)
+      (String.split_on_char '\n' text)
+  in
+  match value with
+  | None -> Alcotest.fail "no rma_telemetry_peak_rss_bytes sample in the dump"
+  | Some v -> Alcotest.(check bool) "peak RSS exported nonzero" true (v > 0.0)
+
 let suite =
   [
     Alcotest.test_case "levels parse and order" `Quick test_levels;
@@ -214,4 +249,6 @@ let suite =
       test_journal_correlation;
     QCheck_alcotest.to_alcotest prop_line_roundtrips;
     Alcotest.test_case "telemetry collector feeds the gauges" `Quick test_telemetry_collector;
+    Alcotest.test_case "a Must-RMA run exports its peak RSS" `Quick
+      test_diag_export_samples_telemetry;
   ]

@@ -45,7 +45,6 @@ let test_env_values_parse () =
       ("RMA_BUDGET", "4096:spill");
       ("RMA_OBS_EVENTS", "events.jsonl");
       ("RMA_OBS_LEVEL", "debug");
-      ("RMA_SLO_EPOCH_CLOSE_MS", "250");
     ]
     (fun () ->
       match Run_config.of_env () with
@@ -56,12 +55,12 @@ let test_env_values_parse () =
           Alcotest.(check bool) "budget" true
             (r.Run_config.budget = Result.to_option (Budget.of_spec "4096:spill"));
           Alcotest.(check (option string)) "journal" (Some "events.jsonl") r.Run_config.obs_events;
-          Alcotest.(check bool) "level" true (r.Run_config.obs_level = Rma_obs.Events.Debug);
-          Alcotest.(check (float 0.0)) "slo" 250.0 r.Run_config.slo_epoch_close_ms);
-  (* The shard count of the removed parallel engine and the fault plan
-     of the removed trace-write fault injection are no settings any
-     more: a leftover RMA_JOBS or RMA_FAULT, even a malformed one,
-     changes nothing. *)
+          Alcotest.(check bool) "level" true (r.Run_config.obs_level = Rma_obs.Events.Debug));
+  (* The shard count of the removed parallel engine, the fault plan of
+     the removed trace-write fault injection and the threshold of the
+     removed epoch-close SLO are no settings any more: a leftover
+     RMA_JOBS, RMA_FAULT or RMA_SLO_EPOCH_CLOSE_MS, even a malformed
+     one, changes nothing. *)
   List.iter
     (fun (var, v) ->
       with_env [ (var, v) ] (fun () ->
@@ -72,6 +71,8 @@ let test_env_values_parse () =
       ("RMA_JOBS", "four");
       ("RMA_FAULT", "seed=7,trace_corrupt=0.05");
       ("RMA_FAULT", "seed=1,trace_corrupt=2.0");
+      ("RMA_SLO_EPOCH_CLOSE_MS", "250");
+      ("RMA_SLO_EPOCH_CLOSE_MS", "-5");
     ]
 
 (* One malformed value per variable: each is an [Error] naming the
@@ -93,7 +94,6 @@ let test_env_malformed_rejected () =
       ("RMA_INTERLEAVE_SEED", "thirteen");
       ("RMA_BUDGET", "nodes=0");
       ("RMA_OBS_LEVEL", "loud");
-      ("RMA_SLO_EPOCH_CLOSE_MS", "-5");
     ]
 
 (* A spec error names at most 64 bytes of the value, then "…" and its
