@@ -1,6 +1,5 @@
-(* Regenerates every table and figure of the paper's evaluation (§5) and
-   runs one Bechamel micro-benchmark per experiment on the detector inner
-   loops.
+(* Regenerates every table and figure of the paper's evaluation (§5),
+   plus the ablations, and returns the exact counts each reproduces.
 
    Usage:
      dune exec bench/main.exe                 -- everything at CI scale
@@ -232,102 +231,6 @@ let run_fastpath () =
   in
   let code2_metrics = row ~label:"Code 2 adjacent gets" ~prefix:"fastpath" ~ceiling:8 code2 in
   code2_metrics @ row ~label:"CFD-Proxy halo runs" ~prefix:"fastpath_halo" ~ceiling:40 halo
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one per table/figure, measuring the       *)
-(* detector inner loop that experiment stresses.                        *)
-(* ------------------------------------------------------------------ *)
-
-let micro_tests () =
-  let open Bechamel in
-  let open Rma_access in
-  let open Rma_store in
-  let dbg line = Debug_info.make ~file:"bench.c" ~line ~operation:"op" in
-  let mk_access ~seq ~line lo hi kind =
-    Access.make ~interval:(Interval.make ~lo ~hi) ~kind ~issuer:0 ~seq ~debug:(dbg line)
-  in
-  (* Table 2/3 inner loop: one full microbenchmark verdict. *)
-  let scenario =
-    match Rma_microbench.Scenario.find "ll_get_load_inwindow_origin_race" with
-    | Some s -> s
-    | None -> failwith "scenario missing"
-  in
-  let table3_verdict () =
-    let tool =
-      Rma_analysis.Rma_analyzer.create ~nprocs:3 ~mode:Rma_analysis.Tool.Collect
-        Rma_analysis.Rma_analyzer.Contribution
-    in
-    ignore (Rma_microbench.Runner.run ~tool scenario)
-  in
-  (* Table 4 / Figures 11-12 inner loop: MiniVite-style stride-16 access
-     stream into both stores. *)
-  let minivite_stream =
-    Array.init 2_000 (fun i ->
-        mk_access ~seq:(i + 1) ~line:501 (i * 16) ((i * 16) + 7) Access_kind.Rma_read)
-  in
-  let stream_insert_disjoint stream () =
-    let store = Disjoint_store.create () in
-    Array.iter (fun a -> ignore (Disjoint_store.insert store a)) stream
-  in
-  let stream_insert_legacy stream () =
-    let store = Legacy_store.create () in
-    Array.iter (fun a -> ignore (Legacy_store.insert store a)) stream
-  in
-  (* Figure 10 inner loop: CFD-style adjacent same-line stream (merges to
-     one node) vs legacy accumulation. *)
-  let cfd_stream =
-    Array.init 2_000 (fun i ->
-        mk_access ~seq:(i + 1) ~line:318 (i * 8) ((i * 8) + 7) Access_kind.Rma_write)
-  in
-  (* Figure 8 inner loop: the Code 2 adjacent get loop. *)
-  let fig8_stream =
-    Array.init 1_000 (fun i -> mk_access ~seq:(i + 1) ~line:2 i i Access_kind.Rma_write)
-  in
-  (* Figure 5 inner loop: fragmentation of one overlapping insert. *)
-  let fig5_op () =
-    let store = Disjoint_store.create ~merge:false () in
-    ignore (Disjoint_store.insert store (mk_access ~seq:1 ~line:1 4 4 Access_kind.Local_read));
-    ignore (Disjoint_store.insert store (mk_access ~seq:2 ~line:2 2 12 Access_kind.Rma_read))
-  in
-  [
-    Test.make ~name:"table2+3: one suite verdict (contribution)" (Staged.stage table3_verdict);
-    Test.make ~name:"table4+fig11/12: minivite stream, contribution store"
-      (Staged.stage (stream_insert_disjoint minivite_stream));
-    Test.make ~name:"table4+fig11/12: minivite stream, legacy store"
-      (Staged.stage (stream_insert_legacy minivite_stream));
-    Test.make ~name:"fig10: cfd adjacent stream, contribution store (merges)"
-      (Staged.stage (stream_insert_disjoint cfd_stream));
-    Test.make ~name:"fig10: cfd adjacent stream, legacy store"
-      (Staged.stage (stream_insert_legacy cfd_stream));
-    Test.make ~name:"fig8: code2 get loop, contribution store"
-      (Staged.stage (stream_insert_disjoint fig8_stream));
-    Test.make ~name:"fig8: code2 get loop, contribution store (fast path off)"
-      (Staged.stage (fun () ->
-           let store = Disjoint_store.create ~fast_path:false () in
-           Array.iter (fun a -> ignore (Disjoint_store.insert store a)) fig8_stream));
-    Test.make ~name:"fig5: fragmentation of one overlapping insert" (Staged.stage fig5_op);
-  ]
-
-let run_micro () =
-  section "Bechamel micro-benchmarks (ns per run, OLS estimate)";
-  let open Bechamel in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let tests = Test.make_grouped ~name:"rma" (micro_tests ()) in
-  let raw = Benchmark.all cfg instances tests in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name ols_result acc -> (name, ols_result) :: acc) results [] in
-  let rows = List.sort (fun (a, _) (b, _) -> String.compare a b) rows in
-  List.iter
-    (fun (name, ols_result) ->
-      let estimate =
-        match Analyze.OLS.estimates ols_result with Some (e :: _) -> e | _ -> Float.nan
-      in
-      Printf.printf "%-62s %12.1f ns/run\n" name estimate)
-    rows;
-  []
-
 
 (* Hybrid MPI+threads kernel sweep: accuracy of the contribution
    analyzer over the hyb_* corpus across two interleave seeds, plus the
@@ -612,7 +515,6 @@ let () =
     | "fig12" -> run_fig12 ~scale ~ranks ~run
     | "ablation" -> run_ablation ~run
     | "fastpath" -> run_fastpath ()
-    | "micro" -> run_micro ()
     | "hybrid" -> run_hybrid ~run
     | "predictive" -> run_predictive ~run
     | "serve" -> run_serve ~run
@@ -620,13 +522,13 @@ let () =
     | other ->
         Printf.eprintf
           "unknown experiment %S (expected table2 table3 table4 fig5 fig8 fig9 fig10 fig11 fig12 \
-           ablation fastpath micro hybrid predictive serve all)\n"
+           ablation fastpath hybrid predictive serve all)\n"
           other;
         exit 2
   in
   let all_names =
     [ "table2"; "table3"; "table4"; "fig5"; "fig8"; "fig9"; "fig10"; "fig11"; "fig12";
-      "ablation"; "fastpath"; "micro"; "hybrid"; "predictive"; "serve" ]
+      "ablation"; "fastpath"; "hybrid"; "predictive"; "serve" ]
   in
   let selected = List.concat_map (function "all" -> all_names | n -> [ n ]) selected in
   (* Each experiment becomes a top-level phase span so a trace of the

@@ -241,7 +241,9 @@ let kernel_cmd =
   in
   let run obs tool_choice name seed interleave_seed =
     with_diag
-      ~workload:("kernel", [ ("tool", Toolbox.slug tool_choice); ("kernel", name) ])
+      ~workload:
+        ( "kernel",
+          [ ("tool", Toolbox.slug tool_choice); ("kernel", name); ("seed", string_of_int seed) ] )
       { obs with Diag.interleave_seed }
     @@ fun run ->
     match Rma_microbench.Scenario.Kernel.find name with

@@ -39,8 +39,6 @@ let make ~interval ~kind ~issuer ~seq ~debug =
 
 let with_interval t interval = { t with interval }
 
-let with_kind t kind = { t with kind }
-
 let same_issuer a b = a.issuer = b.issuer
 
 (* Did [prior] happen-before [later] in the issuing process's program

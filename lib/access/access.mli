@@ -56,8 +56,6 @@ val with_interval : t -> Interval.t -> t
 (** Same access restricted (or extended) to another interval — used by
     fragmentation to carve an access into sub-intervals. *)
 
-val with_kind : t -> Access_kind.t -> t
-
 val same_issuer : t -> t -> bool
 
 val thread_ordered : prior:t -> later:t -> bool

@@ -7,7 +7,6 @@ let is_local t = not (is_rma t)
 let is_write = function
   | Local_write | Rma_write | Rma_accumulate -> true
   | Local_read | Rma_read -> false
-let is_read t = not (is_write t)
 
 let is_accumulate = function Rma_accumulate -> true | _ -> false
 
@@ -17,8 +16,6 @@ let strength = function
   | Rma_read -> 2
   | Rma_write -> 3
   | Rma_accumulate -> 4
-
-let combine a b = if strength a >= strength b then a else b
 
 let all = [ Local_read; Local_write; Rma_read; Rma_write; Rma_accumulate ]
 

@@ -11,7 +11,6 @@ type t = Local_read | Local_write | Rma_read | Rma_write | Rma_accumulate
 val is_rma : t -> bool
 val is_local : t -> bool
 val is_write : t -> bool
-val is_read : t -> bool
 
 val is_accumulate : t -> bool
 
@@ -21,10 +20,6 @@ val strength : t -> int
     > Local_read (0)]. RMA accesses prevail over local accesses and
     writes over reads; accumulates (an extension beyond the paper's four
     kinds, following its §2.1 atomicity property) sit on top. *)
-
-val combine : t -> t -> t
-(** [combine a b] is the stronger of the two kinds (Table 1's resulting
-    access type); on a tie it is that same kind. *)
 
 val all : t list
 

@@ -33,9 +33,6 @@ let right_remainder ~outer ~cut =
 
 let hull a b = { lo = Int.min a.lo b.lo; hi = Int.max a.hi b.hi }
 
-let merge_adjacent_or_overlapping a b =
-  if overlaps a b || adjacent a b then Some (hull a b) else None
-
 let compare_lo a b =
   let c = compare a.lo b.lo in
   if c <> 0 then c else compare a.hi b.hi

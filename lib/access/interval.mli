@@ -46,9 +46,6 @@ val right_remainder : outer:t -> cut:t -> t option
 val hull : t -> t -> t
 (** Smallest interval covering both. *)
 
-val merge_adjacent_or_overlapping : t -> t -> t option
-(** [hull] when the two intervals overlap or are adjacent, else [None]. *)
-
 val compare_lo : t -> t -> int
 (** Order by lower bound, then by upper bound — the BST key order. *)
 

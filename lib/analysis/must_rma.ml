@@ -18,7 +18,6 @@ type state = {
   nprocs : int;
   config : Config.t;
   mode : Tool.mode;
-  max_reports : int;
   mutable clocks : Vclock.t array;  (* per rank *)
   shadows : Shadow.t array;  (* per address space *)
   mutable next_vid : int;
@@ -54,7 +53,7 @@ let record_race st ~space ~win ~(race : Shadow.race) ~clock ~sim_time =
       ~sim_time ~provenance ()
   in
   st.race_count <- st.race_count + 1;
-  if st.race_count <= st.max_reports then st.races <- report :: st.races;
+  if st.race_count <= Tool.max_reports then st.races <- report :: st.races;
   match st.mode with
   | Tool.Abort_on_race -> raise (Report.Race_abort report)
   | Tool.Collect -> ()
@@ -177,7 +176,7 @@ let observer st event =
       0.0
   | Event.Finished _ -> 0.0
 
-let create ~nprocs ?(config = Config.default) ?(mode = Tool.Collect) ?(max_reports = 1000) () =
+let create ~nprocs ?(config = Config.default) ?(mode = Tool.Collect) () =
   let fresh_clocks () = Array.init nprocs (fun _ -> Vclock.create ~nprocs) in
   (* The shadow memories need the state's happens-before test before the
      state exists; tie the knot through a reference. *)
@@ -187,7 +186,6 @@ let create ~nprocs ?(config = Config.default) ?(mode = Tool.Collect) ?(max_repor
       nprocs;
       config;
       mode;
-      max_reports;
       clocks = fresh_clocks ();
       shadows =
         Array.init nprocs (fun _ ->

@@ -17,9 +17,6 @@
       the clock size, reproducing the rank-count scaling of Figures
       11/12. *)
 
-val create :
-  nprocs:int -> ?config:Mpi_sim.Config.t -> ?mode:Tool.mode -> ?max_reports:int -> unit -> Tool.t
+val create : nprocs:int -> ?config:Mpi_sim.Config.t -> ?mode:Tool.mode -> unit -> Tool.t
 (** Defaults: [config = Mpi_sim.Config.default], [mode = Collect] (TSan
-    reports races and keeps running), [max_reports = 1000] (bound on the
-    reports stored for {!Tool.t.races}; {!Tool.t.race_count} keeps
-    counting past it). *)
+    reports races and keeps running). *)

@@ -62,10 +62,6 @@ let pp fmt t =
     (match t.win with None -> "" | Some w -> Printf.sprintf " (window %d)" w)
     (to_message t)
 
-let involves_operation t operation =
-  String.equal t.existing.Access.debug.Debug_info.operation operation
-  || String.equal t.incoming.Access.debug.Debug_info.operation operation
-
 let matrix_cell t =
   Printf.sprintf "%s x %s (%s)"
     (Access_kind.to_string t.existing.Access.kind)

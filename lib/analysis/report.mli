@@ -93,10 +93,6 @@ val to_message : t -> string
 
 val pp : Format.formatter -> t -> unit
 
-val involves_operation : t -> string -> bool
-(** Does either side's debug info carry this operation name? Convenience
-    for tests. *)
-
 val matrix_cell : t -> string
 (** The Figure 3 conflict-matrix cell that fired, e.g.
     ["RMA_WRITE x LOCAL_READ (same process)"]. *)

@@ -142,7 +142,6 @@ type state = {
       (* [None] = unbounded stores (see Governor.create). *)
   policy : policy;
   name : string;
-  max_reports : int;
   trees : tree Tree_table.t;  (* (space, window) *)
   routes : ((int * Event.win_id) * tree) list option array;
       (* rank -> the trees of [trees] a windowless local access of the
@@ -214,7 +213,7 @@ let record_race st ~space ~win ~existing ~incoming ~sim_time ~provenance =
   | None -> ());
   st.race_count <- st.race_count + 1;
   Obs.incr obs_races;
-  if st.race_count <= st.max_reports then st.races <- report :: st.races;
+  if st.race_count <= Tool.max_reports then st.races <- report :: st.races;
   match st.mode with
   | Tool.Abort_on_race -> raise (Report.Race_abort report)
   | Tool.Collect -> ()
@@ -561,7 +560,7 @@ let bst_summary st () =
     st.trees Tool.empty_bst_summary
 
 let make_state ~nprocs ?(config = Config.default) ?(mode = Tool.Abort_on_race)
-    ?(flush_clears = false) ?(max_reports = 1000) ?budget ?(predictive = false) policy =
+    ?(flush_clears = false) ?budget ?(predictive = false) policy =
   {
     nprocs;
     config;
@@ -570,7 +569,6 @@ let make_state ~nprocs ?(config = Config.default) ?(mode = Tool.Abort_on_race)
     budget;
     policy;
     name = policy_name policy;
-    max_reports;
     trees = Tree_table.create 16;
     routes = Array.make nprocs None;
     epoch_closers = Hashtbl.create 4;
@@ -640,6 +638,5 @@ let tool_of_state st =
             p.predicted_count <- 0);
   }
 
-let create ~nprocs ?config ?mode ?flush_clears ?max_reports ?budget ?predictive policy =
-  tool_of_state
-    (make_state ~nprocs ?config ?mode ?flush_clears ?max_reports ?budget ?predictive policy)
+let create ~nprocs ?config ?mode ?flush_clears ?budget ?predictive policy =
+  tool_of_state (make_state ~nprocs ?config ?mode ?flush_clears ?budget ?predictive policy)

@@ -27,20 +27,17 @@ type policy =
       (** The paper's §6(3) future work: merging extended to non-adjacent
           strided accesses via {!Rma_store.Strided_store}. *)
 
-val policy_name : policy -> string
-
 val create :
   nprocs:int ->
   ?config:Mpi_sim.Config.t ->
   ?mode:Tool.mode ->
   ?flush_clears:bool ->
-  ?max_reports:int ->
   ?budget:Rma_store.Budget.t ->
   ?predictive:bool ->
   policy ->
   Tool.t
 (** Defaults: [config = Mpi_sim.Config.default], [mode = Abort_on_race],
-    [flush_clears = false], [max_reports = 1000], no [budget],
+    [flush_clears = false], no [budget],
     [predictive = false]. The CLI's [--budget] and [--predictive] (and
     their environment twins) reach here only as these arguments
     (DESIGN.md §20).
@@ -54,11 +51,12 @@ val create :
     {!Rma_store.Budget.Exhausted} through the observer. See DESIGN.md
     §11.
 
-    [max_reports] bounds the reports kept for {!Tool.t.races}; counting
-    ({!Tool.t.race_count}) is never truncated, and
+    {!Tool.max_reports} bounds the reports kept for {!Tool.t.races};
+    counting ({!Tool.t.race_count}) is never truncated, and
     {!Tool.dropped_races} exposes how many reports were not stored.
 
-    [flush_clears:true] is the negative ablation of §6(2): it treats
+    [flush_clears:true] is the negative ablation of §6(2), kept because
+    it is the only reproduction of that claim: it treats
     [MPI_Win_flush]/[flush_all] as if they synchronised the epoch and
     clears the caller's trees — which is wrong, because a flush only
     orders the {e caller}'s operations; the paper shows this produces

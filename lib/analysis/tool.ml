@@ -32,6 +32,8 @@ type t = {
 
 let flagged t = t.race_count () > 0
 
+let max_reports = 1000
+
 let stored_races t = List.length (t.races ())
 
 let dropped_races t = max 0 (t.race_count () - stored_races t)

@@ -30,14 +30,16 @@ type t = {
   name : string;
   observer : Mpi_sim.Event.observer;
   races : unit -> Report.t list;
-      (** Chronological; capped at the tool's [max_reports] (1000 by
-          default) — compare with [race_count] to spot truncation, or
-          use {!dropped_races}. *)
+      (** Chronological; capped at {!max_reports} — compare with
+          [race_count] to spot truncation, or use {!dropped_races}. *)
   race_count : unit -> int;  (** Total reported, including uncapped. *)
   bst_summary : unit -> bst_summary;
       (** All-zero for tools that do not use interval trees. *)
   reset : unit -> unit;  (** Forget all state (fresh run). *)
 }
+
+val max_reports : int
+(** Reports a detector stores (1000); it keeps counting past them. *)
 
 val flagged : t -> bool
 (** At least one race recorded. *)
@@ -46,8 +48,8 @@ val stored_races : t -> int
 (** Number of reports actually kept ([List.length (races ())]). *)
 
 val dropped_races : t -> int
-(** Reports counted but not stored because the tool's [max_reports] cap
-    was hit; 0 when nothing was truncated. *)
+(** Reports counted but not stored because the {!max_reports} cap was
+    hit; 0 when nothing was truncated. *)
 
 val baseline : t
 (** The no-tool configuration: observes nothing, costs nothing. *)

@@ -52,7 +52,3 @@ val run :
   ?observer:Mpi_sim.Event.observer ->
   unit ->
   Mpi_sim.Runtime.result * summary
-
-val cell_value : src:int -> iter:int -> cell:int -> int64
-(** The value stored in halo cell [cell] of iteration [iter] by rank
-    [src]; exposed so tests can compute expected checksums. *)

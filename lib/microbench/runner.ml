@@ -153,8 +153,6 @@ let site_of_access (a : Rma_access.Access.t) =
     site_op = a.Rma_access.Access.debug.Rma_access.Debug_info.operation;
   }
 
-let pair_sites p = (p.pair_a, p.pair_b)
-
 (* Canonicalized, deduplicated, sorted. When the same site pair shows up
    both observed and predicted (possible across runs being unioned, not
    within one report list), the observed verdict wins. *)

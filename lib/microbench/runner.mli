@@ -24,9 +24,9 @@ val program : Scenario.t -> unit -> unit
     binaries. *)
 
 type confusion = { tp : int; fp : int; tn : int; fn : int; dropped : int }
-(** [dropped] totals the reports lost to each run's [max_reports] cap
-    across the suite — nonzero means the per-scenario report lists were
-    truncated. *)
+(** [dropped] totals the reports lost to each run's
+    {!Rma_analysis.Tool.max_reports} cap across the suite — nonzero means
+    the per-scenario report lists were truncated. *)
 
 val score : ?seed:int -> tool:Rma_analysis.Tool.t -> Scenario.t list -> confusion
 (** Runs every scenario and tallies the confusion matrix (Table 3). *)
@@ -48,8 +48,6 @@ val pairs_of_reports : Rma_analysis.Report.t list -> race_pair list
     across interleave seeds or analysis modes — report ids, order and
     the observed/predicted partition are schedule-dependent; this set is
     not. *)
-
-val pair_sites : race_pair -> race_site * race_site
 
 type kernel_verdict = {
   kernel : Scenario.Kernel.t;

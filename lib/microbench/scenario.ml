@@ -230,9 +230,6 @@ let count_safe = count_total - count_racy
 
 let expected_legacy_false_positives = List.filter order_sensitivity_fp all
 
-let expected_must_false_negatives =
-  List.filter (fun s -> s.racy && involves_local s && s.stack_shared) all
-
 let find name = List.find_opt (fun s -> String.equal s.name name) all
 
 (* ------------------------------------------------------------------ *)

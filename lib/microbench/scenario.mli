@@ -75,10 +75,6 @@ val count_safe : int
 val expected_legacy_false_positives : t list
 (** The six safe codes the order-insensitive legacy rule flags. *)
 
-val expected_must_false_negatives : t list
-(** The fifteen racy codes whose conflicting local access touches stack
-    storage. *)
-
 val find : string -> t option
 
 (** {1 RMARaceBench-shaped kernels}

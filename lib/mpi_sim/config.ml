@@ -21,16 +21,6 @@ let default =
     memory_size = 4096;
   }
 
-let quiet_network =
-  {
-    default with
-    alpha_msg = 0.0;
-    beta_byte = 0.0;
-    alpha_rma = 0.0;
-    alpha_sync = 0.0;
-    analysis_overhead_scale = 0.0;
-  }
-
 let message_cost t ~bytes_count = t.alpha_msg +. (t.beta_byte *. float_of_int bytes_count)
 
 let collective_cost t ~nprocs ~bytes_count =

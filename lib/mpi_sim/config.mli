@@ -36,10 +36,6 @@ type t = {
 
 val default : t
 
-val quiet_network : t
-(** Zero communication costs; useful in unit tests asserting pure
-    ordering behaviour. *)
-
 val message_cost : t -> bytes_count:int -> float
 (** [alpha_msg + beta_byte * bytes]. *)
 

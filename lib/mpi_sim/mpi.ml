@@ -110,8 +110,6 @@ let recv ?src ?tag () =
   | Runtime.RMsg m -> m
   | _ -> protocol_bug "recv"
 
-let recv_data ?src ?tag () = (recv ?src ?tag ()).Runtime.data
-
 let barrier () =
   match op Runtime.R_barrier with Runtime.RUnit -> () | _ -> protocol_bug "barrier"
 

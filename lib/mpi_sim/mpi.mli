@@ -111,8 +111,6 @@ val send : dst:int -> tag:int -> Bytes.t -> unit
 val recv : ?src:int -> ?tag:int -> unit -> Runtime.message
 (** Blocking receive; [?src]/[?tag] [None] act as wildcards. *)
 
-val recv_data : ?src:int -> ?tag:int -> unit -> Bytes.t
-
 val barrier : unit -> unit
 (** Synchronises all ranks. Per the MPI standard (and §6 of the paper)
     it does NOT complete outstanding one-sided operations. *)

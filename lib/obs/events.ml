@@ -35,8 +35,7 @@ let mu = Mutex.create ()
 
 let min_level = ref Info
 let sink : out_channel option ref = ref None
-let ring_cap = ref 4096
-let ring : t option array ref = ref (Array.make 4096 None)
+let ring : t option array = Array.make 4096 None
 let ring_len = ref 0
 let ring_next = ref 0
 let run_id_ref = ref ""
@@ -53,8 +52,6 @@ let locked f =
   | exception e ->
       Mutex.unlock mu;
       raise e
-
-let set_run_id id = locked (fun () -> run_id_ref := id)
 
 let with_run_id id f =
   let saved = locked (fun () -> !run_id_ref) in
@@ -81,17 +78,9 @@ let set_sink path =
       close_sink_locked ();
       sink := Some (open_out path))
 
-let set_ring_cap n =
-  let n = max 1 n in
-  locked (fun () ->
-      ring_cap := n;
-      ring := Array.make n None;
-      ring_len := 0;
-      ring_next := 0)
-
 let clear () =
   locked (fun () ->
-      Array.fill !ring 0 (Array.length !ring) None;
+      Array.fill ring 0 (Array.length ring) None;
       ring_len := 0;
       ring_next := 0)
 
@@ -111,10 +100,9 @@ let to_json ev =
 let line ev = Json.to_string ~minify:true (to_json ev)
 
 let push_ring_locked ev =
-  let a = !ring in
-  a.(!ring_next) <- Some ev;
-  ring_next := (!ring_next + 1) mod Array.length a;
-  if !ring_len < Array.length a then ring_len := !ring_len + 1
+  ring.(!ring_next) <- Some ev;
+  ring_next := (!ring_next + 1) mod Array.length ring;
+  if !ring_len < Array.length ring then ring_len := !ring_len + 1
 
 let emit ?(span_id = 0) ?(kv = []) lvl component =
   if Obs.is_enabled () && severity lvl >= severity !min_level then begin
@@ -131,9 +119,9 @@ let emit ?(span_id = 0) ?(kv = []) lvl component =
 
 let recent () =
   locked (fun () ->
-      let a = !ring and n = !ring_len in
-      let start = (!ring_next - n + Array.length a) mod Array.length a in
+      let n = !ring_len and cap = Array.length ring in
+      let start = (!ring_next - n + cap) mod cap in
       List.init n (fun i ->
-          match a.((start + i) mod Array.length a) with
+          match ring.((start + i) mod cap) with
           | Some ev -> ev
           | None -> assert false))

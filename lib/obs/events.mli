@@ -13,12 +13,11 @@
     runs; below that gate a per-event level filter applies. With a file
     sink set ([--obs-events FILE] / [RMA_OBS_EVENTS]) lines are
     appended and flushed as they happen; without one they land in a
-    bounded in-memory ring readable via {!recent} (and served as
+    ring of the newest 4096 events, readable via {!recent} (and served as
     [/events] on a [serve] daemon's port). Emission is safe from any domain. *)
 
 type level = Debug | Info | Warn | Error
 
-val level_to_string : level -> string
 val level_of_string : string -> level option
 val severity : level -> int
 
@@ -44,22 +43,15 @@ val set_sink : string -> unit
 val close : unit -> unit
 (** Close the file sink (if any) and fall back to the ring. *)
 
-val set_ring_cap : int -> unit
-(** Resize the no-sink ring (default 4096 events); drops buffered
-    events. *)
-
 val clear : unit -> unit
 (** Drop buffered ring events. *)
-
-val set_run_id : string -> unit
-(** Override the process-generated run id (tests pin it for golden
-    journals). *)
 
 val with_run_id : string -> (unit -> 'a) -> 'a
 (** Run the thunk with the given run id current, restoring the previous
     one afterwards (exception-safe). The serve daemon brackets each
     session's processing slice with this so interleaved sessions label
-    their journal records correctly. *)
+    their journal records correctly; tests pin golden journals' ids
+    with it. *)
 
 val run_id : unit -> string
 (** The current run id, generating one on first use. *)

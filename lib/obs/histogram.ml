@@ -56,7 +56,6 @@ let unit_label t = t.h_unit
 let count t = t.total
 let sum t = t.h_sum
 let mean t = if t.total = 0 then 0.0 else t.h_sum /. float_of_int t.total
-let min_value t = if t.total = 0 then 0.0 else t.min_v
 let max_value t = if t.total = 0 then 0.0 else t.max_v
 
 (* Geometric midpoint of a bucket — the estimator that bounds relative

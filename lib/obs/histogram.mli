@@ -26,9 +26,6 @@ val count : t -> int
 val sum : t -> float
 val mean : t -> float
 
-val min_value : t -> float
-(** 0.0 when empty. *)
-
 val max_value : t -> float
 (** 0.0 when empty. *)
 

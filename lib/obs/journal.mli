@@ -26,15 +26,12 @@ type read = {
   error : error option;  (** [None] iff every line decoded. *)
 }
 
-val parse_line : string -> (Events.t, string) result
-(** Decode one journal line. Total: malformed JSON, missing fields,
-    unknown levels and ill-typed [kv] values all come back as [Error].
-    Fields outside the record, such as the [shard] key older journals
-    carry, are ignored. *)
-
 val read_file : string -> read
 (** Total: an unopenable path yields [{ events = []; lines = 0;
-    error = Some { at_line = 0; _ } }]. *)
+    error = Some { at_line = 0; _ } }]. Each line decodes on its own:
+    malformed JSON, missing fields, unknown levels and ill-typed [kv]
+    values stop the read with [Error]. Fields outside the record, such
+    as the [shard] key older journals carry, are ignored. *)
 
 (** {1 Filtering} *)
 

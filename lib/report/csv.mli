@@ -1,11 +1,7 @@
 (** Minimal CSV writing (RFC-4180-style quoting) for exporting
     experiment data to external plotting tools. *)
 
-val escape_field : string -> string
-(** Quotes the field when it contains commas, quotes or newlines. *)
-
-val line : string list -> string
-(** One CSV record, no trailing newline. *)
-
 val write : path:string -> header:string list -> string list list -> unit
-(** Writes header + rows to [path]. *)
+(** Writes header + rows to [path], one record per line. A field that
+    contains a comma, a quote or a line break is quoted, its quotes
+    doubled. *)

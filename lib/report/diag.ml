@@ -101,10 +101,6 @@ let with_obs opts run f =
   in
   Fun.protect ~finally:export f
 
-(* Ids are per tool run; a subcommand aggregating several runs (suite)
-   would export duplicates, so renumber to the export's own 1..n —
-   identity for single-run subcommands, whose stored reports are
-   already sequential. *)
 let renumber reports =
   List.mapi
     (fun i r ->

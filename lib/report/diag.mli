@@ -49,6 +49,13 @@ val with_obs : opts -> Rma_config.Run_config.t -> (unit -> 'a) -> 'a
     Prometheus dump and the summary, and close the journal. The
     race-export fields of [opts] are not consulted. *)
 
+val renumber : Rma_analysis.Report.t list -> Rma_analysis.Report.t list
+(** Give the reports the ids 1..n in list order. Ids are per tool run,
+    so a subcommand aggregating several runs (suite) would export
+    duplicates; for a single run, whose stored reports are already
+    sequential, this is the identity. {!with_diag} applies it before it
+    exports or digests, and {!Replay.run} before it digests. *)
+
 val with_diag :
   ?prog:string ->
   ?generator:string ->

@@ -366,8 +366,8 @@ let cell_reports r =
   in
   if r.degraded > 0 then Printf.sprintf "%s [degraded:%d]" base r.degraded else base
 
-let fig10 ?(nprocs = 12) ?(repeats = 2) ?run () =
-  let params = Cfd_proxy.Halo.default_params in
+let fig10 ?run () =
+  let nprocs = 12 and params = Cfd_proxy.Halo.default_params in
   let workload ~config ~observer =
     let result, _ = Cfd_proxy.Halo.run params ~nprocs ~config ?observer () in
     result
@@ -378,7 +378,7 @@ let fig10 ?(nprocs = 12) ?(repeats = 2) ?run () =
     List.map
       (fun kind ->
         let runs =
-          List.init (max 1 repeats) (fun _ ->
+          List.init 2 (fun _ ->
               perf_row_of_metrics
                 (Harness.measure ~nprocs ~config:perf_config ?run ~workload kind))
         in

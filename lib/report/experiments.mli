@@ -24,7 +24,7 @@ type confusion_row = {
   fn : int;
   tp : int;
   tn : int;
-  dropped : int;  (** Reports past the tool's [max_reports] cap. *)
+  dropped : int;  (** Reports past the {!Rma_analysis.Tool.max_reports} cap. *)
 }
 
 val table3 :
@@ -73,17 +73,16 @@ type perf_row = {
   nodes : int;
   nodes_peak : int;  (** Peak live BST nodes (memory high-water mark). *)
   races : int;
-  dropped : int;  (** Reports past the tool's [max_reports] cap. *)
+  dropped : int;  (** Reports past the {!Rma_analysis.Tool.max_reports} cap. *)
   degraded : int;
       (** Nodes spilled/coarsened by the resource governor — nonzero
           marks a best-effort verdict (see {!Harness.metrics}). *)
 }
 
-val fig10 :
-  ?nprocs:int -> ?repeats:int -> ?run:Rma_config.Run_config.t -> unit ->
-  perf_row list * string
+val fig10 : ?run:Rma_config.Run_config.t -> unit -> perf_row list * string
 (** CFD-Proxy cumulative epoch time, 12 ranks, 50 iterations, the four
-    methods; includes the 90k-to-dozens node collapse. *)
+    methods, each the best of two runs; includes the 90k-to-dozens node
+    collapse. *)
 
 val fig11 :
   ?scale:float -> ?ranks:int list -> ?run:Rma_config.Run_config.t -> unit ->

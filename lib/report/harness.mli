@@ -26,9 +26,10 @@ type metrics = {
   makespan : float;  (** Simulated end-to-end time (max rank clock). *)
   races : int;
   dropped_races : int;
-      (** Reports past the tool's [max_reports] cap — nonzero means the
-          tables above under-show the stored race list (truncation made
-          visible, satellite of the provenance pipeline). *)
+      (** Reports past the {!Rma_analysis.Tool.max_reports} cap —
+          nonzero means the tables above under-show the stored race list
+          (truncation made visible, satellite of the provenance
+          pipeline). *)
   degraded_drops : int;
       (** Interval nodes spilled or coarsened away by the resource
           governor ({!Rma_store.Budget}) across every store the tool

@@ -279,10 +279,6 @@ let of_json_with_run_id j =
     let* reports = map_result report_of_json races in
     Ok (reports, run_id)
 
-let of_json j =
-  let* reports, _run_id = of_json_with_run_id j in
-  Ok reports
-
 let write_json ~path ?run_id ~generator reports = Json.write ~path (to_json ?run_id ~generator reports)
 
 let load_json_with_run_id ~path =

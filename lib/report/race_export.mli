@@ -10,17 +10,14 @@ open Rma_analysis
     merged into a single BST node still names every source location
     involved. *)
 
-val schema_version : int
-(** Newest version of the JSON race format (3: v2 — v1 plus the optional
+(** {1 JSON}
+
+    The format is versioned. Version 3 (v2 — v1 plus the optional
     [run_id] header — plus the per-race [predicted] flag and
-    schedulable-race [witness] of predictive mode). *)
-
-val used_schema_version : Report.t list -> int
-(** The header version {!to_json} stamps for these reports: 3 when any
-    report is predicted, else 2 — so observed-only exports stay
-    byte-identical to pre-predictive builds. *)
-
-(** {1 JSON} *)
+    schedulable-race [witness] of predictive mode) is the newest; a
+    header says 3 only when some report is predicted, else 2, so
+    observed-only exports stay byte-identical to pre-predictive
+    builds. *)
 
 val report_json : Report.t -> Rma_util.Json.t
 (** The per-race object exactly as it appears inside {!to_json}'s
@@ -34,29 +31,24 @@ val to_json : ?run_id:string -> generator:string -> Report.t list -> Rma_util.Js
     the producing run; omitted (e.g. pre-PR7 callers, runs without
     diagnostics) the header simply lacks the field. *)
 
-val of_json : Rma_util.Json.t -> (Report.t list, string) result
-(** Inverse of {!to_json}: rejects unknown schema versions and malformed
-    reports; accepts every version from 2 up.
-    [to_json] followed by [of_json] is the identity on every field the
-    format carries. *)
-
 val write_json : path:string -> ?run_id:string -> generator:string -> Report.t list -> unit
+(** {!to_json} into a file. *)
 
 val load_json_with_run_id : path:string -> (Report.t list * string option, string) result
-(** {!of_json} of a file, also surfacing the header's [run_id] when
-    present. *)
+(** Inverse of {!write_json}, also surfacing the header's [run_id] when
+    present: rejects unknown schema versions and malformed reports;
+    accepts every version from 2 up. Writing then loading is the
+    identity on every field the format carries. *)
 
 (** {1 SARIF 2.1.0} *)
 
-val to_sarif : ?run_id:string -> generator:string -> Report.t list -> Rma_util.Json.t
+val write_sarif : path:string -> ?run_id:string -> generator:string -> Report.t list -> unit
 (** One run, one [mpi-rma-data-race] rule, one result per report. The
     result's primary location is the incoming access; every other
     contributing source location ({!Report.contributing_debugs}) becomes
     a related location, and the provenance fields travel in the result's
     property bag. [run_id] lands in the run-level property bag as
     [runId]; omitted, the bag is absent (pre-PR7 output unchanged). *)
-
-val write_sarif : path:string -> ?run_id:string -> generator:string -> Report.t list -> unit
 
 (** {1 Verdict digest} *)
 

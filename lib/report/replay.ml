@@ -135,18 +135,10 @@ let build_thunk p =
       Error
         (Printf.sprintf "workload %S is not replayable (replay covers cfd, minivite and code)" other)
 
-(* Same renumbering [Diag.with_diag] applies before digesting, so the
-   replay digest is computed over identically-labelled reports. *)
-let renumber reports =
-  List.mapi
-    (fun i r ->
-      let module Report = Rma_analysis.Report in
-      { r with Report.provenance = { r.Report.provenance with Report.id = i + 1 } })
-    reports
-
 let run p =
   let* thunk = build_thunk p in
-  let reports = renumber (thunk ()) in
+  (* Labelled as [Diag.with_diag] labels the journaled run's reports. *)
+  let reports = Diag.renumber (thunk ()) in
   let races = List.length reports and digest = Race_export.verdict_digest reports in
   let o_match =
     match (p.r_races, p.r_digest) with

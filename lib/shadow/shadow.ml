@@ -13,12 +13,12 @@ type race = { prior : cell; current : cell }
 
 type t = {
   table : (int, cell list ref) Hashtbl.t;
-  cells_per_granule : int;
   happens_before : Rma_vclock.Vclock.stamp -> Rma_vclock.Vclock.t -> bool;
 }
 
-let create ?(cells_per_granule = 4) ~happens_before () =
-  { table = Hashtbl.create 4096; cells_per_granule; happens_before }
+let cells_per_granule = 4
+
+let create ~happens_before () = { table = Hashtbl.create 4096; happens_before }
 
 let granule_of addr = addr asr 3
 
@@ -52,12 +52,10 @@ let record_and_check t ~interval ~thread ~clock ~kind ~issuer ~debug =
       | None -> ()
     end;
     (* FIFO shadow update: newest first, bounded width. *)
-    let kept = List.filteri (fun i _ -> i < t.cells_per_granule - 1) !slot in
+    let kept = List.filteri (fun i _ -> i < cells_per_granule - 1) !slot in
     slot := current :: kept
   done;
   !race
-
-let granules t = Hashtbl.length t.table
 
 let cells t = Hashtbl.fold (fun _ r acc -> acc + List.length !r) t.table 0
 

@@ -5,9 +5,9 @@ open Rma_access
     One shadow cell records one memory access: which (possibly virtual)
     thread performed it, that thread's clock value at the time, the byte
     range inside its 8-byte granule, its access kind, and its debug
-    location. Like TSan, each granule keeps a small fixed number of
-    cells (eviction is FIFO), the happens-before test against a new
-    access is O(1), and granules are 8 bytes wide.
+    location. Like TSan, each granule keeps at most 4 cells, TSan's
+    historical shadow width (eviction is FIFO), the happens-before test
+    against a new access is O(1), and granules are 8 bytes wide.
 
     The happens-before predicate is injected at creation time so the
     driver can implement virtual-thread semantics (MUST-RMA models every
@@ -29,13 +29,9 @@ type race = { prior : cell; current : cell }
 type t
 
 val create :
-  ?cells_per_granule:int ->
-  happens_before:(Rma_vclock.Vclock.stamp -> Rma_vclock.Vclock.t -> bool) ->
-  unit ->
-  t
+  happens_before:(Rma_vclock.Vclock.stamp -> Rma_vclock.Vclock.t -> bool) -> unit -> t
 (** [happens_before stamp clock] decides whether the event identified by
-    [stamp] is ordered before the point where [clock] was taken. Default
-    granule width 4 cells, TSan's historical shadow width. *)
+    [stamp] is ordered before the point where [clock] was taken. *)
 
 val record_and_check :
   t ->
@@ -52,9 +48,7 @@ val record_and_check :
     different threads. Returns the first race found; always records the
     new access (TSan reports and carries on). *)
 
-val granules : t -> int
-(** Number of populated 8-byte granules (memory-footprint metric). *)
-
 val cells : t -> int
+(** Shadow cells held over all granules. *)
 
 val clear : t -> unit

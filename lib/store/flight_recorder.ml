@@ -7,36 +7,27 @@ type t = {
   mutable next : int;  (** Slot the next record lands in. *)
   mutable filled : int;  (** Live entries, <= capacity. *)
   mutable epoch : int;
-  mutable total : int;
 }
 
-let default_capacity = 512
+let capacity = 512
 
 let enabled = ref false
 
-let global_capacity = ref default_capacity
-
-let enable ?(capacity = default_capacity) () =
-  if capacity < 1 then invalid_arg "Flight_recorder.enable: capacity must be positive";
-  enabled := true;
-  global_capacity := capacity
+let enable () = enabled := true
 
 let disable () = enabled := false
 
 let is_enabled () = !enabled
 
-let create_exn ?(capacity = default_capacity) () =
-  if capacity < 1 then invalid_arg "Flight_recorder.create_exn: capacity must be positive";
-  { ring = Array.make capacity None; next = 0; filled = 0; epoch = 0; total = 0 }
-
-let create () = if !enabled then Some (create_exn ~capacity:!global_capacity ()) else None
+let create () =
+  if !enabled then Some { ring = Array.make capacity None; next = 0; filled = 0; epoch = 0 }
+  else None
 
 let record t access =
   let cap = Array.length t.ring in
   t.ring.(t.next) <- Some { access; epoch = t.epoch };
   t.next <- (t.next + 1) mod cap;
-  if t.filled < cap then t.filled <- t.filled + 1;
-  t.total <- t.total + 1
+  if t.filled < cap then t.filled <- t.filled + 1
 
 let note_epoch t = t.epoch <- t.epoch + 1
 
@@ -48,10 +39,6 @@ let clear t =
   t.filled <- 0
 
 let length t = t.filled
-
-let capacity t = Array.length t.ring
-
-let recorded_total t = t.total
 
 (* Oldest-first iteration: the oldest live entry sits at [next] when the
    ring has wrapped, at 0 otherwise. *)

@@ -18,9 +18,10 @@ open Rma_access
     nothing allocates and nothing records until {!enable} runs, and a
     store created while recording is disabled carries no recorder at all
     (the per-insert cost of the feature being off is one [option]
-    match). The buffer is a fixed-capacity ring: when full, the oldest
-    origin is evicted, keeping the newest history — bounded memory on
-    unbounded runs, at the cost of provenance for very old accesses.
+    match). The buffer is a ring of 512 origins per (rank, window)
+    store: when full, the oldest origin is evicted, keeping the newest
+    history — bounded memory on unbounded runs, at the cost of
+    provenance for very old accesses.
 
     The ring is cleared whenever its store is cleared (window clear at
     end of epoch): races can only fire against live nodes, so history
@@ -33,10 +34,8 @@ type origin = {
 
 type t
 
-val enable : ?capacity:int -> unit -> unit
-(** Turn recording on for stores created {e afterwards}. [capacity] is
-    the ring size per store (default 512 origins per (rank, window)
-    store). *)
+val enable : unit -> unit
+(** Turn recording on for stores created {e afterwards}. *)
 
 val disable : unit -> unit
 
@@ -45,9 +44,6 @@ val is_enabled : unit -> bool
 val create : unit -> t option
 (** A fresh ring when recording is enabled, [None] otherwise — stores
     keep the result and guard each call site on the option. *)
-
-val create_exn : ?capacity:int -> unit -> t
-(** A ring regardless of the global switch (tests). *)
 
 val record : t -> Access.t -> unit
 (** Append one origin at the current epoch, evicting the oldest entry
@@ -64,11 +60,6 @@ val clear : t -> unit
     is kept: epoch ids stay unique across the window's lifetime. *)
 
 val length : t -> int
-
-val capacity : t -> int
-
-val recorded_total : t -> int
-(** Origins ever recorded, including evicted ones. *)
 
 val history : t -> Interval.t -> origin list
 (** Every retained origin whose interval overlaps the query, oldest

@@ -325,9 +325,6 @@ let regions t = Tree.to_list t.tree
 
 let to_list t = List.map access_of_region (regions t)
 
-let covered_bytes t =
-  Tree.fold t.tree ~init:0 ~f:(fun acc r -> acc + (r.count * r.len))
-
 let note_epoch t = Governor.note_epoch t.gov
 
 let clear t = Tree.clear t.tree

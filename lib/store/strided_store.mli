@@ -40,10 +40,6 @@ type region = {
           evidence the hybrid program-order test needs. *)
 }
 
-val region_covers : region -> Interval.t -> bool
-(** Does the region cover at least one byte of the interval? Gap bytes
-    do not count. *)
-
 type t
 
 val create : ?order_aware:bool -> ?budget:Budget.t -> unit -> t
@@ -60,6 +56,3 @@ include Store_intf.S with type t := t
 
 val regions : t -> region list
 (** The exact compressed representation, sorted by base. *)
-
-val covered_bytes : t -> int
-(** Total bytes actually covered (excluding gaps). *)

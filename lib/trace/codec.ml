@@ -27,11 +27,6 @@ let add_escaped buf s =
         | c -> Buffer.add_char buf c)
       s
 
-let escape s =
-  let buf = Buffer.create (String.length s) in
-  add_escaped buf s;
-  Buffer.contents buf
-
 let unescape s =
   let buf = Buffer.create (String.length s) in
   let n = String.length s in
@@ -516,8 +511,6 @@ let decode_line d line =
   | e -> Ok e
   | exception Bad_field reason -> Error reason
   | exception e -> Error (Printf.sprintf "decode failure: %s" (Printexc.to_string e))
-
-let decode_event line = decode_line (decoder ()) line
 
 (* Lines accumulate in one buffer per stream, handed to the channel
    every [flush_at] bytes. The size is measured: on the repository

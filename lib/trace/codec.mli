@@ -14,7 +14,7 @@
     header is rejected with a [bad header] error naming the unsupported
     format.
 
-    Decoding is {e total}: {!decode_event} and {!read_all} return
+    Decoding is {e total}: {!Incremental.feed} and {!read_all} return
     [Error] on any malformed, truncated or bit-flipped input and never
     raise or loop — the fuzz suite in [test/test_fuzz.ml] holds them to
     that, and [test/test_trace.ml] feeds them written traces cut short
@@ -43,9 +43,6 @@ val error_to_string : error -> string
 
 val encode_event : Mpi_sim.Event.event -> string
 (** One line, no trailing newline. *)
-
-val decode_event : string -> (Mpi_sim.Event.event, string) result
-(** Total: any input yields [Ok] or [Error], never an exception. *)
 
 (** {1 Writing} *)
 
@@ -92,10 +89,10 @@ module Incremental : sig
   (** A fresh decoder expecting the format-2 header line first. *)
 
   val feed : t -> string -> (step, error) result
-  (** Consume one line. Total, like {!decode_event}: malformed input
-      yields [Error] with the 1-based line number (header = line 1),
-      never an exception. After the first [Error] the decoder state is
-      unspecified — abandon the stream. *)
+  (** Consume one line. Total: malformed input yields [Error] with the
+      1-based line number (header = line 1), never an exception. After
+      the first [Error] the decoder state is unspecified — abandon the
+      stream. *)
 
   val finish : t -> (int, error) result
   (** End of input: the footer's count, else [empty trace] or
@@ -118,6 +115,3 @@ val fold :
 
 val read_all : in_channel -> (Mpi_sim.Event.event list, error) result
 (** {!fold} over {!Incremental.feed}, keeping the events. *)
-
-val escape : string -> string
-val unescape : string -> string

@@ -139,7 +139,10 @@ let statement_pair_key space a b =
   let sa = side a and sb = side b in
   if sa <= sb then (space, sa, sb) else (space, sb, sa)
 
-let analyze ?(max_reports = 10_000) events =
+(* Distinct pairs reported at most; the rest are counted only. *)
+let max_reports = 10_000
+
+let analyze events =
   let nprocs, vids, stamped = stamp_accesses events in
   (* Group by address space, sort by interval lower bound, and sweep with
      an active list pruned by upper bound. *)

@@ -36,8 +36,8 @@ val nprocs_step : int -> Mpi_sim.Event.event -> int
     smallest rank universe containing every event: {!analyze} sizes its
     clocks so, and {!Ingest.ranks} infers [analyze]'s rank count. *)
 
-val analyze : ?max_reports:int -> Mpi_sim.Event.event list -> result
-(** Default cap 10 000 distinct pairs. Duplicate races from the same
+val analyze : Mpi_sim.Event.event list -> result
+(** Reports at most 10 000 distinct pairs. Duplicate races from the same
     statement pair (same file/line/operation on both sides) in the same
     space are reported once. *)
 

@@ -1,17 +1,15 @@
 (** ASCII charts for reproducing the paper's figures in a terminal. *)
 
 val bar_chart :
-  ?width:int ->
   ?unit_label:string ->
   title:string ->
   (string * float) list ->
   string
 (** Horizontal bar chart, one row per (label, value); bars are scaled to
-    the maximum value. [width] is the maximum bar width in characters
-    (default 50). Values must be non-negative. *)
+    the maximum value, which gets a bar of 50 characters. Values must be
+    non-negative. *)
 
 val grouped_bar_chart :
-  ?width:int ->
   ?unit_label:string ->
   title:string ->
   group_label:string ->

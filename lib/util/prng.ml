@@ -49,7 +49,3 @@ let shuffle_in_place t arr =
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done
-
-let pick t arr =
-  assert (Array.length arr > 0);
-  arr.(int t ~bound:(Array.length arr))

@@ -21,9 +21,6 @@ val split : t -> t
     statistically independent of the remainder of [t]'s stream. Used to
     give each simulated rank its own stream. *)
 
-val next_int64 : t -> int64
-(** Next raw 64-bit draw. *)
-
 val int : t -> bound:int -> int
 (** [int t ~bound] draws uniformly from [0, bound). [bound] must be
     positive. *)
@@ -42,5 +39,3 @@ val bernoulli : t -> p:float -> bool
 val shuffle_in_place : t -> 'a array -> unit
 (** Fisher–Yates shuffle driven by [t]. *)
 
-val pick : t -> 'a array -> 'a
-(** Uniformly chosen element. The array must be non-empty. *)

@@ -28,9 +28,6 @@ let concurrent a b = (not (leq a b)) && not (leq b a)
 
 let components t = Imap.fold (fun i v acc -> if v > 0 then (i, v) :: acc else acc) t [] |> List.rev
 
-let of_components comps =
-  List.fold_left (fun acc (i, v) -> if v > 0 then Imap.add i v acc else acc) Imap.empty comps
-
 (* Rank x thread component encoding. Thread 0 of a rank maps to the
    plain rank id, so single-thread clocks are indistinguishable from the
    rank-indexed clocks every existing caller builds. Spawned threads
@@ -43,10 +40,6 @@ let rt_key ~rank ~thread =
   if thread < 0 || thread >= threads_per_rank then
     invalid_arg (Printf.sprintf "Vclock.rt_key: thread %d outside [0, %d)" thread threads_per_rank);
   if thread = 0 then rank else -((rank * threads_per_rank) + thread)
-
-let rt_rank key = if key >= 0 then key else -key / threads_per_rank
-
-let rt_thread key = if key >= 0 then 0 else -key mod threads_per_rank
 
 type stamp = { thread : int; epoch : int }
 

@@ -31,11 +31,8 @@ val size : t -> int
 (** Number of non-zero components (what a piggybacked message would
     carry). *)
 
-val leq : t -> t -> bool
-(** Componentwise [<=]. *)
-
 val happens_before : t -> t -> bool
-(** [leq a b && a <> b]. *)
+(** Componentwise [<=], and not equal. *)
 
 val concurrent : t -> t -> bool
 
@@ -49,12 +46,6 @@ val rt_key : rank:int -> thread:int -> int
     negative keys disjoint from both rank ids and the virtual ids
     MUST-RMA allocates above [nprocs]. Raises [Invalid_argument] outside
     [0, threads_per_rank). *)
-
-val rt_rank : int -> int
-(** Rank of a component id produced by {!rt_key}. *)
-
-val rt_thread : int -> int
-(** Thread of a component id produced by {!rt_key} (0 for rank ids). *)
 
 type stamp = { thread : int; epoch : int }
 (** Identity of a single event: the thread it ran on and that thread's
@@ -71,9 +62,6 @@ val stamp_observed : stamp -> by:t -> bool
 val components : t -> (int * int) list
 (** Non-zero [(thread, value)] components in increasing thread order —
     the serializable snapshot race provenance carries. *)
-
-val of_components : (int * int) list -> t
-(** Inverse of {!components} (zero values are dropped). *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

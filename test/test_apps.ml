@@ -147,6 +147,8 @@ let expected_cfd_checksum params ~nprocs =
   (* Every rank receives, per window and per peer, all iteration chunks
      that peer addressed to it; peers are symmetric in the ring. *)
   let open Cfd_proxy.Halo in
+  (* Rank [src] puts this value into cell [cell] of iteration [iter]. *)
+  let cell_value ~src ~iter ~cell = Int64.of_int ((src * 1_000_000) + (iter * 1_000) + cell) in
   let per_source src =
     let sum = ref 0.0 in
     for iter = 0 to params.iterations - 1 do

@@ -237,7 +237,7 @@ let prop_matches_persistent_oracle =
                   let kind =
                     Access_kind.(if equal a.Access.kind Rma_write then Local_read else Rma_write)
                   in
-                  remove (Access.with_kind a kind)));
+                  remove { a with Access.kind }));
           let q = Interval.make ~lo:qlo ~hi:(qlo + qlen - 1) in
           let probe = local_read ~seq:(500_000 + i) qlo (qlo + qlen - 1) in
           let checks =

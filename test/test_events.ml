@@ -21,7 +21,6 @@ let with_events ?(level = Events.Info) f =
   Events.close ();
   Events.clear ();
   Events.set_level level;
-  Events.set_run_id "run-test";
   Fun.protect
     ~finally:(fun () ->
       Events.close ();
@@ -29,17 +28,23 @@ let with_events ?(level = Events.Info) f =
       Events.set_level Events.Info;
       Obs.disable ();
       Obs.reset ())
-    f
+    (fun () -> Events.with_run_id "run-test" f)
 
 (* --- levels ---------------------------------------------------------- *)
+
+(* A level's name as a journal line spells it. *)
+let level_name level =
+  let ev = { Events.ts = 0.0; level; component = "c"; run_id = "r"; span_id = 0; kv = [] } in
+  Option.bind (Json.member "level" (Events.to_json ev)) Json.to_str
 
 let test_levels () =
   List.iter
     (fun l ->
+      let name = level_name l in
       Alcotest.(check bool)
-        (Events.level_to_string l ^ " round-trips")
+        (Option.value name ~default:"?" ^ " round-trips")
         true
-        (Events.level_of_string (Events.level_to_string l) = Some l))
+        (Option.bind name Events.level_of_string = Some l))
     [ Events.Debug; Events.Info; Events.Warn; Events.Error ];
   Alcotest.(check (option unit)) "unknown level rejected" None
     (Option.map ignore (Events.level_of_string "shout"));
@@ -62,14 +67,16 @@ let test_ring_and_filter () =
       Alcotest.(check int) "no covering span" 0 ev.Events.span_id;
       Alcotest.(check (list (pair string string))) "kv" [ ("event", "kept") ] ev.Events.kv
   | l -> Alcotest.failf "expected one buffered event, got %d" (List.length l));
-  (* The ring keeps the newest [cap] events, oldest first. *)
-  Events.set_ring_cap 4;
-  for i = 1 to 10 do
+  (* The ring keeps the newest 4096 events, oldest first: of the one
+     above and 4100 more, events 5..4100. *)
+  for i = 1 to 4100 do
     Events.emit ~kv:[ ("i", string_of_int i) ] Events.Warn "test"
   done;
   let kept = List.map (fun ev -> List.assoc "i" ev.Events.kv) (Events.recent ()) in
-  Alcotest.(check (list string)) "ring evicts oldest" [ "7"; "8"; "9"; "10" ] kept;
-  Events.set_ring_cap 4096;
+  Alcotest.(check (list string)) "ring evicts oldest"
+    (List.init 4096 (fun i -> string_of_int (i + 5)))
+    kept;
+  Events.clear ();
   (* Disabled registry: emission is a no-op, not a buffer. *)
   Obs.disable ();
   Events.emit Events.Error "test";
@@ -109,7 +116,7 @@ let read_lines path =
 let journal_of_seeded_run () =
   let path = Filename.temp_file "rma_events" ".jsonl" in
   with_events @@ fun () ->
-  Events.set_run_id "run-golden";
+  Events.with_run_id "run-golden" @@ fun () ->
   Events.set_sink path;
   let budget = { Budget.max_nodes = Some 4; max_bytes = None; policy = Budget.Spill_oldest_epoch } in
   let store = Disjoint_store.create ~budget () in
@@ -182,7 +189,7 @@ let prop_line_roundtrips =
       | Ok j ->
           let str name = Option.bind (Json.member name j) Json.to_str in
           let int name = Option.bind (Json.member name j) Json.to_int in
-          str "level" = Some (Events.level_to_string ev.Events.level)
+          Option.bind (str "level") Events.level_of_string = Some ev.Events.level
           && str "component" = Some ev.Events.component
           && str "run_id" = Some ev.Events.run_id
           && int "span_id" = Some ev.Events.span_id

@@ -59,23 +59,31 @@ let test_recorder_disabled_noop () =
   Alcotest.(check int) "no history recorded" 0
     (List.length r.Report.provenance.Report.existing_history)
 
+(* A ring as a store gets it while recording is on. *)
+let fresh_ring () =
+  match with_recorder Flight_recorder.create with
+  | Some ring -> ring
+  | None -> Alcotest.fail "an enabled recorder gave no ring"
+
 let test_ring_eviction_keeps_newest () =
-  let ring = Flight_recorder.create_exn ~capacity:4 () in
-  for seq = 1 to 10 do
+  let ring = fresh_ring () in
+  (* 518 origins through a ring of 512. *)
+  for seq = 1 to 518 do
     Flight_recorder.record ring (mk_access ~seq ~line:seq ~op:"Load" seq seq Access_kind.Local_read)
   done;
-  Alcotest.(check int) "length is the capacity" 4 (Flight_recorder.length ring);
-  Alcotest.(check int) "total counts evictions" 10 (Flight_recorder.recorded_total ring);
+  Alcotest.(check int) "length is the capacity" 512 (Flight_recorder.length ring);
   let seqs =
     List.map (fun (o : Flight_recorder.origin) -> o.Flight_recorder.access.Access.seq)
       (Flight_recorder.to_list ring)
   in
-  Alcotest.(check (list int)) "newest four survive, oldest first" [ 7; 8; 9; 10 ] seqs;
+  Alcotest.(check (list int)) "newest 512 survive, oldest first"
+    (List.init 512 (fun i -> i + 7))
+    seqs;
   let hits = Flight_recorder.history ring (Interval.make ~lo:8 ~hi:9) in
   Alcotest.(check int) "history filters by overlap" 2 (List.length hits)
 
 let test_recorder_epochs_stamp_origins () =
-  let ring = Flight_recorder.create_exn () in
+  let ring = fresh_ring () in
   Flight_recorder.note_epoch ring;
   Flight_recorder.record ring (mk_access ~seq:1 ~line:1 ~op:"Load" 0 0 Access_kind.Local_read);
   Flight_recorder.note_epoch ring;
@@ -115,18 +123,14 @@ let test_json_round_trip () =
   let reports = with_recorder code1_race_reports in
   let json = Race_export.to_json ~generator:"test" reports in
   let text = Json.to_string json in
-  match Json.of_string text with
-  | Error msg -> Alcotest.failf "reparse failed: %s" msg
-  | Ok reparsed -> (
-      match Race_export.of_json reparsed with
-      | Error msg -> Alcotest.failf "decode failed: %s" msg
-      | Ok reports' ->
-          Alcotest.(check int) "report count survives" (List.length reports)
-            (List.length reports');
-          (* Identity on every exported field: re-serialising the decoded
-             reports reproduces the bytes. *)
-          Alcotest.(check string) "byte-identical re-export" text
-            (Json.to_string (Race_export.to_json ~generator:"test" reports')))
+  match Export_io.decode json with
+  | Error msg -> Alcotest.failf "decode failed: %s" msg
+  | Ok reports' ->
+      Alcotest.(check int) "report count survives" (List.length reports) (List.length reports');
+      (* Identity on every exported field: re-serialising the decoded
+         reports reproduces the bytes. *)
+      Alcotest.(check string) "byte-identical re-export" text
+        (Json.to_string (Race_export.to_json ~generator:"test" reports'))
 
 (* A race detected on a budget-degraded store: a Coarsen budget of two
    nodes collapses six adjacent same-kind reads with distinct source
@@ -173,8 +177,7 @@ let test_degraded_race_flagged () =
   Alcotest.(check bool) "provenance carries the degradation" true
     r.Report.provenance.Report.degraded;
   (* The flag survives the JSON round trip. *)
-  let text = Json.to_string (Race_export.to_json ~generator:"test" reports) in
-  match Result.bind (Json.of_string text) Race_export.of_json with
+  match Export_io.decode (Race_export.to_json ~generator:"test" reports) with
   | Error msg -> Alcotest.failf "round trip failed: %s" msg
   | Ok reports' ->
       Alcotest.(check bool) "degraded survives JSON" true
@@ -185,7 +188,7 @@ let test_json_rejects_bad_version () =
   List.iter
     (fun v ->
       let json = Json.Obj [ ("schema_version", Json.Int v); ("races", Json.List []) ] in
-      match Race_export.of_json json with
+      match Export_io.decode json with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "schema version %d accepted" v)
     [ 999; 1 ]
@@ -194,7 +197,7 @@ let test_json_rejects_bad_version () =
 
 let test_sarif_matches_golden () =
   let reports = with_recorder code1_race_reports in
-  let sarif = Json.to_string (Race_export.to_sarif ~generator:"test" reports) ^ "\n" in
+  let sarif = Export_io.sarif reports in
   (* GOLDEN_OUT=/abs/path (or GOLDEN_OUT_DIR, see test/golden_regen.ml)
      regenerates the golden file instead of comparing (after an
      intentional format change). *)
@@ -202,7 +205,7 @@ let test_sarif_matches_golden () =
 
 let test_degraded_sarif_matches_golden () =
   let reports, _ = degraded_race_reports () in
-  let sarif = Json.to_string (Race_export.to_sarif ~generator:"test" reports) ^ "\n" in
+  let sarif = Export_io.sarif reports in
   (* The downgrade is asserted structurally before any golden diff, so a
      blind regeneration cannot launder it away. *)
   Alcotest.(check bool) "degraded result downgraded to warning" true
@@ -214,7 +217,7 @@ let test_degraded_sarif_matches_golden () =
 
 let test_sarif_lists_all_locations () =
   let reports = with_recorder code1_race_reports in
-  let sarif = Json.to_string (Race_export.to_sarif ~generator:"test" reports) in
+  let sarif = Export_io.sarif reports in
   Alcotest.(check bool) "SARIF version marker present" true
     (Astring.String.is_infix ~affix:"\"2.1.0\"" sarif);
   (* Lines 1 (merged-away Load), 2 (surviving Put) and 3 (incoming
@@ -286,7 +289,7 @@ let test_single_thread_json_has_no_thread_fields () =
   let json = Json.to_string (Race_export.to_json ~generator:"test" reports) in
   Alcotest.(check bool) "no thread field in single-thread export" false
     (Astring.String.is_infix ~affix:"thread" json);
-  let sarif = Json.to_string (Race_export.to_sarif ~generator:"test" reports) in
+  let sarif = Export_io.sarif reports in
   Alcotest.(check bool) "no thread field in single-thread SARIF" false
     (Astring.String.is_infix ~affix:"thread" sarif)
 
@@ -311,7 +314,7 @@ let test_threaded_json_round_trip () =
   let json = Race_export.to_json ~generator:"test" [ r ] in
   Alcotest.(check bool) "thread fields present" true
     (Astring.String.is_infix ~affix:"thread_view" (Json.to_string json));
-  match Race_export.of_json json with
+  match Export_io.decode json with
   | Error msg -> Alcotest.failf "round-trip failed: %s" msg
   | Ok [ loaded ] ->
       Alcotest.(check bool) "existing round-trips with thread" true

@@ -275,7 +275,7 @@ let prop_trace_roundtrip_preserves_analysis =
       let reencoded =
         List.map
           (fun e ->
-            match Rma_trace.Codec.decode_event (Rma_trace.Codec.encode_event e) with
+            match Test_trace.decode_line (Rma_trace.Codec.encode_event e) with
             | Ok d -> d
             | Error msg -> QCheck.Test.fail_reportf "codec failure: %s" msg)
           events

@@ -73,13 +73,7 @@ let test_remainders () =
   check_opt_interval "no right" None (Interval.right_remainder ~outer:(iv 4 8) ~cut:(iv 6 12))
 
 let test_hull_and_merge () =
-  Alcotest.(check bool) "hull" true (Interval.equal (iv 0 9) (Interval.hull (iv 0 3) (iv 7 9)));
-  check_opt_interval "merge adjacent" (Some (iv 0 6))
-    (Interval.merge_adjacent_or_overlapping (iv 0 2) (iv 3 6));
-  check_opt_interval "merge overlapping" (Some (iv 0 8))
-    (Interval.merge_adjacent_or_overlapping (iv 0 5) (iv 4 8));
-  check_opt_interval "no merge with gap" None
-    (Interval.merge_adjacent_or_overlapping (iv 0 2) (iv 4 6))
+  Alcotest.(check bool) "hull" true (Interval.equal (iv 0 9) (Interval.hull (iv 0 3) (iv 7 9)))
 
 let test_compare_lo () =
   Alcotest.(check bool) "by lo" true (Interval.compare_lo (iv 1 9) (iv 2 3) < 0);

@@ -14,6 +14,21 @@ module Toolbox = Rma_analysis.Toolbox
 
 (* --- line-level totality --------------------------------------------- *)
 
+let with_temp_journal text f =
+  let path = Filename.temp_file "rma_journal" ".jsonl" in
+  let oc = open_out path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc text);
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+(* One journal line through the public reader: the event it decodes to,
+   or the reason [read_file] stops at it. *)
+let parse_line line =
+  with_temp_journal line @@ fun path ->
+  match Journal.read_file path with
+  | { Journal.error = Some e; _ } -> Error e.Journal.reason
+  | { Journal.events = [ ev ]; _ } -> Ok ev
+  | { Journal.events; _ } -> Error (Printf.sprintf "%d events on one line" (List.length events))
+
 let arb_event =
   let open QCheck in
   let str_gen = Gen.string_size ~gen:Gen.printable (Gen.int_range 0 12) in
@@ -38,13 +53,13 @@ let prop_parse_line_total =
       Bytes.set line i (Char.chr (Char.code (Bytes.get line i) lxor (1 lsl (bit mod 8))));
       (* Flipping any one bit must never raise: the reader answers
          [Ok] (the flip kept the record well-formed) or [Error]. *)
-      match Journal.parse_line (Bytes.to_string line) with
+      match parse_line (Bytes.to_string line) with
       | Ok _ | Error _ -> true
       | exception e -> QCheck.Test.fail_reportf "parse_line raised %s" (Printexc.to_string e))
 
 let prop_parse_line_roundtrip =
   QCheck.Test.make ~name:"parse_line inverts Events.line" ~count:500 arb_event (fun ev ->
-      match Journal.parse_line (Events.line ev) with
+      match parse_line (Events.line ev) with
       | Error msg -> QCheck.Test.fail_reportf "valid line rejected: %s" msg
       | Ok got ->
           got.Events.level = ev.Events.level
@@ -54,12 +69,6 @@ let prop_parse_line_roundtrip =
           && got.Events.kv = ev.Events.kv)
 
 (* --- file-level totality: truncation and mid-file garbage ------------- *)
-
-let with_temp_journal text f =
-  let path = Filename.temp_file "rma_journal" ".jsonl" in
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc text);
-  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
 let events_equal a b = Events.line a = Events.line b
 
@@ -119,9 +128,10 @@ let prop_bit_flip =
       | None -> n = List.length evs)
 
 (* An unknown level or an ill-typed kv value names at most 64 bytes of
-   the level or key, then "…" and its length. *)
+   the level or key, then "…" and its length. The field is as long as a
+   line under the reader's 64 KiB cap lets it be. *)
 let test_long_field_errors_are_bounded () =
-  let long = String.make 100_000 'k' in
+  let long = String.make 60_000 'k' in
   let line ~level ~kv =
     Printf.sprintf
       {|{"ts":0.0,"level":"%s","component":"c","run_id":"r","shard":-1,"span_id":0,"kv":{%s}}|}
@@ -129,16 +139,16 @@ let test_long_field_errors_are_bounded () =
   in
   List.iter
     (fun (what, text, expected) ->
-      match Journal.parse_line text with
+      match parse_line text with
       | Ok _ -> Alcotest.failf "%s: accepted" what
       | Error msg -> Alcotest.(check string) what expected msg)
     [
       ( "unknown level",
         line ~level:long ~kv:"",
-        Printf.sprintf "unknown level %S… (100000 bytes)" (String.make 64 'k') );
+        Printf.sprintf "unknown level %S… (60000 bytes)" (String.make 64 'k') );
       ( "ill-typed kv value",
         line ~level:"info" ~kv:(Printf.sprintf {|"%s":1|} long),
-        Printf.sprintf "ill-typed kv value for %S… (100000 bytes)" (String.make 64 'k') );
+        Printf.sprintf "ill-typed kv value for %S… (60000 bytes)" (String.make 64 'k') );
     ]
 
 let test_unreadable_file () =
@@ -326,7 +336,7 @@ let test_journal_records_run_config () =
         {|{"ts":0.5,"level":"info","component":"diag","run_id":"run-old","shard":-1,"span_id":0,"kv":{"event":"run_start","workload":"code","tool":"contribution","code":"%s","jobs":"2"%s}}|}
         code (String.concat "" kv)
     in
-    match Journal.parse_line line with
+    match parse_line line with
     | Ok ev -> ev
     | Error msg -> Alcotest.failf "an older journal line no longer reads: %s" msg
   in
@@ -398,6 +408,32 @@ let test_replay_refuses_unknown_workload () =
           Alcotest.(check string) "refusal names the replayable workloads"
             "workload \"bfs\" is not replayable (replay covers cfd, minivite and code)" msg)
 
+(* [rma_race kernel --seed 7] journals its seed: the journal, not the
+   command line, is where a run's parameters are recorded. The test
+   drives the built CLI, since the subcommand assembles the record. *)
+let test_kernel_journals_its_seed () =
+  let cli = Filename.concat (Filename.dirname Sys.executable_name) "../bin/rma_race_cli.exe" in
+  let kernel = (List.hd Rma_microbench.Scenario.Kernel.all).Rma_microbench.Scenario.Kernel.k_name in
+  let path = Filename.temp_file "rma_kernel" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let command =
+    Filename.quote_command cli ~stdout:Filename.null
+      [ "kernel"; kernel; "--seed"; "7"; "--obs-events"; path ]
+  in
+  Alcotest.(check int) "the kernel run exits 0" 0 (Sys.command command);
+  let r = Journal.read_file path in
+  match
+    List.find_opt
+      (fun e -> List.assoc_opt "event" e.Events.kv = Some "run_start")
+      r.Journal.events
+  with
+  | None -> Alcotest.fail "no run_start record"
+  | Some start ->
+      Alcotest.(check (option string)) "the kernel is named" (Some kernel)
+        (List.assoc_opt "kernel" start.Events.kv);
+      Alcotest.(check (option string)) "the seed is journaled" (Some "7")
+        (List.assoc_opt "seed" start.Events.kv)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_parse_line_total;
@@ -416,4 +452,5 @@ let suite =
     Alcotest.test_case "replay refuses a bfs run_start" `Quick test_replay_refuses_unknown_workload;
     Alcotest.test_case "the journal records the whole run configuration" `Quick
       test_journal_records_run_config;
+    Alcotest.test_case "a kernel run journals its seed" `Quick test_kernel_journals_its_seed;
   ]

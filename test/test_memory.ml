@@ -72,7 +72,7 @@ let test_message_cost_model () =
     (Config.collective_cost c ~nprocs:4 ~bytes_count:8
     < Config.collective_cost c ~nprocs:256 ~bytes_count:8);
   Alcotest.(check (float 1e-12)) "quiet network is free" 0.0
-    (Config.message_cost Config.quiet_network ~bytes_count:4096)
+    (Config.message_cost Sim_config.quiet_network ~bytes_count:4096)
 
 let suite =
   [

@@ -120,10 +120,17 @@ let test_must_fns_are_the_stack_codes () =
       (fun s -> s.Scenario.racy && not (Runner.run ~tool s).Runner.flagged)
       Scenario.all
   in
+  (* The fifteen racy codes whose conflicting local access touches
+     stack storage, which ThreadSanitizer cannot instrument. *)
+  let stack_racy (s : Scenario.t) =
+    s.Scenario.racy && s.Scenario.stack_shared
+    && (s.Scenario.first_role = Scenario.As_local || s.Scenario.second_role = Scenario.As_local)
+  in
   let expected =
     List.sort String.compare
-      (List.map (fun s -> s.Scenario.name) Scenario.expected_must_false_negatives)
+      (List.map (fun s -> s.Scenario.name) (List.filter stack_racy Scenario.all))
   in
+  Alcotest.(check int) "fifteen stack codes" 15 (List.length expected);
   Alcotest.(check (list string)) "exact FN set" expected
     (List.sort String.compare (List.map (fun s -> s.Scenario.name) missed))
 

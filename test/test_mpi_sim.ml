@@ -5,7 +5,7 @@ let contains_sub s affix =
   let rec go i = i + m <= n && (String.sub s i m = affix || go (i + 1)) in
   m = 0 || go 0
 
-let run ?(nprocs = 2) ?(seed = 1) ?(config = Config.quiet_network) ?observer program =
+let run ?(nprocs = 2) ?(seed = 1) ?(config = Sim_config.quiet_network) ?observer program =
   Runtime.run ~nprocs ~seed ~config ?observer program
 
 let test_rank_and_size () =
@@ -26,7 +26,7 @@ let test_local_memory () =
 let test_alloc_alignment_and_growth () =
   let ok = ref false in
   let _ =
-    run ~nprocs:1 ~config:{ Config.quiet_network with Config.memory_size = 64 } (fun () ->
+    run ~nprocs:1 ~config:{ Sim_config.quiet_network with Config.memory_size = 64 } (fun () ->
         let a = Mpi.alloc 3 in
         let b = Mpi.alloc 5 in
         (* 8-byte alignment and growth beyond the initial 64 bytes. *)
@@ -83,7 +83,7 @@ let test_deferred_completion_nondeterminism () =
      the paper's Figure 2a "buf is either equal to X or loc". *)
   let observe seed =
     let result = ref 0L in
-    let config = { Config.quiet_network with Config.apply_early_probability = 0.5 } in
+    let config = { Sim_config.quiet_network with Config.apply_early_probability = 0.5 } in
     let _ =
       run ~nprocs:2 ~seed ~config (fun () ->
           let rank = Mpi.comm_rank () in
@@ -114,7 +114,7 @@ let test_barrier_does_not_complete_rma () =
   (* §6(1): per the MPI standard, MPI_Barrier does not terminate
      one-sided communications. With a seed forcing deferred application,
      the target must not yet see the data right after the barrier. *)
-  let config = { Config.quiet_network with Config.apply_early_probability = 0.0 } in
+  let config = { Sim_config.quiet_network with Config.apply_early_probability = 0.0 } in
   let after_barrier = ref (-1L) and after_unlock = ref (-1L) in
   let _ =
     run ~nprocs:2 ~config (fun () ->
@@ -139,7 +139,7 @@ let test_barrier_does_not_complete_rma () =
   Alcotest.(check int64) "visible after unlock_all" 55L !after_unlock
 
 let test_flush_all_completes_own_ops () =
-  let config = { Config.quiet_network with Config.apply_early_probability = 0.0 } in
+  let config = { Sim_config.quiet_network with Config.apply_early_probability = 0.0 } in
   let seen = ref (-1L) in
   let _ =
     run ~nprocs:2 ~config (fun () ->
@@ -194,7 +194,7 @@ let test_send_recv () =
   let _ =
     run ~nprocs:2 (fun () ->
         if Mpi.comm_rank () = 0 then Mpi.send ~dst:1 ~tag:7 (Bytes.of_string "hello")
-        else got := Bytes.to_string (Mpi.recv_data ~src:0 ~tag:7 ()))
+        else got := Bytes.to_string (Mpi.recv ~src:0 ~tag:7 ()).Runtime.data)
   in
   Alcotest.(check string) "message delivered" "hello" !got
 
@@ -429,7 +429,7 @@ let suite =
 
 let test_flush_targets_only_one_rank () =
   (* win_flush ~rank completes only operations towards that target. *)
-  let config = { Config.quiet_network with Config.apply_early_probability = 0.0 } in
+  let config = { Sim_config.quiet_network with Config.apply_early_probability = 0.0 } in
   let seen1 = ref (-1L) and seen2 = ref (-1L) in
   let _ =
     run ~nprocs:3 ~config (fun () ->
@@ -482,7 +482,7 @@ let test_send_to_self () =
         let b = Bytes.create 8 in
         Bytes.set_int64_le b 0 31L;
         Mpi.send ~dst:0 ~tag:0 b;
-        got := Bytes.get_int64_le (Mpi.recv_data ()) 0)
+        got := Bytes.get_int64_le (Mpi.recv ()).Runtime.data 0)
   in
   Alcotest.(check int64) "self message" 31L !got
 
@@ -549,7 +549,7 @@ let suite = suite @ extra_suite
 (* --- Active-target (fence) synchronisation --- *)
 
 let test_fence_moves_data () =
-  let config = { Config.quiet_network with Config.apply_early_probability = 0.0 } in
+  let config = { Sim_config.quiet_network with Config.apply_early_probability = 0.0 } in
   let seen = ref (-1L) in
   let _ =
     run ~nprocs:2 ~config (fun () ->
@@ -632,7 +632,7 @@ let suite =
 (* --- Per-target passive locks --- *)
 
 let test_lock_put_unlock () =
-  let config = { Config.quiet_network with Config.apply_early_probability = 0.0 } in
+  let config = { Sim_config.quiet_network with Config.apply_early_probability = 0.0 } in
   let seen = ref 0L in
   let _ =
     run ~nprocs:2 ~config (fun () ->
@@ -656,7 +656,7 @@ let test_exclusive_locks_mutually_exclude () =
   (* Two origins increment the same window cell under exclusive locks:
      with real mutual exclusion both increments land (no lost update),
      under any seed. *)
-  let config = { Config.quiet_network with Config.apply_early_probability = 1.0 } in
+  let config = { Sim_config.quiet_network with Config.apply_early_probability = 1.0 } in
   List.iter
     (fun seed ->
       let final = ref 0L in
@@ -762,7 +762,7 @@ let test_accumulate_sums_across_ranks () =
   List.iter
     (fun seed ->
       let final = ref 0L in
-      let config = { Config.quiet_network with Config.apply_early_probability = 0.5 } in
+      let config = { Sim_config.quiet_network with Config.apply_early_probability = 0.5 } in
       let _ =
         run ~nprocs:5 ~seed ~config (fun () ->
             let rank = Mpi.comm_rank () in

@@ -38,6 +38,7 @@ let sweep_seeds = 25
 let site_str (s : Runner.race_site) =
   Printf.sprintf "%s:%d %s" s.Runner.site_file s.Runner.site_line s.Runner.site_op
 
+let pair_sites (p : Runner.race_pair) = (p.Runner.pair_a, p.Runner.pair_b)
 let pair_str (a, b) = Printf.sprintf "%s <-> %s" (site_str a) (site_str b)
 
 (* The full labeled corpus: 27 base+hybrid kernels plus the prd_
@@ -51,7 +52,7 @@ let reorder_for reports pair =
   List.find_map
     (fun (r : Report.t) ->
       match Runner.pairs_of_reports [ r ] with
-      | [ p ] when Runner.pair_sites p = pair -> (
+      | [ p ] when pair_sites p = pair -> (
           match r.Report.provenance.Report.witness with
           | Some w -> Some w.Report.w_reorder
           | None -> None)
@@ -98,7 +99,7 @@ let test_matrix_labels_under_predictive () =
         (fun p ->
           if p.Runner.pair_predicted then
             Alcotest.failf "%s (predictive): unexpected predicted pair %s" k.Scenario.Kernel.k_name
-              (pair_str (Runner.pair_sites p)))
+              (pair_str (pair_sites p)))
         v.Runner.k_pairs)
     kernels
 
@@ -160,12 +161,12 @@ let test_soundness_sweep () =
         for seed = 0 to n - 1 do
           let v = Runner.run_kernel ~interleave_seed:seed ~tool:otool k in
           List.iter
-            (fun p -> Hashtbl.replace observed (Runner.pair_sites p) ())
+            (fun p -> Hashtbl.replace observed (pair_sites p) ())
             v.Runner.k_pairs
         done;
         List.iter
           (fun p ->
-            let pair = Runner.pair_sites p in
+            let pair = pair_sites p in
             if not (Hashtbl.mem observed pair) then
               Alcotest.failf
                 "%s: predicted race %s was not observed under any of %d interleave seeds — \
@@ -185,13 +186,13 @@ let test_completeness_sweep () =
       let ptool = mk_tool ~nprocs:k.Scenario.Kernel.k_nprocs ~predictive:true () in
       let v0 = Runner.run_kernel ~interleave_seed:0 ~tool:ptool k in
       (* Seed 0's full report: observed ∪ predicted. *)
-      let union0 = List.map Runner.pair_sites v0.Runner.k_pairs in
+      let union0 = List.map pair_sites v0.Runner.k_pairs in
       let otool = mk_tool ~nprocs:k.Scenario.Kernel.k_nprocs ~predictive:false () in
       for seed = 0 to n - 1 do
         let v = Runner.run_kernel ~interleave_seed:seed ~tool:otool k in
         List.iter
           (fun p ->
-            let pair = Runner.pair_sites p in
+            let pair = pair_sites p in
             if not (List.mem pair union0) then
               Alcotest.failf
                 "%s: race %s observed at interleave seed %d is missing from seed 0's \
@@ -220,7 +221,7 @@ let test_scenario_suite_differential () =
         (fun p ->
           if p.Runner.pair_predicted then
             Alcotest.failf "%s: unexpected predicted pair %s" s.Scenario.name
-              (pair_str (Runner.pair_sites p)))
+              (pair_str (pair_sites p)))
         pp;
       if po <> pp then
         Alcotest.failf "%s: predictive pair set differs from observed (%d vs %d pairs)"
@@ -248,10 +249,9 @@ let test_observed_exports_byte_identical () =
     (Json.to_string (Race_export.to_json ~generator:"test" observed_of_prd));
   Alcotest.(check string)
     "observed SARIF byte-identical with the predictive flag on"
-    (Json.to_string (Race_export.to_sarif ~generator:"test" obs))
-    (Json.to_string (Race_export.to_sarif ~generator:"test" observed_of_prd));
-  Alcotest.(check int) "observed-only reports stay on schema v2" 2
-    (Race_export.used_schema_version obs)
+    (Export_io.sarif obs) (Export_io.sarif observed_of_prd);
+  Alcotest.(check (option int)) "observed-only reports stay on schema v2" (Some 2)
+    (Export_io.schema_version obs)
 
 let predicted_race_reports () =
   match Scenario.Kernel.find "prd_lockall_remote_epochs_put_put_race" with
@@ -265,10 +265,10 @@ let test_predicted_schema_and_round_trip () =
   let reports = with_recorder predicted_race_reports in
   Alcotest.(check bool) "a predicted race is reported" true
     (List.exists (fun (r : Report.t) -> r.Report.provenance.Report.predicted) reports);
-  Alcotest.(check int) "predicted reports bump the schema to v3" 3
-    (Race_export.used_schema_version reports);
+  Alcotest.(check (option int)) "predicted reports bump the schema to v3" (Some 3)
+    (Export_io.schema_version reports);
   let json = Race_export.to_json ~generator:"test" reports in
-  match Race_export.of_json json with
+  match Export_io.decode json with
   | Error e -> Alcotest.failf "round trip failed: %s" e
   | Ok loaded ->
       Alcotest.(check int) "round trip keeps every report" (List.length reports)

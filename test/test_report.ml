@@ -91,7 +91,7 @@ let test_harness_measure_baseline_free () =
   let workload ~config ~observer =
     Mpi_sim.Runtime.run ~nprocs:2 ~config ?observer (fun () -> Mpi_sim.Mpi.barrier ())
   in
-  let m = Harness.measure ~nprocs:2 ~config:Mpi_sim.Config.quiet_network ~workload Rma_analysis.Toolbox.Baseline in
+  let m = Harness.measure ~nprocs:2 ~config:Sim_config.quiet_network ~workload Rma_analysis.Toolbox.Baseline in
   Alcotest.(check int) "no races" 0 m.Harness.races;
   Alcotest.(check int) "no nodes" 0 m.Harness.nodes_final;
   Alcotest.(check string) "name" "Baseline" m.Harness.tool
@@ -129,10 +129,12 @@ let test_csv_export () =
   Alcotest.(check int) "all 154 codes emitted" 154 (Array.length c_files)
 
 let test_csv_quoting () =
-  Alcotest.(check string) "plain" "x" (Csv.escape_field "x");
-  Alcotest.(check string) "comma" "\"a,b\"" (Csv.escape_field "a,b");
-  Alcotest.(check string) "quote" "\"a\"\"b\"" (Csv.escape_field "a\"b");
-  Alcotest.(check string) "line" "a,\"b,c\",d" (Csv.line [ "a"; "b,c"; "d" ])
+  let path = Filename.temp_file "rma_csv" ".csv" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Csv.write ~path ~header:[ "a"; "b,c"; "d" ] [ [ "x" ]; [ "a\"b" ] ];
+  Alcotest.(check string) "plain, comma and quote fields"
+    "a,\"b,c\",d\nx\n\"a\"\"b\"\n"
+    (In_channel.with_open_bin path In_channel.input_all)
 
 let suite =
   suite

@@ -207,7 +207,7 @@ let outcome_of run =
     table3;
     digests;
     hybrid_labels;
-    sarif = Json.to_string (Race_export.to_sarif ~generator:"test" code1) ^ "\n";
+    sarif = Export_io.sarif code1;
     hybrid_json = Json.to_string (Race_export.to_json ~generator:"test" hybrid) ^ "\n";
     explain = Race_export.explain (List.hd code1) ^ "\n";
     trace =

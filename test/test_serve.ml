@@ -32,7 +32,7 @@ let record_kernel name =
      codec's precision, not the recorder's. *)
   let events =
     List.map
-      (fun e -> Result.get_ok (Codec.decode_event (Codec.encode_event e)))
+      (fun e -> Result.get_ok (Test_trace.decode_line (Codec.encode_event e)))
       (Recorder.events r)
   in
   (k.Kernel.k_nprocs, events)
@@ -511,15 +511,13 @@ let test_serve_endpoint () =
   Rma_obs.Events.close ();
   Rma_obs.Events.clear ();
   Rma_obs.Events.set_level Rma_obs.Events.Info;
-  let saved_run_id = Rma_obs.Events.run_id () in
-  Rma_obs.Events.set_run_id "run-test";
   Fun.protect
     ~finally:(fun () ->
       Rma_obs.Events.clear ();
-      Rma_obs.Events.set_run_id saved_run_id;
       Rma_obs.Obs.disable ();
       Rma_obs.Obs.reset ())
   @@ fun () ->
+  Rma_obs.Events.with_run_id "run-test" @@ fun () ->
   Rma_obs.Events.emit ~kv:[ ("event", "probe") ] Rma_obs.Events.Info "test";
   let nprocs, events = record_kernel clean_kernel in
   let stats =

@@ -59,13 +59,12 @@ let test_disjoint_bytes_safe () =
     (record t ~thread:1 ~clock:c1 ~kind:Access_kind.Rma_write ~line:2 4 7 = None)
 
 let test_eviction_bounded () =
-  let t = Shadow.create ~cells_per_granule:2 ~happens_before:standard_hb () in
+  let t = shadow () in
   let clock thread = Vclock.tick (Vclock.create ~nprocs:8) thread in
   for thread = 0 to 5 do
     ignore (record t ~thread ~clock:(clock thread) ~kind:Access_kind.Local_read ~line:thread 0 7)
   done;
-  Alcotest.(check int) "one granule" 1 (Shadow.granules t);
-  Alcotest.(check int) "bounded cells" 2 (Shadow.cells t)
+  Alcotest.(check int) "bounded cells: 4 in the one granule" 4 (Shadow.cells t)
 
 let test_race_reports_cells () =
   let t = shadow () in
@@ -83,14 +82,14 @@ let test_clear () =
   let c0 = Vclock.tick (Vclock.create ~nprocs:2) 0 in
   ignore (record t ~thread:0 ~clock:c0 ~kind:Access_kind.Local_write ~line:1 0 7);
   Shadow.clear t;
-  Alcotest.(check int) "no granules" 0 (Shadow.granules t)
+  Alcotest.(check int) "no cells" 0 (Shadow.cells t)
 
 let test_multi_granule_spans () =
   let t = shadow () in
   let c0 = Vclock.tick (Vclock.create ~nprocs:2) 0 in
   let c1 = Vclock.tick (Vclock.create ~nprocs:2) 1 in
   ignore (record t ~thread:0 ~clock:c0 ~kind:Access_kind.Rma_write ~line:1 0 63);
-  Alcotest.(check int) "eight granules" 8 (Shadow.granules t);
+  Alcotest.(check int) "one cell in each of eight granules" 8 (Shadow.cells t);
   Alcotest.(check bool) "overlap found in the middle" true
     (record t ~thread:1 ~clock:c1 ~kind:Access_kind.Local_read ~line:2 40 41 <> None)
 

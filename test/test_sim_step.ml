@@ -288,7 +288,7 @@ let check_classification ops =
                 Mpi.win_unlock_all w))
       ops
   in
-  ignore (Runtime.run ~nprocs ~seed:3 ~config:Config.quiet_network ~observer program);
+  ignore (Runtime.run ~nprocs ~seed:3 ~config:Sim_config.quiet_network ~observer program);
   !checked
 
 let prop_classification_matches_scans =

