@@ -240,17 +240,19 @@ let kernel_cmd =
       required & pos 0 (some string) None & info [] ~docv:"KERNEL" ~doc:"Kernel name (rrb_* or hyb_*).")
   in
   let run obs tool_choice name seed interleave_seed =
-    with_diag
-      ~workload:
-        ( "kernel",
-          [ ("tool", Toolbox.slug tool_choice); ("kernel", name); ("seed", string_of_int seed) ] )
-      { obs with Diag.interleave_seed }
-    @@ fun run ->
+    (* Looked up first, so an unknown name journals no run_start. *)
     match Rma_microbench.Scenario.Kernel.find name with
     | None ->
         Printf.eprintf "unknown kernel %S\n" name;
         exit 2
     | Some k ->
+        with_diag
+          ~workload:
+            ( "kernel",
+              [ ("tool", Toolbox.slug tool_choice); ("kernel", name); ("seed", string_of_int seed) ]
+            )
+          { obs with Diag.interleave_seed }
+        @@ fun run ->
         let tool =
           Harness.make_tool ~run tool_choice
             ~nprocs:k.Rma_microbench.Scenario.Kernel.k_nprocs ~config

@@ -131,9 +131,24 @@ let build_thunk p =
                 (fun () ->
                   let tool = make_tool ~nprocs:3 in
                   (Rma_microbench.Runner.run ~tool scenario).Rma_microbench.Runner.reports)))
+  | "kernel" -> (
+      match param "kernel" with
+      | None -> Error "run_start for a kernel workload lacks its kernel parameter"
+      | Some name -> (
+          match Rma_microbench.Scenario.Kernel.find name with
+          | None -> Error (Printf.sprintf "run_start names unknown kernel %S" name)
+          | Some k ->
+              let* seed = int_param "seed" ~default:42 in
+              Ok
+                (fun () ->
+                  let tool = make_tool ~nprocs:k.Rma_microbench.Scenario.Kernel.k_nprocs in
+                  (Rma_microbench.Runner.run_kernel ~seed
+                     ?interleave_seed:run.Run_config.interleave_seed ~tool k)
+                    .Rma_microbench.Runner.k_reports)))
   | other ->
       Error
-        (Printf.sprintf "workload %S is not replayable (replay covers cfd, minivite and code)" other)
+        (Printf.sprintf
+           "workload %S is not replayable (replay covers cfd, minivite, code and kernel)" other)
 
 let run p =
   let* thunk = build_thunk p in

@@ -57,6 +57,4 @@ let record_and_check t ~interval ~thread ~clock ~kind ~issuer ~debug =
   done;
   !race
 
-let cells t = Hashtbl.fold (fun _ r acc -> acc + List.length !r) t.table 0
-
 let clear t = Hashtbl.reset t.table

@@ -48,7 +48,4 @@ val record_and_check :
     different threads. Returns the first race found; always records the
     new access (TSan reports and carries on). *)
 
-val cells : t -> int
-(** Shadow cells held over all granules. *)
-
 val clear : t -> unit

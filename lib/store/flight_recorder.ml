@@ -38,8 +38,6 @@ let clear t =
   t.next <- 0;
   t.filled <- 0
 
-let length t = t.filled
-
 (* Oldest-first iteration: the oldest live entry sits at [next] when the
    ring has wrapped, at 0 otherwise. *)
 let fold t ~init ~f =
@@ -52,8 +50,6 @@ let fold t ~init ~f =
     | None -> ()
   done;
   !acc
-
-let to_list t = List.rev (fold t ~init:[] ~f:(fun acc o -> o :: acc))
 
 let history t query =
   List.rev

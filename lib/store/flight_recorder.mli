@@ -59,12 +59,7 @@ val clear : t -> unit
 (** Drop all history (the backing store was cleared). The epoch counter
     is kept: epoch ids stay unique across the window's lifetime. *)
 
-val length : t -> int
-
 val history : t -> Interval.t -> origin list
 (** Every retained origin whose interval overlaps the query, oldest
     first — the contributing source accesses for a node covering the
     queried byte range. *)
-
-val to_list : t -> origin list
-(** Oldest first. *)

@@ -28,24 +28,20 @@ let add_escaped buf s =
       s
 
 let unescape s =
-  let buf = Buffer.create (String.length s) in
   let n = String.length s in
+  let buf = Buffer.create n in
   let rec go i =
-    if i >= n then ()
-    else if s.[i] = '%' && i + 2 < n then begin
-      let hex = String.sub s (i + 1) 2 in
-      match int_of_string_opt ("0x" ^ hex) with
+    if i < n then
+      let code =
+        if s.[i] = '%' && i + 2 < n then int_of_string_opt ("0x" ^ String.sub s (i + 1) 2) else None
+      in
+      match code with
       | Some code ->
           Buffer.add_char buf (Char.chr code);
           go (i + 3)
       | None ->
           Buffer.add_char buf s.[i];
           go (i + 1)
-    end
-    else begin
-      Buffer.add_char buf s.[i];
-      go (i + 1)
-    end
   in
   go 0;
   Buffer.contents buf
@@ -210,24 +206,26 @@ let encode_event event =
   encode_into buf event;
   Buffer.contents buf
 
-(* --- Decoding: one scanner over the fields of a line ---
+(* --- Decoding: one pass over the fields of a line ---
 
-   Fields are read in place, left to right, from [d.line]. A field in
-   the canonical form the encoder writes takes a fast path; any other
-   text goes through the general [int_of_string_opt] /
-   [float_of_string_opt] parser on that field alone, so the set of
-   accepted lines, the decoded values and the error strings are those
-   of the split-and-parse grammar this scanner replaced. *)
+   Fields are read in place, left to right, from [d.line]: each reader
+   parses its field up to its tab or the end of the line and checks
+   that terminator, so each byte is looked at once. Text the encoder
+   would not write goes to [int_of_string_opt] / [float_of_string_opt]
+   on that field alone, so the accepted lines, decoded values and error
+   strings are those of the split-and-parse grammar this replaced; its
+   field count is taken only when a line fails ([resolve]). *)
 
 exception Bad_field of string
-
 
 (* One string field's previous raw text and its decoded value. *)
 type memo = { mutable raw : string; mutable decoded : string }
 
 type decoder = {
   mutable line : string;
-  mutable pos : int;  (* Start of the next field. *)
+  mutable pos : int;
+      (* The terminator of the field last read: a tab, or the line's
+         length once its last field has been read. *)
   (* The previous line's file and operation fields: a stream repeats the
      same few source locations, so a match reuses the decoded string
      instead of allocating it again. Likewise the previous access's
@@ -276,150 +274,191 @@ let default_thread d issuer =
     end
   end
 
-(* The first [ch] in [s.[i..b-1]], or [b]. *)
-let rec index_in s i b ch =
-  if i >= b || String.unsafe_get s i = ch then i else index_in s (i + 1) b ch
+(* The first tab in [s] from [i] on, or the end of [s]. *)
+let rec field_end s i =
+  if i >= String.length s || String.unsafe_get s i = '\t' then i else field_end s (i + 1)
 
-let field_end s i = index_in s i (String.length s) '\t'
+(* Whether a field may end at [i]: a tab or the end of the line. *)
+let ends_at s i = i = String.length s || String.unsafe_get s i = '\t'
 
 let rec count_tabs s i acc =
   if i >= String.length s then acc
   else count_tabs s (i + 1) (if String.unsafe_get s i = '\t' then acc + 1 else acc)
 
-(* The extent [a, b) of the next field; moves past its tab. *)
-let next_field d =
-  let a = d.pos in
-  let b = field_end d.line a in
-  d.pos <- b + 1;
-  b
+(* Where the next field starts. A line out of fields has the wrong
+   field count, so [resolve] replaces this error with the arity one. *)
+let field_start d =
+  let a = d.pos + 1 in
+  if a > String.length d.line then raise_notrace (Bad_field "");
+  a
 
-let is_digit c = c >= '0' && c <= '9'
+(* The whole of the field that starts at [a], any reader's slow path:
+   [d.pos] moves to its terminator, searched for from [from]. *)
+let rest_of_field d a from =
+  let b = field_end d.line from in
+  d.pos <- b;
+  String.sub d.line a (b - a)
 
-let rec digits_value s i b acc =
-  if i >= b then acc
-  else
+(* The value of the digits from [d.pos] on, with [d.pos] left at the
+   first other byte. Past 18 digits the value wraps; callers discard it. *)
+let rec digits d s acc =
+  let i = d.pos in
+  if i < String.length s then
     let c = String.unsafe_get s i in
-    if is_digit c then digits_value s (i + 1) b ((acc * 10) + (Char.code c - 48)) else -1
+    if c >= '0' && c <= '9' then begin
+      d.pos <- i + 1;
+      digits d s ((acc * 10) + (Char.code c - 48))
+    end
+    else acc
+  else acc
+
+let parse_int text =
+  match int_of_string_opt text with
+  | Some i -> i
+  | None -> raise (Bad_field ("bad int " ^ Lines.clip text))
 
 (* [-?[0-9]{1,18}]: at most 18 digits always fit an int, so the value
    is exact and the general parser would return the same. *)
-let int_slice s a b =
-  let neg = b > a && String.unsafe_get s a = '-' in
+let int_field d =
+  let s = d.line in
+  let a = field_start d in
+  let neg = a < String.length s && String.unsafe_get s a = '-' in
   let d0 = if neg then a + 1 else a in
-  let v = if b - d0 >= 1 && b - d0 <= 18 then digits_value s d0 b 0 else -1 in
-  if v >= 0 then if neg then -v else v
-  else
-    let text = String.sub s a (b - a) in
-    match int_of_string_opt text with
-    | Some i -> i
-    | None -> raise (Bad_field ("bad int " ^ Lines.clip text))
+  d.pos <- d0;
+  let v = digits d s 0 in
+  let n = d.pos - d0 in
+  if n >= 1 && n <= 18 && ends_at s d.pos then if neg then -v else v
+  else parse_int (rest_of_field d a d.pos)
 
-(* [-?[0-9]+\.[0-9]{9}] with at most 15 digits in all, the shape
-   [%.9f] writes: the digits form an int [m] below 2^53, so
+(* [-?[0-9]{1,6}\.[0-9]{9}], the shape [%.9f] writes with at most 15
+   digits in all: the digits form an int [m] below 2^53, so
    [float_of_int m] and [1e9] are both exact and their quotient is the
    one correctly rounded double nearest m / 10^9 — exactly what
    [strtod] returns for the same text. The sign is applied last so
    [-0.000000000] stays [-0.]. *)
-let float_slice s a b =
-  let neg = b > a && String.unsafe_get s a = '-' in
+let float_field d =
+  let s = d.line in
+  let a = field_start d in
+  let neg = a < String.length s && String.unsafe_get s a = '-' in
   let d0 = if neg then a + 1 else a in
-  let dot = b - 10 in
-  let canonical = dot > d0 && b - d0 <= 16 && String.unsafe_get s dot = '.' in
-  let ip = if canonical then digits_value s d0 dot 0 else -1 in
-  let fp = if ip >= 0 then digits_value s (dot + 1) b 0 else -1 in
+  d.pos <- d0;
+  let ip = digits d s 0 in
+  let dot = d.pos in
+  let fp =
+    if dot > d0 && dot - d0 <= 6 && dot < String.length s && String.unsafe_get s dot = '.'
+    then begin
+      d.pos <- dot + 1;
+      let fp = digits d s 0 in
+      if d.pos - dot = 10 && ends_at s d.pos then fp else -1
+    end
+    else -1
+  in
   if fp >= 0 then
     let t = float_of_int ((ip * 1_000_000_000) + fp) /. 1e9 in
     if neg then -.t else t
   else
-    let text = String.sub s a (b - a) in
+    let text = rest_of_field d a d.pos in
     match float_of_string_opt text with
     | Some f -> f
     | None -> raise (Bad_field ("bad float " ^ Lines.clip text))
 
-let int_field d =
-  let a = d.pos in
-  int_slice d.line a (next_field d)
-
-let float_field d =
-  let a = d.pos in
-  float_slice d.line a (next_field d)
-
-let opt_int_field d =
-  let a = d.pos in
-  let b = next_field d in
-  if b - a = 1 && String.unsafe_get d.line a = '-' then None else Some (int_slice d.line a b)
-
-let bool_field d =
-  let a = d.pos in
-  let b = next_field d in
-  match if b - a = 1 then String.unsafe_get d.line a else ' ' with
-  | '1' -> true
-  | '0' -> false
-  | _ -> raise (Bad_field ("bad bool " ^ Lines.clip (String.sub d.line a (b - a))))
-
 let rec slice_equal s a b t i =
   a >= b || (String.unsafe_get s a = String.unsafe_get t i && slice_equal s (a + 1) b t (i + 1))
 
-(* Whether [s.[a..b-1]] is the string [t]. *)
-let slice_is s a b t = String.length t = b - a && slice_equal s a b t 0
+(* Whether the field that starts at [a] is [w]; if so [d.pos] moves to
+   its terminator. *)
+let field_is d a w =
+  let b = a + String.length w in
+  let is = b <= String.length d.line && slice_equal d.line a b w 0 && ends_at d.line b in
+  if is then d.pos <- b;
+  is
+
+(* [-], kind and bool fields are read by position; on a mismatch
+   [rest_of_field] takes the field's text for the error. *)
+let opt_int_field d =
+  let s = d.line in
+  let a = d.pos + 1 in
+  if a < String.length s && String.unsafe_get s a = '-' && ends_at s (a + 1) then begin
+    d.pos <- a + 1;
+    None
+  end
+  else Some (int_field d)
+
+let bool_field d =
+  let s = d.line in
+  let a = field_start d in
+  d.pos <- a + 1;
+  match if a < String.length s && ends_at s (a + 1) then String.unsafe_get s a else ' ' with
+  | '1' -> true
+  | '0' -> false
+  | _ -> raise (Bad_field ("bad bool " ^ Lines.clip (rest_of_field d a a)))
 
 let kind_field d =
-  let a = d.pos in
-  let b = next_field d in
-  let is = slice_is d.line a b in
-  if is "LR" then Access_kind.Local_read
-  else if is "LW" then Access_kind.Local_write
-  else if is "RR" then Access_kind.Rma_read
-  else if is "RW" then Access_kind.Rma_write
-  else if is "RA" then Access_kind.Rma_accumulate
-  else raise (Bad_field ("unknown access kind " ^ Lines.quote (String.sub d.line a (b - a))))
+  let s = d.line in
+  let a = field_start d in
+  let two = a + 2 <= String.length s && ends_at s (a + 2) in
+  d.pos <- a + 2;
+  match
+    ( (if two then String.unsafe_get s a else ' '),
+      if two then String.unsafe_get s (a + 1) else ' ' )
+  with
+  | 'L', 'R' -> Access_kind.Local_read
+  | 'L', 'W' -> Access_kind.Local_write
+  | 'R', 'R' -> Access_kind.Rma_read
+  | 'R', 'W' -> Access_kind.Rma_write
+  | 'R', 'A' -> Access_kind.Rma_accumulate
+  | _ -> raise (Bad_field ("unknown access kind " ^ Lines.quote (rest_of_field d a a)))
 
-(* A string field: the memo's decoded string when the bytes match its
-   raw text, else one [String.sub] (plus [unescape] if it holds a [%])
-   which the memo then keeps. *)
+(* A string field: the memo's decoded string when the field is the
+   memo's raw text, else one [String.sub] (plus [unescape] if it holds
+   a [%]) which the memo then keeps. *)
 let string_field d m =
-  let a = d.pos in
-  let b = next_field d in
-  if not (slice_is d.line a b m.raw) then begin
-    let text = String.sub d.line a (b - a) in
+  let a = field_start d in
+  if not (field_is d a m.raw) then begin
+    let text = rest_of_field d a a in
     m.raw <- text;
     m.decoded <- (if String.contains text '%' then unescape text else text)
   end;
   m.decoded
 
 let collective_field d =
-  let a = d.pos in
-  let b = next_field d in
-  let is = slice_is d.line a b in
-  if is "barrier" then Event.Barrier
-  else if is "allreduce" then Event.Allreduce
-  else if is "fence" then Event.Fence
-  else raise (Bad_field ("unknown collective " ^ Lines.clip (String.sub d.line a (b - a))))
+  let a = field_start d in
+  if field_is d a "barrier" then Event.Barrier
+  else if field_is d a "allreduce" then Event.Allreduce
+  else if field_is d a "fence" then Event.Fence
+  else raise (Bad_field ("unknown collective " ^ Lines.clip (rest_of_field d a a)))
 
 (* [c:v] pairs separated by commas, each component an int. *)
 let tview_field d =
-  let s = d.line in
-  let a = d.pos in
-  let b = next_field d in
-  let pair pa pb =
-    let bad () =
-      raise (Bad_field ("bad thread-view pair " ^ Lines.clip (String.sub s pa (pb - pa))))
-    in
-    let c = index_in s pa pb ':' in
-    if c = pb || index_in s (c + 1) pb ':' < pb then bad ()
-    else
-      match (int_slice s pa c, int_slice s (c + 1) pb) with
-      | cv -> cv
-      | exception Bad_field _ -> bad ()
+  let a = field_start d in
+  let text = rest_of_field d a a in
+  let pair p =
+    match String.split_on_char ':' p with
+    | [ c; v ] -> (
+        match (parse_int c, parse_int v) with
+        | cv -> cv
+        | exception Bad_field _ -> raise (Bad_field ("bad thread-view pair " ^ Lines.clip p)))
+    | _ -> raise (Bad_field ("bad thread-view pair " ^ Lines.clip p))
   in
-  let rec go pa acc =
-    let pb = index_in s pa b ',' in
-    let acc = pair pa pb :: acc in
-    if pb < b then go (pb + 1) acc else List.rev acc
-  in
-  if a = b then [] else go a []
+  if text = "" then [] else List.map pair (String.split_on_char ',' text)
 
-let decode_access d nfields =
+(* Whether the field last read was the line's last. *)
+let at_end d = d.pos = String.length d.line
+
+(* Tid, own stamp and thread-view, when they are the line's last three
+   fields; any other trailing fields are one error, whatever they hold. *)
+let thread_fields d =
+  let malformed = Bad_field "malformed thread fields on access record" in
+  match
+    let tid = int_field d in
+    let tstamp = int_field d in
+    let tview = tview_field d in
+    { Access.tid; tstamp; tview }
+  with
+  | t -> if at_end d then t else raise malformed
+  | exception (Bad_field _ as e) -> raise (if count_tabs d.line 0 1 = 17 then e else malformed)
+
+let decode_access d =
   let space = int_field d in
   let kind = kind_field d in
   let lo = int_field d in
@@ -447,41 +486,28 @@ let decode_access d nfields =
     else Debug_info.make ~file ~line:line_number ~operation:op
   in
   d.debug <- debug;
-  let thread =
-    match nfields with
-    | 14 -> default_thread d issuer
-    | 17 ->
-        let tid = int_field d in
-        let tstamp = int_field d in
-        let tview = tview_field d in
-        { Access.tid; tstamp; tview }
-    | _ -> raise (Bad_field "malformed thread fields on access record")
-  in
+  let thread = if at_end d then default_thread d issuer else thread_fields d in
   let access =
     Access.make_threaded ~thread ~interval:(Interval.make ~lo ~hi) ~kind ~issuer ~seq ~debug
   in
   Event.Access { Event.space; access; win; relevant; on_stack; sim_time }
 
-let decode_fields d =
-  let s = d.line in
-  let nfields = count_tabs s 0 1 in
-  let tag = if String.length s >= 1 && field_end s 0 = 1 then s.[0] else ' ' in
-  d.pos <- 2;
-  match (tag, nfields) with
-  | 'A', n when n >= 14 -> decode_access d n
-  | 'C', 4 ->
+let decode_tagged d tag =
+  match tag with
+  | 'A' -> decode_access d
+  | 'C' ->
       let kind = collective_field d in
       let rank = int_field d in
       let sim_time = float_field d in
       Event.Collective { kind; rank; sim_time }
-  | 'W', 6 ->
+  | 'W' ->
       let win = int_field d in
       let rank = int_field d in
       let base = int_field d in
       let size = int_field d in
       let sim_time = float_field d in
       Event.Win_created { win; rank; base; size; sim_time }
-  | ('X' | 'O' | 'E'), 4 -> (
+  | 'X' | 'O' | 'E' -> (
       let win = int_field d in
       let rank = int_field d in
       let sim_time = float_field d in
@@ -489,17 +515,31 @@ let decode_fields d =
       | 'X' -> Event.Win_freed { win; rank; sim_time }
       | 'O' -> Event.Epoch_opened { win; rank; sim_time }
       | _ -> Event.Epoch_closed { win; rank; sim_time })
-  | 'L', 5 ->
+  | 'L' ->
       let win = int_field d in
       let rank = int_field d in
       let target = opt_int_field d in
       let sim_time = float_field d in
       Event.Flushed { win; rank; target; sim_time }
-  | 'Z', 3 ->
+  | 'Z' ->
       let rank = int_field d in
       let sim_time = float_field d in
       Event.Finished { rank; sim_time }
-  | _ -> raise (Bad_field ("malformed trace line " ^ Lines.quote s))
+  | _ -> raise (Bad_field "")
+
+(* The split grammar's precedence, applied once a line has failed: a
+   field count wrong for the tag is the error, else the first field's
+   error — an access line needs 14 fields or more, and [decode_access]
+   has already ranked its own errors. *)
+let resolve s tag reason =
+  let n = count_tabs s 0 1 in
+  match tag with
+  | ('C' | 'X' | 'O' | 'E') when n = 4 -> reason
+  | 'W' when n = 6 -> reason
+  | 'L' when n = 5 -> reason
+  | 'Z' when n = 3 -> reason
+  | 'A' when n >= 14 -> reason
+  | _ -> "malformed trace line " ^ Lines.quote s
 
 (* The grammar is total over well-formed OCaml strings, but "never
    raises" is a contract the fuzz suite enforces against arbitrary
@@ -507,9 +547,12 @@ let decode_fields d =
    constructor that throws. *)
 let decode_line d line =
   d.line <- line;
-  match decode_fields d with
-  | e -> Ok e
-  | exception Bad_field reason -> Error reason
+  d.pos <- 1;
+  let tag = if String.length line >= 1 && ends_at line 1 then line.[0] else ' ' in
+  match decode_tagged d tag with
+  | e when at_end d -> Ok e
+  | _ -> Error (resolve line tag "")
+  | exception Bad_field reason -> Error (resolve line tag reason)
   | exception e -> Error (Printf.sprintf "decode failure: %s" (Printexc.to_string e))
 
 (* Lines accumulate in one buffer per stream, handed to the channel
@@ -604,27 +647,28 @@ module Incremental = struct
           Ok Skip
         end
         else fail (bad_header line)
-    | Streaming ->
-        if String.trim line = "" then Ok Skip
-        else if is_footer line then
-          match parse_footer line with
-          | Some n when n = t.count ->
-              t.phase <- Finished;
-              Ok (Complete n)
-          | Some n ->
-              fail
-                {
-                  at_line = here;
-                  reason =
-                    Printf.sprintf "footer count %d disagrees with %d decoded events" n t.count;
-                }
-          | None -> fail { at_line = here; reason = "malformed rma-trace-end footer" }
-        else
-          match decode_line t.dec line with
-          | Ok e ->
-              t.count <- t.count + 1;
-              Ok (Event e)
-          | Error reason -> fail { at_line = here; reason }
+    | Streaming -> (
+        (* No blank line or footer decodes as an event, so they are
+           looked for only once decoding has failed. *)
+        match decode_line t.dec line with
+        | Ok e ->
+            t.count <- t.count + 1;
+            Ok (Event e)
+        | Error _ when String.trim line = "" -> Ok Skip
+        | Error _ when is_footer line -> (
+            match parse_footer line with
+            | Some n when n = t.count ->
+                t.phase <- Finished;
+                Ok (Complete n)
+            | Some n ->
+                fail
+                  {
+                    at_line = here;
+                    reason =
+                      Printf.sprintf "footer count %d disagrees with %d decoded events" n t.count;
+                  }
+            | None -> fail { at_line = here; reason = "malformed rma-trace-end footer" })
+        | Error reason -> fail { at_line = here; reason })
 
   let finish t =
     match t.phase with

@@ -16,15 +16,11 @@ let set t i v = Imap.add i v t
 
 let merge a b = Imap.union (fun _ x y -> Some (max x y)) a b
 
-let size t = Imap.fold (fun _ v acc -> if v > 0 then acc + 1 else acc) t 0
-
 let leq a b = Imap.for_all (fun i v -> v <= get b i) a
 
 let equal a b = leq a b && leq b a
 
 let happens_before a b = leq a b && not (equal a b)
-
-let concurrent a b = (not (leq a b)) && not (leq b a)
 
 let components t = Imap.fold (fun i v acc -> if v > 0 then (i, v) :: acc else acc) t [] |> List.rev
 

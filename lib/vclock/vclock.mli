@@ -27,14 +27,8 @@ val set : t -> int -> int -> t
 val merge : t -> t -> t
 (** Componentwise max — the receive/join operation. *)
 
-val size : t -> int
-(** Number of non-zero components (what a piggybacked message would
-    carry). *)
-
 val happens_before : t -> t -> bool
 (** Componentwise [<=], and not equal. *)
-
-val concurrent : t -> t -> bool
 
 val threads_per_rank : int
 (** Upper bound on intra-rank thread ids accepted by {!rt_key}. *)

@@ -4,7 +4,7 @@
 # disjoint and strided stores and the analyzer's tree tables) and the simulator's
 # per-access step that feeds it (the scheduler's run queue, event
 # dispatch and access classification in the runtime, and the rank
-# memory's scans), the trace codec and ingestion step that every
+# memory's scans), the line splitter, trace codec and ingestion step that every
 # recorded, analyzed or served event passes through, the recorder that
 # every analyze pass replays through, and the serve session that every
 # served line crosses, must stay monomorphic:
@@ -36,6 +36,7 @@ OBJECTS=(
   lib/mpi_sim/.mpi_sim.objs/native/mpi_sim__Run_queue.o
   lib/mpi_sim/.mpi_sim.objs/native/mpi_sim__Runtime.o
   lib/mpi_sim/.mpi_sim.objs/native/mpi_sim__Memory.o
+  lib/util/.rma_util.objs/native/rma_util__Lines.o
   lib/trace/.rma_trace.objs/native/rma_trace__Codec.o
   lib/trace/.rma_trace.objs/native/rma_trace__Ingest.o
   lib/trace/.rma_trace.objs/native/rma_trace__Recorder.o

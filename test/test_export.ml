@@ -59,6 +59,9 @@ let test_recorder_disabled_noop () =
   Alcotest.(check int) "no history recorded" 0
     (List.length r.Report.provenance.Report.existing_history)
 
+(* Every origin a ring holds, oldest first: its history over all bytes. *)
+let origins ring = Flight_recorder.history ring (Interval.make ~lo:min_int ~hi:max_int)
+
 (* A ring as a store gets it while recording is on. *)
 let fresh_ring () =
   match with_recorder Flight_recorder.create with
@@ -71,10 +74,10 @@ let test_ring_eviction_keeps_newest () =
   for seq = 1 to 518 do
     Flight_recorder.record ring (mk_access ~seq ~line:seq ~op:"Load" seq seq Access_kind.Local_read)
   done;
-  Alcotest.(check int) "length is the capacity" 512 (Flight_recorder.length ring);
+  Alcotest.(check int) "length is the capacity" 512 (List.length (origins ring));
   let seqs =
     List.map (fun (o : Flight_recorder.origin) -> o.Flight_recorder.access.Access.seq)
-      (Flight_recorder.to_list ring)
+      (origins ring)
   in
   Alcotest.(check (list int)) "newest 512 survive, oldest first"
     (List.init 512 (fun i -> i + 7))
@@ -90,11 +93,11 @@ let test_recorder_epochs_stamp_origins () =
   Flight_recorder.record ring (mk_access ~seq:2 ~line:2 ~op:"Load" 0 0 Access_kind.Local_read);
   let epochs =
     List.map (fun (o : Flight_recorder.origin) -> o.Flight_recorder.epoch)
-      (Flight_recorder.to_list ring)
+      (origins ring)
   in
   Alcotest.(check (list int)) "each origin stamped with its epoch" [ 1; 2 ] epochs;
   Flight_recorder.clear ring;
-  Alcotest.(check int) "clear drops history" 0 (Flight_recorder.length ring);
+  Alcotest.(check int) "clear drops history" 0 (List.length (origins ring));
   Alcotest.(check int) "clear keeps the epoch counter" 2 (Flight_recorder.current_epoch ring)
 
 (* --- provenance through the analyzer ------------------------------- *)

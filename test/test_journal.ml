@@ -406,13 +406,15 @@ let test_replay_refuses_unknown_workload () =
       | Ok _ -> Alcotest.fail "a bfs journal replayed"
       | Error msg ->
           Alcotest.(check string) "refusal names the replayable workloads"
-            "workload \"bfs\" is not replayable (replay covers cfd, minivite and code)" msg)
+            "workload \"bfs\" is not replayable (replay covers cfd, minivite, code and kernel)" msg)
+
+(* The built CLI, which the kernel tests drive: the subcommand
+   assembles the journal's run_start record. *)
+let cli = Filename.concat (Filename.dirname Sys.executable_name) "../bin/rma_race_cli.exe"
 
 (* [rma_race kernel --seed 7] journals its seed: the journal, not the
-   command line, is where a run's parameters are recorded. The test
-   drives the built CLI, since the subcommand assembles the record. *)
+   command line, is where a run's parameters are recorded. *)
 let test_kernel_journals_its_seed () =
-  let cli = Filename.concat (Filename.dirname Sys.executable_name) "../bin/rma_race_cli.exe" in
   let kernel = (List.hd Rma_microbench.Scenario.Kernel.all).Rma_microbench.Scenario.Kernel.k_name in
   let path = Filename.temp_file "rma_kernel" ".jsonl" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
@@ -434,6 +436,46 @@ let test_kernel_journals_its_seed () =
       Alcotest.(check (option string)) "the seed is journaled" (Some "7")
         (List.assoc_opt "seed" start.Events.kv)
 
+(* A kernel run's journal is enough to run it again: [obs replay]
+   rebuilds it from the journaled kernel, tool, seed and interleave
+   seed, and gets the same race count and digest. *)
+let test_kernel_journal_replays () =
+  let path = Filename.temp_file "rma_kernel_replay" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let command =
+    Filename.quote_command cli ~stdout:Filename.null
+      [
+        "kernel"; "hyb_fence_remote_tload_window_close_race"; "--seed"; "7"; "--interleave-seed";
+        "13"; "--obs-events"; path;
+      ]
+  in
+  Alcotest.(check int) "the kernel run exits 0" 0 (Sys.command command);
+  let plan =
+    match Replay.extract (Journal.read_file path).Journal.events with
+    | Ok p -> p
+    | Error msg -> Alcotest.failf "extract failed: %s" msg
+  in
+  Alcotest.(check (option int)) "the interleave seed is journaled" (Some 13)
+    plan.Replay.r_config.Rma_config.Run_config.interleave_seed;
+  match Replay.run plan with
+  | Error msg -> Alcotest.failf "replay failed: %s" msg
+  | Ok o ->
+      Alcotest.(check bool) "the kernel races" true (o.Replay.o_races > 0);
+      Alcotest.(check (option bool)) "race count and digest match" (Some true) o.Replay.o_match
+
+(* An unknown kernel name is refused before the run is journaled, so
+   the journal holds no run_start without its run_summary. *)
+let test_unknown_kernel_journals_nothing () =
+  let path = Filename.temp_file "rma_kernel_unknown" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let command =
+    Filename.quote_command cli ~stdout:Filename.null ~stderr:Filename.null
+      [ "kernel"; "no_such_kernel"; "--obs-events"; path ]
+  in
+  Alcotest.(check int) "the run exits 2" 2 (Sys.command command);
+  Alcotest.(check int) "no record journaled" 0
+    (List.length (Journal.read_file path).Journal.events)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_parse_line_total;
@@ -453,4 +495,7 @@ let suite =
     Alcotest.test_case "the journal records the whole run configuration" `Quick
       test_journal_records_run_config;
     Alcotest.test_case "a kernel run journals its seed" `Quick test_kernel_journals_its_seed;
+    Alcotest.test_case "a kernel journal replays" `Quick test_kernel_journal_replays;
+    Alcotest.test_case "an unknown kernel journals nothing" `Quick
+      test_unknown_kernel_journals_nothing;
   ]

@@ -58,13 +58,27 @@ let test_disjoint_bytes_safe () =
   Alcotest.(check bool) "same granule, no overlap" true
     (record t ~thread:1 ~clock:c1 ~kind:Access_kind.Rma_write ~line:2 4 7 = None)
 
+(* The threads among [threads] whose cell still covers bytes [lo..hi]
+   after [fill]. A shadow whose happens-before orders every cell but
+   [probe]'s lets a write from a fresh thread race only with that cell,
+   so the race tells whether it is held. *)
+let live_cells ~fill ~threads lo hi =
+  List.filter
+    (fun probe ->
+      let t = Shadow.create ~happens_before:(fun s _ -> s.Vclock.thread <> probe) () in
+      fill t;
+      record t ~thread:99 ~clock:Vclock.empty ~kind:Access_kind.Local_write ~line:99 lo hi <> None)
+    threads
+
 let test_eviction_bounded () =
-  let t = shadow () in
   let clock thread = Vclock.tick (Vclock.create ~nprocs:8) thread in
-  for thread = 0 to 5 do
-    ignore (record t ~thread ~clock:(clock thread) ~kind:Access_kind.Local_read ~line:thread 0 7)
-  done;
-  Alcotest.(check int) "bounded cells: 4 in the one granule" 4 (Shadow.cells t)
+  let fill t =
+    for thread = 0 to 5 do
+      ignore (record t ~thread ~clock:(clock thread) ~kind:Access_kind.Local_read ~line:thread 0 7)
+    done
+  in
+  Alcotest.(check (list int)) "bounded cells: the newest 4 in the one granule" [ 2; 3; 4; 5 ]
+    (live_cells ~fill ~threads:[ 0; 1; 2; 3; 4; 5 ] 0 7)
 
 let test_race_reports_cells () =
   let t = shadow () in
@@ -78,18 +92,23 @@ let test_race_reports_cells () =
       Alcotest.(check int) "current line" 20 r.Shadow.current.Shadow.debug.Debug_info.line
 
 let test_clear () =
-  let t = shadow () in
   let c0 = Vclock.tick (Vclock.create ~nprocs:2) 0 in
-  ignore (record t ~thread:0 ~clock:c0 ~kind:Access_kind.Local_write ~line:1 0 7);
-  Shadow.clear t;
-  Alcotest.(check int) "no cells" 0 (Shadow.cells t)
+  let fill t =
+    ignore (record t ~thread:0 ~clock:c0 ~kind:Access_kind.Local_write ~line:1 0 7);
+    Shadow.clear t
+  in
+  Alcotest.(check (list int)) "no cells" [] (live_cells ~fill ~threads:[ 0 ] 0 7)
 
 let test_multi_granule_spans () =
   let t = shadow () in
   let c0 = Vclock.tick (Vclock.create ~nprocs:2) 0 in
   let c1 = Vclock.tick (Vclock.create ~nprocs:2) 1 in
-  ignore (record t ~thread:0 ~clock:c0 ~kind:Access_kind.Rma_write ~line:1 0 63);
-  Alcotest.(check int) "one cell in each of eight granules" 8 (Shadow.cells t);
+  let fill t = ignore (record t ~thread:0 ~clock:c0 ~kind:Access_kind.Rma_write ~line:1 0 63) in
+  fill t;
+  Alcotest.(check (list int)) "one cell in each of eight granules" (List.init 8 (fun _ -> 0))
+    (List.concat_map
+       (fun g -> live_cells ~fill ~threads:[ 0 ] (8 * g) ((8 * g) + 7))
+       (List.init 8 Fun.id));
   Alcotest.(check bool) "overlap found in the middle" true
     (record t ~thread:1 ~clock:c1 ~kind:Access_kind.Local_read ~line:2 40 41 <> None)
 
