@@ -463,9 +463,18 @@ let analyze_cmd =
       & info [ "ranks"; "n" ] ~docv:"N"
           ~doc:
             "Simulated rank count; defaults to the highest rank the trace mentions, plus one, \
-             found by a first pass over the file that $(docv) skips.")
+             found by a first pass over the file that $(docv) skips. Required when TRACE is not \
+             a regular file (a pipe such as $(b,/dev/stdin)), which a first pass would drain.")
   in
   let run obs tool_choice file ranks =
+    (* Refused before anything is journaled, as an unknown kernel is. *)
+    if Option.is_none ranks && (try not (Sys.is_regular_file file) with Sys_error _ -> false)
+    then begin
+      Printf.eprintf
+        "analyze: %s: not a regular file, so its rank count cannot be inferred; give --ranks N\n"
+        file;
+      exit 2
+    end;
     with_diag ~workload:("analyze", [ ("tool", Toolbox.slug tool_choice); ("trace", file) ]) obs
     @@ fun run ->
     (* Default simulator config, not [config]: replay charges no

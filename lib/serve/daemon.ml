@@ -353,11 +353,11 @@ and finish_session t (s : Session.t) tool n_events =
 
 (* [Ingest.line] is the step [rma_race analyze] folds over a trace file,
    so a session's verdicts are the offline ones by construction. *)
-and feed_line t (s : Session.t) line =
+and feed_line t (s : Session.t) line start stop =
   match s.Session.tool with
   | None -> reject t s "streaming without a tool"
   | Some tool -> (
-      match Ingest.line tool s.Session.decoder line with
+      match Ingest.line tool s.Session.decoder line start stop with
       | Ok Codec.Incremental.Skip -> ()
       | Ok (Codec.Incremental.Event ev) -> (
           s.Session.events_fed <- s.Session.events_fed + 1;
@@ -383,7 +383,8 @@ and drain t (s : Session.t) =
            that ends or rejects the session ends the run. *)
         Events.with_run_id s.Session.run_id (fun () ->
             while s.Session.phase = Session.Streaming && not (Queue.is_empty s.Session.inbox) do
-              feed_line t s (Queue.pop s.Session.inbox)
+              let line = Queue.pop s.Session.inbox in
+              feed_line t s line 0 (String.length line)
             done);
         drain t s
 
@@ -417,7 +418,14 @@ let service t (s : Session.t) =
          client died mid-stream. *)
       close_session t s Session.Disconnected
   | n ->
-      let fits = Session.push_bytes s t.rbuf n in
+      (* A streaming session's lines are decoded in [rbuf], under one
+         run-id bracket per read, as [drain] brackets its inbox. *)
+      let push () = Session.push_bytes s t.rbuf n (feed_line t s) in
+      let fits =
+        match s.Session.phase with
+        | Session.Streaming -> Events.with_run_id s.Session.run_id push
+        | _ -> push ()
+      in
       (* Lines completed before the over-long one still count. *)
       drain t s;
       if (not fits) && Session.is_open s then reject t s "line too long"

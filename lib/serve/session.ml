@@ -55,7 +55,11 @@ let create ~id ~fd =
 let is_open s = match s.phase with Closed _ -> false | _ -> true
 let wants_read s = match s.phase with Handshaking | Streaming -> true | _ -> false
 
-let push_bytes s chunk len =
-  Rma_util.Lines.split_lines s.pending chunk len (fun line -> Queue.add line s.inbox)
+let push_bytes s chunk len feed =
+  Rma_util.Lines.split_lines s.pending chunk len (fun line start stop ->
+      match s.phase with
+      | Streaming -> feed line start stop
+      | Handshaking | Queued -> Queue.add (String.sub line start (stop - start)) s.inbox
+      | Closed _ -> ())
 
 let session_name s = match s.hello with Some h -> Some h.Protocol.session | None -> None

@@ -72,13 +72,15 @@ val wants_read : t -> bool
     {e not} read — the kernel socket buffer back-pressures the client
     until a streaming slot frees. *)
 
-val push_bytes : t -> bytes -> int -> bool
-(** [push_bytes s buf len] appends the first [len] bytes of [buf], a
-    received chunk, through {!Rma_util.Lines.split_lines}: every newly
-    completed line (without its terminator; CRLF tolerated) moves into
-    [inbox], the unterminated tail stays in [pending]. Returns [false]
-    once a line grows past {!Rma_util.Lines.max_line_bytes}; the daemon
-    then closes the session with [Protocol_error "line too long"]. *)
+val push_bytes : t -> bytes -> int -> (string -> int -> int -> unit) -> bool
+(** [push_bytes s buf len feed] splits the first [len] bytes of [buf], a
+    received chunk, through {!Rma_util.Lines.split_lines} (without line
+    terminators; CRLF tolerated), the unterminated tail staying in
+    [pending]. A streaming session passes each line to [feed] as the
+    splitter's slice, a view of [buf]; one still [Handshaking] or
+    [Queued] copies it into [inbox]; a closed one drops it. Returns
+    [false] once a line grows past {!Rma_util.Lines.max_line_bytes}; the
+    daemon then closes the session with [Protocol_error "line too long"]. *)
 
 val session_name : t -> string option
 (** The handshake's session name, once known. *)

@@ -208,9 +208,10 @@ let encode_event event =
 
 (* --- Decoding: one pass over the fields of a line ---
 
-   Fields are read in place, left to right, from [d.line]: each reader
-   parses its field up to its tab or the end of the line and checks
-   that terminator, so each byte is looked at once. Text the encoder
+   Fields are read in place, left to right, from the slice
+   [d.line.[d.start..d.stop-1]]: each reader parses its field up to its
+   tab or the end of the line and checks that terminator, so each byte
+   is looked at once. Text the encoder
    would not write goes to [int_of_string_opt] / [float_of_string_opt]
    on that field alone, so the accepted lines, decoded values and error
    strings are those of the split-and-parse grammar this replaced; its
@@ -223,9 +224,14 @@ type memo = { mutable raw : string; mutable decoded : string }
 
 type decoder = {
   mutable line : string;
+      (* The line is [line.[start..stop-1]], often a view of a read
+         buffer that the next read overwrites: every string kept from
+         it is a [String.sub]. *)
+  mutable start : int;
+  mutable stop : int;
   mutable pos : int;
-      (* The terminator of the field last read: a tab, or the line's
-         length once its last field has been read. *)
+      (* The terminator of the field last read: a tab, or [stop] once
+         the line's last field has been read. *)
   (* The previous line's file and operation fields: a stream repeats the
      same few source locations, so a match reuses the decoded string
      instead of allocating it again. Likewise the previous access's
@@ -249,6 +255,8 @@ let max_threads = 4096
 let decoder () =
   {
     line = "";
+    start = 0;
+    stop = 0;
     pos = 0;
     file = { raw = ""; decoded = "" };
     op = { raw = ""; decoded = "" };
@@ -274,28 +282,28 @@ let default_thread d issuer =
     end
   end
 
-(* The first tab in [s] from [i] on, or the end of [s]. *)
-let rec field_end s i =
-  if i >= String.length s || String.unsafe_get s i = '\t' then i else field_end s (i + 1)
+(* The first tab of the line from [i] on, or its end. *)
+let rec field_end d i =
+  if i >= d.stop || String.unsafe_get d.line i = '\t' then i else field_end d (i + 1)
 
 (* Whether a field may end at [i]: a tab or the end of the line. *)
-let ends_at s i = i = String.length s || String.unsafe_get s i = '\t'
+let ends_at d i = i = d.stop || String.unsafe_get d.line i = '\t'
 
-let rec count_tabs s i acc =
-  if i >= String.length s then acc
-  else count_tabs s (i + 1) (if String.unsafe_get s i = '\t' then acc + 1 else acc)
+let rec count_tabs d i acc =
+  if i >= d.stop then acc
+  else count_tabs d (i + 1) (if String.unsafe_get d.line i = '\t' then acc + 1 else acc)
 
 (* Where the next field starts. A line out of fields has the wrong
    field count, so [resolve] replaces this error with the arity one. *)
 let field_start d =
   let a = d.pos + 1 in
-  if a > String.length d.line then raise_notrace (Bad_field "");
+  if a > d.stop then raise_notrace (Bad_field "");
   a
 
 (* The whole of the field that starts at [a], any reader's slow path:
    [d.pos] moves to its terminator, searched for from [from]. *)
 let rest_of_field d a from =
-  let b = field_end d.line from in
+  let b = field_end d from in
   d.pos <- b;
   String.sub d.line a (b - a)
 
@@ -303,7 +311,7 @@ let rest_of_field d a from =
    first other byte. Past 18 digits the value wraps; callers discard it. *)
 let rec digits d s acc =
   let i = d.pos in
-  if i < String.length s then
+  if i < d.stop then
     let c = String.unsafe_get s i in
     if c >= '0' && c <= '9' then begin
       d.pos <- i + 1;
@@ -322,12 +330,12 @@ let parse_int text =
 let int_field d =
   let s = d.line in
   let a = field_start d in
-  let neg = a < String.length s && String.unsafe_get s a = '-' in
+  let neg = a < d.stop && String.unsafe_get s a = '-' in
   let d0 = if neg then a + 1 else a in
   d.pos <- d0;
   let v = digits d s 0 in
   let n = d.pos - d0 in
-  if n >= 1 && n <= 18 && ends_at s d.pos then if neg then -v else v
+  if n >= 1 && n <= 18 && ends_at d d.pos then if neg then -v else v
   else parse_int (rest_of_field d a d.pos)
 
 (* [-?[0-9]{1,6}\.[0-9]{9}], the shape [%.9f] writes with at most 15
@@ -339,17 +347,17 @@ let int_field d =
 let float_field d =
   let s = d.line in
   let a = field_start d in
-  let neg = a < String.length s && String.unsafe_get s a = '-' in
+  let neg = a < d.stop && String.unsafe_get s a = '-' in
   let d0 = if neg then a + 1 else a in
   d.pos <- d0;
   let ip = digits d s 0 in
   let dot = d.pos in
   let fp =
-    if dot > d0 && dot - d0 <= 6 && dot < String.length s && String.unsafe_get s dot = '.'
+    if dot > d0 && dot - d0 <= 6 && dot < d.stop && String.unsafe_get s dot = '.'
     then begin
       d.pos <- dot + 1;
       let fp = digits d s 0 in
-      if d.pos - dot = 10 && ends_at s d.pos then fp else -1
+      if d.pos - dot = 10 && ends_at d d.pos then fp else -1
     end
     else -1
   in
@@ -369,7 +377,7 @@ let rec slice_equal s a b t i =
    its terminator. *)
 let field_is d a w =
   let b = a + String.length w in
-  let is = b <= String.length d.line && slice_equal d.line a b w 0 && ends_at d.line b in
+  let is = b <= d.stop && slice_equal d.line a b w 0 && ends_at d b in
   if is then d.pos <- b;
   is
 
@@ -378,7 +386,7 @@ let field_is d a w =
 let opt_int_field d =
   let s = d.line in
   let a = d.pos + 1 in
-  if a < String.length s && String.unsafe_get s a = '-' && ends_at s (a + 1) then begin
+  if a < d.stop && String.unsafe_get s a = '-' && ends_at d (a + 1) then begin
     d.pos <- a + 1;
     None
   end
@@ -388,7 +396,7 @@ let bool_field d =
   let s = d.line in
   let a = field_start d in
   d.pos <- a + 1;
-  match if a < String.length s && ends_at s (a + 1) then String.unsafe_get s a else ' ' with
+  match if a < d.stop && ends_at d (a + 1) then String.unsafe_get s a else ' ' with
   | '1' -> true
   | '0' -> false
   | _ -> raise (Bad_field ("bad bool " ^ Lines.clip (rest_of_field d a a)))
@@ -396,7 +404,7 @@ let bool_field d =
 let kind_field d =
   let s = d.line in
   let a = field_start d in
-  let two = a + 2 <= String.length s && ends_at s (a + 2) in
+  let two = a + 2 <= d.stop && ends_at d (a + 2) in
   d.pos <- a + 2;
   match
     ( (if two then String.unsafe_get s a else ' '),
@@ -443,7 +451,7 @@ let tview_field d =
   if text = "" then [] else List.map pair (String.split_on_char ',' text)
 
 (* Whether the field last read was the line's last. *)
-let at_end d = d.pos = String.length d.line
+let at_end d = d.pos = d.stop
 
 (* Tid, own stamp and thread-view, when they are the line's last three
    fields; any other trailing fields are one error, whatever they hold. *)
@@ -456,7 +464,7 @@ let thread_fields d =
     { Access.tid; tstamp; tview }
   with
   | t -> if at_end d then t else raise malformed
-  | exception (Bad_field _ as e) -> raise (if count_tabs d.line 0 1 = 17 then e else malformed)
+  | exception (Bad_field _ as e) -> raise (if count_tabs d d.start 1 = 17 then e else malformed)
 
 let decode_access d =
   let space = int_field d in
@@ -531,28 +539,30 @@ let decode_tagged d tag =
    field count wrong for the tag is the error, else the first field's
    error — an access line needs 14 fields or more, and [decode_access]
    has already ranked its own errors. *)
-let resolve s tag reason =
-  let n = count_tabs s 0 1 in
+let resolve d tag reason =
+  let n = count_tabs d d.start 1 in
   match tag with
   | ('C' | 'X' | 'O' | 'E') when n = 4 -> reason
   | 'W' when n = 6 -> reason
   | 'L' when n = 5 -> reason
   | 'Z' when n = 3 -> reason
   | 'A' when n >= 14 -> reason
-  | _ -> "malformed trace line " ^ Lines.quote s
+  | _ -> "malformed trace line " ^ Lines.quote (String.sub d.line d.start (d.stop - d.start))
 
 (* The grammar is total over well-formed OCaml strings, but "never
    raises" is a contract the fuzz suite enforces against arbitrary
    bytes — the catch-all keeps it robust against any field parser or
    constructor that throws. *)
-let decode_line d line =
-  d.line <- line;
-  d.pos <- 1;
-  let tag = if String.length line >= 1 && ends_at line 1 then line.[0] else ' ' in
+let decode_line d s start stop =
+  d.line <- s;
+  d.start <- start;
+  d.stop <- stop;
+  d.pos <- start + 1;
+  let tag = if stop > start && ends_at d (start + 1) then String.unsafe_get s start else ' ' in
   match decode_tagged d tag with
   | e when at_end d -> Ok e
-  | _ -> Error (resolve line tag "")
-  | exception Bad_field reason -> Error (resolve line tag reason)
+  | _ -> Error (resolve d tag "")
+  | exception Bad_field reason -> Error (resolve d tag reason)
   | exception e -> Error (Printf.sprintf "decode failure: %s" (Printexc.to_string e))
 
 (* Lines accumulate in one buffer per stream, handed to the channel
@@ -634,7 +644,7 @@ module Incremental = struct
 
   let create () = { phase = Awaiting_header; lineno = 1; count = 0; dec = decoder () }
 
-  let feed t line =
+  let feed_slice t s start stop =
     let here = t.lineno in
     t.lineno <- here + 1;
     match t.phase with
@@ -642,33 +652,39 @@ module Incremental = struct
         (* Trailing bytes after a complete frame are ignored. *)
         Ok Skip
     | Awaiting_header ->
-        if line = header then begin
+        if stop - start = String.length header && slice_equal s start stop header 0 then begin
           t.phase <- Streaming;
           Ok Skip
         end
-        else fail (bad_header line)
+        else fail (bad_header (String.sub s start (stop - start)))
     | Streaming -> (
         (* No blank line or footer decodes as an event, so they are
-           looked for only once decoding has failed. *)
-        match decode_line t.dec line with
+           looked for, in a copy of the line, only once decoding has
+           failed. *)
+        match decode_line t.dec s start stop with
         | Ok e ->
             t.count <- t.count + 1;
             Ok (Event e)
-        | Error _ when String.trim line = "" -> Ok Skip
-        | Error _ when is_footer line -> (
-            match parse_footer line with
-            | Some n when n = t.count ->
-                t.phase <- Finished;
-                Ok (Complete n)
-            | Some n ->
-                fail
-                  {
-                    at_line = here;
-                    reason =
-                      Printf.sprintf "footer count %d disagrees with %d decoded events" n t.count;
-                  }
-            | None -> fail { at_line = here; reason = "malformed rma-trace-end footer" })
-        | Error reason -> fail { at_line = here; reason })
+        | Error reason -> (
+            match String.sub s start (stop - start) with
+            | line when String.trim line = "" -> Ok Skip
+            | line when is_footer line -> (
+                match parse_footer line with
+                | Some n when n = t.count ->
+                    t.phase <- Finished;
+                    Ok (Complete n)
+                | Some n ->
+                    fail
+                      {
+                        at_line = here;
+                        reason =
+                          Printf.sprintf "footer count %d disagrees with %d decoded events" n
+                            t.count;
+                      }
+                | None -> fail { at_line = here; reason = "malformed rma-trace-end footer" })
+            | _ -> fail { at_line = here; reason }))
+
+  let feed t line = feed_slice t line 0 (String.length line)
 
   let finish t =
     match t.phase with
@@ -678,25 +694,26 @@ module Incremental = struct
         fail { at_line = t.lineno; reason = "truncated trace: missing rma-trace-end footer" }
 end
 
-let fold (type e) ic (step : Incremental.t -> string -> (Incremental.step, e) result)
+let fold (type e) ic
+    (step : Incremental.t -> string -> int -> int -> (Incremental.step, e) result)
     ~(error : error -> e) : (int, e) result =
   let dec = Incremental.create () in
   let exception Stop of (int, e) result in
-  let emit line =
-    match step dec line with
+  let emit s start stop =
+    match step dec s start stop with
     | Ok (Incremental.Complete n) -> raise_notrace (Stop (Ok n))
     | Ok (Incremental.Event _ | Incremental.Skip) -> ()
     | Error e -> raise_notrace (Stop (Error e))
   in
-  match Lines.iter_channel ic emit with
+  match Lines.iter_slices ic emit with
   | true -> Result.map_error error (Incremental.finish dec)
   | false -> Result.map_error error (fail { at_line = dec.lineno; reason = "line too long" })
   | exception Stop r -> r
 
 let read_all ic =
   let events = ref [] in
-  let keep dec line =
-    let r = Incremental.feed dec line in
+  let keep dec s start stop =
+    let r = Incremental.feed_slice dec s start stop in
     (match r with Ok (Incremental.Event e) -> events := e :: !events | _ -> ());
     r
   in

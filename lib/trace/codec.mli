@@ -70,7 +70,9 @@ val write_all : out_channel -> Mpi_sim.Event.event list -> unit
     Every reader decodes through {!Incremental}: the [serve] daemon
     feeds it one socket line at a time, {!fold} one file line at a time,
     both split by {!Rma_util.Lines.split_lines}, which drops the ['\r']
-    of a CRLF line ending.
+    of a CRLF line ending. A line is decoded where it was read, as a
+    slice of the read buffer; whatever the decoder keeps from it is a
+    copy (DESIGN.md §17).
     Each error it returns is journaled once, as a [read_error]. *)
 
 module Incremental : sig
@@ -88,11 +90,15 @@ module Incremental : sig
   val create : unit -> t
   (** A fresh decoder expecting the format-2 header line first. *)
 
+  val feed_slice : t -> string -> int -> int -> (step, error) result
+  (** [feed_slice t s start stop] consumes the line [s.[start..stop-1]].
+      Total: malformed input yields [Error] with the 1-based line number
+      (header = line 1), never an exception. After the first [Error] the
+      decoder state is unspecified — abandon the stream. Nothing decoded
+      shares [s], so its bytes may change once this returns. *)
+
   val feed : t -> string -> (step, error) result
-  (** Consume one line. Total: malformed input yields [Error] with the
-      1-based line number (header = line 1), never an exception. After
-      the first [Error] the decoder state is unspecified — abandon the
-      stream. *)
+  (** {!feed_slice} over the whole string. *)
 
   val finish : t -> (int, error) result
   (** End of input: the footer's count, else [empty trace] or
@@ -101,17 +107,19 @@ end
 
 val fold :
   in_channel ->
-  (Incremental.t -> string -> (Incremental.step, 'e) result) ->
+  (Incremental.t -> string -> int -> int -> (Incremental.step, 'e) result) ->
   error:(error -> 'e) ->
   (int, 'e) result
 (** Each line to the step, with one decoder, until an [Error] or the
-    footer's count. Lines split as {!Rma_util.Lines.iter_channel} splits
-    them (the last needs no newline, a CRLF ending reads as LF); one
-    longer than {!Rma_util.Lines.max_line_bytes} is
-    [line N: line too long] and is never held whole, so reading any file
-    holds at most two 64 KiB blocks beyond the decoder. End of input
-    first is {!Incremental.finish}'s error. [error] maps the reader's
-    own errors, these two, into the step's error type. *)
+    footer's count; the step gets the line as {!Incremental.feed_slice}
+    takes it, a view of the read buffer. Lines split as
+    {!Rma_util.Lines.iter_slices} splits them (the last needs no
+    newline, a CRLF ending reads as LF); one longer than
+    {!Rma_util.Lines.max_line_bytes} is [line N: line too long] and is
+    never held whole, so reading any file holds at most two 64 KiB
+    blocks beyond the decoder. End of input first is
+    {!Incremental.finish}'s error. [error] maps the reader's own errors,
+    these two, into the step's error type. *)
 
 val read_all : in_channel -> (Mpi_sim.Event.event list, error) result
-(** {!fold} over {!Incremental.feed}, keeping the events. *)
+(** {!fold} over {!Incremental.feed_slice}, keeping the events. *)

@@ -6,8 +6,8 @@ let event (tool : Tool.t) e =
   | _ | (exception Rma_analysis.Report.Race_abort _) -> Ok ()
   | exception Rma_store.Budget.Exhausted msg -> Error ("budget exhausted: " ^ msg)
 
-let line tool dec l =
-  match Incremental.feed dec l with
+let line tool dec s start stop =
+  match Incremental.feed_slice dec s start stop with
   | Ok (Incremental.Event e as step) -> (
       match event tool e with Ok () -> Ok step | Error _ as err -> err)
   | Ok step -> Ok step

@@ -8,9 +8,15 @@ val event : Rma_analysis.Tool.t -> Mpi_sim.Event.event -> (unit, string) result
     [Exhausted msg] is [Error "budget exhausted: msg"]. *)
 
 val line :
-  Rma_analysis.Tool.t -> Codec.Incremental.t -> string -> (Codec.Incremental.step, string) result
-(** Decode one line and feed its event, if any. A decoding error is its
-    {!Codec.error_to_string} text. *)
+  Rma_analysis.Tool.t ->
+  Codec.Incremental.t ->
+  string ->
+  int ->
+  int ->
+  (Codec.Incremental.step, string) result
+(** [line tool dec s start stop] decodes the line [s.[start..stop-1]],
+    as {!Codec.Incremental.feed_slice} does, and feeds its event, if
+    any. A decoding error is its {!Codec.error_to_string} text. *)
 
 val ranks : string -> (int, string) result
 (** A trace file's highest rank plus one: {!line} over the file into a

@@ -246,7 +246,10 @@ let test_format1_and_errors () =
    a protocol error while a well-behaved session beside it completes. *)
 let test_unterminated_line_is_bounded () =
   let cap = Rma_util.Lines.max_line_bytes in
-  let push s c = Session.push_bytes s (Bytes.of_string c) (String.length c) in
+  let push s c =
+    Session.push_bytes s (Bytes.of_string c) (String.length c) (fun _ _ _ ->
+        Alcotest.fail "a handshaking session fed a line")
+  in
   (* The buffer itself, driven directly. Lines split across chunks
      reassemble, CRLF included... *)
   let s = Session.create ~id:0 ~fd:Unix.stdin in

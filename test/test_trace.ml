@@ -1193,3 +1193,201 @@ let suite =
       Alcotest.test_case "CFD-Proxy and MiniVite traces decode to the recorded events" `Slow
         test_app_traces_decode_to_recorded_events;
     ]
+
+(* --- Decoding in the read buffer ---
+
+   Readers hand the decoder each line as a slice of the buffer they
+   read it into, which the next read overwrites. *)
+
+(* What the decoder returns, and the file and operation strings it
+   reuses for the next line with the same ones, are its own copies:
+   overwriting the buffer changes neither. The second line lies at
+   another offset, so a reused string that still viewed the buffer
+   would no longer match it. *)
+let test_decoder_keeps_no_view () =
+  let put seq =
+    Event.Access
+      {
+        Event.space = 0;
+        access =
+          Rma_access.Access.make
+            ~interval:(Rma_access.Interval.make ~lo:seq ~hi:(seq + 7))
+            ~kind:Rma_access.Access_kind.Rma_write ~issuer:1 ~seq
+            ~debug:(Rma_access.Debug_info.make ~file:"halo.c" ~line:12 ~operation:"MPI_Put");
+        win = Some 0;
+        relevant = true;
+        on_stack = false;
+        sim_time = 0.5;
+      }
+  in
+  let dec = Codec.Incremental.create () in
+  ignore (Codec.Incremental.feed dec Codec.header);
+  let buf = Bytes.make 256 '\n' in
+  let decode_at off e =
+    let line = Codec.encode_event e in
+    Bytes.blit_string line 0 buf off (String.length line);
+    (* The buffer viewed as a string, as the line splitter passes it. *)
+    match
+      Codec.Incremental.feed_slice dec (Bytes.unsafe_to_string buf) off (off + String.length line)
+    with
+    | Ok (Codec.Incremental.Event (Event.Access a)) -> a.Event.access.Rma_access.Access.debug
+    | _ -> Alcotest.fail "the access line did not decode"
+  in
+  let first = decode_at 7 (put 1) in
+  Bytes.fill buf 0 (Bytes.length buf) 'Z';
+  let file = first.Rma_access.Debug_info.file and op = first.Rma_access.Debug_info.operation in
+  Alcotest.(check (pair string string)) "decoded strings survive the buffer" ("halo.c", "MPI_Put")
+    (file, op);
+  let second = decode_at 0 (put 2) in
+  Bytes.fill buf 0 (Bytes.length buf) 'Z';
+  Alcotest.(check bool) "the next line reuses the decoded file" true
+    (second.Rma_access.Debug_info.file == file);
+  Alcotest.(check bool) "the next line reuses the decoded operation" true
+    (second.Rma_access.Debug_info.operation == op);
+  Alcotest.(check (pair string string)) "and they still read the same" ("halo.c", "MPI_Put")
+    (file, op)
+
+type step = Fed of Event.event | Skipped | Completed of int | Failed of string
+
+let same_step a b =
+  match (a, b) with
+  | Fed a, Fed b -> same_event a b
+  | Skipped, Skipped -> true
+  | Completed m, Completed n -> m = n
+  | Failed a, Failed b -> String.equal a b
+  | _ -> false
+
+let step_of = function
+  | Ok (Codec.Incremental.Event e) -> Fed e
+  | Ok Codec.Incremental.Skip -> Skipped
+  | Ok (Codec.Incremental.Complete n) -> Completed n
+  | Error e -> Failed (Codec.error_to_string e)
+
+(* Every line of [text] to [Incremental.feed] as a string of its own,
+   split as a reader splits it, until an error or the footer: the steps
+   and the outcome [read_all] must reproduce. *)
+let fed_line_by_line text =
+  let dec = Codec.Incremental.create () in
+  let drop_cr l =
+    let n = String.length l in
+    if n > 0 && l.[n - 1] = '\r' then String.sub l 0 (n - 1) else l
+  in
+  let rec go steps = function
+    | [] | [ "" ] ->
+        (List.rev steps, Result.map_error Codec.error_to_string (Codec.Incremental.finish dec))
+    | l :: rest -> (
+        let l = if rest = [] then l else drop_cr l in
+        match step_of (Codec.Incremental.feed dec l) with
+        | Completed n as s -> (List.rev (s :: steps), Ok n)
+        | Failed e as s -> (List.rev (s :: steps), Error e)
+        | s -> go (s :: steps) rest)
+  in
+  go [] (String.split_on_char '\n' text)
+
+(* The hostile lines with the file's first 64 KiB read boundary at any
+   of their bytes, behind valid lines and one blank line that place
+   them, and a footer counting what they decode to. [Codec.fold] passes
+   each line as a slice of its read buffer, or of [pending] for the line
+   the boundary cuts; the steps, and [read_all]'s result, must be those
+   of feeding each line as a string. *)
+let prop_file_slices_match_line_feed =
+  QCheck.Test.make
+    ~name:"codec decodes hostile lines in the read buffer as it decodes them one by one"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (l, at) ->
+         Printf.sprintf "at %d: %s" at (String.concat "\n" (List.map (Printf.sprintf "%S") l)))
+       Gen.(pair mutated_lines_gen nat))
+    (fun (lines, at) ->
+      let block = String.concat "\n" lines ^ "\n" in
+      let at = at mod (String.length block + 1) in
+      let head = Codec.header ^ "\n" in
+      let room = 65536 - at - String.length head in
+      assert (room >= 32);
+      let filler =
+        String.concat "" (List.init ((room / 16) - 1) (fun _ -> "Z\t0\t0.000000000\n"))
+      in
+      let blank = String.make (room - String.length filler - 1) ' ' ^ "\n" in
+      let text = head ^ filler ^ blank ^ block in
+      let is_fed = function Fed _ -> true | _ -> false in
+      let events = List.length (List.filter is_fed (fst (fed_line_by_line text))) in
+      let text = text ^ Codec.footer events ^ "\n" in
+      let expected_steps, expected = fed_line_by_line text in
+      let path = Filename.temp_file "rma_slices" ".rma" in
+      Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      let steps = ref [] in
+      let folded =
+        In_channel.with_open_bin path (fun ic ->
+            Codec.fold ic
+              (fun dec s start stop ->
+                let r = Codec.Incremental.feed_slice dec s start stop in
+                steps := step_of r :: !steps;
+                r)
+              ~error:Fun.id)
+        |> Result.map_error Codec.error_to_string
+      in
+      let read_all =
+        In_channel.with_open_bin path Codec.read_all
+        |> Result.map (List.map (fun e -> Fed e))
+        |> Result.map_error Codec.error_to_string
+      in
+      let fed = List.filter is_fed expected_steps in
+      let steps = List.rev !steps in
+      let same_steps a b = List.length a = List.length b && List.for_all2 same_step a b in
+      (same_steps steps expected_steps
+      || QCheck.Test.fail_reportf "fold's steps differ from line-by-line feeding")
+      && (folded = expected || QCheck.Test.fail_reportf "fold's outcome differs")
+      &&
+      match (read_all, expected) with
+      | Ok got, Ok _ -> same_steps got fed
+      | Error a, Error b -> String.equal a b
+      | _ -> QCheck.Test.fail_reportf "read_all's result differs from line-by-line feeding")
+
+(* [rma_race analyze] on a pipe. Inferring the rank count takes a first
+   pass over the trace, which would drain the pipe, so without [--ranks]
+   the run is refused naming it; with [--ranks] the pipe gives the
+   file's verdicts and digest. The built CLI runs, as in the journal
+   tests. *)
+let cli = Filename.concat (Filename.dirname Sys.executable_name) "../bin/rma_race_cli.exe"
+
+let test_analyze_reads_a_pipe_with_ranks () =
+  let temp suffix = Filename.temp_file "rma_pipe" suffix in
+  let trace = temp ".rma" and out = temp ".out" and err = temp ".err" in
+  Fun.protect ~finally:(fun () -> List.iter Sys.remove [ trace; out; err ]) @@ fun () ->
+  let run ?pipe args =
+    let command = Filename.quote_command cli ~stdout:out ~stderr:err args in
+    Sys.command
+      (match pipe with None -> command | Some f -> "cat " ^ Filename.quote f ^ " | " ^ command)
+  in
+  let digest () =
+    List.find_opt (String.starts_with ~prefix:"digest: ")
+      (String.split_on_char '\n' (In_channel.with_open_bin out In_channel.input_all))
+  in
+  Alcotest.(check int) "record exits 0" 0
+    (run [ "record"; "rrb_lockall_remote_conflict_put_put_race"; "--out"; trace ]);
+  Alcotest.(check int) "analyze of the file exits 0" 0 (run [ "analyze"; trace ]);
+  let from_file = digest () in
+  Alcotest.(check bool) "the file's digest is printed" true (Option.is_some from_file);
+  let ranks =
+    match Ingest.ranks trace with Ok n -> string_of_int n | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check int) "analyze of a pipe with --ranks exits 0" 0
+    (run ~pipe:trace [ "analyze"; "--ranks"; ranks; "/dev/stdin" ]);
+  Alcotest.(check (option string)) "the pipe gives the file's digest" from_file (digest ());
+  Alcotest.(check int) "analyze of a pipe without --ranks exits 2" 2
+    (run ~pipe:trace [ "analyze"; "/dev/stdin" ]);
+  let stderr = In_channel.with_open_bin err In_channel.input_all in
+  Alcotest.(check bool) "the refusal names --ranks" true
+    (Astring.String.is_infix ~affix:"--ranks" stderr);
+  Alcotest.(check (option string)) "and prints no verdict" None (digest ())
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "the decoder keeps nothing of the caller's buffer" `Quick
+        test_decoder_keeps_no_view;
+      QCheck_alcotest.to_alcotest prop_file_slices_match_line_feed;
+      Alcotest.test_case "analyze reads a pipe given --ranks, and refuses one without" `Quick
+        test_analyze_reads_a_pipe_with_ranks;
+    ]

@@ -169,6 +169,15 @@ let suite = suite @ chart_suite
 
 (* --- Lines --- *)
 
+(* [split_lines] with each line copied out of its slice: the 40-byte
+   property below reads lines as strings. *)
+module Lines = struct
+  include Lines
+
+  let split_lines pending chunk len emit =
+    split_lines pending chunk len (fun s a b -> emit (String.sub s a (b - a)))
+end
+
 (* However a text is cut into chunks, [Lines.split_lines] emits the
    '\n'-terminated lines, each without one '\r' before its '\n' (also
    when the '\r' ends one chunk and the '\n' opens the next), and keeps
@@ -203,4 +212,106 @@ let prop_split_lines_any_chunking =
         (feed 0 cuts);
       List.rev !got = expected && Buffer.contents pending = tail)
 
-let suite = suite @ [ QCheck_alcotest.to_alcotest prop_split_lines_any_chunking ]
+(* Lines of up to 200 bytes over the bytes nearest '\n' (by value, by
+   one bit, and the other line and word ends), cut at random offsets,
+   at every offset of one line and between each '\r' and its '\n'. The
+   slices must be the '\n'-terminated lines less one '\r', and the tail
+   stays pending. Each chunk lies in a buffer of stale bytes past its
+   length, newlines or not by turns, which the word-at-a-time scan must
+   neither read as data nor scan past. *)
+let near_newline = [ '\x0b'; '\t'; '\r'; '\x8a'; '\x00'; '\xff'; 'a' ]
+
+let prop_split_lines_near_misses =
+  QCheck.Test.make ~name:"Lines.split_lines: long lines over near-miss bytes, any cut" ~count:300
+    QCheck.(
+      quad
+        (list_of_size Gen.(int_range 0 8)
+           (string_gen_of_size Gen.(int_range 0 200) (Gen.oneofl near_newline)))
+        bool
+        (list_of_size Gen.(int_range 0 12) small_nat)
+        small_nat)
+    (fun (lines, terminated, cuts, whole) ->
+      let text = String.concat "\n" lines ^ if terminated && lines <> [] then "\n" else "" in
+      let n = String.length text in
+      let parts = String.split_on_char '\n' text in
+      let rec terminated_parts = function
+        | [] | [ _ ] -> []
+        | l :: rest -> l :: terminated_parts rest
+      in
+      let drop_cr l =
+        let k = String.length l in
+        if k > 0 && l.[k - 1] = '\r' then String.sub l 0 (k - 1) else l
+      in
+      let expected = List.map drop_cr (terminated_parts parts) in
+      let tail = List.nth parts (List.length parts - 1) in
+      let crlf =
+        List.filter
+          (fun p -> text.[p - 1] = '\r' && text.[p] = '\n')
+          (List.init (Int.max 0 (n - 1)) succ)
+      in
+      let every =
+        match lines with
+        | [] -> []
+        | _ ->
+            let k = whole mod List.length lines in
+            let before = List.filteri (fun i _ -> i < k) lines in
+            let start = List.fold_left (fun acc l -> acc + String.length l + 1) 0 before in
+            List.init (String.length (List.nth lines k) + 1) (fun i -> start + i)
+      in
+      let cuts =
+        List.sort_uniq Int.compare
+          (List.filter
+             (fun c -> c > 0 && c < n)
+             (List.map (fun c -> c mod (n + 1)) cuts @ crlf @ every))
+      in
+      let buf = Bytes.make (n + 16) '\n' in
+      let pending = Buffer.create 16 and got = ref [] in
+      let rec feed from = function
+        | [] -> [ (from, n) ]
+        | c :: rest -> (from, c) :: feed c rest
+      in
+      List.iter
+        (fun (a, b) ->
+          Bytes.fill buf 0 (Bytes.length buf) (if (a + b) land 1 = 0 then '\n' else 'x');
+          Bytes.blit_string text a buf 0 (b - a);
+          assert (
+            Rma_util.Lines.split_lines pending buf (b - a) (fun s i j ->
+                got := String.sub s i (j - i) :: !got)))
+        (feed 0 cuts);
+      List.rev !got = expected && Buffer.contents pending = tail)
+
+(* The cap is on the line without its '\n': [max_line_bytes] bytes pass
+   and one more fails, whether the line fits one chunk or the previous
+   chunk left part of it pending. *)
+let test_split_lines_cap () =
+  let cap = Rma_util.Lines.max_line_bytes in
+  let split chunks =
+    let pending = Buffer.create 16 and got = ref [] in
+    let ok =
+      List.for_all
+        (fun c ->
+          Rma_util.Lines.split_lines pending (Bytes.of_string c) (String.length c) (fun _ a b ->
+              got := (b - a) :: !got))
+        chunks
+    in
+    (ok, List.rev !got, Buffer.length pending)
+  in
+  let x n = String.make n 'x' in
+  let check name expected chunks =
+    Alcotest.(check (triple bool (list int) int)) name expected (split chunks)
+  in
+  check "the cap, in one chunk" (true, [ cap; 1 ], 0) [ x cap ^ "\ny\n" ];
+  check "one byte over, in one chunk" (false, [], 0) [ x (cap + 1) ^ "\n" ];
+  check "the cap, across two chunks" (true, [ cap; 1 ], 0) [ x 1000; x (cap - 1000) ^ "\ny\n" ];
+  check "one byte over, across two chunks" (false, [], 1000) [ x 1000; x (cap - 999) ^ "\n" ];
+  check "the cap, its newline opening the next chunk" (true, [ cap ], 0) [ x cap; "\n" ];
+  check "one byte over, unterminated" (false, [], 0) [ x (cap + 1) ]
+
+let suite =
+  suite
+  @ [
+      QCheck_alcotest.to_alcotest prop_split_lines_any_chunking;
+      QCheck_alcotest.to_alcotest prop_split_lines_near_misses;
+      Alcotest.test_case "Lines.split_lines: the cap within a chunk and across two" `Quick
+        test_split_lines_cap;
+    ]
