@@ -134,7 +134,7 @@ let tool_arg =
   Arg.(
     value
     & opt (enum tool_enum) Toolbox.Contribution
-    & info [ "tool"; "t" ] ~docv:"TOOL" ~doc:"Detector: $(docv) is one of baseline, legacy, must, contribution, frag-only, order-blind, strided.")
+    & info [ "tool"; "t" ] ~docv:"TOOL" ~doc:"Detector: $(docv) is one of baseline, legacy, must, contribution, frag-only, order-blind.")
 
 let ranks_arg default =
   Arg.(value & opt int default & info [ "ranks"; "n" ] ~docv:"N" ~doc:"Number of simulated MPI ranks.")

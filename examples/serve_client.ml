@@ -12,7 +12,8 @@
      --trace FILE                Codec format-2 trace to stream (required)
      --session NAME              display name (default: trace basename)
      --tool SLUG                 detector slug (default contribution)
-     --nprocs N                  rank count (default: inferred from the trace)
+     --nprocs N                  rank count (default: inferred from the trace;
+                                 required when the trace is a pipe)
      --budget SPEC --predictive
      --abort-after N             disconnect after N trace lines (churn demo)
 
@@ -70,6 +71,12 @@ let hello_line ~session ~nprocs =
 let () =
   Arg.parse spec (fun a -> die "serve_client: unexpected argument %S" a) usage;
   let trace = match !trace with Some t -> t | None -> die "serve_client: --trace is required" in
+  (* Inferring the rank count reads the file a second time, which would
+     find a pipe drained: refuse one up front, as [rma_race analyze] does. *)
+  if Option.is_none !nprocs && (try not (Sys.is_regular_file trace) with Sys_error _ -> false)
+  then
+    die "serve_client: %s: not a regular file, so its rank count cannot be inferred; give --nprocs N"
+      trace;
   let lines = read_lines trace in
   let session =
     match !session with Some s -> s | None -> Filename.remove_extension (Filename.basename trace)

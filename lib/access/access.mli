@@ -33,8 +33,6 @@ val default_thread : issuer:int -> thread_info
     single-thread traces byte-identical to the thread-oblivious
     schema. *)
 
-val thread_equal : thread_info -> thread_info -> bool
-
 val is_default_thread : t -> bool
 (** Does the access carry {!default_thread} for its issuer? *)
 

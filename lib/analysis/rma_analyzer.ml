@@ -6,48 +6,41 @@ module Obs = Rma_obs.Obs
 module Events = Rma_obs.Events
 module Vclock = Rma_vclock.Vclock
 
-type policy = Legacy | Contribution | Fragmentation_only | Order_blind | Strided_extension
+type policy = Legacy | Contribution | Fragmentation_only | Order_blind
 
 let policy_name = function
   | Legacy -> "RMA-Analyzer"
   | Contribution -> "Our Contribution"
   | Fragmentation_only -> "Fragmentation-only (ablation)"
   | Order_blind -> "Order-blind (ablation)"
-  | Strided_extension -> "Strided-merging extension"
 
 (* The store implementations behind one dispatch. *)
-type store = L of Legacy_store.t | D of Disjoint_store.t | S of Strided_store.t
+type store = L of Legacy_store.t | D of Disjoint_store.t
 
 let store_insert = function
   | L s -> Legacy_store.insert s
   | D s -> Disjoint_store.insert s
-  | S s -> Strided_store.insert s
 let store_stats = function
   | L s -> Legacy_store.stats s
   | D s -> Disjoint_store.stats s
-  | S s -> Strided_store.stats s
 let store_size = function
   | L s -> Legacy_store.size s
   | D s -> Disjoint_store.size s
-  | S s -> Strided_store.size s
 let store_clear = function
   | L s -> Legacy_store.clear s
   | D s -> Disjoint_store.clear s
-  | S s -> Strided_store.clear s
 
 (* Flight-recorder hooks: only the disjoint store keeps interval
    history. The legacy store never merges (every access stays its own
-   node, so its debug info survives unmodified), and the strided store's
-   regions keep one uniform debug info by construction. *)
-let store_recorder = function D s -> Disjoint_store.recorder s | L _ | S _ -> None
+   node, so its debug info survives unmodified). *)
+let store_recorder = function D s -> Disjoint_store.recorder s | L _ -> None
 
-(* Every store tracks epoch boundaries now: the disjoint store stamps
-   its flight recorder, and all three move the governance watermark
-   that [Spill_oldest_epoch] eviction keys on. *)
+(* Every store tracks epoch boundaries: the disjoint store stamps its
+   flight recorder, and both move the governance watermark that
+   [Spill_oldest_epoch] eviction keys on. *)
 let store_note_epoch = function
   | D s -> Disjoint_store.note_epoch s
   | L s -> Legacy_store.note_epoch s
-  | S s -> Strided_store.note_epoch s
 
 (* Has budget governance ever dropped or coarsened a node of this
    store? Races detected afterwards carry downgraded confidence. *)
@@ -59,7 +52,7 @@ let store_degraded store = (store_stats store).Store_intf.degraded_drops > 0
    node counts do not depend on this flush; the store's [tree_ops] and
    finger-hit counts do (a finger the window clear drops is never
    inserted). *)
-let store_flush_finger = function D s -> Disjoint_store.flush_finger s | L _ | S _ -> ()
+let store_flush_finger = function D s -> Disjoint_store.flush_finger s | L _ -> ()
 
 (* (space, window) tables with monomorphic key equality; [Hashtbl.hash]
    keeps the generic bucket layout, so iteration and race order hold. *)
@@ -166,7 +159,6 @@ let new_store ?budget policy =
   | Contribution -> D (Disjoint_store.create ?budget ())
   | Fragmentation_only -> D (Disjoint_store.create ~merge:false ?budget ())
   | Order_blind -> D (Disjoint_store.create ~order_aware:false ?budget ())
-  | Strided_extension -> S (Strided_store.create ?budget ())
 
 let drop_routes st = Array.fill st.routes 0 (Array.length st.routes) None
 

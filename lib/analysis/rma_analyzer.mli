@@ -23,9 +23,6 @@ type policy =
   | Contribution
   | Fragmentation_only
   | Order_blind
-  | Strided_extension
-      (** The paper's §6(3) future work: merging extended to non-adjacent
-          strided accesses via {!Rma_store.Strided_store}. *)
 
 val create :
   nprocs:int ->

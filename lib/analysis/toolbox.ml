@@ -1,6 +1,6 @@
-type kind = Baseline | Legacy | Must | Contribution | Fragmentation_only | Order_blind | Strided
+type kind = Baseline | Legacy | Must | Contribution | Fragmentation_only | Order_blind
 
-let all = [ Baseline; Legacy; Must; Contribution; Fragmentation_only; Order_blind; Strided ]
+let all = [ Baseline; Legacy; Must; Contribution; Fragmentation_only; Order_blind ]
 
 let name = function
   | Baseline -> "Baseline"
@@ -9,7 +9,6 @@ let name = function
   | Contribution -> "Our Contribution"
   | Fragmentation_only -> "Fragmentation-only"
   | Order_blind -> "Order-blind"
-  | Strided -> "Strided extension"
 
 let slug = function
   | Baseline -> "baseline"
@@ -18,7 +17,6 @@ let slug = function
   | Contribution -> "contribution"
   | Fragmentation_only -> "frag-only"
   | Order_blind -> "order-blind"
-  | Strided -> "strided"
 
 let of_slug s = List.find_opt (fun k -> String.equal (slug k) s) all
 
@@ -32,4 +30,3 @@ let make kind ~nprocs ?(config = Mpi_sim.Config.default) ?(mode = Tool.Collect)
   | Contribution -> analyzer Rma_analyzer.Contribution
   | Fragmentation_only -> analyzer Rma_analyzer.Fragmentation_only
   | Order_blind -> analyzer Rma_analyzer.Order_blind
-  | Strided -> analyzer Rma_analyzer.Strided_extension

@@ -8,7 +8,6 @@ type kind =
   | Contribution  (** The paper's algorithm. *)
   | Fragmentation_only  (** Ablation: §4.1 without §4.2. *)
   | Order_blind  (** Ablation: contribution with the legacy conflict rule. *)
-  | Strided  (** The §6(3) future-work strided-merging extension. *)
 
 val all : kind list
 

@@ -22,8 +22,6 @@ val create : unit -> t
 
 val size : t -> int
 
-val height : t -> int
-
 val is_empty : t -> bool
 
 val insert : t -> Access.t -> unit
@@ -34,7 +32,12 @@ val remove : t -> Access.t -> bool
     when absent. *)
 
 val splice : t -> Interval.t -> old:Access.t list -> Access.t list -> unit
-(** Algorithm 1's line 8 in place: see {!Interval_tree.Make.splice}. *)
+(** Algorithm 1's line 8 in place: [splice t window ~old pieces]
+    replaces [old], the run {!stab} returns for [window] in a disjoint
+    tree, with sorted [pieces] disjoint from each other and the rest:
+    surplus nodes go, one walk overwrites the others (a node already
+    holding its piece is left alone), surplus pieces are inserted.
+    Raises [Invalid_argument] when the window's run is not [old]. *)
 
 val stab : t -> Interval.t -> Access.t list
 (** Every stored access whose interval overlaps the query, in increasing
@@ -59,7 +62,8 @@ val clearance : t -> Interval.t -> clearance
 
 val ops : t -> int
 (** Cumulative count of tree operations (descents): [insert], [remove],
-    [stab], [search_path], [clearance] and a [splice] walk count one. *)
+    [stab], [search_path], [clearance] and a [splice] walk count one.
+    The currency of the fast-path benchmarks. *)
 
 val search_path : t -> Access.t -> Access.t list
 (** The accesses on the BST descent from the root towards [query]'s

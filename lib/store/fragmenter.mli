@@ -1,7 +1,7 @@
 open Rma_access
 
 (** The pure core of Algorithm 1's steps 3 and 4, shared by
-    {!Disjoint_store} and the strided extension's fallback path. *)
+    {!Disjoint_store}. *)
 
 val fragment : candidates:Access.t list -> new_acc:Access.t -> Access.t list * int
 (** [fragment ~candidates ~new_acc] splits the union of [new_acc] and

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Hot-path compare lint. Algorithm 1's per-access path (interval
-# arithmetic, access equality, the interval tree, fragmentation, the
-# disjoint and strided stores and the analyzer's tree tables) and the simulator's
+# arithmetic, access equality, the AVL interval tree, fragmentation, the
+# disjoint store and the analyzer's tree tables) and the simulator's
 # per-access step that feeds it (the scheduler's run queue, event
 # dispatch and access classification in the runtime, and the rank
 # memory's scans), the line splitter, trace codec and ingestion step that every
@@ -27,11 +27,9 @@ OBJECTS=(
   lib/access/.rma_access.objs/native/rma_access__Interval.o
   lib/access/.rma_access.objs/native/rma_access__Access.o
   lib/access/.rma_access.objs/native/rma_access__Access_kind.o
-  lib/store/.rma_store.objs/native/rma_store__Interval_tree.o
   lib/store/.rma_store.objs/native/rma_store__Avl.o
   lib/store/.rma_store.objs/native/rma_store__Fragmenter.o
   lib/store/.rma_store.objs/native/rma_store__Disjoint_store.o
-  lib/store/.rma_store.objs/native/rma_store__Strided_store.o
   lib/analysis/.rma_analysis.objs/native/rma_analysis__Rma_analyzer.o
   lib/mpi_sim/.mpi_sim.objs/native/mpi_sim__Run_queue.o
   lib/mpi_sim/.mpi_sim.objs/native/mpi_sim__Runtime.o

@@ -12,8 +12,9 @@
 #      own port while it is live,
 #   5. assert the streamed digests byte-equal the offline ones,
 #   6. check that a trace cut before its footer fails analyze (exit 2,
-#      no digest) and that a fail-fast budget ends analyze and a session
-#      on the same file with the same reason, and
+#      no digest), that a fail-fast budget ends analyze and a session
+#      on the same file with the same reason, and that the client
+#      refuses a piped trace given without --nprocs, and
 #   7. shut the daemon down cleanly and check the journal saw it all.
 #
 # Usage: scripts/serve_smoke.sh [workdir]
@@ -121,6 +122,17 @@ echo "serve_smoke: offline: $OFFLINE_REASON"
 echo "serve_smoke: served:  $SERVED_REASON"
 test -n "$OFFLINE_REASON" && test "$OFFLINE_REASON" = "$SERVED_REASON"
 echo "serve_smoke: a cut trace fails analyze; a fail-fast budget gives one reason on both paths"
+
+# A piped trace cannot be read twice, so without --nprocs the client
+# refuses it before connecting rather than failing to infer the ranks.
+status=0
+cat "$WORK/racy.rma" | $DUNE exec examples/serve_client.exe -- --port "$PORT" \
+  --trace /dev/stdin --session pipe-smoke >"$WORK/pipe.session.txt" \
+  2>"$WORK/pipe.session.err" || status=$?
+cat "$WORK/pipe.session.err"
+test "$status" -eq 2
+grep -q 'not a regular file.*give --nprocs' "$WORK/pipe.session.err"
+echo "serve_smoke: a piped trace without --nprocs is refused up front"
 
 # --- 7: clean shutdown -------------------------------------------------------
 kill -TERM "$SERVE_PID"

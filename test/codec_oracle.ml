@@ -23,7 +23,7 @@ let quote s =
 
 (* [Access.is_default_thread] as it was defined alongside this codec. *)
 let is_default_thread (a : Access.t) =
-  Access.thread_equal a.Access.thread (Access.default_thread ~issuer:a.Access.issuer)
+  a.Access.thread = Access.default_thread ~issuer:a.Access.issuer
 
 let escape s =
   let buf = Buffer.create (String.length s) in

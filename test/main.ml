@@ -13,7 +13,6 @@ let () =
       ("vclock", Test_vclock.suite);
       ("shadow", Test_shadow.suite);
       ("report", Test_report.suite);
-      ("strided", Test_strided.suite);
       ("trace", Test_trace.suite);
       ("fuzz", Test_fuzz.suite);
       ("differential", Test_differential.suite);

@@ -116,7 +116,7 @@ let test_disjoint_coarsen () =
   | Store_intf.Race_detected _ -> ()
   | Store_intf.Inserted -> Alcotest.fail "write over a coarsened read did not race"
 
-let test_legacy_and_strided_budgets () =
+let test_legacy_byte_budget () =
   (* Byte caps translate per store: 448 bytes / 112 per node = 4 nodes in
      the legacy store. *)
   let budget = { Budget.max_nodes = None; max_bytes = Some 448; policy = Budget.Fail_fast } in
@@ -125,15 +125,7 @@ let test_legacy_and_strided_budgets () =
   (for i = 1 to 4 do insert i done);
   (match insert 5 with
   | () -> Alcotest.fail "legacy store ignored its byte budget"
-  | exception Budget.Exhausted _ -> ());
-  let strided = Strided_store.create ~budget:(spill_budget 4) () in
-  for i = 1 to 16 do
-    ignore (Strided_store.insert strided (mk_access ~seq:i ~line:i (i * 100) ((i * 100) + 3)));
-    if i mod 4 = 0 then Strided_store.note_epoch strided
-  done;
-  let st = Strided_store.stats strided in
-  Alcotest.(check bool) "strided regions capped" true (st.Store_intf.nodes <= 4);
-  Alcotest.(check bool) "strided spills reported" true (st.Store_intf.degraded_drops > 0)
+  | exception Budget.Exhausted _ -> ())
 
 (* --- soak: 500 budgets, no silent verdict change ---------------- *)
 
@@ -223,8 +215,7 @@ let suite =
     Alcotest.test_case "fail-fast budget raises Exhausted" `Quick test_disjoint_fail_fast;
     Alcotest.test_case "coarsen merges past debug info, coverage-exact" `Quick
       test_disjoint_coarsen;
-    Alcotest.test_case "legacy byte cap and strided spill budgets" `Quick
-      test_legacy_and_strided_budgets;
+    Alcotest.test_case "legacy store obeys a byte cap" `Quick test_legacy_byte_budget;
     Alcotest.test_case "soak: 500 budgets, zero silent verdict changes" `Quick
       test_soak_500_budgets_no_silent_change;
   ]

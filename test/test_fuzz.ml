@@ -160,13 +160,7 @@ let prop_no_crash_any_tool =
   QCheck.Test.make ~name:"fuzz: all tools survive random programs" ~count:150 arb_program
     (fun p ->
       let tools =
-        [
-          Rma_analyzer.create ~nprocs ~mode:Tool.Collect Rma_analyzer.Legacy;
-          Rma_analyzer.create ~nprocs ~mode:Tool.Collect Rma_analyzer.Contribution;
-          Rma_analyzer.create ~nprocs ~mode:Tool.Collect Rma_analyzer.Fragmentation_only;
-          Rma_analyzer.create ~nprocs ~mode:Tool.Collect Rma_analyzer.Strided_extension;
-          Must_rma.create ~nprocs ();
-        ]
+        List.map (fun k -> Toolbox.make k ~nprocs ~mode:Tool.Collect ()) Toolbox.all
       in
       List.iter (fun tool -> ignore (races_of tool p 7)) tools;
       true)

@@ -123,19 +123,9 @@ let prop_order_blind_matches_oracle =
       verdict_stream (Oracle.insert oracle) accesses
       = verdict_stream (Disjoint_store.insert store) accesses)
 
-let prop_strided_matches_oracle =
-  QCheck.Test.make ~name:"Strided_store verdicts match the per-byte model" ~count:300 arb_program
-    (fun program ->
-      let accesses = build program in
-      let oracle = Oracle.create () in
-      let store = Strided_store.create () in
-      verdict_stream (Oracle.insert oracle) accesses
-      = verdict_stream (Strided_store.insert store) accesses)
-
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_disjoint_matches_oracle;
     QCheck_alcotest.to_alcotest prop_disjoint_state_matches_oracle;
     QCheck_alcotest.to_alcotest prop_order_blind_matches_oracle;
-    QCheck_alcotest.to_alcotest prop_strided_matches_oracle;
   ]

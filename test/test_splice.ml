@@ -92,11 +92,11 @@ let test_splice_keeps_nodes () =
 let test_splice_rejects_wrong_run () =
   let t, window, old, _ = fixture () in
   Alcotest.check_raises "a run longer than [old]"
-    (Invalid_argument "Interval_tree.splice: run longer than [old]") (fun () ->
+    (Invalid_argument "Avl.splice: run longer than [old]") (fun () ->
       Avl.splice t window ~old:(List.tl old) [ read ~seq:60 40 45; read ~seq:61 50 55 ]);
   let t, _, old, _ = fixture () in
   Alcotest.check_raises "a run shorter than [old]"
-    (Invalid_argument "Interval_tree.splice: run shorter than [old]") (fun () ->
+    (Invalid_argument "Avl.splice: run shorter than [old]") (fun () ->
       Avl.splice t (Interval.make ~lo:44 ~hi:51) ~old
         [ read ~seq:70 40 45; read ~seq:71 50 55; read ~seq:72 60 65 ])
 

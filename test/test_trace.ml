@@ -1063,8 +1063,7 @@ let test_decoder_thread_table () =
       Alcotest.(check bool)
         (Printf.sprintf "issuer %d decodes to its default thread" issuer)
         true
-        (Rma_access.Access.thread_equal a.Rma_access.Access.thread
-           (Rma_access.Access.default_thread ~issuer)))
+        (a.Rma_access.Access.thread = Rma_access.Access.default_thread ~issuer))
     [ 0; 7; 4095; 4096; 1_000_000; max_int ];
   List.iter
     (fun issuer ->
