@@ -90,6 +90,36 @@ let test_ring_grows_and_wraps () =
   let longest = replay_rq ~seed:9 ops in
   Alcotest.(check bool) "grew past the initial 16 slots" true (longest > 16)
 
+(* Queues one fresh box per slot of [seen], held there weakly, picking with
+   seeded indices after every third add, then drains the queue. Not
+   inlined, so no box stays in a register or stack slot of the caller. *)
+let[@inline never] cycle_boxes q seen ~seed =
+  let rng = Rma_util.Prng.create ~seed in
+  let pick () =
+    let n = Rq.length q in
+    let b = Rq.take q (if n <= 1 then 0 else Rma_util.Prng.int rng ~bound:n) in
+    incr b
+  in
+  for i = 0 to Weak.length seen - 1 do
+    let b = ref i in
+    Weak.set seen i (Some b);
+    Rq.add q b;
+    if i mod 3 = 2 then pick ()
+  done;
+  while Rq.length q > 0 do
+    pick ()
+  done
+
+let test_taken_elements_are_collected () =
+  let q = Rq.create ~dummy:(ref (-1)) and seen = Weak.create 60 in
+  cycle_boxes q seen ~seed:11;
+  Gc.full_major ();
+  let kept = List.filter (Weak.check seen) (List.init (Weak.length seen) Fun.id) in
+  Alcotest.(check (list int)) "no taken element survives a major GC" [] kept;
+  (* The queue is still reachable here, and still works. *)
+  Rq.add q (ref 0);
+  Alcotest.(check int) "the queue outlived the GC" 1 (Rq.length q)
+
 let test_take_rejects_bad_index () =
   let q = Rq.create ~dummy:0 in
   Rq.add q 1;
@@ -425,4 +455,6 @@ let suite =
     Alcotest.test_case "memory scans allocate nothing" `Quick test_memory_scans_allocate_nothing;
     Alcotest.test_case "scale 0 dispatch leaves clocks; scale 2 charges wall" `Quick
       test_untimed_dispatch;
+    Alcotest.test_case "ring keeps no taken element alive" `Quick
+      test_taken_elements_are_collected;
   ]
